@@ -1,0 +1,14 @@
+"""Self-tests of the spine harness.
+
+    PYTHONPATH=src python -m pytest benchmarks/spine/tests -q
+
+Not collected by tier-1 (its ``testpaths`` is ``tests``).
+"""
+
+import sys
+from pathlib import Path
+
+SPINE_DIR = Path(__file__).resolve().parent.parent
+for path in (SPINE_DIR, SPINE_DIR.parent.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
