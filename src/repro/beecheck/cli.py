@@ -264,7 +264,7 @@ def sweep_corpus(report: SweepReport, seed: int, statements: int) -> None:
         report.routine_reports.append(check_agg(routine, list(specs)))
     for key_indexes, routine in module._idx_by_index.values():
         report.routine_reports.append(check_idx(routine, key_indexes))
-    for _anchor, spec, routine in module._pipeline_by_node.values():
+    for _key, _anchor, spec, routine in module.fused_entries("pipeline"):
         report.routine_reports.append(check_pipeline(routine, spec))
 
     # Second pass with the vector tier on: the kernels the engine
@@ -281,7 +281,7 @@ def sweep_corpus(report: SweepReport, seed: int, statements: int) -> None:
         run_statement(vdb, stmt.sql)
         executed += 1
     report.statements += executed
-    for _anchor, spec, routine in vdb.bee_module._vector_by_node.values():
+    for _key, _anchor, spec, routine in vdb.bee_module.fused_entries("vector"):
         report.routine_reports.append(check_vector(routine, spec))
 
 

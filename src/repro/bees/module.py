@@ -23,6 +23,13 @@ from repro.bees.settings import BeeSettings
 from repro.engine.expr import Expr
 from repro.storage.layout import TupleLayout
 
+#: Fused-routine memo bound.  Plans are rebuilt per statement and the
+#: memo keys on (and pins) their nodes, so without a bound a long-running
+#: session leaks one plan subtree per read.  Far above what one prepared
+#: workload or checker corpus holds live (a full TPC-H pass memoizes
+#: ~100 routines), so only ad-hoc statement streams ever evict.
+FUSED_MEMO_CAP = 256
+
 
 class GenericBeeModule:
     """Creation, caching, invocation support, and GC for all bee kinds."""
@@ -56,15 +63,13 @@ class GenericBeeModule:
         self._agg_by_specs: dict[int, tuple] = {}
         self._agg_counter = 0
         self._idx_by_index: dict[tuple[str, str], tuple[list[int], BeeRoutine]] = {}
-        # Pipeline bees, keyed by the anchor plan node they replaced
-        # (the anchor reference in the value pins its id); the spec is
-        # kept so beecheck can re-verify cached routines post hoc.
-        self._pipeline_by_node: dict[
-            int, tuple[object, object, BeeRoutine]
-        ] = {}
-        # Vector bees: same keying discipline, one tier up.
-        self._vector_by_node: dict[
-            int, tuple[object, object, BeeRoutine]
+        # Fused-driver routines of every tier, keyed by (tier name, id
+        # of the anchor plan node the driver replaced); the anchor
+        # reference in the value pins its id, and the spec is kept so
+        # beecheck can re-verify cached routines post hoc.  Insertion
+        # ordered and bounded by FUSED_MEMO_CAP, oldest evicted first.
+        self._fused_by_node: dict[
+            tuple[str, int], tuple[object, object, BeeRoutine]
         ] = {}
 
     # -- relation bees (schema definition time) ---------------------------------
@@ -104,13 +109,12 @@ class GenericBeeModule:
         self.collector.collect_relation(relation)
         for key in [k for k in self._idx_by_index if k[0] == relation]:
             del self._idx_by_index[key]
-        for memo in (self._pipeline_by_node, self._vector_by_node):
-            for key in [
-                k
-                for k, (_anchor, spec, _routine) in memo.items()
-                if spec.relation == relation
-            ]:
-                del memo[key]
+        for key in [
+            k
+            for k, (_anchor, spec, _routine) in self._fused_by_node.items()
+            if spec.relation == relation
+        ]:
+            del self._fused_by_node[key]
         if self.registry is not None:
             # Quarantine state describes bees that no longer exist.
             self.registry.clear_prefix(
@@ -137,15 +141,13 @@ class GenericBeeModule:
             + len(self._evp_by_expr)
             + len(self._agg_by_specs)
             + len(self._idx_by_index)
-            + len(self._pipeline_by_node)
-            + len(self._vector_by_node)
+            + len(self._fused_by_node)
         )
         self.cache.query_bees.clear()
         self._evp_by_expr.clear()
         self._agg_by_specs.clear()
         self._idx_by_index.clear()
-        self._pipeline_by_node.clear()
-        self._vector_by_node.clear()
+        self._fused_by_node.clear()
         self.collector.collected_query_bees += n_query_bees
         self.query_epoch += 1
         if self.registry is not None:
@@ -220,36 +222,52 @@ class GenericBeeModule:
             self._idx_by_index[key] = entry
         return entry[1]
 
-    def get_pipeline(self, spec, anchor) -> BeeRoutine:
-        """Pipeline bee for a fused plan segment (memoized by anchor node).
+    def get_fused(self, tier, spec, anchor) -> BeeRoutine:
+        """Fused-driver routine for one plan segment (memoized by anchor).
 
-        *anchor* is the generic plan node the pipeline driver replaced;
-        plans are rebuilt per query, so the memo keys routine reuse to
-        repeated executions of the same prepared plan, and the whole memo
-        is evicted with the other query bees on DDL.
+        *tier* is the driver's :class:`repro.bees.drivers.Tier` row (it
+        picks the maker method) and *anchor* the node the driver
+        replaced.  Plans are rebuilt per query, so the memo keys routine
+        reuse to repeated executions of the same prepared plan; it is
+        evicted with the other query bees on DDL, and past
+        :data:`FUSED_MEMO_CAP` entries the oldest is dropped (a running
+        driver holds its own reference, so eviction only costs a
+        regeneration if that plan is ever executed again).
         """
-        entry = self._pipeline_by_node.get(id(anchor))
+        memo = self._fused_by_node
+        key = (tier.name, id(anchor))
+        entry = memo.get(key)
         if entry is not None and entry[0] is anchor:
             return entry[2]
-        routine = self.maker.make_pipeline(spec)
+        routine = tier.make(self.maker, spec)
         routine.epoch = self.query_epoch
-        self._pipeline_by_node[id(anchor)] = (anchor, spec, routine)
+        memo.pop(key, None)   # a recycled id re-enters as the newest
+        memo[key] = (anchor, spec, routine)
+        if len(memo) > FUSED_MEMO_CAP:
+            del memo[next(iter(memo))]
         return routine
 
-    def get_vector(self, spec, anchor) -> BeeRoutine:
-        """Vector bee for a fused plan segment (memoized by anchor node).
+    def fused_entries(
+        self, tier: str
+    ) -> list[tuple[int, object, object, BeeRoutine]]:
+        """Memoized *tier* routines as ``(anchor id, anchor, spec,
+        routine)`` — the checker corpus sweeps' view of the memo.
 
-        *anchor* is the pipeline driver (or generic node) the vector
-        driver replaced; keying and DDL eviction follow
-        :meth:`get_pipeline` exactly.
+        A sweep must see every routine its statements generated, so a
+        memo that has filled to :data:`FUSED_MEMO_CAP` (and may have
+        evicted) is an error here, not a silently shorter corpus.
         """
-        entry = self._vector_by_node.get(id(anchor))
-        if entry is not None and entry[0] is anchor:
-            return entry[2]
-        routine = self.maker.make_vector(spec)
-        routine.epoch = self.query_epoch
-        self._vector_by_node[id(anchor)] = (anchor, spec, routine)
-        return routine
+        memo = self._fused_by_node
+        if len(memo) >= FUSED_MEMO_CAP:
+            raise RuntimeError(
+                f"fused-routine memo reached its cap ({FUSED_MEMO_CAP}): "
+                "the sweep would certify a truncated corpus"
+            )
+        return [
+            (node, *entry)
+            for (name, node), entry in memo.items()
+            if name == tier
+        ]
 
     def get_evj(self, join_type: str, n_keys: int) -> EVJRoutine:
         """EVJ routine for a join shape (clone of a pre-compiled template)."""
@@ -266,21 +284,13 @@ class GenericBeeModule:
         Returns True when the routine was found in a memo.  The next
         acquisition regenerates it under the current epoch.
         """
-        for key, (_expr, cached) in list(self._evp_by_expr.items()):
-            if cached is routine:
-                del self._evp_by_expr[key]
-                return True
-        for key, (_specs, cached) in list(self._agg_by_specs.items()):
-            if cached is routine:
-                del self._agg_by_specs[key]
-                return True
-        for key, (_key_idx, cached) in list(self._idx_by_index.items()):
-            if cached is routine:
-                del self._idx_by_index[key]
-                return True
-        for memo in (self._pipeline_by_node, self._vector_by_node):
-            for key, (_anchor, _spec, cached) in list(memo.items()):
-                if cached is routine:
+        for memo in (
+            self._evp_by_expr, self._agg_by_specs, self._idx_by_index,
+            self._fused_by_node,
+        ):
+            # Every memo entry ends with its routine.
+            for key, entry in list(memo.items()):
+                if entry[-1] is routine:
                     del memo[key]
                     return True
         return False
@@ -296,12 +306,7 @@ class GenericBeeModule:
         """
         if routine_name.startswith(("GCL_", "SCL_", "IDX_", "EVJ_")):
             return routine_name
-        from repro.resilience.guard import (
-            agg_key,
-            evp_key,
-            pipeline_key,
-            vector_key,
-        )
+        from repro.resilience.guard import agg_key, evp_key, fused_key
 
         for expr, routine in self._evp_by_expr.values():
             if routine.name == routine_name:
@@ -309,12 +314,10 @@ class GenericBeeModule:
         for specs, routine in self._agg_by_specs.values():
             if routine.name == routine_name:
                 return agg_key(specs)
-        for _anchor, spec, routine in self._pipeline_by_node.values():
+        for _anchor, spec, routine in self._fused_by_node.values():
             if routine.name == routine_name:
-                return pipeline_key(spec)
-        for _anchor, spec, routine in self._vector_by_node.values():
-            if routine.name == routine_name:
-                return vector_key(spec)
+                # PIPE_7 / VEC_3: the name's prefix is the tier's.
+                return fused_key(routine_name.split("_", 1)[0], spec)
         return None
 
     def register_query_bee(self, query_id: str) -> QueryBee:
@@ -375,13 +378,14 @@ class GenericBeeModule:
             for bee in self.cache.relation_bees.values()
             if bee.data_sections is not None
         )
+        fused = [tier for tier, _node in self._fused_by_node]
         return {
             "relation_bees": len(self.cache.relation_bees),
             "query_bees": len(self.cache.query_bees),
             "evp_routines": len(self._evp_by_expr),
             "evj_routines": len(self._evj_by_shape),
-            "pipeline_routines": len(self._pipeline_by_node),
-            "vector_routines": len(self._vector_by_node),
+            "pipeline_routines": fused.count("pipeline"),
+            "vector_routines": fused.count("vector"),
             "tuple_bees": tuple_bees,
             "collected_relation_bees": self.collector.collected_relation_bees,
         }

@@ -2,16 +2,16 @@
 
 :func:`fuse_plan` walks a planned query bottom-up-via-recursion and
 replaces every *fusable pipeline* — a segment the pipeline-bee codegen
-can compile into one batch-at-a-time loop — with a pipeline driver node
-(:mod:`repro.bees.pipeline.nodes`).  Three shapes fuse, matched in
+can compile into one batch-at-a-time loop — with a pipeline-tier
+:class:`~repro.bees.drivers.FusedDriver`.  Three shapes fuse, matched in
 priority order at each node:
 
-1. ``HashAgg`` fed directly by a scan chain → :class:`PipelineAgg`
-   (the aggregate-transition sink),
-2. ``HashJoin`` whose *probe* side is a scan chain → :class:`PipelineJoin`
-   (the probe sink; the build side recurses independently),
+1. ``HashAgg`` fed directly by a scan chain → the ``agg`` sink
+   (aggregate transition; EXPLAINs as ``PipelineAgg``),
+2. ``HashJoin`` whose *probe* side is a scan chain → the ``probe`` sink
+   (``PipelineJoin``; the build side recurses independently),
 3. a bare scan chain, optionally topped by one ``Project`` /
-   ``ColumnSelect`` → :class:`PipelineScan` (the rows sink).
+   ``ColumnSelect`` → the ``rows`` sink (``PipelineScan``).
 
 A *scan chain* is ``[Project|ColumnSelect]? (Filter|Rename)* SeqScan``.
 Because nothing below the optional projection reorders columns, every
@@ -25,25 +25,21 @@ failing.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.engine import expr as E
 from repro.engine.agg import HashAgg
-from repro.engine.joins import HashJoin, MergeJoin, NestLoop
+from repro.engine.joins import HashJoin
 from repro.engine.nodes import (
     ColumnSelect,
     Filter,
-    Limit,
-    Materialize,
     PlanNode,
     Project,
     Rename,
     SeqScan,
-    Sort,
 )
+from repro.bees.drivers import PIPELINE, FusedDriver, rewrite
 from repro.bees.pipeline.codegen import PipelineSpec
-from repro.bees.pipeline.nodes import PipelineAgg, PipelineJoin, PipelineScan
 
 # Expression node types the pipeline codegen can emit (mirrors the EVP
 # emitters; anything else rejects fusion for its segment).
@@ -51,22 +47,6 @@ _SUPPORTED_EXPRS = (
     E.Const, E.Col, E.Cmp, E.Arith, E.And, E.Or, E.Not, E.Like,
     E.InList, E.Between, E.Case, E.IsNull, E.Func,
 )
-
-# How to reach the children of each generic node when rebuilding the
-# plan around fused subtrees.
-_CHILD_ATTRS = {
-    Filter: ("child",),
-    Project: ("child",),
-    ColumnSelect: ("child",),
-    Rename: ("child",),
-    Sort: ("child",),
-    Limit: ("child",),
-    Materialize: ("child",),
-    HashAgg: ("child",),
-    HashJoin: ("probe", "build"),
-    NestLoop: ("outer", "inner"),
-    MergeJoin: ("left", "right"),
-}
 
 
 def _emittable(expr) -> bool:
@@ -158,7 +138,7 @@ def _collect(expr, acc: set) -> None:
         _collect(child, acc)
 
 
-def _try_agg(plan: HashAgg, db) -> PipelineAgg | None:
+def _try_agg(plan: HashAgg, db) -> FusedDriver | None:
     chain = _match_scan_chain(plan.child, allow_projection=False)
     if chain is None:
         return None
@@ -178,10 +158,10 @@ def _try_agg(plan: HashAgg, db) -> PipelineAgg | None:
     )
     if pipe_spec is None:
         return None
-    return PipelineAgg(pipe_spec, plan)
+    return FusedDriver(PIPELINE, pipe_spec, plan)
 
 
-def _try_join(plan: HashJoin, db) -> PipelineJoin | None:
+def _try_join(plan: HashJoin, db) -> FusedDriver | None:
     if plan.extra_qual is not None:
         return None
     chain = _match_scan_chain(plan.probe, allow_projection=False)
@@ -200,17 +180,12 @@ def _try_join(plan: HashJoin, db) -> PipelineJoin | None:
     )
     if spec is None:
         return None
-    return PipelineJoin(spec, plan, fuse_plan(build, db))
+    return FusedDriver(PIPELINE, spec, plan, fuse_plan(build, db))
 
 
-def fuse_plan(plan: PlanNode, db) -> PlanNode:
-    """Return *plan* rewritten around pipeline drivers where fusable.
-
-    Untouched subtrees are shared with the input plan; rebuilt interior
-    nodes are shallow copies, so the caller's plan object is never
-    mutated (plans are rebuilt per query anyway, but EXPLAIN paths hold
-    onto them).
-    """
+def _match(plan: PlanNode, db) -> FusedDriver | None:
+    """The pipeline driver replacing *plan*, if its root starts a
+    fusable segment."""
     if isinstance(plan, HashAgg):
         fused = _try_agg(plan, db)
         if fused is not None:
@@ -223,14 +198,11 @@ def fuse_plan(plan: PlanNode, db) -> PlanNode:
     if chain is not None:
         spec = _chain_spec(chain, db, sink="rows")
         if spec is not None:
-            return PipelineScan(spec, plan)
-    attrs = _CHILD_ATTRS.get(type(plan))
-    if not attrs:
-        return plan
-    children = {name: fuse_plan(getattr(plan, name), db) for name in attrs}
-    if all(children[name] is getattr(plan, name) for name in attrs):
-        return plan
-    clone = copy.copy(plan)
-    for name, child in children.items():
-        setattr(clone, name, child)
-    return clone
+            return FusedDriver(PIPELINE, spec, plan)
+    return None
+
+
+def fuse_plan(plan: PlanNode, db) -> PlanNode:
+    """Return *plan* rewritten around pipeline drivers where fusable
+    (the clone-on-change walk is :func:`repro.bees.drivers.rewrite`)."""
+    return rewrite(plan, lambda node: _match(node, db))

@@ -5,19 +5,15 @@ compiled into whole-column kernels over chunk-cached typed arrays —
 see ``docs/VECTOR.md`` for the tier's design and contracts.
 """
 
+from repro.bees.drivers import fuse_vector_plan
 from repro.bees.pipeline.codegen import PipelineSpec
 from repro.bees.vector.chunks import Chunk, ChunkCache, chunk_from_rows, decode_relation
 from repro.bees.vector.codegen import VectorSpec, generate_vector
-from repro.bees.vector.fusion import fuse_vector_plan
-from repro.bees.vector.nodes import VectorAgg, VectorJoin, VectorScan
 
 __all__ = [
     "Chunk",
     "ChunkCache",
     "PipelineSpec",
-    "VectorAgg",
-    "VectorJoin",
-    "VectorScan",
     "VectorSpec",
     "chunk_from_rows",
     "decode_relation",

@@ -483,7 +483,8 @@ class Database:
         parallel: bool | None = None,
         timeout: float | None = None,
     ):
-        """Execute one SQL statement (SELECT/CREATE/INSERT/DROP).
+        """Execute one SQL statement: SELECT, EXPLAIN, CREATE TABLE,
+        DROP TABLE, INSERT, UPDATE, DELETE or VACUUM.
 
         Returns a :class:`repro.sql.SQLResult`; SELECT results are in
         ``result.rows``.  CREATE TABLE supports the paper's ``ANNOTATE``

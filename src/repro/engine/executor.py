@@ -20,6 +20,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from time import perf_counter
 
+from repro.bees.drivers import stack_tiers
 from repro.cost import constants as C
 from repro.engine.nodes import ExecContext, Materialize, PlanNode
 from repro.resilience.errors import (
@@ -138,29 +139,7 @@ def _run(
     ctx = ExecContext(db, settings)
     if shield is None:
         ctx.shield = None
-    if getattr(settings, "vectors", False):
-        from repro.bees.vector import fuse_vector_plan
-
-        if shield is None:
-            plan = fuse_vector_plan(plan, db)
-        else:
-            plan = shield.fuse(fuse_vector_plan, plan, db, key="VEC:fusion")
-    elif getattr(settings, "pipelines", False):
-        from repro.bees.pipeline import fuse_plan
-
-        if shield is None:
-            plan = fuse_plan(plan, db)
-        else:
-            plan = shield.fuse(fuse_plan, plan, db)
-    if getattr(settings, "parallel", False):
-        # Runs over the already-fused plan: morsel drivers wrap the
-        # vector/pipeline drivers and keep them as serial anchors.
-        from repro.parallel import parallelize_plan
-
-        if shield is None:
-            plan = parallelize_plan(plan, db)
-        else:
-            plan = shield.fuse(parallelize_plan, plan, db, key="PAR:fusion")
+    plan = stack_tiers(plan, db, settings, shield)
     charge = ctx.ledger.charge
     results: list[tuple] = []
     per_row = 0

@@ -94,6 +94,31 @@ class HashJoin(PlanNode):
     def node_label(self) -> str:
         return f"HashJoin({self.join_type}, {len(self.probe_idx)} keys)"
 
+    def build_table(self, ctx: ExecContext, build: PlanNode) -> dict:
+        """The build phase: hash *build*'s rows on this join's build keys.
+
+        Every hash-join build goes through here — ``rows`` below with
+        the join's own build child, the fused drivers with the fused
+        subtree that replaced it — so the phase is charged identically
+        on every tier.
+        """
+        charge = ctx.ledger.charge
+        build_idx = self.build_idx
+        build_cost = (
+            C.NODE_OVERHEAD
+            + C.JOIN_HASH_COMPUTE
+            + C.EXPR_COLUMN * len(build_idx)
+        )
+        table: dict[tuple, list[Row]] = defaultdict(list)
+        for row in build.rows(ctx):
+            charge(build_cost)
+            key = tuple(row[i] for i in build_idx)
+            if None in key:
+                continue  # NULL keys never match
+            table[key].append(row)
+        table.default_factory = None   # misses must not insert from here on
+        return table
+
     def rows(self, ctx: ExecContext) -> Iterator[Row]:
         ledger = ctx.ledger
         charge = ledger.charge
@@ -112,18 +137,7 @@ class HashJoin(PlanNode):
             compare_cost = GENERIC_JOIN.per_compare(n_keys)
             compare_fn_name = "ExecHashJoin"
 
-        # Build phase.
-        table: dict[tuple, list[Row]] = defaultdict(list)
-        build_idx = self.build_idx
-        build_cost = (
-            C.NODE_OVERHEAD + C.JOIN_HASH_COMPUTE + C.EXPR_COLUMN * n_keys
-        )
-        for row in self.build.rows(ctx):
-            charge(build_cost)
-            key = tuple(row[i] for i in build_idx)
-            if None in key:
-                continue  # NULL keys never match
-            table[key].append(row)
+        table = self.build_table(ctx, self.build)
 
         # Probe phase.
         probe_idx = self.probe_idx
@@ -299,7 +313,7 @@ class MergeJoin(PlanNode):
     on their key (charged like the Sort node), then merged in one pass.
     Chosen by hand-built plans when both inputs are large and the hash
     table would not fit; supports ``inner`` and ``left`` join types.
-    NULL keys never match (SQL semantics) and sort last.
+    NULL keys match nothing (SQL semantics) and sort last.
     """
 
     def __init__(

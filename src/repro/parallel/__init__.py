@@ -17,18 +17,14 @@ from repro.parallel.coordinator import (
     ParallelError,
     ParallelStats,
 )
-from repro.parallel.fusion import parallelize_plan
-from repro.parallel.nodes import ParallelAgg, ParallelJoin, ParallelScan
+from repro.bees.drivers import parallelize_plan
 
 __all__ = [
     "MIN_PARALLEL_PAGES",
     "MORSEL_PAGES",
     "MORSELS_PER_WORKER",
-    "ParallelAgg",
     "ParallelCoordinator",
     "ParallelError",
-    "ParallelJoin",
-    "ParallelScan",
     "ParallelStats",
     "parallelize_plan",
 ]

@@ -12,7 +12,7 @@ insertion-ordered bucketing over the morsel chunk — but its epilogue
 bulk-fills one :class:`~repro.engine.aggregates.AggState` per aggregate
 per bucket (``count``/``total``/``extreme``/``seen``) instead of
 producing finished rows.  The coordinator folds those partials with
-``AggState.merge`` in morsel order and the :class:`ParallelAgg` driver
+``AggState.merge`` in morsel order and the parallel-tier fused driver
 finalizes, so workers keep columnar speed while the result stays
 combinable.  The folds inside each bucket are the same sequential
 Python reductions the finalizing kernel runs (``sum``/``min``/``max``

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+from functools import partial
 
+from repro.bees.drivers import TIER_BY_NAME, new_groups
 from repro.cost import constants as C
 from repro.cost.ledger import Ledger
 
@@ -90,9 +92,9 @@ class _WorkerState:
 
     def prepare(self, stmt_id, spec_bytes, tier, table) -> None:
         fingerprint = _spec_fingerprint(spec_bytes, tier)
+        spec = pickle.loads(spec_bytes)
         fn = self.bees.get(fingerprint)
         if fn is None:
-            spec = pickle.loads(spec_bytes)
             self._seq += 1
             name = f"PAR_{self._seq}"
             if tier == "vector" and spec.sink == "agg":
@@ -111,8 +113,6 @@ class _WorkerState:
 
                 fn = generate_pipeline(spec, self.ledger, name).fn
             self.bees[fingerprint] = fn
-        else:
-            spec = pickle.loads(spec_bytes)
         self.prepared[stmt_id] = (spec, tier, fn, table)
 
     # -- task execution ----------------------------------------------------
@@ -144,6 +144,16 @@ class _WorkerState:
         self.chunks[key] = chunk
         return chunk
 
+    def _charged_pages(self, pages):
+        """Non-empty raw-tuple batches of a page range, each page priced
+        as a resident hit (the snapshot ship modeled the transfer)."""
+        ledger = self.ledger
+        for raws in pages:
+            ledger.hit_page()
+            ledger.charge_fn("parallel_page", C.PAGE_ACCESS)
+            if raws:
+                yield raws
+
     def run_task(self, stmt_id, relation, token, lo, hi):
         """Run the prepared routine over pages ``[lo, hi)``.
 
@@ -157,39 +167,34 @@ class _WorkerState:
         _token, pages, sections, layout = snapshot
         ledger = self.ledger
         before = ledger.snapshot()
-        if tier == "vector":
-            chunk = self._morsel_chunk(
-                relation, token, lo, hi, layout, pages, sections
-            )
-            if spec.sink == "probe":
-                payload = fn(chunk.cols, chunk.nulls, chunk.n, table)
-            else:
-                # rows: finished rows; agg: [(group_key, [AggState])]
-                # partials from the partial-agg kernel.
-                payload = fn(chunk.cols, chunk.nulls, chunk.n)
+        # The calling convention per (tier, sink) is the tier table's:
+        # the same ``invoke`` the serial drivers use on the coordinator.
+        invoke = partial(TIER_BY_NAME[tier].invoke, spec.sink, fn)
+        state: tuple = ()
+        if spec.sink == "probe":
+            state = (table,)
         elif spec.sink == "agg":
-            aggs = spec.aggs
-            make_states = lambda: [agg.make_state() for agg in aggs]
-            groups: dict = {}
-            if not spec.group_exprs:
-                groups[()] = make_states()
-            for raws in pages[lo:hi]:
-                ledger.hit_page()
-                ledger.charge_fn("parallel_page", C.PAGE_ACCESS)
-                if raws:
-                    fn(raws, sections, groups, make_states)
-            payload = list(groups.items())
+            state = new_groups(spec)
+        if tier == "vector":
+            units = [
+                self._morsel_chunk(
+                    relation, token, lo, hi, layout, pages, sections
+                )
+            ]
+        else:
+            units = self._charged_pages(pages[lo:hi])
+        if spec.sink == "agg":
+            # [(group_key, [AggState])] partials: straight from the
+            # vector partial-agg kernel, or the groups the pipeline
+            # routine advanced in place.
+            partials = None
+            for unit in units:
+                partials = invoke(unit, sections, state)
+            payload = list(state[0].items()) if partials is None else partials
         else:
             payload = []
-            for raws in pages[lo:hi]:
-                ledger.hit_page()
-                ledger.charge_fn("parallel_page", C.PAGE_ACCESS)
-                if not raws:
-                    continue
-                if spec.sink == "probe":
-                    payload.extend(fn(raws, sections, table))
-                else:
-                    payload.extend(fn(raws, sections))
+            for unit in units:
+                payload.extend(invoke(unit, sections, state))
         delta = ledger.delta_since(before)
         return payload, (
             delta.total,

@@ -8,7 +8,7 @@ zero-overhead guardrail (``benchmarks/bench_pipeline.py --check``).
   generic path for that site), and invalidation-epoch staleness checks.
 * **Inline result checks** (one comparison per row/batch, no wrapper
   call): wrong-arity deform results, non-boolean predicate results,
-  wrong-width pipeline batches.  A failed check raises
+  wrong-width fused-driver batches.  A failed check raises
   :class:`BeeDegradeError`.
 * **Statement-level retry** (in :func:`repro.engine.executor.execute`):
   any exception escaping a specialized execution rolls the ledger back
@@ -58,16 +58,10 @@ def agg_key(specs) -> str:
     return "AGG:" + "|".join(repr(spec) for spec in specs)
 
 
-def pipeline_key(spec) -> str:
-    return f"PIPE:{spec.relation}:{spec.sink}"
-
-
-def vector_key(spec) -> str:
-    return f"VEC:{spec.relation}:{spec.sink}"
-
-
-def parallel_key(spec) -> str:
-    return f"PAR:{spec.relation}:{spec.sink}"
+def fused_key(prefix: str, spec) -> str:
+    """Health key of a fused driver: *prefix* is its tier's
+    (``PIPE`` / ``VEC`` / ``PAR``)."""
+    return f"{prefix}:{spec.relation}:{spec.sink}"
 
 
 class BeeGuard:
@@ -231,36 +225,25 @@ class BeeGuard:
         ctx.shield_used.append(key)
         return routine, key
 
-    def pipeline(self, ctx, spec, anchor):
-        """Guarded pipeline acquisition: ``(routine, key)``; routine is
-        None when the driver should drain its anchor subtree instead."""
-        key = pipeline_key(spec)
+    def fused(self, ctx, tier, spec, anchor):
+        """Guarded fused-driver acquisition, any tier:
+        ``(admitted, fn, key)``; not admitted means the driver should
+        drain its anchor (the tier below, or the generic subtree)
+        instead.  A remote tier compiles its routines in the pool
+        workers, so only the quarantine gate applies (``fn`` is None).
+        """
+        key = fused_key(tier.prefix, spec)
         if not self.registry.admit(key):
-            return None, key
+            return False, None, key
+        if tier.remote:
+            return True, None, key
         bees = ctx.bees
         routine = self._acquire_query_routine(
-            key, "pipelines", lambda: bees.get_pipeline(spec, anchor), bees
+            key, tier.family, lambda: bees.get_fused(tier, spec, anchor), bees
         )
         if routine is None:
-            return None, key
-        ctx.shield_used.append(key)
-        return routine, key
-
-    def vector(self, ctx, spec, anchor):
-        """Guarded vector-kernel acquisition: ``(routine, key)``; routine
-        is None when the driver should drain its anchor (the fused
-        pipeline, or the generic subtree) instead."""
-        key = vector_key(spec)
-        if not self.registry.admit(key):
-            return None, key
-        bees = ctx.bees
-        routine = self._acquire_query_routine(
-            key, "vectors", lambda: bees.get_vector(spec, anchor), bees
-        )
-        if routine is None:
-            return None, key
-        ctx.shield_used.append(key)
-        return routine, key
+            return False, None, key
+        return True, self.maybe_timed(routine.fn, tier.family, key), key
 
     def fuse(self, fuse_fn, plan, db, key: str = "PIPE:fusion"):
         """Guarded plan fusion: a raising matcher keeps the plan as-is."""

@@ -41,8 +41,7 @@ from repro.server.locks import HiveLocks, LockTimeout
 from repro.server.wal import DataWAL, GroupCommitter, WALSyncError
 from repro.sql import ast
 from repro.sql.parser import parse
-from repro.sql.planner import plan_select, schema_from_create
-from repro.sql.session import SQLResult, _bound_expr, _row_predicate
+from repro.sql.session import SQLResult, execute_statement
 
 
 class ServerError(Exception):
@@ -123,60 +122,6 @@ def classify_statement(stmt) -> tuple[str, tuple[str, ...]]:
         return "write", (stmt.table,)
     if isinstance(stmt, (ast.CreateTableStmt, ast.DropTableStmt)):
         return "ddl", (stmt.name,)
-    raise TypeError(f"unhandled statement {type(stmt).__name__}")
-
-
-def _run_statement(db, stmt, settings, timeout) -> SQLResult:
-    """Execute one parsed statement — :func:`repro.sql.session.execute_sql`
-    with per-statement *settings*/*timeout* threaded straight into
-    ``db.execute`` instead of swapped through ``db.settings`` /
-    ``db._deadline`` (both of which are single-session fields the
-    concurrent server must not touch)."""
-    if isinstance(stmt, ast.SelectStmt):
-        plan = plan_select(db, stmt)
-        rows = db.execute(plan, settings=settings, timeout=timeout)
-        return SQLResult(f"SELECT {len(rows)}", rows, list(plan.columns))
-    if isinstance(stmt, ast.ExplainStmt):
-        from repro.engine.executor import explain
-
-        plan = plan_select(db, stmt.select)
-        lines = explain(plan).splitlines()
-        return SQLResult("EXPLAIN", [(line,) for line in lines], ["plan"])
-    if isinstance(stmt, ast.CreateTableStmt):
-        db.create_table(schema_from_create(stmt), annotate=stmt.annotate)
-        return SQLResult("CREATE TABLE")
-    if isinstance(stmt, ast.InsertStmt):
-        for row in stmt.rows:
-            db.insert(stmt.table, row)
-        return SQLResult(f"INSERT {len(stmt.rows)}")
-    if isinstance(stmt, ast.DropTableStmt):
-        db.drop_table(stmt.name)
-        return SQLResult("DROP TABLE")
-    if isinstance(stmt, ast.DeleteStmt):
-        predicate = _row_predicate(db, stmt.table, stmt.where)
-        count = db.delete_where(stmt.table, predicate)
-        return SQLResult(f"DELETE {count}")
-    if isinstance(stmt, ast.UpdateStmt):
-        schema = db.relation(stmt.table).schema
-        assignments = [
-            (schema.attnum(column), _bound_expr(db, stmt.table, expr))
-            for column, expr in stmt.assignments
-        ]
-        predicate = _row_predicate(db, stmt.table, stmt.where)
-
-        def updater(values: list) -> list:
-            new_values = list(values)
-            for attnum, expr in assignments:
-                new_values[attnum] = expr.evaluate(values)
-            return new_values
-
-        count = db.update_where(stmt.table, predicate, updater)
-        return SQLResult(f"UPDATE {count}")
-    if isinstance(stmt, ast.VacuumStmt):
-        report = db.vacuum(stmt.table)
-        return SQLResult(
-            f"VACUUM {report['pages_before']} -> {report['pages_after']} pages"
-        )
     raise TypeError(f"unhandled statement {type(stmt).__name__}")
 
 
@@ -411,7 +356,9 @@ class HiveServer:
             with self.locks.relation_lock.read(relations, self.lock_timeout):
                 pins = self._pin(session, relations)
                 seq = self._next_seq()
-                result = _run_statement(self.db, stmt, settings, timeout)
+                result = execute_statement(
+                    self.db, stmt, settings, timeout
+                )
                 self._verify_pins(session, pins)
                 self._record(seq, session, sql, "read", result)
                 return result
@@ -421,7 +368,7 @@ class HiveServer:
         with self.locks.catalog_lock.read(self.lock_timeout):
             with self.locks.relation_lock.write(relations, self.lock_timeout):
                 seq = self._next_seq()
-                result = _run_statement(self.db, stmt, None, timeout)
+                result = execute_statement(self.db, stmt, None, timeout)
                 self._log_write(seq, session, sql)
                 self._pin(session, relations)
                 self._record(seq, session, sql, "write", result)
@@ -431,7 +378,7 @@ class HiveServer:
                      timeout) -> SQLResult:
         with self.locks.catalog_lock.write(self.lock_timeout):
             seq = self._next_seq()
-            result = _run_statement(self.db, stmt, None, timeout)
+            result = execute_statement(self.db, stmt, None, timeout)
             self._log_write(seq, session, sql)
             self._record(seq, session, sql, "ddl", result)
             return result

@@ -9,6 +9,7 @@ from repro.sql.parser import parse
 from repro.sql.planner import lower_expr, plan_select, schema_from_create
 
 if TYPE_CHECKING:
+    from repro.bees.settings import BeeSettings
     from repro.db import Database
 
 
@@ -32,15 +33,30 @@ class SQLResult:
 
 
 def execute_sql(db: "Database", sql: str) -> SQLResult:
-    """Execute one SQL statement against *db*.
+    """Parse and execute one SQL statement against *db*."""
+    return execute_statement(db, parse(sql))
+
+
+def execute_statement(
+    db: "Database",
+    stmt: ast.Statement,
+    settings: "BeeSettings | None" = None,
+    timeout: float | None = None,
+) -> SQLResult:
+    """Execute one parsed statement against *db* — the one dispatcher
+    behind both ``db.sql`` and the server.
 
     SELECT returns rows; CREATE TABLE (with the paper's ``ANNOTATE``
-    clause), INSERT, and DROP TABLE return status-only results.
+    clause), INSERT, UPDATE, DELETE, DROP TABLE and VACUUM return
+    status-only results; EXPLAIN returns the plan as rows.  *settings*
+    and *timeout* go straight into ``db.execute`` for a SELECT: the
+    concurrent server threads them per statement instead of swapping
+    ``db.settings`` / ``db._deadline`` (single-session fields it must
+    not touch); ``db.sql`` leaves both ``None`` and swaps.
     """
-    stmt = parse(sql)
     if isinstance(stmt, ast.SelectStmt):
         plan = plan_select(db, stmt)
-        rows = db.execute(plan)
+        rows = db.execute(plan, settings=settings, timeout=timeout)
         return SQLResult(f"SELECT {len(rows)}", rows, list(plan.columns))
     if isinstance(stmt, ast.CreateTableStmt):
         schema = schema_from_create(stmt)
@@ -59,7 +75,6 @@ def execute_sql(db: "Database", sql: str) -> SQLResult:
         return SQLResult(f"DELETE {count}")
     if isinstance(stmt, ast.UpdateStmt):
         schema = db.relation(stmt.table).schema
-        columns = schema.column_names()
         assignments = [
             (schema.attnum(column), _bound_expr(db, stmt.table, expr))
             for column, expr in stmt.assignments

@@ -51,12 +51,12 @@ def collect(seed: int, statements: int) -> tuple[list, int]:
         corpus.append(("agg", routine))
     for _key_indexes, routine in module._idx_by_index.values():
         corpus.append(("idx", routine))
-    for _anchor, _spec, routine in module._pipeline_by_node.values():
+    for _key, _anchor, _spec, routine in module.fused_entries("pipeline"):
         corpus.append(("pipeline", routine))
 
     vdb = Database(BeeSettings.vectorized())
     drive(vdb)
-    for _anchor, _spec, routine in vdb.bee_module._vector_by_node.values():
+    for _key, _anchor, _spec, routine in vdb.bee_module.fused_entries("vector"):
         corpus.append(("vector", routine))
 
     ledger = Ledger()

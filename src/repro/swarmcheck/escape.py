@@ -27,9 +27,8 @@ from repro.swarmcheck.report import Finding
 #: Engine modules where chunk arrays live or flow.
 VECTOR_MODULES = (
     "bees/vector/chunks.py",
-    "bees/vector/nodes.py",
     "bees/vector/codegen.py",
-    "bees/vector/fusion.py",
+    "bees/drivers.py",
 )
 
 #: Array names that alias cached chunk columns in engine/kernel code.

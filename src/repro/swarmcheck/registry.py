@@ -97,10 +97,9 @@ REGISTRY: tuple[SharedState, ...] = (
             "name counter for generated AGG routines"),
     _shared("GenericBeeModule", "_idx_by_index", "hive_lock",
             "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_pipeline_by_node", "hive_lock",
-            "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_vector_by_node", "hive_lock",
-            "GenericBeeModule.query_epoch"),
+    _shared("GenericBeeModule", "_fused_by_node", "hive_lock",
+            "GenericBeeModule.query_epoch",
+            "fused-driver routines of every tier; bounded, oldest-first"),
     _shared("GenericBeeModule", "query_epoch", "hive_lock", "-",
             "the invalidation epoch itself"),
 

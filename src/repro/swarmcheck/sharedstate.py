@@ -75,16 +75,12 @@ EXEC_MODULES: tuple[str, ...] = (
     "bees/routines/evj.py",
     "bees/routines/agg.py",
     "bees/routines/idx.py",
-    "bees/pipeline/nodes.py",
+    "bees/drivers.py",
     "bees/pipeline/fusion.py",
     "bees/pipeline/codegen.py",
-    "bees/vector/nodes.py",
-    "bees/vector/fusion.py",
     "bees/vector/codegen.py",
     "bees/vector/chunks.py",
     "parallel/coordinator.py",
-    "parallel/fusion.py",
-    "parallel/nodes.py",
     "parallel/partialagg.py",
     "parallel/worker.py",
     "resilience/guard.py",
@@ -132,9 +128,10 @@ ENTRY_POINTS = (
 #: Modules whose classes are statement-scoped: instances are rebuilt
 #: from scratch for every SQL statement (plan trees, exec contexts,
 #: parser/lexer state, aggregate accumulators, bound expressions), so
-#: writes to them never cross a statement boundary.  The vector/pipeline
-#: *node* modules qualify — fused drivers wrap plan nodes — while the
-#: chunk cache and bee module explicitly do not.
+#: writes to them never cross a statement boundary.  The fused-driver
+#: module qualifies — drivers are plan nodes and its rewriters only
+#: touch the clones they just made — while the chunk cache and bee
+#: module explicitly do not.
 STATEMENT_MODULES = frozenset({
     "engine/nodes.py",
     "engine/aggregates.py",
@@ -142,14 +139,12 @@ STATEMENT_MODULES = frozenset({
     "sql/parser.py",
     "sql/lexer.py",
     "sql/ast.py",
-    "bees/pipeline/nodes.py",
-    "bees/vector/nodes.py",
+    "bees/drivers.py",
     "cost/profiler.py",
-    # Parallel drivers are plan nodes too; the worker module's state is
-    # forked-process private (each worker owns its ledger/bee/chunk
-    # caches outright — replies cross the pipe by pickle, never by
-    # reference), which is the same no-contention property.
-    "parallel/nodes.py",
+    # The worker module's state is forked-process private (each worker
+    # owns its ledger/bee/chunk caches outright — replies cross the
+    # pipe by pickle, never by reference), which is the same
+    # no-contention property.
     "parallel/worker.py",
 })
 
@@ -174,8 +169,6 @@ CONSTRUCTION_MODULES = frozenset({
     "bees/pipeline/codegen.py",
     "bees/pipeline/fusion.py",
     "bees/vector/codegen.py",
-    "bees/vector/fusion.py",
-    "parallel/fusion.py",
     "parallel/partialagg.py",
 })
 

@@ -142,16 +142,16 @@ def _oracle(corpus: Corpus, on_plan: OnPlan, seed: int, statements: int) -> None
     db = Database(BeeSettings.all_bees().enabling(pipelines=True))
     drive(db, "oracle")
     corpus.databases.append(("oracle", db))
-    for key, (anchor, spec, _routine) in sorted(
-        db.bee_module._pipeline_by_node.items()
+    for key, anchor, spec, _routine in sorted(
+        db.bee_module.fused_entries("pipeline"), key=lambda entry: entry[0]
     ):
         corpus.cached.append((f"cache/pipeline/{key}", spec, anchor, db))
 
     vdb = Database(BeeSettings.vectorized())
     drive(vdb, "oracle-vec")
     corpus.databases.append(("oracle-vec", vdb))
-    for key, (anchor, spec, _routine) in sorted(
-        vdb.bee_module._vector_by_node.items()
+    for key, anchor, spec, _routine in sorted(
+        vdb.bee_module.fused_entries("vector"), key=lambda entry: entry[0]
     ):
         corpus.cached.append((f"cache/vector/{key}", spec, anchor, vdb))
 

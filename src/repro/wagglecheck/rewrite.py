@@ -1,6 +1,6 @@
 """Pass 2 — rewrite soundness: fusion must be plan-preserving.
 
-``fuse_plan`` (and the vector wrapper above it) replaces fusable
+``fuse_plan`` (and the tier re-wrapper above it) replaces fusable
 segments with driver nodes carrying a :class:`PipelineSpec`.  This pass
 proves, for every driver in the rewritten plan, that the spec *replays*
 exactly to the subtree it replaced — same relation and layout, the same
@@ -113,7 +113,7 @@ def agg_spec_equal(a: AggSpec, b: AggSpec) -> bool:
 
 
 def _is_driver(node: PlanNode) -> bool:
-    """A pipeline or vector driver: carries a spec plus its anchor."""
+    """A fused driver of any tier: carries a spec plus its anchor."""
     return hasattr(node, "spec") and hasattr(node, "anchor")
 
 
@@ -145,7 +145,7 @@ class RewriteChecker:
                     fused.spec, anchor.spec
                 ):
                     self.fail(
-                        f"{type(fused).__name__} carries a different spec "
+                        f"{fused.node_label()} carries a different spec "
                         "than the pipeline driver it wraps"
                     )
                 self.compare(anchor, orig)
@@ -155,7 +155,7 @@ class RewriteChecker:
                 return
             if anchor is not orig:
                 self.fail(
-                    f"{type(fused).__name__} anchor is not the subtree "
+                    f"{fused.node_label()} anchor is not the subtree "
                     "it replaced"
                 )
             self.check_spec(fused.spec, orig)
@@ -438,29 +438,24 @@ def check_fusion(
     subtree that no longer replays against the original join's build
     side) is a finding.
     """
-    from repro.bees.pipeline.fusion import fuse_plan
-    from repro.bees.vector.fusion import fuse_vector_plan
-    from repro.parallel.fusion import parallelize_plan
+    from repro.bees.pipeline import fuse_plan
+    from repro.bees.vector import fuse_vector_plan
+    from repro.parallel import parallelize_plan
 
     checker = RewriteChecker(subject, db)
-    try:
-        fused = fuse_plan(plan, db)
-    except Exception as exc:    # noqa: BLE001 - a crashing rewriter is a finding
-        checker.fail(f"fuse_plan raised {type(exc).__name__}: {exc}")
-        return checker.findings, checker.rewrites_checked
-    checker.compare(fused, plan)
-    try:
-        vectorized = fuse_vector_plan(plan, db)
-    except Exception as exc:    # noqa: BLE001
-        checker.fail(f"fuse_vector_plan raised {type(exc).__name__}: {exc}")
-        return checker.findings, checker.rewrites_checked
-    checker.compare(vectorized, plan)
-    try:
-        paralleled = parallelize_plan(fuse_vector_plan(plan, db), db)
-    except Exception as exc:    # noqa: BLE001
-        checker.fail(f"parallelize_plan raised {type(exc).__name__}: {exc}")
-        return checker.findings, checker.rewrites_checked
-    checker.compare(paralleled, plan)
+    replays = (
+        ("fuse_plan", fuse_plan),
+        ("fuse_vector_plan", fuse_vector_plan),
+        ("parallelize_plan",
+         lambda p, d: parallelize_plan(fuse_vector_plan(p, d), d)),
+    )
+    for name, replay in replays:
+        try:
+            rewritten = replay(plan, db)
+        except Exception as exc:    # noqa: BLE001 - a crashing rewriter is a finding
+            checker.fail(f"{name} raised {type(exc).__name__}: {exc}")
+            break
+        checker.compare(rewritten, plan)
     return checker.findings, checker.rewrites_checked
 
 

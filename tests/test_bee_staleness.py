@@ -133,12 +133,12 @@ class TestPipelineStaleness:
     def test_drop_recreate_then_fused_query(self):
         db = _fresh_db()
         db.sql("SELECT id FROM items WHERE price > 15.0", pipelines=True)
-        assert db.bee_module._pipeline_by_node
+        assert db.bee_module.fused_entries("pipeline")
         db.sql("DROP TABLE items")
         assert not any(
             spec.relation == "items"
-            for _anchor, spec, _routine in
-            db.bee_module._pipeline_by_node.values()
+            for _key, _anchor, spec, _routine in
+            db.bee_module.fused_entries("pipeline")
         ), "DROP must evict the dropped relation's pipeline bees"
         db.sql("CREATE TABLE items (name char(4) NOT NULL, n int NOT NULL)")
         db.sql("INSERT INTO items VALUES ('wxyz', 7), ('qrst', 8)")
@@ -151,9 +151,9 @@ class TestPipelineStaleness:
         db = _fresh_db()
         query = "SELECT id FROM items WHERE kind = 'aaa'"
         db.sql(query, pipelines=True)
-        assert db.bee_module._pipeline_by_node
+        assert db.bee_module.fused_entries("pipeline")
         db.reannotate("items", [])
-        assert not db.bee_module._pipeline_by_node, (
+        assert not db.bee_module.fused_entries("pipeline"), (
             "ALTER must evict memoized pipeline bees"
         )
         assert db.sql(query, pipelines=True).rows == [(1,), (3,)]

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bees.pipeline import (
-    PipelineAgg,
-    PipelineJoin,
-    PipelineScan,
-    fuse_plan,
-)
+from repro.bees.pipeline import fuse_plan
 from repro.bees.settings import BeeSettings
 from repro.db import Database
 from repro.engine.nodes import Limit, SeqScan, Sort
@@ -29,6 +24,11 @@ def _plan(db, sql: str):
 
 def _fused(db, sql: str):
     return fuse_plan(_plan(db, sql), db)
+
+
+def _is(node, sink: str) -> bool:
+    """Is *node* the pipeline-tier fused driver for *sink*?"""
+    return getattr(node, "identity", None) == ("pipeline", sink)
 
 
 @pytest.fixture
@@ -62,14 +62,14 @@ class TestFusionEligibility:
         fused = _fused(
             db, "SELECT id, price FROM items WHERE price > 15.0"
         )
-        assert isinstance(fused, PipelineScan)
+        assert _is(fused, "rows")
         assert fused.spec.sink == "rows"
         assert fused.spec.qual is not None
         assert "SeqScan(items)" in fused.spec.fused_nodes
 
     def test_bare_scan_fuses_without_qual(self, db):
         fused = _fused(db, "SELECT id, kind, price FROM items")
-        assert isinstance(fused, PipelineScan)
+        assert _is(fused, "rows")
         assert fused.spec.qual is None
 
     def test_aggregate_over_scan_fuses_to_agg(self, db):
@@ -81,8 +81,9 @@ class TestFusionEligibility:
         # The planner may top the agg with a projection; the agg sink
         # itself must be fused somewhere in the tree.
         nodes = _walk(fused)
-        aggs = [n for n in nodes if isinstance(n, PipelineAgg)]
+        aggs = [n for n in nodes if _is(n, "agg")]
         assert aggs, f"no PipelineAgg in {fused.explain()}"
+        assert aggs[0].node_label().startswith("PipelineAgg[")
         assert aggs[0].spec.sink == "agg"
         assert len(aggs[0].spec.aggs) == 2
 
@@ -93,8 +94,9 @@ class TestFusionEligibility:
             "JOIN kinds ON items.kind = kinds.kind",
         )
         nodes = _walk(fused)
-        joins = [n for n in nodes if isinstance(n, PipelineJoin)]
+        joins = [n for n in nodes if _is(n, "probe")]
         assert joins, f"no PipelineJoin in {fused.explain()}"
+        assert joins[0].node_label().startswith("PipelineJoin[")
         assert joins[0].spec.sink == "probe"
 
     def test_sort_degrades_to_partial_fusion(self, db):
@@ -103,12 +105,12 @@ class TestFusionEligibility:
         )
         # Sort cannot fuse, but its input pipeline must.
         assert isinstance(fused, Sort)
-        assert isinstance(fused.child, PipelineScan)
+        assert _is(fused.child, "rows")
 
     def test_limit_keeps_generic_node_above_fused_scan(self, db):
         fused = _fused(db, "SELECT id FROM items LIMIT 2")
         assert isinstance(fused, Limit)
-        assert isinstance(fused.child, PipelineScan)
+        assert _is(fused.child, "rows")
 
     def test_unknown_relation_rejects_fusion(self, db):
         plan = _plan(db, "SELECT id FROM items")
@@ -117,9 +119,7 @@ class TestFusionEligibility:
             scan = scan.child
         scan.relation = "ghost"
         fused = fuse_plan(plan, db)
-        assert not any(
-            isinstance(n, PipelineScan) for n in _walk(fused)
-        )
+        assert not any(hasattr(n, "identity") for n in _walk(fused))
 
     def test_fusion_does_not_mutate_the_input_plan(self, db):
         plan = _plan(db, "SELECT id FROM items WHERE price > 15.0")
@@ -184,9 +184,9 @@ class TestMemoAndInvalidation:
 
     def test_alter_evicts_pipeline_memo(self, db):
         db.sql("SELECT id FROM items WHERE price > 15.0", pipelines=True)
-        assert db.bee_module._pipeline_by_node
+        assert db.bee_module.fused_entries("pipeline")
         db.catalog.alter_relation(db.relation("items").schema)
-        assert not db.bee_module._pipeline_by_node
+        assert not db.bee_module.fused_entries("pipeline")
         rows = db.sql(
             "SELECT id FROM items WHERE price > 15.0", pipelines=True
         ).rows
@@ -195,12 +195,15 @@ class TestMemoAndInvalidation:
     def test_drop_evicts_only_that_relations_pipelines(self, db):
         db.sql("SELECT id FROM items", pipelines=True)
         db.sql("SELECT kind FROM kinds", pipelines=True)
-        memo = db.bee_module._pipeline_by_node
-        relations = {spec.relation for _a, spec, _r in memo.values()}
-        assert relations == {"items", "kinds"}
+        def relations():
+            return {
+                spec.relation for _k, _a, spec, _r
+                in db.bee_module.fused_entries("pipeline")
+            }
+
+        assert relations() == {"items", "kinds"}
         db.sql("DROP TABLE kinds")
-        relations = {spec.relation for _a, spec, _r in memo.values()}
-        assert relations == {"items"}
+        assert relations() == {"items"}
 
     def test_reannotate_then_fused_query(self, db):
         query = "SELECT id, kind FROM items WHERE kind = 'aaa'"
@@ -213,7 +216,7 @@ class TestMemoAndInvalidation:
 class TestBatchesProtocol:
     def test_scan_driver_yields_page_batches(self, db):
         fused = _fused(db, "SELECT id, price FROM items WHERE price > 15.0")
-        assert isinstance(fused, PipelineScan)
+        assert _is(fused, "rows")
         from repro.engine.nodes import ExecContext
 
         ctx = ExecContext(db, db.settings.enabling(pipelines=True))

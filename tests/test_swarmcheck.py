@@ -238,7 +238,7 @@ class TestLocks:
     def test_locks_pass_is_clean(self, source):
         findings, stats = locks_mod.run_locks(source)
         assert findings == []
-        # One latched _run_statement site per statement class.
+        # One latched execute_statement site per statement class.
         assert stats["latched_run_sites"] == 3
         assert stats["guarded_writes_checked"] > 0
 

@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bees.pipeline import PipelineScan
 from repro.bees.settings import BeeSettings
-from repro.bees.vector import (
-    VectorAgg,
-    VectorJoin,
-    VectorScan,
-    fuse_vector_plan,
-)
+from repro.bees.vector import fuse_vector_plan
 from repro.db import Database
 from repro.engine.nodes import Limit, Sort
 from repro.sql.parser import parse
@@ -31,6 +25,11 @@ def _plan(db, sql: str):
 
 def _fused(db, sql: str):
     return fuse_vector_plan(_plan(db, sql), db)
+
+
+def _is(node, tier: str, sink: str) -> bool:
+    """Is *node* the *tier* fused driver for *sink*?"""
+    return getattr(node, "identity", None) == (tier, sink)
 
 
 @pytest.fixture
@@ -75,10 +74,11 @@ class TestVectorPromotion:
         fused = _fused(
             db, "SELECT id, price FROM items WHERE price > 15.0"
         )
-        assert isinstance(fused, VectorScan)
+        assert _is(fused, "vector", "rows")
+        assert fused.node_label().startswith("VectorScan[")
         # The pipeline driver rides along as the degradation anchor,
         # sharing the very same spec the kernel was compiled from.
-        assert isinstance(fused.anchor, PipelineScan)
+        assert _is(fused.anchor, "pipeline", "rows")
         assert fused.spec is fused.anchor.spec
 
     def test_aggregate_promotes_to_vector_agg(self, db):
@@ -87,7 +87,7 @@ class TestVectorPromotion:
             "SELECT kind, SUM(price), COUNT(*) FROM items "
             "WHERE id < 5 GROUP BY kind",
         )
-        aggs = [n for n in _walk(fused) if isinstance(n, VectorAgg)]
+        aggs = [n for n in _walk(fused) if _is(n, "vector", "agg")]
         assert aggs, f"no VectorAgg in {fused.explain()}"
         assert aggs[0].spec.sink == "agg"
 
@@ -97,7 +97,7 @@ class TestVectorPromotion:
             "SELECT items.id, kinds.label FROM items "
             "JOIN kinds ON items.kind = kinds.kind",
         )
-        joins = [n for n in _walk(fused) if isinstance(n, VectorJoin)]
+        joins = [n for n in _walk(fused) if _is(n, "vector", "probe")]
         assert joins, f"no VectorJoin in {fused.explain()}"
         assert joins[0].spec.sink == "probe"
 
@@ -106,12 +106,12 @@ class TestVectorPromotion:
             db, "SELECT id FROM items WHERE price > 15.0 ORDER BY id"
         )
         assert isinstance(fused, Sort)
-        assert isinstance(fused.child, VectorScan)
+        assert _is(fused.child, "vector", "rows")
 
     def test_limit_stays_generic_above_vector_scan(self, db):
         fused = _fused(db, "SELECT id FROM items LIMIT 2")
         assert isinstance(fused, Limit)
-        assert isinstance(fused.child, VectorScan)
+        assert _is(fused.child, "vector", "rows")
 
     def test_vector_language_equals_pipeline_language(self, db):
         """Anything the pipeline fuser declines, the vector fuser must
@@ -121,11 +121,11 @@ class TestVectorPromotion:
         sql = "SELECT id FROM items WHERE price > 15.0 ORDER BY id DESC"
         pipe = fuse_plan(_plan(db, sql), db)
         vec = _fused(db, sql)
-        pipe_kinds = [type(n).__name__ for n in _walk(pipe)
-                      if type(n).__name__.startswith("Pipeline")]
-        vec_kinds = [type(n).__name__ for n in _walk(vec)
-                     if type(n).__name__.startswith("Vector")]
-        assert len(pipe_kinds) == len(vec_kinds)
+        pipe_kinds = [n.identity[1] for n in _walk(pipe)
+                      if getattr(n, "identity", ("",))[0] == "pipeline"]
+        vec_kinds = [n.identity[1] for n in _walk(vec)
+                     if getattr(n, "identity", ("",))[0] == "vector"]
+        assert pipe_kinds and pipe_kinds == vec_kinds
 
     def test_fusion_does_not_mutate_the_input_plan(self, db):
         plan = _plan(db, "SELECT id FROM items WHERE price > 15.0")
@@ -201,9 +201,9 @@ class TestMemoAndInvalidation:
 
     def test_alter_evicts_vector_memo(self, db):
         db.sql("SELECT id FROM items WHERE price > 15.0", vectors=True)
-        assert db.bee_module._vector_by_node
+        assert db.bee_module.fused_entries("vector")
         db.catalog.alter_relation(db.relation("items").schema)
-        assert not db.bee_module._vector_by_node
+        assert not db.bee_module.fused_entries("vector")
         rows = db.sql(
             "SELECT id FROM items WHERE price > 15.0", vectors=True
         ).rows
@@ -212,12 +212,15 @@ class TestMemoAndInvalidation:
     def test_drop_evicts_only_that_relations_kernels(self, db):
         db.sql("SELECT id FROM items", vectors=True)
         db.sql("SELECT kind FROM kinds", vectors=True)
-        memo = db.bee_module._vector_by_node
-        relations = {spec.relation for _a, spec, _r in memo.values()}
-        assert relations == {"items", "kinds"}
+        def relations():
+            return {
+                spec.relation for _k, _a, spec, _r
+                in db.bee_module.fused_entries("vector")
+            }
+
+        assert relations() == {"items", "kinds"}
         db.sql("DROP TABLE kinds")
-        relations = {spec.relation for _a, spec, _r in memo.values()}
-        assert relations == {"items"}
+        assert relations() == {"items"}
 
     def test_reannotate_then_vectorized_query(self, db):
         query = "SELECT id, kind FROM items WHERE kind = 'aaa'"
