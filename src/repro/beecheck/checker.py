@@ -38,7 +38,11 @@ def check_scl(routine, layout: TupleLayout) -> RoutineReport:
 def check_evp(routine, expr) -> RoutineReport:
     """Run all passes over one generated EVP routine (either variant)."""
     report = RoutineReport(routine.name, "evp", repr(expr))
-    report.add("lint", lint.lint_evp(routine.source, routine.name))
+    report.add(
+        "lint",
+        lint.lint_evp(routine.source, routine.name)
+        + lint.lint_name_hole(routine),
+    )
     report.add("determinism", lint.lint_determinism(routine.source))
     report.add("absint", absint.check_evp(routine, expr))
     report.add("costaudit", costaudit.audit_evp(routine, expr))
@@ -90,7 +94,11 @@ def check_agg(routine, specs, assume_not_null: bool = False) -> RoutineReport:
         for spec in specs
     )
     report = RoutineReport(routine.name, "agg", subject)
-    report.add("lint", lint.lint_agg(routine.source, routine.name))
+    report.add(
+        "lint",
+        lint.lint_agg(routine.source, routine.name)
+        + lint.lint_name_hole(routine),
+    )
     report.add("determinism", lint.lint_determinism(routine.source))
     report.add("absint", absint.check_agg(routine, specs))
     report.add(
@@ -113,7 +121,9 @@ def check_pipeline(routine, spec) -> RoutineReport:
         routine.name, "pipeline", f"{spec.relation}/{spec.sink}"
     )
     report.add(
-        "lint", lint.lint_pipeline(routine.source, routine.name, spec.sink)
+        "lint",
+        lint.lint_pipeline(routine.source, routine.name, spec.sink)
+        + lint.lint_name_hole(routine),
     )
     report.add("determinism", lint.lint_determinism(routine.source))
     report.add("absint", absint.check_pipeline(routine, spec))
@@ -136,7 +146,9 @@ def check_vector(routine, spec) -> RoutineReport:
         routine.name, "vector", f"{spec.relation}/{spec.sink}"
     )
     report.add(
-        "lint", lint.lint_vector(routine.source, routine.name, spec.sink)
+        "lint",
+        lint.lint_vector(routine.source, routine.name, spec.sink)
+        + lint.lint_name_hole(routine),
     )
     report.add("determinism", lint.lint_determinism(routine.source))
     report.add("costaudit", costaudit.audit_vector(routine, spec))

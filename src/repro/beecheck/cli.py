@@ -256,11 +256,11 @@ def sweep_corpus(report: SweepReport, seed: int, statements: int) -> None:
     for bee in module.cache.relation_bees.values():
         report.routine_reports.append(check_gcl(bee.gcl, bee.layout))
         report.routine_reports.append(check_scl(bee.scl, bee.layout))
-    for expr, routine in module._evp_by_expr.values():
+    for expr, routine in module.evp_entries():
         report.routine_reports.append(check_evp(routine, expr))
     for routine in module._evj_by_shape.values():
         report.routine_reports.append(check_evj(routine))
-    for specs, routine in module._agg_by_specs.values():
+    for specs, routine in module.agg_entries():
         report.routine_reports.append(check_agg(routine, list(specs)))
     for key_indexes, routine in module._idx_by_index.values():
         report.routine_reports.append(check_idx(routine, key_indexes))

@@ -22,6 +22,15 @@ EVP routines are predicate-shaped rather than offset-shaped, so they get
 the structural rules (banned nodes, name/call whitelist, guard-free
 straight-line body except ``CASE`` arm selection) without a per-statement
 shape grammar.
+
+Query-bee sources (EVP, AGG, PIPE, VEC) are *proto-bees*: one compiled
+code object serves every routine of a shape, so the source may name
+neither the routine nor a statement literal.  The ``def`` carries the
+family prefix, the charge names the ``_NAME`` hole, literals are
+``_K{n}`` holes, and the only parameters beyond the family's signature
+are holes bound to themselves as defaults (``_K0=_K0``); what fills the
+holes is the data section's business (:func:`lint_name_hole`, the
+translation validator).
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import ast
 import re
 
+from repro.bees.routines.base import proto_entry
 from repro.storage.layout import (
     BEEID_HI_BYTE,
     BEEID_LO_BYTE,
@@ -68,10 +78,23 @@ _BANNED_NODES: tuple = (
 )
 
 
+_HOLE = re.compile(r"_NAME|_K\d+")
+
+
 def _parse_routine(
-    source: str, name: str, params: tuple[str, ...], findings: list[str]
+    source: str,
+    name: str,
+    params: tuple[str, ...],
+    findings: list[str],
+    proto: bool = False,
 ) -> ast.FunctionDef | None:
-    """Parse *source* and validate the module/function envelope."""
+    """Parse *source* and validate the module/function envelope.
+
+    A *proto* source is named by its family prefix and may append hole
+    parameters, each defaulting to the namespace entry of its own name.
+    """
+    if proto:
+        name = proto_entry(name)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -84,20 +107,73 @@ def _parse_routine(
     if fn.name != name:
         findings.append(f"function is named {fn.name!r}, expected {name!r}")
     args = fn.args
+    names = tuple(a.arg for a in args.args)
+    holes = names[len(params):] if proto else ()
     if (
         args.posonlyargs
         or args.kwonlyargs
         or args.vararg
         or args.kwarg
-        or tuple(a.arg for a in args.args) != params
+        or names != params + holes
+        or (proto and len(args.defaults) != len(holes))
     ):
         findings.append(
-            f"signature must be exactly ({', '.join(params)}), got "
-            f"({', '.join(a.arg for a in args.args)})"
+            f"signature must be exactly ({', '.join(params)})"
+            f"{' plus defaulted holes' if proto else ''}, got "
+            f"({', '.join(names)})"
         )
+    for hole, default in zip(holes, args.defaults):
+        if not (
+            _HOLE.fullmatch(hole)
+            and isinstance(default, ast.Name)
+            and default.id == hole
+        ):
+            findings.append(
+                f"hole parameter must be bound to itself "
+                f"(_K<n>=_K<n> / _NAME=_NAME), got "
+                f"{hole}={ast.unparse(default)}"
+            )
     if fn.decorator_list:
         findings.append("generated bees must not be decorated")
     return fn
+
+
+def lint_name_hole(routine) -> list[str]:
+    """The data-section half of the charge rule: a proto-bee charges
+    ``_NAME``, so its namespace must bind that hole to the routine's own
+    name — or its work lands on another routine's ledger line and its
+    faults on another routine's health record."""
+    filled = (routine.namespace or {}).get("_NAME")
+    if filled != routine.name:
+        return [f"_NAME hole holds {filled!r}, routine is {routine.name!r}"]
+    return []
+
+
+def _check_no_literals(
+    fn: ast.FunctionDef, findings: list[str], what: str
+) -> None:
+    """A predicate-shaped proto-bee carries no statement literal: the
+    only constants are the docstring, subscript indexes, and the
+    ``None``/``True``/``False`` the three-valued logic tests against.
+    An inlined literal is correct Python but a private shape — one code
+    object per distinct value instead of one per predicate."""
+    body = fn.body[1:] if fn.body and _is_docstring(fn.body[0]) else fn.body
+    indexes = {
+        id(node.slice)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript)
+    }
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, ast.Constant)
+                and id(node) not in indexes
+                and not any(node.value is k for k in (None, True, False))
+            ):
+                findings.append(
+                    f"{what} inlines literal {node.value!r}; statement "
+                    "constants belong in _K<n> holes"
+                )
 
 
 def _check_banned(fn: ast.FunctionDef, findings: list[str]) -> None:
@@ -375,7 +451,9 @@ def _lint_offsets_routine(
 
 # -- EVP ---------------------------------------------------------------------
 
-_EVP_NAMES = re.compile(r"row|t\d+|k\d+|re\d+|in\d+|fn\d+|_charge|_COST")
+_EVP_NAMES = re.compile(
+    r"row|t\d+|_K\d+|re\d+|in\d+|fn\d+|_charge|_COST|_NAME"
+)
 _EVP_TEMP = re.compile(r"t\d+")
 _EVP_CASE_TEST = re.compile(r"t\d+ is True")
 
@@ -408,11 +486,12 @@ def _lint_evp_stmt(stmt: ast.stmt, findings: list[str]) -> None:
 def lint_evp(source: str, name: str) -> list[str]:
     """Lint one generated EVP routine (either variant)."""
     findings: list[str] = []
-    fn = _parse_routine(source, name, ("row",), findings)
+    fn = _parse_routine(source, name, ("row",), findings, proto=True)
     if fn is None:
         return findings
     _check_banned(fn, findings)
     _check_names(fn, _EVP_NAMES, findings)
+    _check_no_literals(fn, findings, "EVP")
 
     body = list(fn.body)
     if body and _is_docstring(body[0]):
@@ -421,7 +500,7 @@ def lint_evp(source: str, name: str) -> list[str]:
         findings.append("EVP body too short to be a bee")
         return findings
 
-    expected_charge = f"_charge('{name}', _COST)"
+    expected_charge = "_charge(_NAME, _COST)"
     if ast.unparse(body[0]) != expected_charge:
         findings.append(
             f"first statement must be {expected_charge!r}, got "
@@ -501,7 +580,7 @@ def lint_evj(source: str) -> list[str]:
 # -- AGG ---------------------------------------------------------------------
 
 _AGG_NAMES = re.compile(
-    r"row|states|t\d+|k\d+|re\d+|in\d+|fn\d+|_charge|_COST"
+    r"row|states|t\d+|_K\d+|re\d+|in\d+|fn\d+|_charge|_COST|_NAME"
 )
 _AGG_METHODS = _METHODS | {"update"}
 _AGG_GUARD_TEST = re.compile(r".+ is not None|t\d+ is True")
@@ -552,11 +631,14 @@ def _lint_agg_stmt(stmt: ast.stmt, findings: list[str]) -> None:
 def lint_agg(source: str, name: str) -> list[str]:
     """Lint one generated AGG transition routine."""
     findings: list[str] = []
-    fn = _parse_routine(source, name, ("row", "states"), findings)
+    fn = _parse_routine(
+        source, name, ("row", "states"), findings, proto=True
+    )
     if fn is None:
         return findings
     _check_banned(fn, findings)
     _check_names(fn, _AGG_NAMES, findings, methods=_AGG_METHODS)
+    _check_no_literals(fn, findings, "AGG")
     for node in ast.walk(fn):
         if isinstance(node, ast.Return):
             findings.append(
@@ -569,7 +651,7 @@ def lint_agg(source: str, name: str) -> list[str]:
     if len(body) < 2:
         findings.append("AGG body too short to be a bee")
         return findings
-    expected_charge = f"_charge('{name}', _COST)"
+    expected_charge = "_charge(_NAME, _COST)"
     if ast.unparse(body[0]) != expected_charge:
         findings.append(
             f"first statement must be {expected_charge!r}, got "
@@ -609,17 +691,17 @@ _PIPE_PARAMS = {
 }
 
 _PIPE_CHARGE = {
-    "rows": "_charge('{name}', _C0 + _C1 * len(batch) + _C2 * len(out))",
+    "rows": "_charge(_NAME, _C0 + _C1 * len(batch) + _C2 * len(out))",
     "probe": (
-        "_charge('{name}', _C0 + _C1 * len(batch) + _C2 * _np + "
+        "_charge(_NAME, _C0 + _C1 * len(batch) + _C2 * _np + "
         "_C3 * _nc + _C4 * len(out))"
     ),
-    "agg": "_charge('{name}', _C0 + _C1 * len(batch) + _C2 * _np)",
+    "agg": "_charge(_NAME, _C0 + _C1 * len(batch) + _C2 * _np)",
 }
 
 _PIPE_NAMES = re.compile(
-    r"v\d+|t\d+|k\d+|re\d+|in\d+|fn\d+|raw|batch|sections|out|row|off|ln"
-    r"|_r|_bv|_slow|_charge|_append|_PREFIX|_VL|_S\d+|_C[0-4]|_k|_st"
+    r"v\d+|t\d+|_K\d+|re\d+|in\d+|fn\d+|raw|batch|sections|out|row|off|ln"
+    r"|_r|_bv|_slow|_charge|_NAME|_append|_PREFIX|_VL|_S\d+|_C[0-4]|_k|_st"
     r"|_cands|_get|_b|_np|_nc|_PAD|_CS|groups|make_states|table|bool|len"
 )
 
@@ -762,7 +844,9 @@ def lint_pipeline(source: str, name: str, sink: str) -> list[str]:
     findings: list[str] = []
     if sink not in _PIPE_PARAMS:
         return [f"unknown pipeline sink {sink!r}"]
-    fn = _parse_routine(source, name, _PIPE_PARAMS[sink], findings)
+    fn = _parse_routine(
+        source, name, _PIPE_PARAMS[sink], findings, proto=True
+    )
     if fn is None:
         return findings
     for node in ast.walk(fn):
@@ -802,7 +886,7 @@ def lint_pipeline(source: str, name: str, sink: str) -> list[str]:
     )
 
     epilogue = body[body.index(loop) + 1 :]
-    expected_charge = _PIPE_CHARGE[sink].format(name=name)
+    expected_charge = _PIPE_CHARGE[sink]
     if not epilogue or ast.unparse(epilogue[0]) != expected_charge:
         got = ast.unparse(epilogue[0]) if epilogue else "<missing>"
         findings.append(
@@ -859,12 +943,13 @@ _VEC_PARAMS = {
     "agg": ("cols", "nulls", "n"),
 }
 
-_VEC_CHARGE = "_charge('{name}', _C0 + _C1 * n + _C2 * _m)"
+_VEC_CHARGE = "_charge(_NAME, _C0 + _C1 * n + _C2 * _m)"
 
 _VEC_NAMES = re.compile(
     r"t\d+|_K\d+|_E\d+|_C[0-2]|cols|nulls|n|table|out|_np|_obj|_zip_rows"
     r"|_materialize|_div|_idx|_m|_rows|_r|_b|_k|_ix|_i|_vals|_row|_buckets"
-    r"|_append|_get|_cands|_charge|_PAD|_NOSEL|len|range|sum|min|max|list|v"
+    r"|_append|_get|_cands|_charge|_NAME|_PAD|_NOSEL|len|range|sum|min|max"
+    r"|list|v"
 )
 
 _VEC_METHODS = frozenset(
@@ -885,7 +970,9 @@ def lint_vector(source: str, name: str, sink: str) -> list[str]:
     findings: list[str] = []
     if sink not in _VEC_PARAMS:
         return [f"unknown vector sink {sink!r}"]
-    fn = _parse_routine(source, name, _VEC_PARAMS[sink], findings)
+    fn = _parse_routine(
+        source, name, _VEC_PARAMS[sink], findings, proto=True
+    )
     if fn is None:
         return findings
     for node in ast.walk(fn):
@@ -927,10 +1014,9 @@ def lint_vector(source: str, name: str, sink: str) -> list[str]:
     if len(body) < 3:
         findings.append("VEC body too short to be a kernel")
         return findings
-    expected_charge = _VEC_CHARGE.format(name=name)
-    if ast.unparse(body[-2]) != expected_charge:
+    if ast.unparse(body[-2]) != _VEC_CHARGE:
         findings.append(
-            f"second-to-last statement must be {expected_charge!r}, got "
+            f"second-to-last statement must be {_VEC_CHARGE!r}, got "
             f"{ast.unparse(body[-2])!r}"
         )
     if ast.unparse(body[-1]) != "return out":

@@ -120,6 +120,22 @@ def run_selftest() -> dict[str, bool]:
         check_evp(tampered, expr)
     )
 
+    # Proto-bee discipline: a literal inlined back into the source is
+    # the same predicate (the validator agrees) but a private shape, and
+    # a _NAME hole filled with another routine's name books this one's
+    # charges and faults elsewhere.  Only the lint can see either.
+    tampered = _tamper(evp, "t4 = _K0", "t4 = 1000")
+    results["tamper-evp-literal"] = _passes_fired(
+        check_evp(tampered, expr)
+    ) == {"lint"}
+
+    tampered = dataclasses.replace(
+        evp, namespace=dict(evp.namespace, _NAME="EVP_other")
+    )
+    results["tamper-evp-name-hole"] = _passes_fired(
+        check_evp(tampered, expr)
+    ) == {"lint"}
+
     tampered = dataclasses.replace(gcl, cost=gcl.cost + 10)
     results["tamper-gcl-cost"] = caught_statically(
         check_gcl(tampered, layout)

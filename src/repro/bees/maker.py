@@ -2,9 +2,11 @@
 
 Relation bees are "compiled" at schema-definition time (the expensive path —
 the paper invokes gcc here); query bees are instantiated at query
-preparation by cloning pre-compiled templates and patching constants; tuple
-bees are carved out of data-section slabs during inserts.  The maker owns
-code generation; the cache and manager own the lifecycle.
+preparation by cloning proto-bees and patching constants into their holes
+(the first query of a shape compiles its proto-bee into the module's code
+cache; every later one is an ``exec`` of that code object into a fresh data
+section); tuple bees are carved out of data-section slabs during inserts.
+The maker owns code generation; the cache and manager own the lifecycle.
 """
 
 from __future__ import annotations
@@ -70,11 +72,15 @@ class BeeMaker:
     With ``verify=True`` (the ``verify_on_generate`` setting) every
     emitted GCL/SCL/EVP routine is gated through beecheck before it is
     handed out — the verification stage between codegen and execution.
+    Query-bee sources are proto-bees, compiled once per shape through
+    *code_cache* (the owning module's); verification still runs on every
+    instantiation.
     """
 
-    def __init__(self, ledger, verify: bool = False) -> None:
+    def __init__(self, ledger, verify: bool = False, code_cache=None) -> None:
         self.ledger = ledger
         self.verify = verify
+        self.code_cache = code_cache
         self._evp_counter = 0
         self._evj_counter = 0
         self._pipeline_counter = 0
@@ -100,7 +106,9 @@ class BeeMaker:
         """Specialize a bound predicate into an EVP routine."""
         self._evp_counter += 1
         fn_name = f"EVP_{self._evp_counter}"
-        routine = generate_evp(expr, self.ledger, fn_name, assume_not_null)
+        routine = generate_evp(
+            expr, self.ledger, fn_name, assume_not_null, self.code_cache
+        )
         if self.verify:
             from repro.beecheck import verify_evp
 
@@ -111,7 +119,9 @@ class BeeMaker:
         """Compile a fused pipeline bee for one fusable plan segment."""
         self._pipeline_counter += 1
         fn_name = f"PIPE_{self._pipeline_counter}"
-        routine = generate_pipeline(spec, self.ledger, fn_name)
+        routine = generate_pipeline(
+            spec, self.ledger, fn_name, self.code_cache
+        )
         if self.verify:
             from repro.beecheck import verify_pipeline
 
@@ -122,7 +132,7 @@ class BeeMaker:
         """Compile a columnar vector kernel for one fusable plan segment."""
         self._vector_counter += 1
         fn_name = f"VEC_{self._vector_counter}"
-        routine = generate_vector(spec, self.ledger, fn_name)
+        routine = generate_vector(spec, self.ledger, fn_name, self.code_cache)
         if self.verify:
             from repro.beecheck import verify_vector
 

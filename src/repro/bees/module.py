@@ -11,24 +11,65 @@ The paper stresses that wiring this module into PostgreSQL took only
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.bees.cache import BeeCache
 from repro.bees.collector import BeeCollector
 from repro.bees.maker import BeeMaker, QueryBee, RelationBee
 from repro.bees.placement import BeePlacementOptimizer
-from repro.bees.routines.base import BeeRoutine
+from repro.bees.routines.base import BeeRoutine, CodeCache
 from repro.bees.routines.evj import EVJRoutine
 from repro.bees.settings import BeeSettings
 from repro.engine.expr import Expr
 from repro.storage.layout import TupleLayout
 
-#: Fused-routine memo bound.  Plans are rebuilt per statement and the
-#: memo keys on (and pins) their nodes, so without a bound a long-running
-#: session leaks one plan subtree per read.  Far above what one prepared
+#: Bound of each identity-keyed query-routine memo (EVP, AGG, fused).
+#: Plans are rebuilt per statement and the memos key on (and pin) their
+#: nodes and expressions, so without a bound a long-running session
+#: leaks one plan subtree per statement.  Far above what one prepared
 #: workload or checker corpus holds live (a full TPC-H pass memoizes
 #: ~100 routines), so only ad-hoc statement streams ever evict.
 FUSED_MEMO_CAP = 256
+
+#: Proto-bee code-cache bound: distinct generated sources whose code
+#: objects are kept.  A warm TPC-H pass holds ~100 shapes and the short
+#: statement mix a dozen, so only a stream of ever-new shapes evicts.
+CODE_CACHE_CAP = 512
+
+
+def _remember(memo: OrderedDict, key, entry: tuple) -> None:
+    """Insert *entry* into an identity-keyed query-routine memo.
+
+    Every entry starts with the object whose ``id()`` is in its key
+    (holding the reference pins the id, which would otherwise be
+    recycled after GC) and ends with its routine.  The memos are
+    insertion ordered and bounded by :data:`FUSED_MEMO_CAP`, oldest
+    evicted first: a running plan holds its own reference to its
+    routine, so eviction only costs a re-instantiation if that plan is
+    ever executed again.
+    """
+    memo.pop(key, None)   # a recycled id re-enters as the newest
+    memo[key] = entry
+    if len(memo) > FUSED_MEMO_CAP:
+        # One call, so atomic under the GIL: server reads of different
+        # sessions insert concurrently.
+        memo.popitem(last=False)
+
+
+def _sweep(memo: OrderedDict) -> list:
+    """``(key, entry)`` pairs of *memo*, for the checker corpus sweeps.
+
+    A sweep must see every routine its statements generated, so a memo
+    that has filled to the cap (and may have evicted) is an error here,
+    not a silently shorter corpus.
+    """
+    if len(memo) >= FUSED_MEMO_CAP:
+        raise RuntimeError(
+            f"query-routine memo reached its cap ({FUSED_MEMO_CAP}): "
+            "the sweep would certify a truncated corpus"
+        )
+    return list(memo.items())
 
 
 class GenericBeeModule:
@@ -43,7 +84,15 @@ class GenericBeeModule:
     ) -> None:
         self.ledger = ledger
         self.settings = settings
-        self.maker = BeeMaker(ledger, verify=settings.verify_on_generate)
+        # Compiled proto-bees, keyed by generated source text.  Per
+        # module (so per Database): it dies with it, and a fresh one
+        # starts cold.
+        self.code_cache = CodeCache(CODE_CACHE_CAP)
+        self.maker = BeeMaker(
+            ledger,
+            verify=settings.verify_on_generate,
+            code_cache=self.code_cache,
+        )
         self.cache = BeeCache()
         self.collector = BeeCollector(self.cache, disk_dir)
         self.placement = BeePlacementOptimizer()
@@ -55,22 +104,22 @@ class GenericBeeModule:
         # detect a memo that survived a DDL event it should not have.
         self.registry = registry
         self.query_epoch = 0
-        # Query-bee routine memoization, keyed by expression / join identity.
-        # The expression object is kept in the value: holding the reference
-        # pins its id(), which would otherwise be recycled after GC.
-        self._evp_by_expr: dict[int, tuple[Expr, BeeRoutine]] = {}
+        # Query-bee routine memoization.  EVP and AGG routines are keyed
+        # by (id of the expression / spec tuple, nullability variant),
+        # entries (expr | specs, routine); fused-driver routines of every
+        # tier by (tier name, id of the anchor plan node the driver
+        # replaced), entries (anchor, spec, routine) — the spec is kept
+        # so beecheck can re-verify cached routines post hoc.
+        self._evp_by_expr: OrderedDict[
+            tuple[int, bool], tuple[Expr, BeeRoutine]
+        ] = OrderedDict()
         self._evj_by_shape: dict[tuple[str, int], EVJRoutine] = {}
-        self._agg_by_specs: dict[int, tuple] = {}
+        self._agg_by_specs: OrderedDict[tuple[int, bool], tuple] = OrderedDict()
         self._agg_counter = 0
         self._idx_by_index: dict[tuple[str, str], tuple[list[int], BeeRoutine]] = {}
-        # Fused-driver routines of every tier, keyed by (tier name, id
-        # of the anchor plan node the driver replaced); the anchor
-        # reference in the value pins its id, and the spec is kept so
-        # beecheck can re-verify cached routines post hoc.  Insertion
-        # ordered and bounded by FUSED_MEMO_CAP, oldest evicted first.
-        self._fused_by_node: dict[
+        self._fused_by_node: OrderedDict[
             tuple[str, int], tuple[object, object, BeeRoutine]
-        ] = {}
+        ] = OrderedDict()
 
     # -- relation bees (schema definition time) ---------------------------------
 
@@ -163,13 +212,15 @@ class GenericBeeModule:
     # -- query bees (query preparation time) ------------------------------------
 
     def get_evp(self, expr: Expr, assume_not_null: bool = False) -> BeeRoutine:
-        """EVP routine for a bound predicate (memoized by expression)."""
-        entry = self._evp_by_expr.get(id(expr))
+        """EVP routine for a bound predicate (memoized by expression
+        identity and nullability variant)."""
+        key = (id(expr), assume_not_null)
+        entry = self._evp_by_expr.get(key)
         if entry is not None and entry[0] is expr:
             return entry[1]
         routine = self.maker.make_evp(expr, assume_not_null)
         routine.epoch = self.query_epoch
-        self._evp_by_expr[id(expr)] = (expr, routine)
+        _remember(self._evp_by_expr, key, (expr, routine))
         return routine
 
     def get_agg(self, specs: tuple, assume_not_null: bool = False) -> BeeRoutine:
@@ -178,7 +229,7 @@ class GenericBeeModule:
         Experimental (the paper's Section VIII future work); only used
         when :attr:`BeeSettings.agg` is enabled.
         """
-        key = id(specs)
+        key = (id(specs), assume_not_null)
         entry = self._agg_by_specs.get(key)
         if entry is not None and entry[0] is specs:
             return entry[1]
@@ -187,14 +238,14 @@ class GenericBeeModule:
         self._agg_counter += 1
         routine = generate_agg(
             list(specs), self.ledger, f"AGG_{self._agg_counter}",
-            assume_not_null,
+            assume_not_null, self.code_cache,
         )
         if self.maker.verify:
             from repro.beecheck import verify_agg
 
             verify_agg(routine, list(specs), assume_not_null)
         routine.epoch = self.query_epoch
-        self._agg_by_specs[key] = (specs, routine)
+        _remember(self._agg_by_specs, key, (specs, routine))
         return routine
 
     def get_idx(
@@ -228,44 +279,40 @@ class GenericBeeModule:
         *tier* is the driver's :class:`repro.bees.drivers.Tier` row (it
         picks the maker method) and *anchor* the node the driver
         replaced.  Plans are rebuilt per query, so the memo keys routine
-        reuse to repeated executions of the same prepared plan; it is
-        evicted with the other query bees on DDL, and past
-        :data:`FUSED_MEMO_CAP` entries the oldest is dropped (a running
-        driver holds its own reference, so eviction only costs a
-        regeneration if that plan is ever executed again).
+        reuse to repeated executions of the same prepared plan (a fresh
+        plan of a shape seen before re-instantiates its proto-bee from
+        the code cache instead); it is evicted with the other query
+        bees on DDL.
         """
-        memo = self._fused_by_node
         key = (tier.name, id(anchor))
-        entry = memo.get(key)
+        entry = self._fused_by_node.get(key)
         if entry is not None and entry[0] is anchor:
             return entry[2]
         routine = tier.make(self.maker, spec)
         routine.epoch = self.query_epoch
-        memo.pop(key, None)   # a recycled id re-enters as the newest
-        memo[key] = (anchor, spec, routine)
-        if len(memo) > FUSED_MEMO_CAP:
-            del memo[next(iter(memo))]
+        _remember(self._fused_by_node, key, (anchor, spec, routine))
         return routine
+
+    def evp_entries(self) -> list[tuple[Expr, BeeRoutine]]:
+        """Memoized EVP routines as ``(expr, routine)``, for checker
+        sweeps (raises once the memo may have evicted)."""
+        return [entry for _key, entry in _sweep(self._evp_by_expr)]
+
+    def agg_entries(self) -> list[tuple[tuple, BeeRoutine]]:
+        """Memoized AGG routines as ``(specs, routine)``, for checker
+        sweeps (raises once the memo may have evicted)."""
+        return [entry for _key, entry in _sweep(self._agg_by_specs)]
 
     def fused_entries(
         self, tier: str
     ) -> list[tuple[int, object, object, BeeRoutine]]:
         """Memoized *tier* routines as ``(anchor id, anchor, spec,
-        routine)`` — the checker corpus sweeps' view of the memo.
-
-        A sweep must see every routine its statements generated, so a
-        memo that has filled to :data:`FUSED_MEMO_CAP` (and may have
-        evicted) is an error here, not a silently shorter corpus.
+        routine)`` — the checker corpus sweeps' view of the memo
+        (raises once the memo may have evicted).
         """
-        memo = self._fused_by_node
-        if len(memo) >= FUSED_MEMO_CAP:
-            raise RuntimeError(
-                f"fused-routine memo reached its cap ({FUSED_MEMO_CAP}): "
-                "the sweep would certify a truncated corpus"
-            )
         return [
             (node, *entry)
-            for (name, node), entry in memo.items()
+            for (name, node), entry in _sweep(self._fused_by_node)
             if name == tier
         ]
 
@@ -301,7 +348,9 @@ class GenericBeeModule:
         Relation-scoped names (``GCL_orders``, ``IDX_rel_idx``) are
         already stable; counter-suffixed query routines (``EVP_17``,
         ``AGG_3``, ``PIPE_2``) are looked up in the memos so the
-        resilience registry can track them across statements.  Cold
+        resilience registry can track them across statements.  The
+        name is per instantiation (the ``_NAME`` hole of the faulting
+        frame's namespace), never the shared code object's.  Cold
         path: only called while attributing a fault.
         """
         if routine_name.startswith(("GCL_", "SCL_", "IDX_", "EVJ_")):
@@ -388,4 +437,7 @@ class GenericBeeModule:
             "vector_routines": fused.count("vector"),
             "tuple_bees": tuple_bees,
             "collected_relation_bees": self.collector.collected_relation_bees,
+            "compiles": self.code_cache.compiles,
+            "code_cache_hits": self.code_cache.hits,
+            "code_cache_entries": len(self.code_cache),
         }

@@ -29,7 +29,12 @@ from repro.engine import expr as E
 from repro.engine.agg import _COUNT_STAR
 from repro.engine.deform import generic_deform_null_cost
 from repro.bees.routines.agg import AGG_SPECIALIZED_PER_AGG
-from repro.bees.routines.base import BeeRoutine, compile_routine
+from repro.bees.routines.base import (
+    BeeRoutine,
+    compile_routine,
+    hole_params,
+    proto_entry,
+)
 from repro.bees.routines.evp import _Emitter, _emit_direct, _emit_guarded
 from repro.storage.layout import (
     BEEID_HI_BYTE,
@@ -254,7 +259,9 @@ def _emit_deform(layout: TupleLayout, needed: set, lines: list,
     return cost
 
 
-def generate_pipeline(spec: PipelineSpec, ledger, fn_name: str) -> BeeRoutine:
+def generate_pipeline(
+    spec: PipelineSpec, ledger, fn_name: str, code_cache=None
+) -> BeeRoutine:
     """Compile *spec* into one fused batch-at-a-time pipeline routine.
 
     The generated function's signature depends on the sink:
@@ -267,6 +274,11 @@ def generate_pipeline(spec: PipelineSpec, ledger, fn_name: str) -> BeeRoutine:
     tuple-bee data sections.  It charges the ledger once per batch:
     a batch constant, a per-input-row term, and per-survivor /
     per-candidate / per-emitted-row terms from loop counters.
+
+    The source is a proto-bee: the routine's name is the ``_NAME`` hole
+    and every literal a ``_K{n}`` hole bound as a default-argument local
+    (the qualification runs per row), so pipelines of one shape over one
+    layout share a code object from *code_cache*.
     """
     layout = spec.layout
     schema = layout.schema
@@ -312,7 +324,7 @@ def generate_pipeline(spec: PipelineSpec, ledger, fn_name: str) -> BeeRoutine:
         "agg": "batch, sections, groups, make_states",
     }[spec.sink]
     lines = [
-        f"def {fn_name}({params}):",
+        "",   # the def line: written last, once the holes are known
         f'    """Fused {spec.sink} pipeline over relation '
         f'{spec.relation!r} (generated)."""',
     ]
@@ -463,9 +475,12 @@ def generate_pipeline(spec: PipelineSpec, ledger, fn_name: str) -> BeeRoutine:
         charge = "_C0 + _C1 * len(batch) + _C2 * _np"
 
     namespace.update(costs)
-    lines.append(f"    _charge({fn_name!r}, {charge})")
+    lines.append(f"    _charge(_NAME, {charge})")
     if spec.sink != "agg":
         lines.append("    return out")
+    lines[0] = (
+        f"def {proto_entry(fn_name)}({params}{hole_params(em.holes)}):"
+    )
     source = "\n".join(lines) + "\n"
 
     # Slow path: NULL-bearing tuples decode generically, charged at the
@@ -482,7 +497,7 @@ def generate_pipeline(spec: PipelineSpec, ledger, fn_name: str) -> BeeRoutine:
         return values
 
     namespace["_slow"] = _slow
-    fn = compile_routine(source, fn_name, namespace)
+    fn = compile_routine(source, fn_name, namespace, code_cache)
     return BeeRoutine(
         name=fn_name, fn=fn, cost=c1, source=source, namespace=namespace,
     )

@@ -16,7 +16,12 @@ Enabled by the experimental ``BeeSettings.agg`` flag (off in
 from __future__ import annotations
 
 from repro.cost import constants as C
-from repro.bees.routines.base import BeeRoutine, compile_routine
+from repro.bees.routines.base import (
+    BeeRoutine,
+    compile_routine,
+    hole_params,
+    proto_entry,
+)
 from repro.bees.routines.evp import _Emitter, _emit_direct, _emit_guarded
 
 # Specialized per-row transition cost per aggregate: the fmgr dispatch and
@@ -36,23 +41,23 @@ def agg_routine_cost(specs, assume_not_null: bool) -> int:
 
 
 def generate_agg(
-    specs, ledger, fn_name: str, assume_not_null: bool = False
+    specs,
+    ledger,
+    fn_name: str,
+    assume_not_null: bool = False,
+    code_cache=None,
 ) -> BeeRoutine:
     """Generate the specialized transition function for *specs*.
 
     The generated function has signature ``fn(row, states)`` where
     ``states`` is the per-group accumulator list; it performs exactly the
     updates :class:`repro.engine.agg.HashAgg` would make generically.
+    Like EVP the source is a proto-bee (``_NAME`` / ``_K{n}`` holes).
     """
     cost = agg_routine_cost(specs, assume_not_null)
     em = _Emitter()
     em.namespace["_charge"] = ledger.charge_fn
     em.namespace["_COST"] = cost
-    header = [
-        f"def {fn_name}(row, states):",
-        '    """Specialized aggregate transition (generated)."""',
-        f"    _charge({fn_name!r}, _COST)",
-    ]
     body: list[str] = []
     for i, spec in enumerate(specs):
         if spec.arg is None:
@@ -76,8 +81,14 @@ def generate_agg(
                 body.append(f"        states[{i}].update({temp})")
             else:
                 body.append(f"    states[{i}].update({temp})")
+    holes = hole_params(["_NAME"] + em.holes)
+    header = [
+        f"def {proto_entry(fn_name)}(row, states{holes}):",
+        '    """Specialized aggregate transition (generated)."""',
+        "    _charge(_NAME, _COST)",
+    ]
     source = "\n".join(header + body) + "\n"
-    fn = compile_routine(source, fn_name, em.namespace)
+    fn = compile_routine(source, fn_name, em.namespace, code_cache)
     return BeeRoutine(
         name=fn_name, fn=fn, cost=cost, source=source, namespace=em.namespace
     )

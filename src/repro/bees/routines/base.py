@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -50,6 +51,55 @@ class BeeRoutine:
         return self.fn(*args)
 
 
+def proto_entry(fn_name: str) -> str:
+    """The ``def`` name of a proto-bee: its routine's family prefix
+    (``EVP_17`` -> ``EVP``), so the source is the same for every
+    instantiation of one shape whatever counter the routine got."""
+    return fn_name.split("_", 1)[0]
+
+
+def hole_params(holes: list[str]) -> str:
+    """Default-argument bindings for data-section *holes*, appended to a
+    proto-bee's parameter list: ``exec`` copies each hole from the
+    namespace into the function once, so a per-row body reads it with
+    ``LOAD_FAST`` rather than a global lookup."""
+    return "".join(f", {hole}={hole}" for hole in holes)
+
+
+class CodeCache:
+    """Compiled proto-bees, keyed by the generated source text itself.
+
+    The paper compiles proto-bees ahead of time and makes a query bee by
+    cloning one and patching its holes; here the "object code" is a
+    Python code object and the clone is an ``exec`` of it into the
+    statement's fresh namespace (the data section carrying the holes).
+    Because the key *is* the artifact, a hit can never serve code for a
+    different layout or plan shape, and no invalidation edge is needed.
+    Insertion-ordered and bounded at *cap* entries, oldest evicted first.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self._code: OrderedDict[str, object] = OrderedDict()
+        self.compiles = 0
+        self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._code)
+
+    def get(self, source: str):
+        code = self._code.get(source)
+        if code is not None:
+            self.hits += 1
+        return code
+
+    def put(self, source: str, code) -> None:
+        self.compiles += 1
+        self._code[source] = code
+        if len(self._code) > self.cap:
+            self._code.popitem(last=False)   # one call: atomic under the GIL
+
+
 def _dump_source(fn_name: str, source: str) -> None:
     """Write generated source to $REPRO_BEE_DUMP/<fn_name>.py (best effort)."""
     dump_dir = os.environ.get(BEE_DUMP_ENV)
@@ -63,19 +113,37 @@ def _dump_source(fn_name: str, source: str) -> None:
         pass  # a broken dump dir must never break bee generation
 
 
-def compile_routine(source: str, fn_name: str, namespace: dict) -> Callable:
-    """Compile generated *source* and extract *fn_name* from it.
+def compile_routine(
+    source: str,
+    fn_name: str,
+    namespace: dict,
+    code_cache: CodeCache | None = None,
+) -> Callable:
+    """Instantiate generated *source* as routine *fn_name*.
 
     This is the reproduction's analog of the paper's bee maker invoking gcc
     and extracting the function body from the resulting ELF object: the
     "object code" is a Python code object, and extraction is a namespace
-    lookup.  The compiled function gets a ``bee.``-prefixed ``__qualname__``
-    so profiles and tracebacks identify generated code at a glance, and the
-    source is dumped to ``$REPRO_BEE_DUMP`` when that is set.
+    lookup of the name the source defines — read off its ``def`` line,
+    which opens every generated source: the routine's own name, or for a
+    proto-bee its family prefix.  The code object comes from
+    *code_cache* when the same source was compiled before; only a miss
+    compiles, and dumps the source to ``$REPRO_BEE_DUMP`` when that is
+    set.  The routine's name fills the ``_NAME`` hole of the namespace —
+    a shared code object carries no name of its own, so charges and fault
+    attribution read it from the frame's globals — and the function gets
+    a ``bee.``-prefixed ``__qualname__`` so profiles and tracebacks
+    identify generated code at a glance.
     """
-    code = compile(source, f"<bee:{fn_name}>", "exec")
+    entry = source[4 : source.index("(")]
+    code = code_cache.get(source) if code_cache is not None else None
+    if code is None:
+        code = compile(source, f"<bee:{entry}>", "exec")
+        _dump_source(fn_name, source)
+        if code_cache is not None:
+            code_cache.put(source, code)
+    namespace["_NAME"] = fn_name
     exec(code, namespace)
-    fn = namespace[fn_name]
+    fn = namespace[entry]
     fn.__qualname__ = f"bee.{fn_name}"
-    _dump_source(fn_name, source)
     return fn

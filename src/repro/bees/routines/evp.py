@@ -1,10 +1,14 @@
 """EVP — the specialized predicate-evaluation query-bee routine.
 
 At query-preparation time the predicate's ``FuncExprState`` analog (an
-:class:`repro.engine.expr.Expr` tree) is compiled into straight-line Python:
-operator dispatch disappears, constants (including LIKE regexes and IN sets)
-are inlined into the routine's data section, and column loads become direct
-row indexing.  Two variants are generated:
+:class:`repro.engine.expr.Expr` tree) is turned into straight-line Python:
+operator dispatch disappears, constants (literals, LIKE regexes, IN sets)
+go into the routine's data section, and column loads become direct row
+indexing.  The emitted source is a *proto-bee*: it names neither the
+routine nor any literal (``_NAME`` / ``_K{n}`` holes, bound as
+default-argument locals), so every predicate of one shape shares one
+compiled code object (:class:`repro.bees.routines.base.CodeCache`) and
+only its namespace is per statement.  Two variants are generated:
 
 * the *not-null* variant (used when every referenced column is NOT NULL,
   which the planner knows from the schema) is a single return expression
@@ -18,7 +22,12 @@ Both agree with the generic interpreter on every input (property-tested).
 from __future__ import annotations
 
 from repro.cost import constants as C
-from repro.bees.routines.base import BeeRoutine, compile_routine
+from repro.bees.routines.base import (
+    BeeRoutine,
+    compile_routine,
+    hole_params,
+    proto_entry,
+)
 from repro.engine import expr as E
 
 
@@ -34,6 +43,7 @@ class _Emitter:
         self.lines: list[str] = []
         self.namespace: dict = {}
         self.col_ref = col_ref
+        self.holes: list[str] = []
         self._temp = 0
         self._const = 0
 
@@ -45,12 +55,11 @@ class _Emitter:
         return f"t{self._temp}"
 
     def const(self, value) -> str:
-        """Inline simple literals; intern others in the data section."""
-        if isinstance(value, (int, float, str, bool)) or value is None:
-            return repr(value)
-        name = f"k{self._const}"
+        """Intern a literal in the data section; returns its hole."""
+        name = f"_K{self._const}"
         self._const += 1
         self.namespace[name] = value
+        self.holes.append(name)
         return name
 
     def add(self, line: str) -> None:
@@ -197,7 +206,11 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
 
 
 def generate_evp(
-    expr: E.Expr, ledger, fn_name: str, assume_not_null: bool = False
+    expr: E.Expr,
+    ledger,
+    fn_name: str,
+    assume_not_null: bool = False,
+    code_cache=None,
 ) -> BeeRoutine:
     """Compile *expr* (already bound) into an EVP bee routine.
 
@@ -207,6 +220,8 @@ def generate_evp(
         fn_name: routine name, used for profiling attribution.
         assume_not_null: emit the faster direct variant; only valid when
             every referenced column comes from NOT NULL attributes.
+        code_cache: the owning module's proto-bee code cache; without one
+            the source is compiled afresh.
     """
     if not E.is_bound(expr):
         raise ValueError("EVP specialization requires a bound expression")
@@ -214,18 +229,18 @@ def generate_evp(
     em = _Emitter()
     em.namespace["_charge"] = ledger.charge_fn
     em.namespace["_COST"] = cost
-    header = [
-        f"def {fn_name}(row):",
-        f'    """Specialized predicate (generated query-bee routine)."""',
-        f"    _charge({fn_name!r}, _COST)",
-    ]
     if assume_not_null:
-        body = _emit_direct(expr, em)
-        source = "\n".join(header + em.lines + [f"    return {body}"]) + "\n"
+        result = _emit_direct(expr, em)
     else:
         result = _emit_guarded(expr, em)
-        source = "\n".join(header + em.lines + [f"    return {result}"]) + "\n"
-    fn = compile_routine(source, fn_name, em.namespace)
+    holes = hole_params(["_NAME"] + em.holes)
+    header = [
+        f"def {proto_entry(fn_name)}(row{holes}):",
+        '    """Specialized predicate (generated query-bee routine)."""',
+        "    _charge(_NAME, _COST)",
+    ]
+    source = "\n".join(header + em.lines + [f"    return {result}"]) + "\n"
+    fn = compile_routine(source, fn_name, em.namespace, code_cache)
     return BeeRoutine(
         name=fn_name, fn=fn, cost=cost, source=source, namespace=em.namespace,
     )

@@ -26,11 +26,13 @@ kernel with insertion-ordered buckets and sequential Python reductions,
 bit-identical to ``_PlainState``/``_DistinctState`` folds.
 
 The generated source carries exactly one ledger charge —
-``_charge('VEC_n', _C0 + _C1 * n + _C2 * _m)`` — whose constants the
+``_charge(_NAME, _C0 + _C1 * n + _C2 * _m)`` — whose constants the
 beecheck cost audit recomputes from the spec (``n`` input rows, ``_m``
-selected rows).  Division runs under ``errstate(raise)`` so a lane the
-interpreter would fault on raises out of the kernel and the shield
-degrades the statement vector→pipeline→generic.
+selected rows).  It is a proto-bee: the routine name (``_NAME``) and
+every literal (``_K{n}``) live in the namespace, so kernels of one shape
+share a compiled code object.  Division runs under ``errstate(raise)``
+so a lane the interpreter would fault on raises out of the kernel and
+the shield degrades the statement vector→pipeline→generic.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ import numpy as np
 from repro.cost import constants as C
 from repro.engine import expr as E
 from repro.bees.pipeline.codegen import PipelineSpec, _referenced
-from repro.bees.routines.base import BeeRoutine, compile_routine
+from repro.bees.routines.base import (
+    BeeRoutine,
+    compile_routine,
+    proto_entry,
+)
 
 #: The vector tier reuses the pipeline's spec as-is: same plan-invariant
 #: bundle, different compilation target.
@@ -346,7 +352,9 @@ def _expr_charge(expr: E.Expr, schema) -> int:
     return expr.generic_cost
 
 
-def generate_vector(spec: PipelineSpec, ledger, fn_name: str) -> BeeRoutine:
+def generate_vector(
+    spec: PipelineSpec, ledger, fn_name: str, code_cache=None
+) -> BeeRoutine:
     """Compile *spec* into one columnar kernel routine.
 
     The generated function's signature depends on the sink:
@@ -387,7 +395,7 @@ def generate_vector(spec: PipelineSpec, ledger, fn_name: str) -> BeeRoutine:
     em = _KernelEmitter(namespace, schema)
     params = "cols, nulls, n, table" if spec.sink == "probe" else "cols, nulls, n"
     header = [
-        f"def {fn_name}({params}):",
+        f"def {proto_entry(fn_name)}({params}):",
         f'    """Vector {spec.sink} kernel over relation '
         f'{spec.relation!r} (generated)."""',
     ]
@@ -544,10 +552,10 @@ def generate_vector(spec: PipelineSpec, ledger, fn_name: str) -> BeeRoutine:
         )
 
     namespace.update(costs)
-    em.lines.append(f"    _charge({fn_name!r}, _C0 + _C1 * n + _C2 * _m)")
+    em.lines.append("    _charge(_NAME, _C0 + _C1 * n + _C2 * _m)")
     em.lines.append("    return out")
     source = "\n".join(header + em.lines) + "\n"
-    fn = compile_routine(source, fn_name, namespace)
+    fn = compile_routine(source, fn_name, namespace, code_cache)
     return BeeRoutine(
         name=fn_name, fn=fn, cost=c1, source=source, namespace=namespace,
     )

@@ -73,8 +73,8 @@ def inject_bug(kind: str):
     elif kind == "evp":
         original = maker.generate_evp
 
-        def patched(expr, ledger, fn_name, assume_not_null=False):
-            routine = original(expr, ledger, fn_name, assume_not_null)
+        def patched(*args, **kwargs):
+            routine = original(*args, **kwargs)
             inner = routine.fn
 
             def flipped(row):
@@ -96,10 +96,10 @@ def inject_bug(kind: str):
 
         original = maker.generate_pipeline
 
-        def patched(spec, ledger, fn_name):
+        def patched(spec, *args, **kwargs):
             if spec.qual is not None:
                 spec = dataclasses.replace(spec, qual=None)
-            return original(spec, ledger, fn_name)
+            return original(spec, *args, **kwargs)
 
         maker.generate_pipeline = patched
         try:
@@ -111,10 +111,10 @@ def inject_bug(kind: str):
 
         original = maker.generate_vector
 
-        def patched(spec, ledger, fn_name):
+        def patched(spec, *args, **kwargs):
             if spec.qual is not None:
                 spec = dataclasses.replace(spec, qual=None)
-            return original(spec, ledger, fn_name)
+            return original(spec, *args, **kwargs)
 
         maker.generate_vector = patched
         try:

@@ -28,7 +28,11 @@ in the per-group epilogue.
 from __future__ import annotations
 
 from repro.cost import constants as C
-from repro.bees.routines.base import BeeRoutine, compile_routine
+from repro.bees.routines.base import (
+    BeeRoutine,
+    compile_routine,
+    proto_entry,
+)
 from repro.bees.vector.codegen import (
     PipelineSpec,
     _div,
@@ -44,7 +48,7 @@ from repro.engine import expr as E
 
 
 def generate_partial_agg(
-    spec: PipelineSpec, ledger, fn_name: str
+    spec: PipelineSpec, ledger, fn_name: str, code_cache=None
 ) -> BeeRoutine:
     """Compile *spec* (an ``agg`` sink) into a partial-agg kernel.
 
@@ -77,7 +81,7 @@ def generate_partial_agg(
     }
     em = _KernelEmitter(namespace, schema)
     header = [
-        f"def {fn_name}(cols, nulls, n):",
+        f"def {proto_entry(fn_name)}(cols, nulls, n):",
         f'    """Partial-agg kernel over relation '
         f'{spec.relation!r} (generated)."""',
     ]
@@ -182,10 +186,10 @@ def generate_partial_agg(
         ),
     }
     namespace.update(costs)
-    em.lines.append(f"    _charge({fn_name!r}, _C0 + _C1 * n + _C2 * _m)")
+    em.lines.append("    _charge(_NAME, _C0 + _C1 * n + _C2 * _m)")
     em.lines.append("    return out")
     source = "\n".join(header + em.lines) + "\n"
-    fn = compile_routine(source, fn_name, namespace)
+    fn = compile_routine(source, fn_name, namespace, code_cache)
     return BeeRoutine(
         name=fn_name, fn=fn, cost=c1, source=source, namespace=namespace,
     )

@@ -6,7 +6,8 @@ are returned per task so the coordinator can price the makespan), a
 read-only heap *snapshot* per relation (live raw tuples shipped by the
 coordinator, keyed by ``(heap.uid, heap.version)`` tokens), a bee cache
 keyed by spec fingerprint (sha1 of the pickled :class:`PipelineSpec`),
-and a per-morsel chunk cache for the vector tier.
+a proto-bee code cache keyed by generated source text, and a per-morsel
+chunk cache for the vector tier.
 
 The protocol is strictly request/reply over one duplex pipe, processed
 in FIFO order:
@@ -15,6 +16,8 @@ in FIFO order:
   a heap snapshot (no reply).
 * ``("invalidate",)`` — the coordinator observed a query-epoch bump
   (DDL/DML): drop every cached bee, chunk, and snapshot (no reply).
+  Compiled proto-bees stay: their key is the source text, and a
+  re-prepared statement rebuilds its data section from the new spec.
 * ``("prepare", stmt_id, spec_bytes, tier, table)`` — compile (or fetch
   by fingerprint) the routine for a statement; replies
   ``("ready", stmt_id)``.
@@ -41,6 +44,8 @@ import pickle
 from functools import partial
 
 from repro.bees.drivers import TIER_BY_NAME, new_groups
+from repro.bees.module import CODE_CACHE_CAP
+from repro.bees.routines.base import CodeCache
 from repro.cost import constants as C
 from repro.cost.ledger import Ledger
 
@@ -71,6 +76,8 @@ class _WorkerState:
         self.snapshots: dict = {}
         # fingerprint -> compiled routine fn
         self.bees: dict = {}
+        # generated source -> code object; survives ``invalidate``
+        self.code_cache = CodeCache(CODE_CACHE_CAP)
         # (relation, token, lo, hi) -> Chunk
         self.chunks: dict = {}
         # stmt_id -> (spec, tier, fn, table)
@@ -103,15 +110,16 @@ class _WorkerState:
                 # keeps columnar speed and yields combinable states.
                 from repro.parallel.partialagg import generate_partial_agg
 
-                fn = generate_partial_agg(spec, self.ledger, name).fn
+                generate = generate_partial_agg
             elif tier == "vector":
                 from repro.bees.vector.codegen import generate_vector
 
-                fn = generate_vector(spec, self.ledger, name).fn
+                generate = generate_vector
             else:
                 from repro.bees.pipeline.codegen import generate_pipeline
 
-                fn = generate_pipeline(spec, self.ledger, name).fn
+                generate = generate_pipeline
+            fn = generate(spec, self.ledger, name, self.code_cache).fn
             self.bees[fingerprint] = fn
         self.prepared[stmt_id] = (spec, tier, fn, table)
 

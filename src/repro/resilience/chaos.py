@@ -12,9 +12,10 @@ Faults are planted where the oracle's bug injection plants bugs: the
 generator attributes of :mod:`repro.bees.maker` (which imports the
 generators into its own namespace) and the lazily imported generator
 modules for the experimental AGG/IDX families.  Raising variants are
-compiled through :func:`repro.bees.routines.base.compile_routine` with
-the routine's own ``<bee:NAME>`` filename, so the executor's traceback
-attribution resolves them exactly like a real faulting bee.
+compiled through :func:`repro.bees.routines.base.compile_routine` under
+the routine's own name (a ``<bee:...>`` frame whose ``_NAME`` is the
+routine's), so the executor's traceback attribution resolves them
+exactly like a real faulting bee.
 
 Two arming styles exist (see :attr:`ChaosSite.arm_with_db`):
 
@@ -117,9 +118,9 @@ class ChaosSite:
 # routine tampering helpers
 
 def _raising_copy(routine, site: str, chaos: ChaosInjector):
-    """A copy of *routine* whose body raises ChaosFault — compiled with
-    the routine's own ``<bee:NAME>`` filename so traceback attribution
-    resolves it like a genuine generated-code fault."""
+    """A copy of *routine* whose body raises ChaosFault — compiled under
+    the routine's own name so traceback attribution resolves it like a
+    genuine generated-code fault."""
     namespace = {"_chaos_boom": lambda: chaos.boom(site)}
     source = f"def {routine.name}(*args):\n    raise _chaos_boom()\n"
     fn = compile_routine(source, routine.name, namespace)
@@ -172,8 +173,8 @@ def _gcl_arity_wrap(chaos, original):
 
 
 def _evp_type_wrap(chaos, original):
-    def patched(expr, ledger, fn_name, assume_not_null=False):
-        routine = original(expr, ledger, fn_name, assume_not_null)
+    def patched(*args, **kwargs):
+        routine = original(*args, **kwargs)
         inner = routine.fn
 
         def stringly(row):
@@ -189,15 +190,15 @@ def _evp_type_wrap(chaos, original):
 
 
 def _evp_gen_wrap(chaos, original):
-    def patched(expr, ledger, fn_name, assume_not_null=False):
+    def patched(*args, **kwargs):
         raise chaos.boom("evp-gen-raise")
 
     return patched
 
 
 def _pipeline_arity_wrap(chaos, original):
-    def patched(spec, ledger, fn_name):
-        routine = original(spec, ledger, fn_name)
+    def patched(*args, **kwargs):
+        routine = original(*args, **kwargs)
         inner = routine.fn
 
         def widened(*args):
@@ -224,8 +225,8 @@ def _vector_shape_wrap(chaos, original):
     node's inline arity check must fault and degrade to the pipeline
     anchor (and, statement-level, vectors -> pipelines -> generic)."""
 
-    def patched(spec, ledger, fn_name):
-        routine = original(spec, ledger, fn_name)
+    def patched(*args, **kwargs):
+        routine = original(*args, **kwargs)
         inner = routine.fn
 
         def widened(*args):
@@ -241,7 +242,7 @@ def _vector_shape_wrap(chaos, original):
 
 
 def _vector_gen_wrap(chaos, original):
-    def patched(spec, ledger, fn_name):
+    def patched(*args, **kwargs):
         raise chaos.boom("vector-gen-raise")
 
     return patched

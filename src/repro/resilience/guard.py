@@ -13,7 +13,8 @@ zero-overhead guardrail (``benchmarks/bench_pipeline.py --check``).
 * **Statement-level retry** (in :func:`repro.engine.executor.execute`):
   any exception escaping a specialized execution rolls the ledger back
   and re-runs the plan with the faulting family disabled — attributed to
-  the generated routine via its ``<bee:NAME>`` code filename.
+  the generated routine via its ``<bee:...>`` code filename and the
+  ``_NAME`` hole of the faulting frame's globals.
 
 Stateless write-path routines (SCL fill, IDX key extraction) are instead
 wrapped per call: they run before any mutation for their row, so the
@@ -88,19 +89,22 @@ class BeeGuard:
     def attribute(self, exc: BaseException, bee_module) -> tuple[str | None, str]:
         """Attribute a raw exception to (family, health key).
 
-        Generated routines are compiled with ``<bee:NAME>`` filenames
-        (:func:`repro.bees.routines.base.compile_routine`), so the
-        deepest bee frame in the traceback names the faulting routine;
-        the bee module maps that name back to its stable health key.
-        Unattributable exceptions degrade the whole statement to generic
-        execution under a key no admission check ever consults.
+        Generated routines are compiled with ``<bee:...>`` filenames
+        (:func:`repro.bees.routines.base.compile_routine`); a code
+        object may be shared by every routine of its shape, so the
+        routine's own name is the ``_NAME`` entry of the frame's
+        globals — its private data section.  The deepest bee frame in
+        the traceback names the faulting routine; the bee module maps
+        that name back to its stable health key.  Unattributable
+        exceptions degrade the whole statement to generic execution
+        under a key no admission check ever consults.
         """
         tb = exc.__traceback__
         name = None
         while tb is not None:
-            filename = tb.tb_frame.f_code.co_filename
-            if filename.startswith("<bee:"):
-                name = filename[5:-1]
+            frame = tb.tb_frame
+            if frame.f_code.co_filename.startswith("<bee:"):
+                name = frame.f_globals["_NAME"]
             tb = tb.tb_next
         if name is None:
             return None, "STMT:unattributed"

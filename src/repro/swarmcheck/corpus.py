@@ -43,11 +43,11 @@ def collect(seed: int, statements: int) -> tuple[list, int]:
     for bee in module.cache.relation_bees.values():
         corpus.append(("gcl", bee.gcl))
         corpus.append(("scl", bee.scl))
-    for _expr, routine in module._evp_by_expr.values():
+    for _expr, routine in module.evp_entries():
         corpus.append(("evp", routine))
     for routine in module._evj_by_shape.values():
         corpus.append(("evj", routine))
-    for _specs, routine in module._agg_by_specs.values():
+    for _specs, routine in module.agg_entries():
         corpus.append(("agg", routine))
     for _key_indexes, routine in module._idx_by_index.values():
         corpus.append(("idx", routine))

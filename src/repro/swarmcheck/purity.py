@@ -35,6 +35,7 @@ import re
 import struct
 
 from repro.beecheck import lint
+from repro.bees.routines.base import proto_entry
 from repro.swarmcheck.report import Finding
 
 #: Mutating container/ndarray methods (superset of what bees may emit).
@@ -84,6 +85,9 @@ FAMILIES: dict[str, Family] = {
         }),
     ),
 }
+
+#: Relation-scoped families, whose source names the routine itself.
+_NAMED_KINDS = frozenset({"gcl", "scl", "idx"})
 
 #: Namespace keys that may bind callables, and what they are.
 _CALLABLE_KEYS = re.compile(
@@ -243,10 +247,10 @@ class _PurityScanner(ast.NodeVisitor):
         self._flag("lambda in bee body", node.lineno)
 
 
-def _frozen_capture(key: str, value, fn_name: str) -> str:
+def _frozen_capture(key: str, value, entry: str) -> str:
     """``""`` when the namespace entry is frozen, else a description of
     why it is mutable."""
-    if key == fn_name:
+    if key == entry:
         return ""  # the routine's own compiled function
     if isinstance(value, _FROZEN_SCALARS):
         return ""
@@ -257,7 +261,7 @@ def _frozen_capture(key: str, value, fn_name: str) -> str:
     if isinstance(value, tuple):
         bad = [
             reason for item in value
-            if (reason := _frozen_capture(key, item, fn_name))
+            if (reason := _frozen_capture(key, item, entry))
         ]
         return bad[0] if bad else ""
     if isinstance(value, frozenset):
@@ -328,7 +332,9 @@ def check_routine(kind: str, routine) -> list[Finding]:
         return [Finding(
             "purity", routine.name, f"unparsable source: {exc}",
         )]
-    fn = _routine_def(tree, routine.name)
+    # Query bees are proto-bees: the def carries the family prefix.
+    entry = routine.name if kind in _NAMED_KINDS else proto_entry(routine.name)
+    fn = _routine_def(tree, entry)
     if fn is None:
         return [Finding(
             "purity", routine.name,
@@ -345,7 +351,7 @@ def check_routine(kind: str, routine) -> list[Finding]:
     for key, value in (routine.namespace or {}).items():
         if key.startswith("__"):
             continue
-        reason = _frozen_capture(key, value, routine.name)
+        reason = _frozen_capture(key, value, entry)
         if reason:
             findings.append(Finding(
                 "purity", routine.name, f"{reason} (namespace {key!r})",

@@ -100,6 +100,16 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("GenericBeeModule", "_fused_by_node", "hive_lock",
             "GenericBeeModule.query_epoch",
             "fused-driver routines of every tier; bounded, oldest-first"),
+    _shared("*", "memo", "hive_lock", "GenericBeeModule.query_epoch",
+            "parameter view of the EVP/AGG/fused memos above inside the "
+            "one bounded-insert helper (_remember); same lock as the "
+            "memo it was handed"),
+    _shared("CodeCache", "_code", "hive_lock", "-",
+            "proto-bee code objects keyed by generated source text; the "
+            "key is the artifact, so no epoch invalidates it; bounded, "
+            "oldest-first"),
+    _shared("CodeCache", "compiles", "hive_lock", "-"),
+    _shared("CodeCache", "hits", "hive_lock", "-"),
     _shared("GenericBeeModule", "query_epoch", "hive_lock", "-",
             "the invalidation epoch itself"),
 

@@ -195,10 +195,15 @@ class TestEVP:
         assert charged == routine.cost
         assert charged < expression.generic_cost
 
-    def test_constants_inlined_in_source(self):
+    def test_constants_patched_into_data_section(self):
+        # A proto-bee: the literal fills a hole of the namespace, the
+        # source names neither it nor the routine.
         expression = E.bind(E.Cmp("=", E.Col("x"), E.Const(42)), ["x"])
         routine = generate_evp(expression, Ledger(), "EVP_t", True)
-        assert "42" in routine.source
+        assert "42" not in routine.source and "EVP_t" not in routine.source
+        assert routine.namespace["_K0"] == 42
+        assert routine.namespace["_NAME"] == "EVP_t"
+        assert routine.fn([42]) is True and routine.fn([41]) is False
 
 
 class TestEVJ:

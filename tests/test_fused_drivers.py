@@ -194,8 +194,8 @@ def test_wrong_width_agg_row_retries_on_every_tier(monkeypatch, tier):
     module, name, widen = TAMPERS[tier]
     generate = getattr(module, name)
 
-    def tampered_generate(spec, ledger, fn_name):
-        routine = generate(spec, ledger, fn_name)
+    def tampered_generate(spec, *args):
+        routine = generate(spec, *args)
         if spec.sink == "agg":
             routine.fn = widen(routine.fn)
         return routine
