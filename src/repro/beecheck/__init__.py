@@ -2,7 +2,7 @@
 
 The bee maker ``compile()``s generated Python source straight into the
 executor's hot path; beecheck is the verification stage between codegen
-and execution (see ``docs/BEECHECK.md``).  Four passes:
+and execution (see ``docs/BEECHECK.md``).  Its passes:
 
 * :mod:`repro.beecheck.lint` — AST safety lint (bee shape, whitelists,
   single slow-path escape);
@@ -16,11 +16,15 @@ and execution (see ``docs/BEECHECK.md``).  Four passes:
 Entry points: ``check_gcl`` / ``check_scl`` / ``check_evp`` /
 ``check_evj`` / ``check_agg`` / ``check_idx`` / ``check_pipeline`` /
 ``check_vector`` return reports, the ``verify_*`` variants raise
-:class:`BeecheckError`, and ``python -m repro.beecheck`` sweeps every
-schema plus a fuzzed query corpus.
+:class:`BeecheckError`, and ``python -m repro.verify --pass beecheck``
+sweeps the shared corpus (every schema, the per-family spec corpus and
+every routine the fuzzed statement stream built).
 """
 
 from repro.beecheck.checker import (
+    BeecheckError,
+    RoutineReport,
+    check,
     check_agg,
     check_evj,
     check_evp,
@@ -39,18 +43,13 @@ from repro.beecheck.checker import (
     verify_scl,
     verify_vector,
 )
-from repro.beecheck.report import (
-    BeecheckError,
-    Finding,
-    RoutineReport,
-    SweepReport,
-)
+from repro.verify.report import Finding
 
 __all__ = [
     "BeecheckError",
     "Finding",
     "RoutineReport",
-    "SweepReport",
+    "check",
     "check_agg",
     "check_evj",
     "check_evp",

@@ -1,16 +1,62 @@
 """Pass orchestration: one routine in, one :class:`RoutineReport` out.
 
-The checker runs the four passes in cheapest-first order (lint, absint,
-costaudit, transval) and records every finding; ``enforce`` raises
-:class:`BeecheckError` so the bee maker can refuse to hand a bad routine
-to the executor when ``verify_on_generate`` is set.
+The checker runs the passes in cheapest-first order (lint, determinism,
+absint, costaudit, transval) and records every finding; ``enforce``
+raises :class:`BeecheckError` so the bee maker can refuse to hand a bad
+routine to the executor when ``verify_on_generate`` is set.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.storage.layout import TupleLayout
 from repro.beecheck import absint, costaudit, lint, transval
-from repro.beecheck.report import BeecheckError, RoutineReport
+from repro.verify.report import Finding
+
+class BeecheckError(Exception):
+    """Raised when a generated routine fails verification.
+
+    Carries the findings so callers (and tests) can assert on which pass
+    rejected the routine.
+    """
+
+    def __init__(self, routine: str, findings: list[Finding]) -> None:
+        self.routine = routine
+        self.findings = findings
+        lines = [f"bee routine {routine!r} failed beecheck:"]
+        lines += [f"  {finding}" for finding in findings]
+        super().__init__("\n".join(lines))
+
+
+@dataclass
+class RoutineReport:
+    """Verification outcome for one routine."""
+
+    routine: str
+    kind: str                       # gcl | scl | evp | evj | agg | idx | tier
+    subject: str                    # relation name or predicate text
+    passes: dict[str, str] = field(default_factory=dict)  # pass -> ok/fail
+    findings: list[Finding] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
+
+    def add(self, pass_name: str, messages: list[str]) -> None:
+        self.passes[pass_name] = "fail" if messages else "ok"
+        self.findings.extend(
+            Finding(pass_name, self.routine, message) for message in messages
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "routine": self.routine,
+            "kind": self.kind,
+            "subject": self.subject,
+            "passes": dict(self.passes),
+            "findings": [finding.to_dict() for finding in self.findings],
+        }
 
 
 def check_gcl(routine, layout: TupleLayout) -> RoutineReport:
@@ -185,3 +231,9 @@ def verify_pipeline(routine, spec) -> None:
 
 def verify_vector(routine, spec) -> None:
     enforce(check_vector(routine, spec))
+
+
+def check(kind: str, routine, *args) -> RoutineReport:
+    """``check_<kind>(routine, *args)`` — the corpus sweeps' dispatch.
+    An unknown family (a tier row without a checker) raises."""
+    return globals()[f"check_{kind}"](routine, *args)

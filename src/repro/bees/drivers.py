@@ -450,6 +450,24 @@ def parallelize_plan(plan: PlanNode, db: Any) -> PlanNode:
     return PARALLEL.stack(plan, db)
 
 
+def settings_points(base: Any) -> list[tuple[Tier, Any]]:
+    """One :class:`BeeSettings` point per tier row, bottom-up, over *base*.
+
+    A row's point turns on its own flag (the first of ``enabled_by``)
+    on top of every row below it, so each point stacks exactly the
+    tiers up to its row: the parallel point is pipelines + vectors +
+    parallel, never one lone flag over a plan with no fused driver.
+    The differential oracle's N-way lane and the checker corpus take
+    their settings points from here, so a new row is covered by both.
+    """
+    points: list[tuple[Tier, Any]] = []
+    flags: dict[str, bool] = {}
+    for tier in TIERS:
+        flags[tier.enabled_by[0]] = True
+        points.append((tier, base.enabling(**flags)))
+    return points
+
+
 def stack_tiers(plan: PlanNode, db: Any, settings: Any, shield: Any) -> PlanNode:
     """Rewrite *plan* through every tier *settings* enable, bottom-up.
 

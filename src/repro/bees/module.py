@@ -11,7 +11,7 @@ The paper stresses that wiring this module into PostgreSQL took only
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 from repro.bees.cache import BeeCache
@@ -303,6 +303,16 @@ class GenericBeeModule:
         sweeps (raises once the memo may have evicted)."""
         return [entry for _key, entry in _sweep(self._agg_by_specs)]
 
+    def evj_entries(self) -> list[EVJRoutine]:
+        """Cloned EVJ templates, for checker sweeps (one per join
+        shape, never evicted)."""
+        return list(self._evj_by_shape.values())
+
+    def idx_entries(self) -> list[tuple[list[int], BeeRoutine]]:
+        """Memoized IDX routines as ``(key_indexes, routine)``, for
+        checker sweeps (one per live index, never evicted)."""
+        return list(self._idx_by_index.values())
+
     def fused_entries(
         self, tier: str
     ) -> list[tuple[int, object, object, BeeRoutine]]:
@@ -427,14 +437,16 @@ class GenericBeeModule:
             for bee in self.cache.relation_bees.values()
             if bee.data_sections is not None
         )
-        fused = [tier for tier, _node in self._fused_by_node]
+        fused = Counter(tier for tier, _node in self._fused_by_node)
         return {
             "relation_bees": len(self.cache.relation_bees),
             "query_bees": len(self.cache.query_bees),
             "evp_routines": len(self._evp_by_expr),
             "evj_routines": len(self._evj_by_shape),
-            "pipeline_routines": fused.count("pipeline"),
-            "vector_routines": fused.count("vector"),
+            "pipeline_routines": fused["pipeline"],
+            "vector_routines": fused["vector"],
+            # ...and whatever other local tier has memoized routines.
+            **{f"{tier}_routines": n for tier, n in fused.items()},
             "tuple_bees": tuple_bees,
             "collected_relation_bees": self.collector.collected_relation_bees,
             "compiles": self.code_cache.compiles,

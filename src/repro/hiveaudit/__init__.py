@@ -18,21 +18,18 @@ Three passes over the engine's own source:
    mutation site reaches its matching invalidation edge; missing edges
    are reported as findings with source spans and witness paths.
 
-``python -m repro.hiveaudit`` sweeps the engine into
-``results/hiveaudit/report.json`` and runs a bug-injection self-test
-that deletes/rewires each known invalidation edge and requires the
-analyzer to flag exactly that edge.
+``python -m repro.verify --pass hiveaudit`` sweeps the engine and runs a
+bug-injection self-test that deletes/rewires each known invalidation
+edge and requires the analyzer to flag exactly that edge.
 """
 
-from repro.hiveaudit.audit import AuditReport, Finding, run_audit
+from repro.hiveaudit.audit import run_audit
 from repro.hiveaudit.source import EngineSource
 from repro.hiveaudit.selftest import CASES, run_selftest
 
 __all__ = [
-    "AuditReport",
     "CASES",
     "EngineSource",
-    "Finding",
     "run_audit",
     "run_selftest",
 ]

@@ -1,17 +1,19 @@
 """Audit orchestration: extraction + mutation scan + rule proofs.
 
 :func:`run_audit` runs all three passes over an :class:`EngineSource`
-and folds the results into an :class:`AuditReport`.  The report is
-"ok" iff every rule-matching mutation site has a witness invalidation
-path (or a documented exemption), every integrity check holds, every
-bee kind embeds at least its expected invariant classes, and no
-generator embeds :data:`BeeSettings` flags.
+and folds the results into one :class:`~repro.verify.report.PassResult`
+(``stats``: the extraction, the mutation sites, the witness proofs and
+the exempted sites).  The result is "ok" iff every rule-matching
+mutation site has a witness invalidation path (or a documented
+exemption), every integrity check holds, every bee kind embeds at least
+its expected invariant classes, and no generator embeds
+:data:`BeeSettings` flags.  A finding's ``pass_name`` is the violated
+rule and its ``subject`` the function the gap sits in.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 
 from repro.hiveaudit.callgraph import CallGraph
 from repro.hiveaudit.extract import (
@@ -19,69 +21,10 @@ from repro.hiveaudit.extract import (
     KindExtraction,
     extract_embeddings,
 )
-from repro.hiveaudit.mutations import MutationSite, scan_mutations
+from repro.hiveaudit.mutations import scan_mutations
 from repro.hiveaudit.rules import EXEMPTIONS, INTEGRITY_CHECKS, RULES
 from repro.hiveaudit.source import EngineSource
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One proven gap in the invalidation lifecycle."""
-
-    rule: str
-    module: str
-    qualname: str
-    lineno: int
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "module": self.module,
-            "function": self.qualname,
-            "line": self.lineno,
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class AuditReport:
-    extraction: dict  # kind -> KindExtraction
-    mutations: list  # MutationSite
-    findings: list = field(default_factory=list)  # Finding
-    proofs: list = field(default_factory=list)  # dicts with witness paths
-    exempted: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def summary(self) -> str:
-        lines = [
-            f"bee kinds analyzed: {len(self.extraction)}",
-            f"mutation sites:     {len(self.mutations)}",
-            f"proven edges:       {len(self.proofs)}",
-            f"exempted sites:     {len(self.exempted)}",
-            f"findings:           {len(self.findings)}",
-        ]
-        for finding in self.findings:
-            lines.append(
-                f"  FINDING {finding.rule}: {finding.module}:"
-                f"{finding.lineno} in {finding.qualname} — {finding.detail}"
-            )
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "extraction": {
-                kind: ext.to_dict() for kind, ext in self.extraction.items()
-            },
-            "mutations": [site.to_dict() for site in self.mutations],
-            "proofs": self.proofs,
-            "exempted": self.exempted,
-            "findings": [finding.to_dict() for finding in self.findings],
-        }
+from repro.verify.report import Finding, PassResult
 
 
 def _check_extraction(
@@ -94,7 +37,7 @@ def _check_extraction(
         if missing:
             findings.append(
                 Finding(
-                    "extraction-coverage", "-", kind, 0,
+                    "extraction-coverage", kind,
                     f"bee kind {kind!r} expected to embed "
                     f"{sorted(expected)} but extraction only proves "
                     f"{sorted(got)} (missing {sorted(missing)}) — the "
@@ -105,7 +48,7 @@ def _check_extraction(
         if "settings.flags" in ext.classes:
             findings.append(
                 Finding(
-                    "settings-never-embedded", "-", kind, 0,
+                    "settings-never-embedded", kind,
                     f"bee kind {kind!r} embeds BeeSettings flags; a "
                     "settings swap would stale the bee with no "
                     "invalidation edge defined",
@@ -114,7 +57,7 @@ def _check_extraction(
 
 
 def _check_rules(
-    graph: CallGraph, mutations: list, report: AuditReport
+    graph: CallGraph, mutations: list, findings: list, stats: dict
 ) -> None:
     for rule in RULES:
         for site in mutations:
@@ -124,7 +67,7 @@ def _check_rules(
                 continue
             exemption = EXEMPTIONS.get((rule.name, site.qualname))
             if exemption is not None:
-                report.exempted.append({
+                stats["exempted"].append({
                     "rule": rule.name,
                     "function": site.qualname,
                     "line": site.lineno,
@@ -132,23 +75,24 @@ def _check_rules(
                 })
                 continue
             if not rule.targets:
-                report.findings.append(
-                    Finding(rule.name, site.module, site.qualname,
-                            site.lineno, rule.rationale)
+                findings.append(
+                    Finding(rule.name, site.qualname, rule.rationale,
+                            site.module, site.lineno)
                 )
                 continue
             path = graph.reaches(site.qualname, rule.targets)
             if path is None:
-                report.findings.append(
+                findings.append(
                     Finding(
-                        rule.name, site.module, site.qualname, site.lineno,
+                        rule.name, site.qualname,
                         f"no call path from {site.qualname} "
                         f"({site.detail}) to any of "
                         f"{sorted(rule.targets)} — {rule.rationale}",
+                        site.module, site.lineno,
                     )
                 )
             else:
-                report.proofs.append({
+                stats["proofs"].append({
                     "rule": rule.name,
                     "function": site.qualname,
                     "line": site.lineno,
@@ -203,8 +147,7 @@ def _check_integrity(graph: CallGraph, findings: list) -> None:
         info = graph.functions.get(qualname)
         if info is None:
             findings.append(
-                Finding(name, "-", qualname, 0,
-                        f"{qualname} not found — {description}")
+                Finding(name, qualname, f"{qualname} not found — {description}")
             )
             continue
         if name in ("disk-eviction-unlinks", "stale-load-unlinks"):
@@ -217,21 +160,32 @@ def _check_integrity(graph: CallGraph, findings: list) -> None:
             ok = _has_subscript_delete(info.node, "query_bees")
         if not ok:
             findings.append(
-                Finding(name, info.module, qualname, info.lineno, description)
+                Finding(name, qualname, description, info.module, info.lineno)
             )
 
 
-def run_audit(source: EngineSource | None = None) -> AuditReport:
+def run_audit(source: EngineSource | None = None) -> PassResult:
     """Run the full three-pass audit; see the module docstring."""
     source = source or EngineSource()
     extraction = extract_embeddings(source)
     graph = CallGraph(source)
     mutations = scan_mutations(source, graph)
-    report = AuditReport(extraction, mutations)
-    _check_extraction(extraction, report.findings)
-    _check_rules(graph, mutations, report)
-    _check_integrity(graph, report.findings)
-    return report
+    findings: list[Finding] = []
+    stats: dict = {
+        "bee_kinds": len(extraction),
+        "mutation_sites": len(mutations),
+        "extraction": {
+            kind: ext.to_dict() for kind, ext in extraction.items()
+        },
+        "mutations": [site.to_dict() for site in mutations],
+        "proofs": [],
+        "exempted": [],
+    }
+    _check_extraction(extraction, findings)
+    _check_rules(graph, mutations, findings, stats)
+    _check_integrity(graph, findings)
+    stats["proven_edges"] = len(stats["proofs"])
+    return PassResult("hiveaudit", stats, findings)
 
 
-__all__ = ["AuditReport", "Finding", "run_audit"]
+__all__ = ["run_audit"]

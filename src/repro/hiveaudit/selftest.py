@@ -151,7 +151,7 @@ def run_selftest(baseline=None) -> list[dict]:
     """Run every injection case; one result dict per case."""
     if baseline is None:
         baseline = run_audit()
-    base_pairs = {(f.rule, f.qualname) for f in baseline.findings}
+    base_pairs = {(f.pass_name, f.subject) for f in baseline.findings}
     results = []
     for case in CASES:
         original = EngineSource().text(case.module)
@@ -166,7 +166,7 @@ def run_selftest(baseline=None) -> list[dict]:
         patched = original.replace(case.old, case.new, 1)
         report = run_audit(EngineSource({case.module: patched}))
         new_pairs = sorted(
-            {(f.rule, f.qualname) for f in report.findings} - base_pairs
+            {(f.pass_name, f.subject) for f in report.findings} - base_pairs
         )
         expected = set(case.expected)
         expected_sites = {qualname for _rule, qualname in expected}

@@ -1,8 +1,9 @@
 """Differential query oracle: fuzzing + multi-engine cross-checking.
 
 Generates random-but-deterministic SQL campaigns and executes every
-statement against a stock database, a bee-enabled database, the per-query
-``bees=False`` toggle, the columnar engine (where applicable), and
+statement against a stock database, a bee-enabled database, every legal
+plan for it on the bee database (the generic interpreter and one settings
+point per execution tier), the columnar engine (where applicable), and
 metamorphic variants (TLP partitions, no-op predicate rewrites).  Any
 disagreement is a bug in exactly the machinery this repo exists to get
 right — the generated bees must be *behavior-identical* to the generic
@@ -24,7 +25,6 @@ from repro.oracle.runner import (
     Divergence,
     OracleReport,
     run_campaign,
-    run_self_test,
 )
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "outcomes_equivalent",
     "rows_equivalent",
     "run_campaign",
-    "run_self_test",
     "run_statement",
     "sorted_canonical",
 ]

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 import string as _string
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.sql import reserved_words
 
@@ -119,6 +120,14 @@ class StatementGenerator:
             for _ in range(3):
                 statements.append(self._insert(table))
         return statements
+
+    def stream(self, n: int) -> Iterator[GenStatement]:
+        """The seed's first *n* statements: the bootstrap schema and
+        rows, then generated traffic — the one statement stream every
+        campaign and checker corpus drives."""
+        pending = self.bootstrap()
+        for _ in range(n):
+            yield pending.pop(0) if pending else self.next_statement()
 
     def next_statement(self) -> GenStatement:
         if not self.tables:

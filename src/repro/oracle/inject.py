@@ -1,19 +1,22 @@
 """Deliberate bee-bug injection — the oracle's self-test.
 
 An oracle that never fires is indistinguishable from one that cannot.
-These context managers wrap the bee generators with a subtly wrong
-variant; a healthy oracle campaign run under them MUST report
-divergences.  The patch point is ``repro.bees.maker`` — the maker imports
-the generators into its own namespace at import time, so patching the
-defining modules (``repro.bees.routines.*``) would have no effect, and
-the columnar engine's direct import of ``generate_evp`` stays honest.
+:func:`inject_bug` swaps one generator for a subtly wrong variant; a
+healthy oracle campaign run under it MUST report divergences.  The
+patch point for in-process generators is ``repro.bees.maker`` — the
+maker imports the generators into its own namespace at import time, so
+patching the defining modules (``repro.bees.routines.*``) would have no
+effect, and the columnar engine's direct import of ``generate_evp``
+stays honest.  There is one kind per routine family the oracle guards
+and one per tier row of :data:`repro.bees.drivers.TIERS`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from contextlib import contextmanager
-
-BUG_KINDS = ("gcl", "evp", "pipeline", "vector")
+from typing import Callable, Iterator
 
 
 def _first_int_attnum(layout) -> int | None:
@@ -25,8 +28,82 @@ def _first_int_attnum(layout) -> int | None:
     return None
 
 
+def _off_by_one_gcl(original: Callable) -> Callable:
+    def patched(layout, ledger, fn_name):
+        routine = original(layout, ledger, fn_name)
+        target = _first_int_attnum(layout)
+        if target is None:
+            return routine
+        inner = routine.fn
+
+        def corrupt(raw, sections):
+            row = list(inner(raw, sections))
+            if row[target] is not None:
+                row[target] += 1
+            return row
+
+        routine.fn = corrupt
+        return routine
+
+    return patched
+
+
+def _inverted_evp(original: Callable) -> Callable:
+    def patched(*args, **kwargs):
+        routine = original(*args, **kwargs)
+        inner = routine.fn
+
+        def flipped(row):
+            verdict = inner(row)
+            if isinstance(verdict, bool):
+                return not verdict
+            return verdict
+
+        routine.fn = flipped
+        return routine
+
+    return patched
+
+
+def _without_qual(spec):
+    if spec.qual is None:
+        return spec
+    return dataclasses.replace(spec, qual=None)
+
+
+def _qualless_generator(original: Callable) -> Callable:
+    def patched(spec, *args, **kwargs):
+        return original(_without_qual(spec), *args, **kwargs)
+
+    return patched
+
+
+def _qualless_prepare(original: Callable) -> Callable:
+    def patched(self, stmt_id, spec_bytes, tier, table):
+        spec = _without_qual(pickle.loads(spec_bytes))
+        return original(self, stmt_id, pickle.dumps(spec), tier, table)
+
+    return patched
+
+
+#: kind -> (module, dotted attribute to patch, wrapper of the original).
+_BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
+    "gcl": ("repro.bees.maker", "generate_gcl", _off_by_one_gcl),
+    "evp": ("repro.bees.maker", "generate_evp", _inverted_evp),
+    "pipeline": (
+        "repro.bees.maker", "generate_pipeline", _qualless_generator
+    ),
+    "vector": ("repro.bees.maker", "generate_vector", _qualless_generator),
+    "parallel": (
+        "repro.parallel.worker", "_WorkerState.prepare", _qualless_prepare
+    ),
+}
+
+BUG_KINDS = tuple(_BUGS)
+
+
 @contextmanager
-def inject_bug(kind: str):
+def inject_bug(kind: str) -> Iterator[None]:
     """Make newly generated bees of the given kind subtly wrong.
 
     * ``'gcl'`` — the specialized deform routine adds 1 to the first
@@ -40,86 +117,27 @@ def inject_bug(kind: str):
     * ``'vector'`` — the columnar kernel drops the predicate mask (the
       vector-tier analog: the selection vector degenerates to
       all-rows-pass while the charge and shape stay plausible).
+    * ``'parallel'`` — the worker-side routine drops the residual
+      qualification (the morsel-tier analog: the coordinator ships the
+      right spec and every worker compiles the wrong one).  Workers
+      inherit the patch when the pool forks.
 
     Only bees generated while the context is active are affected, so the
-    oracle (and its databases) must be constructed inside the ``with``.
+    oracle (its databases, and any worker pool) must be created inside
+    the ``with``.
     """
-    import repro.bees.maker as maker
+    import importlib
 
-    if kind == "gcl":
-        original = maker.generate_gcl
-
-        def patched(layout, ledger, fn_name):
-            routine = original(layout, ledger, fn_name)
-            target = _first_int_attnum(layout)
-            if target is None:
-                return routine
-            inner = routine.fn
-
-            def corrupt(raw, sections):
-                row = list(inner(raw, sections))
-                if row[target] is not None:
-                    row[target] += 1
-                return row
-
-            routine.fn = corrupt
-            return routine
-
-        maker.generate_gcl = patched
-        try:
-            yield
-        finally:
-            maker.generate_gcl = original
-    elif kind == "evp":
-        original = maker.generate_evp
-
-        def patched(*args, **kwargs):
-            routine = original(*args, **kwargs)
-            inner = routine.fn
-
-            def flipped(row):
-                verdict = inner(row)
-                if isinstance(verdict, bool):
-                    return not verdict
-                return verdict
-
-            routine.fn = flipped
-            return routine
-
-        maker.generate_evp = patched
-        try:
-            yield
-        finally:
-            maker.generate_evp = original
-    elif kind == "pipeline":
-        import dataclasses
-
-        original = maker.generate_pipeline
-
-        def patched(spec, *args, **kwargs):
-            if spec.qual is not None:
-                spec = dataclasses.replace(spec, qual=None)
-            return original(spec, *args, **kwargs)
-
-        maker.generate_pipeline = patched
-        try:
-            yield
-        finally:
-            maker.generate_pipeline = original
-    elif kind == "vector":
-        import dataclasses
-
-        original = maker.generate_vector
-
-        def patched(spec, *args, **kwargs):
-            if spec.qual is not None:
-                spec = dataclasses.replace(spec, qual=None)
-            return original(spec, *args, **kwargs)
-
-        maker.generate_vector = patched
-        try:
-            yield
-        finally:
-            maker.generate_vector = original
-    else:
+    if kind not in _BUGS:
         raise ValueError(f"unknown bug kind {kind!r} (use {BUG_KINDS})")
+    module_name, path, wrap = _BUGS[kind]
+    *owners, attr = path.split(".")
+    holder = importlib.import_module(module_name)
+    for owner in owners:
+        holder = getattr(holder, owner)
+    original = getattr(holder, attr)
+    setattr(holder, attr, wrap(original))
+    try:
+        yield
+    finally:
+        setattr(holder, attr, original)

@@ -25,15 +25,12 @@ from collections import Counter
 Outcome = tuple  # ("rows", list[tuple]) | ("status", str) | ("error", str)
 
 
-def run_statement(
-    db, sql: str, bees=None, pipelines=None, vectors=None, parallel=None
-) -> Outcome:
-    """Execute *sql* on *db* and capture the outcome (never raises)."""
+def run_statement(db, sql: str, bees=None) -> Outcome:
+    """Execute *sql* on *db* and capture the outcome (never raises).
+    *bees* is ``db.sql``'s per-statement toggle: ``False`` or an
+    explicit :class:`BeeSettings` point."""
     try:
-        result = db.sql(
-            sql, bees=bees, pipelines=pipelines, vectors=vectors,
-            parallel=parallel,
-        )
+        result = db.sql(sql, bees=bees)
     except Exception as exc:  # noqa: BLE001 — the comparison IS the handler
         return ("error", type(exc).__name__)
     if result.status.startswith("SELECT") or result.status == "EXPLAIN":

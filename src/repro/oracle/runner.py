@@ -1,19 +1,26 @@
-"""The differential campaign runner: N engines, one statement stream.
+"""The differential campaign runner: N plans, one statement stream.
 
 Every generated statement is executed against a stock-settings
 :class:`~repro.db.Database` and a bee-enabled one; their outcomes (rows,
 status, or error type) must match statement by statement.  On top of the
 engine diff, eligible SELECTs get three more lanes:
 
-* **bees-off**: the same query re-run on the bee database with the
-  per-query toggle (``db.sql(sql, bees=False)``) must equal the
-  specialized result — this isolates execution-path bugs from state
-  (storage) bugs, since both runs read the same physical tuples.
+* **N-way plans**: every tier is just another plan for the same
+  statement, so the query re-runs on the bee database — same physical
+  tuples — under every legal settings point and each must reproduce the
+  specialized result.  The points are the generic interpreter
+  (``bees=False``: isolates execution-path bugs from storage bugs) and
+  one per row of :data:`repro.bees.drivers.TIERS`, computed by
+  :func:`~repro.bees.drivers.settings_points`; a new tier row is
+  covered by construction.  Comparison is exact unless the row is
+  ``remote`` (partial sums re-associate across workers: order-
+  insensitive, float-tolerant).  The lane also counts, per tier, the
+  statements that actually *executed* there, and runs over hand-built
+  plans (:meth:`DifferentialOracle.run_queries`, the TPC-H slice) as
+  well as the fuzz stream — fuzz tables are too small for the worker
+  pool to dispatch.
 * **TLP + rewrites**: metamorphic self-consistency on each database
   (see :mod:`repro.oracle.metamorphic`).
-* **vector-vs-interpreter**: the same query re-run with the per-query
-  vector toggle (``db.sql(sql, vectors=True)``) — the NumPy columnar
-  kernels must reproduce the interpreter's rows exactly.
 * **columnar**: for ``SELECT SUM(..) FROM t WHERE ..`` over all-NOT-NULL
   scalar tables, the generic and specialized (CDL/fused) columnar
   executors must agree with the row engine.
@@ -28,15 +35,17 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator, Mapping
 
+from repro.bees import drivers
 from repro.bees.settings import BeeSettings
 from repro.db import Database
 from repro.oracle.generator import GenStatement, StatementGenerator
-from repro.oracle.inject import inject_bug
 from repro.oracle.metamorphic import check_tlp, rewrite_statements
 from repro.oracle.minimize import minimize_statements
 from repro.oracle.normalize import (
+    Outcome,
     canonical,
     describe_outcome,
     outcomes_equal,
@@ -70,6 +79,8 @@ class OracleReport:
     elapsed: float
     statement_counts: dict[str, int]
     check_counts: dict[str, int]
+    #: Per tier row, the statements that actually executed on it.
+    tier_counts: dict[str, int]
     divergences: list[Divergence]
     fingerprint: str
 
@@ -84,16 +95,9 @@ class OracleReport:
             "elapsed_seconds": round(self.elapsed, 3),
             "statements": dict(sorted(self.statement_counts.items())),
             "checks": dict(sorted(self.check_counts.items())),
+            "executed_on_tier": dict(self.tier_counts),
             "fingerprint": self.fingerprint,
-            "divergences": [
-                {
-                    "check": d.check,
-                    "sql": d.sql,
-                    "detail": d.detail,
-                    "repro": d.repro,
-                }
-                for d in self.divergences
-            ],
+            "divergences": [asdict(d) for d in self.divergences],
         }
 
     def summary(self) -> str:
@@ -109,6 +113,10 @@ class OracleReport:
             + ", ".join(
                 f"{kind}={count}"
                 for kind, count in sorted(self.check_counts.items())
+            ),
+            "on tier:    "
+            + ", ".join(
+                f"{tier}={count}" for tier, count in self.tier_counts.items()
             ),
         ]
         if self.ok:
@@ -127,6 +135,44 @@ def _sum_equal(expected, got) -> bool:
     return math.isclose(float(expected), float(got), rel_tol=1e-9, abs_tol=1e-6)
 
 
+def _on_tier(stats: dict, tier: drivers.Tier) -> int:
+    """How much work *stats* (``db.stats()``) attributes to *tier*: the
+    statements a remote tier's pool finished, else the tier's memoized
+    routines (plans are rebuilt per statement, so a statement that runs
+    on a local tier generates at least one)."""
+    if tier.remote:
+        pool = stats.get(tier.name, {})
+        return pool.get("statements", 0) - pool.get("degradations", 0)
+    return stats["bees"].get(f"{tier.name}_routines", 0)
+
+
+@dataclass(frozen=True)
+class PlanPoint:
+    """One settings point of the N-way lane."""
+
+    name: str
+    settings: BeeSettings
+    tier: drivers.Tier | None = None   # None: the generic interpreter
+
+    @property
+    def check(self) -> str:
+        return f"plan:{self.name}"
+
+    def agree(self, base: Outcome, out: Outcome, ordered: bool) -> bool:
+        if self.tier is not None and self.tier.remote:
+            return outcomes_equivalent(base, out)
+        return outcomes_equal(base, out, ordered=ordered)
+
+
+def plan_points(base: BeeSettings) -> list[PlanPoint]:
+    """The legal plans for one statement over *base*: generic on the
+    same storage, then one point per tier row."""
+    return [PlanPoint("generic", BeeSettings.stock())] + [
+        PlanPoint(tier.name, settings, tier)
+        for tier, settings in drivers.settings_points(base)
+    ]
+
+
 class DifferentialOracle:
     """Runs one seeded campaign across the engine pair."""
 
@@ -137,12 +183,8 @@ class DifferentialOracle:
         minimize: bool = True,
         minimize_trials: int = 120,
         minimize_cap: int = 8,
-        parallel_lane: bool = False,
     ) -> None:
         self.seed = seed
-        # The parallel lane spawns worker processes per campaign, so it
-        # is opt-in (--parallel on the CLI / the CI parallel leg).
-        self.parallel_lane = parallel_lane
         # Campaigns gate every emitted bee on beecheck by default: a
         # routine the static verifier rejects should never reach the
         # differential comparison (pass explicit settings to opt out).
@@ -155,35 +197,76 @@ class DifferentialOracle:
         self.generator = StatementGenerator(seed)
         self.stock = Database(BeeSettings.stock())
         self.bee = Database(self.bee_settings)
+        self.points = plan_points(self.bee_settings)
         self.history: list[GenStatement] = []
         self.divergences: list[Divergence] = []
         self.statement_counts: dict[str, int] = {}
         self.check_counts: dict[str, int] = {}
+        self.tier_counts = {
+            point.name: 0 for point in self.points if point.tier is not None
+        }
+        self.iterations = 0
+        self._started = time.monotonic()
         self._digest = hashlib.sha256()
+
+    def close(self) -> None:
+        """Release the bee database's worker pool, if one spawned."""
+        self.bee.close()
 
     # -- campaign --------------------------------------------------------------
 
     def run(
         self, iterations: int, time_budget: float | None = None
     ) -> OracleReport:
+        """Drive the seed's fuzz stream through every lane."""
         started = time.monotonic()
-        pending = list(self.generator.bootstrap())
-        executed = 0
-        while executed < iterations:
+        for stmt in self.generator.stream(iterations):
             if (
                 time_budget is not None
                 and time.monotonic() - started > time_budget
             ):
                 break
-            stmt = pending.pop(0) if pending else self.generator.next_statement()
             self._run_one(stmt)
-            executed += 1
+            self.iterations += 1
+        return self.report()
+
+    def run_queries(
+        self, db: Database, queries: Mapping[str, Callable[[Database], list]]
+    ) -> OracleReport:
+        """The N-way lane over hand-built plans: each ``query(db)`` runs
+        under *db*'s own settings and then under every plan point."""
+
+        def outcome(query) -> Outcome:
+            try:
+                return ("rows", [tuple(row) for row in query(db)])
+            except Exception as exc:  # noqa: BLE001 — the comparison IS the handler
+                return ("error", type(exc).__name__)
+
+        for label, query in queries.items():
+            self._count(self.statement_counts, "query")
+            base = outcome(query)
+
+            def run_at(settings, query=query) -> Outcome:
+                with db.use_settings(settings):
+                    return outcome(query)
+
+            for point, out in self._nway(db, base, run_at, ordered=False):
+                self.divergences.append(Divergence(
+                    point.check, label,
+                    f"{point.name}={describe_outcome(out)} "
+                    f"base={describe_outcome(base)}",
+                    repro=[],
+                ))
+        return self.report()
+
+    def report(self) -> OracleReport:
         return OracleReport(
             seed=self.seed,
-            iterations=executed,
-            elapsed=time.monotonic() - started,
+            iterations=self.iterations,
+            elapsed=time.monotonic() - self._started,
             statement_counts=self.statement_counts,
             check_counts=self.check_counts,
+            tier_counts=self.tier_counts,
             divergences=self.divergences,
             fingerprint=self._digest.hexdigest()[:16],
         )
@@ -207,15 +290,15 @@ class DifferentialOracle:
                 stmt,
                 f"stock={describe_outcome(out_stock)} "
                 f"bees={describe_outcome(out_bee)}",
-                self._engine_recheck(stmt),
+                lambda stock, bee: not outcomes_equal(
+                    run_statement(stock, stmt.sql),
+                    run_statement(bee, stmt.sql),
+                    ordered=stmt.ordered,
+                ),
             )
 
         if stmt.kind == "select" and out_bee[0] == "rows":
-            self._check_bees_off(stmt, out_bee)
-            self._check_pipeline_vs_interpreter(stmt, out_bee)
-            self._check_vector_vs_interpreter(stmt, out_bee)
-            if self.parallel_lane:
-                self._check_parallel_vs_serial(stmt, out_bee)
+            self._check_plans(stmt, out_bee)
         if stmt.tlp is not None and out_stock[0] == "rows" and out_bee[0] == "rows":
             self._check_metamorphic(stmt, out_stock, out_bee)
         if stmt.columnar is not None and out_stock[0] == "rows":
@@ -223,130 +306,47 @@ class DifferentialOracle:
 
         self.history.append(stmt)
 
-    def _check_bees_off(self, stmt: GenStatement, out_bee) -> None:
-        self._count(self.check_counts, "bees-off")
-        out_off = run_statement(self.bee, stmt.sql, bees=False)
-        if outcomes_equal(out_bee, out_off, ordered=stmt.ordered):
-            return
+    def _nway(
+        self, db: Database, base: Outcome, run_at, ordered: bool
+    ) -> Iterator[tuple[PlanPoint, Outcome]]:
+        """Re-run one statement under every plan point; yields the
+        points whose outcome disagrees with *base*.
 
-        def recheck(prefix: list[GenStatement]) -> bool:
-            try:
-                _, bee = self._replay(prefix)
+        Plans with nothing a tier can fuse (or relations too small to
+        fan out) fall down the ladder and compare trivially — the lane
+        still runs them, so a matcher that misfires on an 'unsupported'
+        shape is caught too; ``tier_counts`` records the statements
+        that really ran on each tier."""
+        before = db.stats()
+        for point in self.points:
+            self._count(self.check_counts, point.check)
+            out = run_at(point.settings)
+            if point.tier is not None:
+                after = db.stats()
+                if _on_tier(after, point.tier) > _on_tier(before, point.tier):
+                    self.tier_counts[point.name] += 1
+                before = after
+            if not point.agree(base, out, ordered):
+                yield point, out
+
+    def _check_plans(self, stmt: GenStatement, out_bee: Outcome) -> None:
+        def run_at(settings) -> Outcome:
+            return run_statement(self.bee, stmt.sql, bees=settings)
+
+        for point, out in self._nway(self.bee, out_bee, run_at, stmt.ordered):
+
+            def still_diverges(_stock, bee, point=point) -> bool:
                 a = run_statement(bee, stmt.sql)
-                b = run_statement(bee, stmt.sql, bees=False)
-                return not outcomes_equal(a, b, ordered=stmt.ordered)
-            except Exception:  # noqa: BLE001 — replay failure != repro
-                return False
+                b = run_statement(bee, stmt.sql, bees=point.settings)
+                return not point.agree(a, b, stmt.ordered)
 
-        self._record(
-            "bees-off",
-            stmt,
-            f"bees={describe_outcome(out_bee)} "
-            f"generic-on-same-storage={describe_outcome(out_off)}",
-            recheck,
-        )
-
-    def _check_pipeline_vs_interpreter(
-        self, stmt: GenStatement, out_bee
-    ) -> None:
-        """The fused-execution lane: every eligible SELECT re-runs with
-        the per-query pipeline toggle on; the fused pipeline bees and the
-        per-tuple Volcano interpreter read the same storage and must
-        produce the same rows.  Queries whose plans have no fusable
-        pipeline fall back to the generic executor and compare trivially
-        — the lane still runs them, so a fusion matcher that misfires on
-        an 'unsupported' shape is caught too."""
-        self._count(self.check_counts, "pipeline-vs-interpreter")
-        out_pipe = run_statement(self.bee, stmt.sql, pipelines=True)
-        if outcomes_equal(out_bee, out_pipe, ordered=stmt.ordered):
-            return
-
-        def recheck(prefix: list[GenStatement]) -> bool:
-            try:
-                _, bee = self._replay(prefix)
-                a = run_statement(bee, stmt.sql)
-                b = run_statement(bee, stmt.sql, pipelines=True)
-                return not outcomes_equal(a, b, ordered=stmt.ordered)
-            except Exception:  # noqa: BLE001 — replay failure != repro
-                return False
-
-        self._record(
-            "pipeline-vs-interpreter",
-            stmt,
-            f"fused={describe_outcome(out_pipe)} "
-            f"interpreter={describe_outcome(out_bee)}",
-            recheck,
-        )
-
-    def _check_vector_vs_interpreter(
-        self, stmt: GenStatement, out_bee
-    ) -> None:
-        """The columnar-execution lane: every eligible SELECT re-runs
-        with the per-query vector toggle on; the NumPy kernels decode
-        the same heap pages into chunks and must produce the same rows
-        as the per-tuple interpreter.  Plans with no vectorizable
-        pipeline fall back (vector -> pipeline -> generic) and compare
-        trivially — the lane still runs them, so a kernel emitted for an
-        'unsupported' shape is caught too."""
-        self._count(self.check_counts, "vector-vs-interpreter")
-        out_vec = run_statement(self.bee, stmt.sql, vectors=True)
-        if outcomes_equal(out_bee, out_vec, ordered=stmt.ordered):
-            return
-
-        def recheck(prefix: list[GenStatement]) -> bool:
-            try:
-                _, bee = self._replay(prefix)
-                a = run_statement(bee, stmt.sql)
-                b = run_statement(bee, stmt.sql, vectors=True)
-                return not outcomes_equal(a, b, ordered=stmt.ordered)
-            except Exception:  # noqa: BLE001 — replay failure != repro
-                return False
-
-        self._record(
-            "vector-vs-interpreter",
-            stmt,
-            f"vectorized={describe_outcome(out_vec)} "
-            f"interpreter={describe_outcome(out_bee)}",
-            recheck,
-        )
-
-    def _check_parallel_vs_serial(
-        self, stmt: GenStatement, out_bee
-    ) -> None:
-        """The morsel-fan lane: every eligible SELECT re-runs with the
-        per-query parallel toggle on; the worker pool reads snapshots of
-        the same heap pages and must produce the serial tiers' rows.
-        Comparison is order-insensitive and float-tolerant
-        (``outcomes_equivalent``): morsel partial sums re-associate, so
-        float aggregates may differ in the last ulps — anything beyond
-        that, or any non-float difference, is a divergence.  Small
-        relations bypass the pool (parallel -> serial anchor) and
-        compare trivially, which still exercises the bypass decision."""
-        self._count(self.check_counts, "parallel-vs-serial")
-        out_par = run_statement(self.bee, stmt.sql, parallel=True)
-        if outcomes_equivalent(out_bee, out_par):
-            return
-
-        def recheck(prefix: list[GenStatement]) -> bool:
-            bee = None
-            try:
-                _, bee = self._replay(prefix)
-                a = run_statement(bee, stmt.sql)
-                b = run_statement(bee, stmt.sql, parallel=True)
-                return not outcomes_equivalent(a, b)
-            except Exception:  # noqa: BLE001 — replay failure != repro
-                return False
-            finally:
-                if bee is not None:
-                    bee.close()
-
-        self._record(
-            "parallel-vs-serial",
-            stmt,
-            f"parallel={describe_outcome(out_par)} "
-            f"serial={describe_outcome(out_bee)}",
-            recheck,
-        )
+            self._record(
+                point.check,
+                stmt,
+                f"{point.name}={describe_outcome(out)} "
+                f"bees={describe_outcome(out_bee)}",
+                still_diverges,
+            )
 
     def _check_metamorphic(self, stmt: GenStatement, out_stock, out_bee) -> None:
         tlp = stmt.tlp
@@ -356,15 +356,11 @@ class DifferentialOracle:
             if detail is not None:
                 bee_side = label.endswith("bees")
 
-                def recheck(prefix, bee_side=bee_side):
-                    try:
-                        stock, bee = self._replay(prefix)
-                        target = bee if bee_side else stock
-                        return check_tlp(target, tlp) is not None
-                    except Exception:  # noqa: BLE001
-                        return False
+                def still_diverges(stock, bee, bee_side=bee_side) -> bool:
+                    target = bee if bee_side else stock
+                    return check_tlp(target, tlp) is not None
 
-                self._record(label, stmt, detail, recheck)
+                self._record(label, stmt, detail, still_diverges)
         for rewrite_label, rewritten_sql in rewrite_statements(tlp):
             for label, db, base in (
                 ("rewrite-stock", self.stock, out_stock),
@@ -376,15 +372,13 @@ class DifferentialOracle:
                     continue
                 bee_side = label.endswith("bees")
 
-                def recheck(prefix, bee_side=bee_side, rsql=rewritten_sql):
-                    try:
-                        stock, bee = self._replay(prefix)
-                        target = bee if bee_side else stock
-                        a = run_statement(target, stmt.sql)
-                        b = run_statement(target, rsql)
-                        return not outcomes_equal(a, b, ordered=False)
-                    except Exception:  # noqa: BLE001
-                        return False
+                def still_diverges(
+                    stock, bee, bee_side=bee_side, rsql=rewritten_sql
+                ) -> bool:
+                    target = bee if bee_side else stock
+                    a = run_statement(target, stmt.sql)
+                    b = run_statement(target, rsql)
+                    return not outcomes_equal(a, b, ordered=False)
 
                 self._record(
                     f"{label}:{rewrite_label}",
@@ -392,7 +386,7 @@ class DifferentialOracle:
                     f"base={describe_outcome(base)} "
                     f"rewritten={describe_outcome(out_rw)} "
                     f"({rewritten_sql})",
-                    recheck,
+                    still_diverges,
                 )
 
     # -- columnar lane ---------------------------------------------------------
@@ -446,46 +440,46 @@ class DifferentialOracle:
         detail = self._columnar_detail(stmt, self.stock)
         if detail is None:
             return
-
-        def recheck(prefix: list[GenStatement]) -> bool:
-            try:
-                stock, _ = self._replay(prefix)
-                return self._columnar_detail(stmt, stock) is not None
-            except Exception:  # noqa: BLE001
-                return False
-
-        self._record("columnar", stmt, detail, recheck)
+        self._record(
+            "columnar", stmt, detail,
+            lambda stock, _bee: self._columnar_detail(stmt, stock) is not None,
+        )
 
     # -- divergence recording and minimization ---------------------------------
 
-    def _replay(self, stmts: list[GenStatement]) -> tuple[Database, Database]:
-        stock = Database(BeeSettings.stock())
-        bee = Database(self.bee_settings)
-        for s in stmts:
-            run_statement(stock, s.sql)
-            run_statement(bee, s.sql)
-        return stock, bee
+    def _recheck(self, still_diverges) -> Callable[[list[GenStatement]], bool]:
+        """The one replay harness the minimizer calls: run a candidate
+        prefix on a fresh engine pair, ask *still_diverges(stock, bee)*,
+        and close the databases it replayed (a point may have spawned a
+        worker pool).  A replay that raises is not a repro."""
 
-    def _engine_recheck(self, stmt: GenStatement):
         def recheck(prefix: list[GenStatement]) -> bool:
+            stock = Database(BeeSettings.stock())
+            bee = Database(self.bee_settings)
             try:
-                stock, bee = self._replay(prefix)
-                a = run_statement(stock, stmt.sql)
-                b = run_statement(bee, stmt.sql)
-                return not outcomes_equal(a, b, ordered=stmt.ordered)
-            except Exception:  # noqa: BLE001
+                for s in prefix:
+                    run_statement(stock, s.sql)
+                    run_statement(bee, s.sql)
+                return bool(still_diverges(stock, bee))
+            except Exception:  # noqa: BLE001 — replay failure != repro
                 return False
+            finally:
+                stock.close()
+                bee.close()
 
         return recheck
 
-    def _record(self, check: str, stmt: GenStatement, detail: str, recheck) -> None:
+    def _record(
+        self, check: str, stmt: GenStatement, detail: str, still_diverges
+    ) -> None:
         prefix = list(self.history)
         # A badly broken engine produces dozens of near-identical
         # divergences; minimizing each replays the whole prefix per ddmin
         # trial, so only the first `minimize_cap` get the full treatment.
         if self.minimize and len(self.divergences) < self.minimize_cap:
             prefix = minimize_statements(
-                prefix, recheck, max_trials=self.minimize_trials
+                prefix, self._recheck(still_diverges),
+                max_trials=self.minimize_trials,
             )
         self.divergences.append(
             Divergence(
@@ -503,32 +497,12 @@ def run_campaign(
     time_budget: float | None = None,
     bee_settings: BeeSettings | None = None,
     minimize: bool = True,
-    parallel_lane: bool = False,
 ) -> OracleReport:
-    """Convenience wrapper: one oracle, one campaign."""
+    """Convenience wrapper: one oracle, one fuzz campaign."""
     oracle = DifferentialOracle(
-        seed, bee_settings=bee_settings, minimize=minimize,
-        parallel_lane=parallel_lane,
+        seed, bee_settings=bee_settings, minimize=minimize
     )
     try:
         return oracle.run(iterations, time_budget=time_budget)
     finally:
-        oracle.bee.close()   # release the worker pool, if one spawned
-
-
-def run_self_test(seed: int, iterations: int) -> dict[str, OracleReport]:
-    """Prove the oracle can catch bugs: inject one per bee kind and check
-    that the campaign reports divergences.  Returns reports by bug kind;
-    the caller decides what a miss means (the CLI exits nonzero)."""
-    reports = {}
-    for kind in ("gcl", "evp", "pipeline", "vector"):
-        with inject_bug(kind):
-            # Verification stays off here: beecheck would reject the
-            # broken routine at generation time, and this test must
-            # prove the *runtime* oracle catches what slips through.
-            reports[kind] = run_campaign(
-                seed, iterations,
-                bee_settings=BeeSettings.all_bees(),
-                minimize=False,
-            )
-    return reports
+        oracle.close()

@@ -9,7 +9,7 @@ Public surface:
 * :class:`QueryTimeout` — raised by ``db.sql(..., timeout=...)``.
 * :mod:`repro.resilience.chaos` — seeded fault injection at named
   sites; :mod:`repro.resilience.campaign` — the oracle-style chaos
-  campaign (``python -m repro.resilience``).
+  campaign (``python -m repro.verify --pass resilience``).
 """
 
 from repro.resilience.errors import BeeDegradeError, ChaosFault, QueryTimeout

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.bees.settings import BeeSettings
@@ -41,6 +41,7 @@ from repro.bees.walcache import BeeCacheWAL
 from repro.resilience.chaos import SITE_NAMES, SITES, ChaosInjector
 from repro.resilience.errors import ChaosFault
 from repro.resilience.registry import ResilienceRegistry
+from repro.verify.report import Finding, PassResult
 
 #: TPC-H queries covering scans, filters, joins, and aggregation.
 CAMPAIGN_QUERIES = (1, 3, 6, 14)
@@ -157,86 +158,7 @@ class SiteResult:
         return not self.mismatches and not self.escapes and self.evidence
 
     def to_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "description": self.description,
-            "statements": self.statements,
-            "mismatches": self.mismatches,
-            "escapes": self.escapes,
-            "fired": self.fired,
-            "faults_recorded": self.faults_recorded,
-            "quarantined": self.quarantined,
-            "evidence": self.evidence,
-            "ok": self.ok,
-        }
-
-
-@dataclass
-class CampaignReport:
-    seed: int
-    scale_factor: float
-    sites: list[SiteResult] = field(default_factory=list)
-    ladder: dict = field(default_factory=dict)
-    wal: dict = field(default_factory=dict)
-    server: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(site.ok for site in self.sites)
-            and self.ladder.get("ok", False)
-            and self.wal.get("ok", False)
-            and self.server.get("ok", False)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "scale_factor": self.scale_factor,
-            "ok": self.ok,
-            "sites": [site.to_dict() for site in self.sites],
-            "ladder": self.ladder,
-            "wal": self.wal,
-            "server": self.server,
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"chaos campaign: seed={self.seed} sf={self.scale_factor} "
-            f"sites={len(self.sites)}"
-        ]
-        for site in self.sites:
-            status = "ok" if site.ok else "FAIL"
-            detail = (
-                f"fired={site.fired} faults={site.faults_recorded} "
-                f"quarantined={len(site.quarantined)}"
-            )
-            if site.mismatches:
-                detail += f" mismatches={site.mismatches}"
-            if site.escapes:
-                detail += f" escapes={site.escapes}"
-            if not site.evidence:
-                detail += " (fault never triggered)"
-            lines.append(f"  [{status:4}] {site.site:16} {detail}")
-        ladder_status = "ok" if self.ladder.get("ok") else "FAIL"
-        lines.append(
-            f"  [{ladder_status:4}] ladder           "
-            f"vector_fired={self.ladder.get('vector_fired')} "
-            f"pipeline_fired={self.ladder.get('pipeline_fired')}"
-        )
-        wal_status = "ok" if self.wal.get("ok") else "FAIL"
-        lines.append(
-            f"  [{wal_status:4}] wal-torn         rounds={self.wal.get('rounds')} "
-            f"truncations={self.wal.get('truncations')}"
-        )
-        for name, lane in self.server.get("sites", {}).items():
-            status = "ok" if lane.get("ok") else "FAIL"
-            detail = f"fired={lane.get('fired')}"
-            if lane.get("failures"):
-                detail += f" failures={lane['failures']}"
-            lines.append(f"  [{status:4}] {name:24} {detail}")
-        lines.append(f"result: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
+        return {**asdict(self), "ok": self.ok}
 
 
 def _expected_outcomes(rows) -> dict[str, tuple]:
@@ -396,32 +318,57 @@ def run_wal_lane(seed: int, rounds: int = 16) -> dict:
     }
 
 
-def run_campaign(
-    seed: int = 0,
-    scale_factor: float = 0.002,
-    sites: tuple[str, ...] | None = None,
-) -> CampaignReport:
-    """The full chaos campaign: every site plus the WAL lane."""
-    from repro.workloads.tpch.dbgen import TPCHGenerator
-    from repro.workloads.tpch.loader import generate_rows
+def _lane_detail(lane: dict) -> str:
+    return ", ".join(
+        f"{key}={lane[key]}"
+        for key in ("mismatches", "escapes", "failures")
+        if lane.get(key)
+    ) or "fault never triggered"
 
+
+def run_campaign(
+    rows, seed: int = 0, sites: tuple[str, ...] | None = None
+) -> PassResult:
+    """The full chaos campaign over TPC-H *rows*: every site, the
+    ladder, the WAL lane and the server lane.  A site that mismatches
+    stock, lets a fault escape, or never fires is a finding."""
     from repro.resilience import serverlane
 
-    rows = generate_rows(TPCHGenerator(scale_factor, 20120401))
     expected = _expected_outcomes(rows)
-    report = CampaignReport(seed, scale_factor)
-    for name in sites or SITE_NAMES:
+    results = [
         # server=True sites need clients and latches; they run in the
         # server lane below, not the single-session site harness.
-        if not SITES[name].server:
-            report.sites.append(run_site(name, rows, expected, seed))
-    report.ladder = run_ladder_lane(rows, expected, seed)
-    report.wal = run_wal_lane(seed)
-    report.server = serverlane.run_server_lane(seed)
-    return report
+        run_site(name, rows, expected, seed)
+        for name in sites or SITE_NAMES
+        if not SITES[name].server
+    ]
+    lanes = {
+        "ladder": run_ladder_lane(rows, expected, seed),
+        "wal-torn": run_wal_lane(seed),
+    }
+    server_sites = serverlane.run_server_lane(seed)["sites"]
+    findings = [
+        Finding("chaos", site.site, _lane_detail(site.to_dict()))
+        for site in results
+        if not site.ok
+    ]
+    findings += [
+        Finding("chaos", name, _lane_detail(lane))
+        for name, lane in {**lanes, **server_sites}.items()
+        if not lane.get("ok", False)
+    ]
+    stats = {
+        "sites": len(results) + len(server_sites),
+        "lanes": len(lanes),
+        "faults_fired": sum(site.fired for site in results),
+        "by_site": {site.site: site.to_dict() for site in results},
+        "by_lane": lanes,
+        "by_server_site": server_sites,
+    }
+    return PassResult("resilience", stats, findings)
 
 
-def run_self_test(seed: int = 0, scale_factor: float = 0.002) -> dict:
+def run_self_test(rows, seed: int = 0) -> dict:
     """Prove the harness detects what the shield normally absorbs.
 
     Three deliberately *undefended* runs: a raising deform must surface
@@ -432,10 +379,7 @@ def run_self_test(seed: int = 0, scale_factor: float = 0.002) -> dict:
     fails.
     """
     from repro.resilience import serverlane
-    from repro.workloads.tpch.dbgen import TPCHGenerator
-    from repro.workloads.tpch.loader import generate_rows
 
-    rows = generate_rows(TPCHGenerator(scale_factor, 20120401))
     expected = _expected_outcomes(rows)
     verdicts = {}
     for name, expect in (("gcl-raise", "escapes"), ("evp-wrong-type", "mismatches")):

@@ -145,12 +145,15 @@ def _lane_disconnect(seed: int) -> dict:
             )
             conn.close()
             chaos.fired[site.name] += 1
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if server.sessions_active == 0:
-                break
-            time.sleep(0.01)
-        else:
+        def sessions_drained() -> bool:
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if server.sessions_active == 0:
+                    return True
+                time.sleep(0.01)
+            return False
+
+        if not sessions_drained():
             failures.append("disconnected sessions never closed")
         # The server must still serve a well-behaved client, and every
         # flip — applied or not — preserved the invariant.
@@ -158,6 +161,9 @@ def _lane_disconnect(seed: int) -> dict:
             total = client.sql(_SUM_SQL).rows[0][0]
         if total != 0:
             failures.append(f"invariant broken after disconnects: {total}")
+        # The handler closes that client's session asynchronously; wait
+        # for it so the reported counters do not depend on thread timing.
+        sessions_drained()
     evidence = site.triggered(chaos, server)
     stats = server.stats_snapshot()
     listener.close()

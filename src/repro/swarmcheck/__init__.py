@@ -13,18 +13,16 @@ three machine-checked proofs:
 3. **Escape** (:mod:`repro.swarmcheck.escape`) — no code path mutates a
    NumPy array after it enters the :class:`ChunkCache`.
 
-Run it: ``python -m repro.swarmcheck [--check]``.
+Run it: ``python -m repro.verify --pass swarmcheck [--check]``.
 """
 
 from repro.swarmcheck.registry import LOCAL, REGISTRY, SHARED, SharedState
-from repro.swarmcheck.report import PASSES, Finding, SwarmReport
+from repro.verify.report import Finding
 
 __all__ = [
     "Finding",
     "LOCAL",
-    "PASSES",
     "REGISTRY",
     "SHARED",
     "SharedState",
-    "SwarmReport",
 ]

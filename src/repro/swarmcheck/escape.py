@@ -12,8 +12,8 @@ or null-mask array after insertion.  Two proofs, belt and suspenders:
   attribute paths), ``out=`` destination kwargs, mutating ndarray
   methods, and any ``setflags`` call that does not *freeze*
   (``write=False`` is the one legal form — freezing is monotone).
-* **Runtime** — drive a vector-tier database, then assert every array
-  in every cached chunk reports ``flags.writeable == False`` (the
+* **Runtime** — after the corpus's vector-tier databases ran the fuzz
+  stream, assert every array in every cached chunk reports ``flags.writeable == False`` (the
   satellite freeze in ``ChunkCache.get`` makes accidental mutation an
   immediate ``ValueError`` rather than silent corruption).
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.swarmcheck.report import Finding
+from repro.verify.report import Finding
 
 #: Engine modules where chunk arrays live or flow.
 VECTOR_MODULES = (
@@ -173,39 +173,30 @@ def check_entries(entries) -> tuple[list, int]:
     return findings, arrays
 
 
-def runtime_check(statements: int = 40, seed: int = 0) -> tuple[list, int]:
-    """Drive a vector-tier database, then verify every cached array is
-    frozen.  Returns ``(findings, arrays_checked)``."""
-    from repro.bees.settings import BeeSettings
-    from repro.db import Database
-    from repro.oracle.generator import StatementGenerator
-    from repro.oracle.normalize import run_statement
-
-    db = Database(BeeSettings.vectorized())
-    generator = StatementGenerator(seed)
-    pending = list(generator.bootstrap())
-    executed = 0
-    while executed < statements:
-        stmt = pending.pop(0) if pending else generator.next_statement()
-        run_statement(db, stmt.sql)
-        executed += 1
-
-    findings, arrays = check_entries(db.chunk_cache._entries)
+def runtime_check(databases) -> tuple[list, int]:
+    """Verify every array the corpus *databases* left in their chunk
+    caches is frozen.  Returns ``(findings, arrays_checked)``."""
+    findings: list[Finding] = []
+    arrays = 0
+    for db in databases:
+        db_findings, db_arrays = check_entries(db.chunk_cache._entries)
+        findings.extend(db_findings)
+        arrays += db_arrays
     if arrays == 0:
         findings.append(Finding(
             "escape", "chunk-cache",
-            "runtime check cached no chunks — vector corpus did not "
-            "exercise the ChunkCache",
+            "runtime check found no cached chunks — the vector corpus "
+            "did not exercise the ChunkCache",
         ))
     return findings, arrays
 
 
-def run_escape(source, corpus) -> tuple[list[Finding], dict]:
+def run_escape(source, corpus, databases) -> tuple[list[Finding], dict]:
     """All three escape proofs; returns (findings, stats)."""
     findings = scan_modules(source)
     kernel_findings, kernels = scan_kernels(corpus)
     findings.extend(kernel_findings)
-    runtime_findings, arrays = runtime_check()
+    runtime_findings, arrays = runtime_check(databases)
     findings.extend(runtime_findings)
     stats = {
         "modules_scanned": len(VECTOR_MODULES),

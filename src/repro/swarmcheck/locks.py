@@ -33,7 +33,7 @@ import ast
 
 from repro.server.locks import HiveLocks, PSEUDO_GUARDS
 from repro.swarmcheck import registry as reg
-from repro.swarmcheck.report import Finding
+from repro.verify.report import Finding
 
 #: Modules whose writes the guarded-write check covers.
 SERVER_MODULES = ("server/core.py", "server/wal.py", "server/locks.py")

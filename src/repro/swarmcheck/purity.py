@@ -36,7 +36,7 @@ import struct
 
 from repro.beecheck import lint
 from repro.bees.routines.base import proto_entry
-from repro.swarmcheck.report import Finding
+from repro.verify.report import Finding
 
 #: Mutating container/ndarray methods (superset of what bees may emit).
 _MUTATORS = frozenset({

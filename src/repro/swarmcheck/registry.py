@@ -43,16 +43,6 @@ class SharedState:
     def key(self) -> str:
         return f"{self.cls}.{self.attr}"
 
-    def to_dict(self) -> dict:
-        return {
-            "cls": self.cls,
-            "attr": self.attr,
-            "scope": self.scope,
-            "guard": self.guard,
-            "epoch": self.epoch,
-            "note": self.note,
-        }
-
 
 def _shared(cls, attr, guard, epoch, note=""):
     return SharedState(cls, attr, SHARED, guard, epoch, note)

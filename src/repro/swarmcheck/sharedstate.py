@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from repro.hiveaudit.callgraph import CallGraph
 from repro.swarmcheck import registry as reg
-from repro.swarmcheck.report import Finding
+from repro.verify.report import Finding
 
 #: Every module on (or reachable from) the ``db.sql()`` execution path:
 #: the SQL front-end, planner, executor, all plan-node drivers, the bee
@@ -226,18 +226,6 @@ class WriteSite:
     verb: str           # assign | augassign | delete | call:<method> | global
     classification: str  # shared-mutable | statement-local | unclassified
     entry_key: str = ""  # matching registry entry / locality rule
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "function": self.qualname,
-            "line": self.lineno,
-            "cls": self.cls or "?",
-            "attr": self.attr,
-            "verb": self.verb,
-            "classification": self.classification,
-            "entry": self.entry_key,
-        }
 
 
 class _FnWriteScanner(ast.NodeVisitor):

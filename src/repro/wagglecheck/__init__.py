@@ -19,7 +19,7 @@ itself, before any code is generated, with three passes:
 * **sections** — every cached bee's data-section constants re-typed
   against the plan contract that generated them.
 
-See ``docs/WAGGLECHECK.md``.  Run with ``python -m repro.wagglecheck``.
+See ``docs/WAGGLECHECK.md``.  Run with ``python -m repro.verify --pass wagglecheck``.
 """
 
 from repro.wagglecheck.contracts import (
@@ -28,13 +28,12 @@ from repro.wagglecheck.contracts import (
     contracts_from_schema,
     kind_of_sql_type,
 )
-from repro.wagglecheck.report import Finding, WaggleReport
+from repro.verify.report import Finding
 
 __all__ = [
     "ColumnContract",
     "Finding",
     "TypeChecker",
-    "WaggleReport",
     "contracts_from_schema",
     "kind_of_sql_type",
 ]

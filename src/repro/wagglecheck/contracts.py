@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.catalog.schema import RelationSchema
 from repro.catalog.types import SQLType
 from repro.engine import expr as E
-from repro.wagglecheck.report import Finding
+from repro.verify.report import Finding
 
 KINDS = ("int", "float", "bool", "date", "string", "any")
 

@@ -33,7 +33,7 @@ from repro.engine.nodes import (
     SeqScan,
     Sort,
 )
-from repro.wagglecheck.report import Finding
+from repro.verify.report import Finding
 
 # Scalar fields that must match for two expression nodes of the same
 # type to be structurally equal (children compared recursively).

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.catalog.schema import Attribute
 from repro.wagglecheck.contracts import kind_of_sql_type
-from repro.wagglecheck.report import Finding
+from repro.verify.report import Finding
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 

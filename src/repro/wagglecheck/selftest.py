@@ -12,7 +12,7 @@ class.
 
 from __future__ import annotations
 
-from repro.analysis import run_injections
+from repro.verify.report import run_injections
 
 
 def _fixture():

@@ -45,7 +45,7 @@ from repro.wagglecheck.contracts import (
     contracts_from_schema,
     kind_of_sql_type,
 )
-from repro.wagglecheck.report import Finding
+from repro.verify.report import Finding
 
 #: Vector dtype family the columnar tier must choose per contract kind
 #: (numpy dtype ``kind`` codes: i=signed int, b=bool, f=float, O=object).

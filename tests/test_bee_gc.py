@@ -120,13 +120,13 @@ class TestInvalidationEdges:
         bee_before = db.relation("t").bee
         db.sql("SELECT a FROM t WHERE b > 1")
         module = db.bee_module
-        assert module._evp_by_expr
+        assert module.evp_entries()
         module.register_query_bee("plan-x")
 
         db.catalog.alter_relation(db.relation("t").schema)
 
         assert db.relation("t").bee is not bee_before
-        assert not module._evp_by_expr
+        assert not module.evp_entries()
         assert not module.cache.query_bees
         assert module.collector.collected_query_bees >= 1
 
@@ -155,6 +155,6 @@ class TestInvalidationEdges:
         db.sql("CREATE TABLE t (a int NOT NULL, b int NOT NULL)")
         db.create_index("t", "t_a", ["a"])
         module = db.bee_module
-        assert ("t", "t_a") in module._idx_by_index
+        assert [keys for keys, _routine in module.idx_entries()] == [[0]]
         db.sql("DROP TABLE t")
-        assert ("t", "t_a") not in module._idx_by_index
+        assert module.idx_entries() == []

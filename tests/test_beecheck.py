@@ -283,17 +283,20 @@ def test_selftest_catches_every_case():
 
 
 def test_cli_sweep_writes_report(tmp_path):
-    from repro.beecheck.cli import main
+    from repro.verify.cli import main
 
-    code = main(
-        ["--statements", "25", "--out", str(tmp_path), "--no-selftest"]
-    )
+    code = main([
+        "--pass", "beecheck", "--statements", "25",
+        "--out", str(tmp_path), "--no-selftest", "--check",
+    ])
     assert code == 0
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["ok"] is True
-    assert payload["routines_checked"] >= 46  # 23 schema sweeps x 2
-    assert payload["failures"] == 0
-    kinds = payload["routines_by_kind"]
+    assert list(payload["passes"]) == ["beecheck"]
+    result = payload["passes"]["beecheck"]
+    assert result["ok"] is True and result["findings"] == []
+    stats = result["stats"]
+    assert stats["routines_checked"] >= 46  # 23 schema sweeps x 2
+    kinds = stats["routines_by_kind"]
     assert kinds["gcl"] >= 23 and kinds["scl"] >= 23
 
 

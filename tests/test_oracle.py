@@ -180,7 +180,15 @@ class TestCampaign:
         assert report.iterations == 120
         # every lane actually ran
         assert report.check_counts["engine-diff"] == 120
-        assert report.check_counts["bees-off"] > 0
+        assert report.check_counts["plan:generic"] > 0
+        # one N-way point per tier row, each run for every SELECT
+        from repro.bees.drivers import TIERS
+
+        for tier in TIERS:
+            assert (
+                report.check_counts[f"plan:{tier.name}"]
+                == report.check_counts["plan:generic"]
+            )
         assert report.check_counts["tlp"] > 0
         assert report.check_counts["rewrite"] > 0
 
@@ -206,7 +214,8 @@ class TestInjectionSelfTest:
             report = run_campaign(0, 80, minimize=False)
         assert not report.ok
         assert any(
-            d.check in ("engine-diff", "bees-off") for d in report.divergences
+            d.check in ("engine-diff", "plan:generic")
+            for d in report.divergences
         )
 
     def test_catches_broken_evp(self):

@@ -174,6 +174,29 @@ class TestIsolation:
     def test_hive_locks_cover_every_registry_guard(self):
         assert HiveLocks().verify() == []
 
+    def test_read_modify_write_across_statements_loses_an_update(self, gate):
+        """Isolation is per statement.  Two sessions each read a balance
+        and write back a value computed from it; neither statement is
+        torn, yet one deposit vanishes — the anomaly a multi-statement
+        transaction would prevent, demonstrated rather than denied."""
+        _db, server = gate
+        read = "SELECT qty FROM gate_ledger WHERE id = 0"
+        with server.session() as alice, server.session() as bob:
+            start = alice.sql(read).rows[0][0]
+            seen_by_alice = alice.sql(read).rows[0][0]
+            seen_by_bob = bob.sql(read).rows[0][0]
+            alice.sql(
+                f"UPDATE gate_ledger SET qty = {seen_by_alice + 10} WHERE id = 0"
+            )
+            bob.sql(
+                f"UPDATE gate_ledger SET qty = {seen_by_bob + 5} WHERE id = 0"
+            )
+            final = bob.sql(read).rows[0][0]
+        assert server.stats.snapshot_violations == 0
+        assert server.stats.errors == 0
+        assert final == start + 5          # alice's +10 is lost
+        assert final != start + 15         # what serializable would give
+
 
 # -- the concurrency contract ------------------------------------------------
 

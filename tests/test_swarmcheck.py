@@ -17,8 +17,8 @@ from repro.swarmcheck import locks as locks_mod
 from repro.swarmcheck import purity as purity_mod
 from repro.swarmcheck import registry as registry_mod
 from repro.swarmcheck import sharedstate as shared_mod
-from repro.swarmcheck.corpus import collect
 from repro.swarmcheck.selftest import run_selftest
+from repro.verify.corpus import Corpus
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +28,11 @@ def source():
 
 @pytest.fixture(scope="module")
 def corpus():
-    routines, executed = collect(seed=0, statements=60)
-    assert executed == 120  # two databases, 60 statements each
-    return routines
+    with Corpus(seed=0, statements=60) as built:
+        # TPC-H + TPC-C batteries, then one fuzz database per local
+        # tier, 60 statements each
+        assert built.executed == 22 + 15 + 2 * 60
+        return [(entry.kind, entry.routine) for entry in built.routines]
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +59,7 @@ class TestPurity:
             ),
         )
         findings = purity_mod.check_routine("evp", bad)
-        assert any("global" in f.detail for f in findings)
+        assert any("global" in f.message for f in findings)
 
     def test_param_mutation_is_impure(self, corpus):
         evp = next(r for kind, r in corpus if kind == "evp")
@@ -68,7 +70,7 @@ class TestPurity:
             ),
         )
         findings = purity_mod.check_routine("evp", bad)
-        assert any("non-owned" in f.detail for f in findings)
+        assert any("non-owned" in f.message for f in findings)
 
     def test_agg_states_sink_is_declared(self, corpus):
         # AGG bees mutate their states parameter by design — that is
@@ -86,7 +88,7 @@ class TestPurity:
             ),
         )
         findings = purity_mod.check_routine("idx", bad)
-        assert any("whitelist" in f.detail for f in findings)
+        assert any("whitelist" in f.message for f in findings)
 
     def test_mutable_namespace_capture_is_impure(self, corpus):
         gcl = next(r for kind, r in corpus if kind == "gcl")
@@ -94,7 +96,7 @@ class TestPurity:
             gcl, namespace=dict(gcl.namespace or {}, _MEMO=[])
         )
         findings = purity_mod.check_routine("gcl", bad)
-        assert any("mutable list" in f.detail for f in findings)
+        assert any("mutable list" in f.message for f in findings)
 
     def test_writable_array_capture_is_impure(self, corpus):
         vec = next(r for kind, r in corpus if kind == "vector")
@@ -102,7 +104,7 @@ class TestPurity:
             vec, namespace=dict(vec.namespace or {}, _BUF=np.zeros(4))
         )
         findings = purity_mod.check_routine("vector", bad)
-        assert any("WRITABLE ndarray" in f.detail for f in findings)
+        assert any("WRITABLE ndarray" in f.message for f in findings)
 
     def test_frozen_array_capture_is_pure(self, corpus):
         vec = next(r for kind, r in corpus if kind == "vector")
@@ -120,7 +122,7 @@ class TestPurity:
             evj, source="static int hits = 0;\n" + evj.source
         )
         findings = purity_mod.check_routine("evj", bad)
-        assert any("static data" in f.detail for f in findings)
+        assert any("static data" in f.message for f in findings)
 
 
 class TestSharedState:
@@ -204,7 +206,7 @@ class TestEscape:
             ),
         )
         findings, _ = escape_mod.scan_kernels([("vector", bad)])
-        assert any("out=" in f.detail for f in findings)
+        assert any("out=" in f.message for f in findings)
 
     def test_cached_chunks_are_frozen(self):
         db = Database(BeeSettings.vectorized())
@@ -279,7 +281,7 @@ class TestLocks:
         assert text != source.text("server/core.py")
         patched = type(source)(overrides={"server/core.py": text})
         findings, _stats = locks_mod.run_locks(patched)
-        assert any("catalog latch" in f.detail for f in findings)
+        assert any("catalog latch" in f.message for f in findings)
 
 
 class TestSelftest:

@@ -1,5 +1,5 @@
 """Tests for wagglecheck: contracts, typeflow, rewrite replay, sections,
-the shared analysis scaffolding, and the CLI end-to-end."""
+the shared report schema, and the pass end-to-end through repro.verify."""
 
 import json
 
@@ -18,7 +18,7 @@ from repro.wagglecheck.contracts import (
     kind_of_sql_type,
     kind_of_value,
 )
-from repro.wagglecheck.report import Finding, WaggleReport
+from repro.verify.report import Finding, PassResult, Report
 from repro.wagglecheck.rewrite import RewriteChecker, expr_equal
 from repro.wagglecheck.sections import value_violation
 from repro.wagglecheck.typeflow import check_plan, check_relation
@@ -208,21 +208,23 @@ class TestSections:
 
 class TestReport:
     def test_ok_and_dict(self):
-        report = WaggleReport(seed=7, plans_checked=3)
+        result = PassResult("wagglecheck", stats={"plans_checked": 3})
+        report = Report(seed=7, statements=0, passes=[result])
         assert report.ok
-        report.selftest = {"case": True}
+        result.selftest = {"case": True}
         assert report.ok
-        report.findings.append(Finding("typeflow", "s", "boom"))
-        assert not report.ok
+        result.findings.append(Finding("typeflow", "s", "boom"))
+        assert not result.ok and not report.ok
         payload = report.to_dict()
         assert payload["seed"] == 7
-        assert payload["findings"][0]["pass"] == "typeflow"
-        assert payload["ok"] is False
+        waggle = payload["passes"]["wagglecheck"]
+        assert waggle["findings"][0]["pass"] == "typeflow"
+        assert waggle["ok"] is False
         json.dumps(payload)     # serializable
 
     def test_missed_injection_fails(self):
-        report = WaggleReport(seed=0, selftest={"a": True, "b": False})
-        assert not report.ok
+        result = PassResult("wagglecheck", selftest={"a": True, "b": False})
+        assert not result.ok
 
 
 class TestSelftest:
@@ -237,20 +239,30 @@ class TestSelftest:
 
 class TestAnalysisScaffold:
     def test_write_report(self, tmp_path):
-        from repro.analysis import write_report
+        report = Report(seed=0, statements=0, passes=[PassResult("p")])
+        path = report.write(tmp_path / "x")
+        assert path == tmp_path / "x" / "report.json"
+        assert json.loads(path.read_text())["passes"]["p"]["ok"] is True
+        summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+        assert summary["passes"]["p"]["sha256"] == PassResult("p").digest()
 
-        path = write_report({"ok": True}, tmp_path / "x")
-        assert path.read_text() == '{\n  "ok": true\n}\n'
+    def test_exit_code_policy(self, tmp_path, monkeypatch):
+        """A failing run only gates under --check."""
+        from repro.verify import cli
 
-    def test_exit_code_policy(self):
-        from repro.analysis import exit_code
-
-        assert exit_code(True) == 0
-        assert exit_code(False) == 1
-        assert exit_code(False, gate=False) == 0
+        failing = Report(seed=0, statements=0, passes=[
+            PassResult("p", findings=[Finding("typeflow", "s", "boom")])
+        ])
+        monkeypatch.setattr(cli, "run", lambda *a, **k: failing)
+        assert cli.main(["--out", str(tmp_path)]) == 0
+        assert cli.main(["--out", str(tmp_path), "--check"]) == 1
+        monkeypatch.setattr(
+            cli, "run", lambda *a, **k: Report(seed=0, statements=0)
+        )
+        assert cli.main(["--out", str(tmp_path), "--check"]) == 0
 
     def test_run_injections_crash_is_missed(self):
-        from repro.analysis import run_injections
+        from repro.verify import run_injections
 
         def boom():
             raise RuntimeError("planted")
@@ -261,10 +273,11 @@ class TestAnalysisScaffold:
 
 class TestEndToEnd:
     def test_small_run_clean(self, tmp_path):
-        from repro.wagglecheck.cli import main
+        from repro.verify.cli import main
 
         code = main(
             [
+                "--pass", "wagglecheck",
                 "--statements", "5",
                 "--no-selftest",
                 "--out", str(tmp_path),
@@ -273,8 +286,9 @@ class TestEndToEnd:
         )
         assert code == 0
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["ok"] is True
-        assert payload["plans_checked"] > 20
-        assert payload["rewrites_checked"] > 0
-        assert payload["sections_checked"] > 0
-        assert payload["findings"] == []
+        result = payload["passes"]["wagglecheck"]
+        assert result["ok"] is True
+        assert result["stats"]["plans_checked"] > 20
+        assert result["stats"]["rewrites_checked"] > 0
+        assert result["stats"]["sections_checked"] > 0
+        assert result["findings"] == []
