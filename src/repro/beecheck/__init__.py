@@ -13,7 +13,7 @@ and execution (see ``docs/BEECHECK.md``).  Its passes:
 * :mod:`repro.beecheck.transval` — translation validation against the
   generic ``layout.decode``/``encode``/``Expr.evaluate`` paths.
 
-Entry points: ``check_gcl`` / ``check_scl`` / ``check_evp`` /
+Entry points: ``check_gcl`` / ``check_gcl_cols`` / ``check_scl`` / ``check_evp`` /
 ``check_evj`` / ``check_agg`` / ``check_idx`` / ``check_pipeline`` /
 ``check_vector`` return reports, the ``verify_*`` variants raise
 :class:`BeecheckError`, and ``python -m repro.verify --pass beecheck``
@@ -29,6 +29,7 @@ from repro.beecheck.checker import (
     check_evj,
     check_evp,
     check_gcl,
+    check_gcl_cols,
     check_idx,
     check_pipeline,
     check_scl,
@@ -38,6 +39,7 @@ from repro.beecheck.checker import (
     verify_evj,
     verify_evp,
     verify_gcl,
+    verify_gcl_cols,
     verify_idx,
     verify_pipeline,
     verify_scl,
@@ -54,6 +56,7 @@ __all__ = [
     "check_evj",
     "check_evp",
     "check_gcl",
+    "check_gcl_cols",
     "check_idx",
     "check_pipeline",
     "check_scl",
@@ -63,6 +66,7 @@ __all__ = [
     "verify_evj",
     "verify_evp",
     "verify_gcl",
+    "verify_gcl_cols",
     "verify_idx",
     "verify_pipeline",
     "verify_scl",

@@ -35,6 +35,7 @@ whose factor ``a`` divides the alignment and the added constant.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 import struct
 
@@ -446,6 +447,29 @@ def check_gcl(routine, layout: TupleLayout) -> list[str]:
             )
         if idx != len(stmts) - 1:
             findings.append("statements after the result return")
+    return findings
+
+
+def check_gcl_cols(routine, layout: TupleLayout) -> list[str]:
+    """Prove the GCL column sink's reads against *layout*: its deform
+    statements through :func:`check_gcl` (on the row sink the lint
+    rewrites it into), its null-flag lists against the schema."""
+    from repro.beecheck.lint import gcl_cols_as_row_source
+
+    row_source, nullable, _envelope = gcl_cols_as_row_source(
+        routine.source, routine.name
+    )
+    if row_source is None:
+        return ["column sink does not rewrite into a row sink"]
+    findings = check_gcl(
+        dataclasses.replace(routine, source=row_source), layout
+    )
+    expected = [a.attnum for a in layout.schema.attributes if a.nullable]
+    if nullable != expected:
+        findings.append(
+            f"null flags kept for attributes {nullable}, schema has "
+            f"nullable attributes {expected}"
+        )
     return findings
 
 

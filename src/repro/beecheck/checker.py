@@ -34,7 +34,7 @@ class RoutineReport:
     """Verification outcome for one routine."""
 
     routine: str
-    kind: str                       # gcl | scl | evp | evj | agg | idx | tier
+    kind: str           # gcl | gcl_cols | scl | evp | evj | agg | idx | tier
     subject: str                    # relation name or predicate text
     passes: dict[str, str] = field(default_factory=dict)  # pass -> ok/fail
     findings: list[Finding] = field(default_factory=list)
@@ -67,6 +67,21 @@ def check_gcl(routine, layout: TupleLayout) -> RoutineReport:
     report.add("absint", absint.check_gcl(routine, layout))
     report.add("costaudit", costaudit.audit_gcl(routine, layout))
     report.add("transval", transval.validate_gcl(routine, layout))
+    return report
+
+
+def check_gcl_cols(routine, layout: TupleLayout) -> RoutineReport:
+    """Run the passes over one generated GCL column sink.
+
+    No costaudit lane: the sink charges nothing (the chunk decode that
+    calls it prices pages), and the lint's name whitelist has no
+    ``_charge`` to call.
+    """
+    report = RoutineReport(routine.name, "gcl_cols", layout.schema.name)
+    report.add("lint", lint.lint_gcl_cols(routine.source, routine.name))
+    report.add("determinism", lint.lint_determinism(routine.source))
+    report.add("absint", absint.check_gcl_cols(routine, layout))
+    report.add("transval", transval.validate_gcl_cols(routine, layout))
     return report
 
 
@@ -105,6 +120,10 @@ def enforce(report: RoutineReport) -> RoutineReport:
 
 def verify_gcl(routine, layout: TupleLayout) -> None:
     enforce(check_gcl(routine, layout))
+
+
+def verify_gcl_cols(routine, layout: TupleLayout) -> None:
+    enforce(check_gcl_cols(routine, layout))
 
 
 def verify_scl(routine, layout: TupleLayout) -> None:

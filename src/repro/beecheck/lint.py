@@ -339,6 +339,128 @@ def lint_gcl(source: str, name: str) -> list[str]:
     )
 
 
+# -- GCL column sink ----------------------------------------------------------
+#
+# The column sink is the GCL body inside a page loop: per-column append
+# binders, ``for raw in raws``, the same null-flag guard (escaping to the
+# reference column sink), the unrolled deform statements, then one append
+# per attribute.  The envelope is checked here; the deform statements
+# are checked by rewriting the routine into the row sink it was emitted
+# beside and running the GCL grammar (and, in absint, the offset proofs)
+# on that — one grammar, two sinks.
+
+_GCLC_GUARD = (
+    f"if raw[{HEADER_INFOMASK_BYTE}] & {INFOMASK_HAS_NULLS}:"
+    "\n    _slow((raw,), sections, cols, nulls)\n    continue"
+)
+_GCLC_BIND_COL = re.compile(r"a(\d+) = cols\[(\d+)\]\.append")
+_GCLC_BIND_NULL = re.compile(r"n(\d+) = nulls\[(\d+)\]\.append")
+_GCLC_PUT = re.compile(rf"a(\d+)\(({_V})\)")
+_GCLC_FLAG = re.compile(r"n(\d+)\(False\)")
+
+_GCLC_NAMES = re.compile(
+    r"v\d+|a\d+|n\d+|off|ln|raw|raws|sections|cols|nulls|_bv|_PREFIX|_VL"
+    r"|_S\d+|_slow|bool"
+)
+
+
+def gcl_cols_as_row_source(
+    source: str, name: str
+) -> tuple[str | None, list[int], list[str]]:
+    """Check the column sink's envelope and rewrite it as a row sink.
+
+    Returns ``(row_source, nullable, findings)``: the GCL row-sink
+    source with the same deform statements (``None`` when the envelope
+    is too broken to rewrite), the attnums the routine keeps null flags
+    for, and the envelope findings.  The rewritten return list is built
+    from the appends as emitted, so an attribute appended to the wrong
+    column shows up as a misordered row to the GCL checks.
+    """
+    findings: list[str] = []
+    fn = _parse_routine(
+        source, name, ("raws", "sections", "cols", "nulls"), findings
+    )
+    if fn is None:
+        return None, [], findings
+    _check_names(fn, _GCLC_NAMES, findings, _METHODS | {"append"})
+    body = list(fn.body)
+    if body and _is_docstring(body[0]):
+        body = body[1:]
+    if not body or not isinstance(body[-1], ast.For):
+        findings.append("column sink must end in the page loop")
+        return None, [], findings
+
+    def binders(pattern: re.Pattern, stmts: list[str], what: str) -> list[int]:
+        found = []
+        for text in stmts:
+            m = pattern.fullmatch(text)
+            if m is None or m.group(1) != m.group(2):
+                findings.append(f"bad {what} binder: {text!r}")
+            else:
+                found.append(int(m.group(1)))
+        return found
+
+    prologue = [ast.unparse(stmt) for stmt in body[:-1]]
+    n_cols = sum(1 for text in prologue if text.startswith("a"))
+    columns = binders(_GCLC_BIND_COL, prologue[:n_cols], "column")
+    nullable = binders(_GCLC_BIND_NULL, prologue[n_cols:], "null-flag")
+    if columns != list(range(len(columns))) or nullable != sorted(set(nullable)):
+        findings.append(
+            f"binders must cover columns 0..n in order, got {columns} "
+            f"and null flags {nullable}"
+        )
+
+    loop = body[-1]
+    if (
+        ast.unparse(loop.target) != "raw"
+        or ast.unparse(loop.iter) != "raws"
+        or loop.orelse
+    ):
+        findings.append("page loop must be exactly 'for raw in raws'")
+    stmts = list(loop.body)
+    if not stmts or ast.unparse(stmts[0]) != _GCLC_GUARD:
+        findings.append(
+            "loop must open with the null-flag escape to the reference "
+            "column sink"
+        )
+    stmts = stmts[1:]
+    n_tail = len(columns) + len(nullable)
+    tail = [ast.unparse(stmt) for stmt in stmts[len(stmts) - n_tail:]]
+    puts = [_GCLC_PUT.fullmatch(text) for text in tail[:len(columns)]]
+    flags = [_GCLC_FLAG.fullmatch(text) for text in tail[len(columns):]]
+    if (
+        len(stmts) < n_tail
+        or None in puts
+        or [int(m.group(1)) for m in puts] != columns
+        or None in flags
+        or [int(m.group(1)) for m in flags] != nullable
+    ):
+        findings.append(
+            "loop must close with one append per column, in column "
+            f"order, then one False per null-flag list; got {tail}"
+        )
+        return None, nullable, findings
+
+    deform = "\n".join(ast.unparse(stmt) for stmt in stmts[:-n_tail])
+    row_source = (
+        f"def {name}(raw, sections):\n"
+        f"    if raw[{HEADER_INFOMASK_BYTE}] & {INFOMASK_HAS_NULLS}:\n"
+        "        return _slow(raw, sections)\n"
+        f"    _charge({name!r}, _COST)\n"
+        + "".join(f"    {line}\n" for line in deform.splitlines())
+        + f"    return [{', '.join(m.group(2) for m in puts)}]\n"
+    )
+    return row_source, nullable, findings
+
+
+def lint_gcl_cols(source: str, name: str) -> list[str]:
+    """Lint one generated GCL column sink; returns finding messages."""
+    row_source, _nullable, findings = gcl_cols_as_row_source(source, name)
+    if row_source is not None:
+        findings += lint_gcl(row_source, name)
+    return findings
+
+
 # -- SCL ---------------------------------------------------------------------
 
 _ARG = r"(values\[\d+\]|int\(values\[\d+\]\)|_char\(values\[\d+\], \d+, '[^']*'\))"

@@ -33,6 +33,7 @@ from repro.beecheck.checker import (
     check_evj,
     check_evp,
     check_gcl,
+    check_gcl_cols,
     check_idx,
     check_pipeline,
     check_scl,
@@ -139,6 +140,17 @@ def run_selftest() -> dict[str, bool]:
     tampered = dataclasses.replace(gcl, cost=gcl.cost + 10)
     results["tamper-gcl-cost"] = caught_statically(
         check_gcl(tampered, layout)
+    )
+
+    # The column sink shares the GCL grammar through a rewrite into its
+    # row sink: two attributes appended to each other's columns leave
+    # every offset intact and come back as a misordered row.
+    gcl_cols = maker_mod.generate_gcl_columns(layout, "GCLC_selftest")
+    tampered = _tamper(
+        gcl_cols, "a0(v0)\n        a1(v1)", "a0(v1)\n        a1(v0)"
+    )
+    results["tamper-gclc-columns"] = caught_statically(
+        check_gcl_cols(tampered, layout)
     )
 
     tampered = _tamper(scl, "pad = ((off + 3) & -4)", "pad = ((off + 1) & -2)")

@@ -220,6 +220,49 @@ def validate_gcl(routine, layout: TupleLayout) -> list[str]:
     return findings
 
 
+def validate_gcl_cols(routine, layout: TupleLayout) -> list[str]:
+    """Cross-check the compiled GCL column sink against the reference
+    decoder (:func:`~repro.bees.vector.chunks.reference_column_sink`)
+    over one page holding every enumerated tuple, NULL-bearing ones
+    (which must take the slow path, in order) included."""
+    from repro.bees.vector.chunks import column_scratch, reference_column_sink
+
+    bee_id = _BEE_ID if layout.has_beeid else 0
+    rows = _layout_rows(layout)
+    nullables = [
+        ([None if isnull[i] else rows[0][i] for i in range(len(isnull))], isnull)
+        for isnull in _null_patterns(layout)
+    ]
+    # NULL-bearing tuples go between the others, not after them.
+    tuples = [(values, None) for values in rows]
+    for at, entry in enumerate(nullables):
+        tuples.insert(min(2 * at + 1, len(tuples)), entry)
+    # One beeID for the page: the section, not the tuple, holds the bee
+    # attributes' values, so every tuple decodes to rows[0]'s.
+    raws = [layout.encode(values, isnull, bee_id) for values, isnull in tuples]
+    sections = (
+        {bee_id: layout.bee_key(rows[0])} if layout.has_beeid else {}
+    )
+
+    want_cols, want_nulls = column_scratch(layout.schema)
+    reference_column_sink(layout)(raws, sections, want_cols, want_nulls)
+    got_cols, got_nulls = column_scratch(layout.schema)
+    try:
+        routine.fn(raws, sections, got_cols, got_nulls)
+    except Exception as exc:  # noqa: BLE001 — a crash IS a finding
+        return [f"raised {type(exc).__name__} over {len(raws)} tuples: {exc}"]
+    findings: list[str] = []
+    for a, (got, want) in enumerate(zip(got_cols, want_cols)):
+        if not _rows_eq(got, want):
+            findings.append(
+                f"column {a} mismatch: got {got[:4]!r}..., reference "
+                f"decoder gives {want[:4]!r}... ({len(got)}/{len(want)} rows)"
+            )
+    if got_nulls != want_nulls:
+        findings.append("null flags differ from the reference decoder's")
+    return findings[:MAX_FINDINGS]
+
+
 # -- SCL ---------------------------------------------------------------------
 
 

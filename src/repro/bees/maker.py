@@ -19,7 +19,7 @@ from repro.bees.vector.codegen import generate_vector
 from repro.bees.routines.base import BeeRoutine
 from repro.bees.routines.evj import EVJRoutine, instantiate_evj
 from repro.bees.routines.evp import generate_evp
-from repro.bees.routines.gcl import generate_gcl
+from repro.bees.routines.gcl import generate_gcl, generate_gcl_columns
 from repro.bees.routines.scl import generate_scl
 from repro.engine.expr import Expr
 from repro.storage.layout import TupleLayout
@@ -31,18 +31,22 @@ class RelationBee:
 
     There is exactly one relation bee per relation (paper, Section III);
     when the relation is annotated, the bee also owns the data sections its
-    tuple bees index with their beeIDs.
+    tuple bees index with their beeIDs.  GCL comes with two sinks over one
+    unrolled deform body: ``gcl`` returns a tuple's value list (scans,
+    DML match scans), ``gcl_cols`` appends a page of tuples onto
+    per-column lists (the vector tier's chunk decode).
     """
 
     relation: str
     layout: TupleLayout
     gcl: BeeRoutine
+    gcl_cols: BeeRoutine
     scl: BeeRoutine
     data_sections: DataSectionStore | None = None
 
     @property
     def routines(self) -> list[BeeRoutine]:
-        return [self.gcl, self.scl]
+        return [self.gcl, self.gcl_cols, self.scl]
 
     def sections_list(self) -> list[tuple]:
         """Data sections as a beeID-indexed list (empty when unannotated)."""
@@ -90,17 +94,19 @@ class BeeMaker:
         """Create the relation bee for *layout* (schema-definition time)."""
         name = layout.schema.name
         gcl = generate_gcl(layout, self.ledger, f"GCL_{name}")
+        gcl_cols = generate_gcl_columns(layout, f"GCLC_{name}")
         scl = generate_scl(layout, self.ledger, f"SCL_{name}")
         if self.verify:
             # Imported lazily: beecheck imports the routine generators.
-            from repro.beecheck import verify_gcl, verify_scl
+            from repro.beecheck import verify_gcl, verify_gcl_cols, verify_scl
 
             verify_gcl(gcl, layout)
+            verify_gcl_cols(gcl_cols, layout)
             verify_scl(scl, layout)
         sections = None
         if layout.bee_attrs:
             sections = DataSectionStore(name, layout.bee_attrs)
-        return RelationBee(name, layout, gcl, scl, sections)
+        return RelationBee(name, layout, gcl, gcl_cols, scl, sections)
 
     def make_evp(self, expr: Expr, assume_not_null: bool = False) -> BeeRoutine:
         """Specialize a bound predicate into an EVP routine."""

@@ -149,7 +149,9 @@ class GenericBeeModule:
         self.cache.put_relation_bee(bee)
         if self.registry is not None:
             self.registry.clear_prefix(
-                f"GCL_{layout.schema.name}", f"SCL_{layout.schema.name}"
+                f"GCL_{layout.schema.name}",
+                f"GCLC_{layout.schema.name}",
+                f"SCL_{layout.schema.name}",
             )
         return bee
 
@@ -168,6 +170,7 @@ class GenericBeeModule:
             # Quarantine state describes bees that no longer exist.
             self.registry.clear_prefix(
                 f"GCL_{relation}",
+                f"GCLC_{relation}",
                 f"SCL_{relation}",
                 f"IDX_{relation}_",
                 f"PIPE:{relation}:",

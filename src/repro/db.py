@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.bees.maker import RelationBee
 from repro.bees.module import GenericBeeModule
 from repro.bees.settings import BeeSettings
-from repro.bees.vector.chunks import ChunkCache
+from repro.bees.vector.chunks import ChunkCache, reference_column_sink
 from repro.catalog import Catalog, RelationSchema
 from repro.cost import Ledger, TimeModel
 from repro.cost.ledger import LedgerSnapshot
@@ -49,6 +50,11 @@ class Relation:
         self.heap = heap
         self.generic_deformer = generic_deformer
         self.generic_filler = generic_filler
+        self.reference_sink = reference_column_sink(layout)
+        #: Admission of the page decoder behind the vector tier's chunks
+        #: (``column_sink() -> sink(raws, sections, cols, nulls)``); the
+        #: owning Database rewires it to consult its settings and shield.
+        self.column_sink: Callable[[], Callable] = lambda: self.reference_sink
         self.bee = bee
         self.indexes: dict[str, object] = {}
         self._index_keys: dict[str, list[int]] = {}
@@ -184,6 +190,11 @@ class Database:
         bee = None
         if self.settings.gcl or self.settings.scl or bee_attrs:
             bee = self.bee_module.create_relation_bee(layout)
+        relation = self._new_relation(schema, layout, heap, bee)
+        self._relations[schema.name] = relation
+        return relation
+
+    def _new_relation(self, schema, layout, heap, bee) -> Relation:
         relation = Relation(
             schema,
             layout,
@@ -192,8 +203,23 @@ class Database:
             GenericFiller(layout, self.ledger),
             bee,
         )
-        self._relations[schema.name] = relation
+        relation.column_sink = partial(self._admit_column_sink, relation)
         return relation
+
+    def _admit_column_sink(self, rel: Relation) -> Callable:
+        """Deform admission for a chunk decode of *rel* — the column
+        twin of :func:`repro.engine.nodes.admit_deform`: the relation
+        bee's GCL column sink while ``settings.gcl`` is on (under
+        beeshield, guarded per page and only while not quarantined),
+        the reference decoder otherwise."""
+        settings = self.settings
+        if not (settings.gcl and rel.bee is not None):
+            return rel.reference_sink
+        if settings.shield:
+            return self.shield.column_sink(
+                rel.bee.gcl_cols, rel.reference_sink
+            )
+        return rel.bee.gcl_cols.fn
 
     def create_index(
         self,
@@ -295,14 +321,7 @@ class Database:
         bee = None
         if self.settings.gcl or self.settings.scl or bee_attrs:
             bee = self.bee_module.reconstruct_relation_bee(layout)
-        new_rel = Relation(
-            schema,
-            layout,
-            heap,
-            GenericDeformer(layout, self.ledger),
-            GenericFiller(layout, self.ledger),
-            bee,
-        )
+        new_rel = self._new_relation(schema, layout, heap, bee)
         index_specs = [
             (index.name, index.key_columns, index.kind, index.unique)
             for index in rel.indexes.values()
@@ -601,6 +620,7 @@ class Database:
         )
         return copy.deepcopy({
             "bees": self.bee_module.statistics(),
+            "chunks": self.chunk_cache.statistics(),
             "resilience": self.resilience.report(),
             "parallel": parallel.snapshot(),
             "server": server,

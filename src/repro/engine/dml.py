@@ -3,14 +3,19 @@
 The write path is where SCL (specialized fill) and tuple-bee creation live:
 each inserted row is encoded by the SCL bee routine (or the generic
 ``heap_fill_tuple``), after the annotated attribute values are resolved to
-a beeID through the relation bee's data sections.
+a beeID through the relation bee's data sections.  The match scan of
+UPDATE/DELETE deforms through the same admission a ``SeqScan`` uses (the
+relation bee's GCL when enabled and healthy); the by-TID paths deform their
+one tuple generically.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.cost import constants as C
+from repro.engine.nodes import ExecContext, admit_deform
+from repro.resilience.errors import BeeDegradeError, is_verification_refusal
 
 
 class RowWriter:
@@ -76,16 +81,73 @@ def copy_from(db, relation_name: str, rows: Iterable[Sequence]) -> int:
     return count
 
 
+def _scan_matches(ctx: ExecContext, rel, predicate: Callable, generic: bool):
+    """One pass of the match scan: ``[(tid, values)]`` of the rows
+    *predicate* accepts."""
+    if generic:
+        deform, checked = rel.generic_deformer, False
+    else:
+        deform, checked = admit_deform(ctx, rel)
+    sections = rel.sections_list()
+    charge = ctx.ledger.charge
+    natts = rel.layout.schema.natts
+    matches = []
+    for tid, raw in rel.heap.scan():
+        charge(C.SEQSCAN_NEXT)
+        values = deform(raw, sections)
+        if checked and len(values) != natts:
+            ctx.shield.fault("gcl", rel.bee.gcl.name, "arity")
+        if predicate(values):
+            matches.append((tid, values))
+    return matches
+
+
+def match_rows(db, rel, predicate: Callable) -> list:
+    """The match scan of UPDATE/DELETE: ``[(tid, values)]`` for every
+    live row of *rel* that *predicate* accepts.
+
+    The scan mutates nothing, so under beeshield a fault in the
+    specialized pass (a raising or wrong-arity GCL, a faulting EVP
+    behind *predicate*) is recorded against the bee, the ledger is
+    rolled back to the scan's start, and the scan is redone once with
+    the generic deformer and ``predicate.generic`` (the bee-free twin a
+    specialized predicate carries; a plain callable is its own twin).
+    An exception not raised inside a bee is the caller's error.
+    """
+    ctx = ExecContext(db)
+    shield = ctx.shield
+    if shield is None:
+        return _scan_matches(ctx, rel, predicate, generic=False)
+    # Snapshot/rollback are multi-counter operations: under the server
+    # they take the ledger lock, as the executor's statement retry does.
+    with db.locks.ledger_lock:
+        snapshot = db.ledger.snapshot()
+    try:
+        matches = _scan_matches(ctx, rel, predicate, generic=False)
+    except BeeDegradeError as fault:
+        shield.registry.record_failure(
+            fault.bee, site=fault.site, kind=fault.kind, error=fault.original
+        )
+    except Exception as exc:  # noqa: BLE001 — the guard is the handler
+        family, key = shield.attribute(exc, db.bee_module)
+        if family is None or is_verification_refusal(exc):
+            raise      # not raised inside a bee: the caller's error
+        shield.registry.record_failure(
+            key, site=family, kind="exception", error=exc
+        )
+    else:
+        shield.statement_ok(ctx.shield_used)
+        return matches
+    with db.locks.ledger_lock:
+        db.ledger.rollback_to(snapshot)
+    predicate = getattr(predicate, "generic", predicate)
+    return _scan_matches(ctx, rel, predicate, generic=True)
+
+
 def delete_rows(db, relation_name: str, predicate) -> int:
     """Delete every row matching *predicate* (a values-list callable)."""
     rel = db.relation(relation_name)
-    sections = rel.sections_list()
-    doomed = []
-    for tid, raw in rel.heap.scan():
-        db.ledger.charge(C.SEQSCAN_NEXT)
-        values = rel.generic_deformer(raw, sections)
-        if predicate(values):
-            doomed.append((tid, values))
+    doomed = match_rows(db, rel, predicate)
     for tid, values in doomed:
         rel.heap.delete(tid)
         rel.index_delete(values, tid)
@@ -97,13 +159,7 @@ def update_rows(db, relation_name: str, predicate, updater) -> int:
     """Update matching rows: *updater* maps old values to new values."""
     rel = db.relation(relation_name)
     writer = RowWriter(db, relation_name)
-    sections = rel.sections_list()
-    matches = []
-    for tid, raw in rel.heap.scan():
-        db.ledger.charge(C.SEQSCAN_NEXT)
-        values = rel.generic_deformer(raw, sections)
-        if predicate(values):
-            matches.append((tid, values))
+    matches = match_rows(db, rel, predicate)
     for tid, old_values in matches:
         new_values = updater(list(old_values))
         rel.heap.delete(tid)

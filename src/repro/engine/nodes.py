@@ -86,6 +86,31 @@ class PlanNode:
         return "\n".join(lines)
 
 
+def admit_deform(ctx: ExecContext, rel):
+    """Deform admission for one scan of *rel*: ``(deform, checked)``.
+
+    *deform* is the relation bee's GCL when the statement's settings
+    enable it — under beeshield only while it is not quarantined, and
+    wrapped in the per-call budget when one is armed — and the generic
+    ``slot_deform_tuple`` otherwise.  *checked* tells the caller to
+    compare each result's arity against the schema and raise the
+    statement-retry signal (``ctx.shield.fault("gcl", name, "arity")``)
+    on a mismatch: true exactly for a shielded GCL.  Every tuple-at-a-
+    time scan — SeqScan, IndexScan, the DML match scan — admits here.
+    """
+    generic = rel.generic_deformer
+    if not (ctx.settings.gcl and rel.bee is not None):
+        return generic, False
+    gcl = rel.bee.gcl
+    shield = ctx.shield
+    if shield is None:
+        return gcl.fn, False
+    deform = shield.admit_deform(ctx, gcl, generic)
+    if deform is generic:
+        return generic, False
+    return shield.maybe_timed(deform, "gcl", gcl.name), True
+
+
 class SeqScan(PlanNode):
     """Sequential heap scan; deforms via GCL bee or generic path."""
 
@@ -112,20 +137,11 @@ class SeqScan(PlanNode):
         if shield is not None:
             shield.scrub_sections(rel)
         sections = rel.sections_list()
-        specialized = False
-        if ctx.settings.gcl and rel.bee is not None:
-            if shield is not None:
-                deform = shield.admit_deform(ctx, rel.bee.gcl, rel.generic_deformer)
-                specialized = deform is not rel.generic_deformer
-            else:
-                deform = rel.bee.gcl.fn
-        else:
-            deform = rel.generic_deformer
+        deform, checked = admit_deform(ctx, rel)
         per_row = C.SEQSCAN_NEXT + C.SLOT_STORE + C.NODE_OVERHEAD
         charge = ctx.ledger.charge
-        if specialized:
+        if checked:
             gcl_name = rel.bee.gcl.name
-            deform = shield.maybe_timed(deform, "gcl", gcl_name)
             natts = rel.layout.schema.natts
             for _tid, raw in rel.heap.scan():
                 charge(per_row)
@@ -178,20 +194,11 @@ class IndexScan(PlanNode):
         if shield is not None:
             shield.scrub_sections(rel)
         sections = rel.sections_list()
-        specialized = False
-        if ctx.settings.gcl and rel.bee is not None:
-            if shield is not None:
-                deform = shield.admit_deform(ctx, rel.bee.gcl, rel.generic_deformer)
-                specialized = deform is not rel.generic_deformer
-            else:
-                deform = rel.bee.gcl.fn
-        else:
-            deform = rel.generic_deformer
+        deform, checked = admit_deform(ctx, rel)
         per_row = C.INDEXSCAN_NEXT + C.SLOT_STORE + C.NODE_OVERHEAD
         charge = ctx.ledger.charge
-        if specialized:
+        if checked:
             gcl_name = rel.bee.gcl.name
-            deform = shield.maybe_timed(deform, "gcl", gcl_name)
             natts = rel.layout.schema.natts
             for tid in tids:
                 charge(per_row)

@@ -142,6 +142,23 @@ def _reads_attribute(fn: ast.FunctionDef, attr: str) -> bool:
     return False
 
 
+def _page_bump_per_version_bump(fn: ast.FunctionDef) -> bool:
+    """As many ``page_versions[...] += 1`` as ``version += 1`` (> 0)."""
+    bumps = [
+        node.target for node in ast.walk(fn) if isinstance(node, ast.AugAssign)
+    ]
+    heap = sum(
+        1 for t in bumps if isinstance(t, ast.Attribute) and t.attr == "version"
+    )
+    pages = sum(
+        1 for t in bumps
+        if isinstance(t, ast.Subscript)
+        and isinstance(t.value, ast.Attribute)
+        and t.value.attr == "page_versions"
+    )
+    return heap > 0 and heap == pages
+
+
 def _check_integrity(graph: CallGraph, findings: list) -> None:
     for name, qualname, description in INTEGRITY_CHECKS:
         info = graph.functions.get(qualname)
@@ -156,6 +173,8 @@ def _check_integrity(graph: CallGraph, findings: list) -> None:
             ok = _has_string_constant(info.node, "PAR:")
         elif name == "parallel-epoch-consulted":
             ok = _reads_attribute(info.node, "query_epoch")
+        elif name == "page-version-tracks-heap-version":
+            ok = _page_bump_per_version_bump(info.node)
         else:  # query-budget-evicts
             ok = _has_subscript_delete(info.node, "query_bees")
         if not ok:

@@ -73,6 +73,8 @@ _LAYOUT = {"catalog.schema", "layout.offsets"}
 
 GENERATORS = (
     _spec("gcl", "bees/routines/gcl.py", "generate_gcl", layout=_LAYOUT),
+    _spec("gcl_cols", "bees/routines/gcl.py", "generate_gcl_columns",
+          layout=_LAYOUT),
     _spec("scl", "bees/routines/scl.py", "generate_scl", layout=_LAYOUT),
     _spec("evp", "bees/routines/evp.py", "generate_evp",
           expr={"plan.constants"}),
@@ -96,6 +98,7 @@ GENERATORS = (
 # finds less has degraded and is itself reported as a finding.
 EXPECTED_EMBEDDINGS = {
     "gcl": frozenset(_LAYOUT),
+    "gcl_cols": frozenset(_LAYOUT),
     "scl": frozenset(_LAYOUT),
     "evp": frozenset({"plan.constants"}),
     "evj": frozenset({"plan.constants"}),

@@ -49,7 +49,9 @@ _STORAGE_MODULES = ("storage/heapfile.py", "storage/buffer.py")
 
 # Attributes whose element-level mutation inside storage/ marks the
 # owning function as a storage primitive.
-_STORAGE_ATTRS = frozenset({"pages", "live_count", "_resident"})
+_STORAGE_ATTRS = frozenset({
+    "pages", "page_versions", "live_count", "_resident",
+})
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,9 @@ def _scan_storage_primitives(graph: CallGraph, sites: list) -> None:
                     if base in _STORAGE_ATTRS:
                         mutated = base
             elif isinstance(node, ast.AugAssign):
-                base = _attr_name(node.target)
+                base = _subscript_base_attr(node.target) or _attr_name(
+                    node.target
+                )
                 if base in _STORAGE_ATTRS:
                     mutated = base
             elif isinstance(node, ast.Delete):

@@ -140,6 +140,17 @@ INTEGRITY_CHECKS = (
         "the query-bee budget must actually delete cache entries, not "
         "just account for them",
     ),
+    *(
+        (
+            "page-version-tracks-heap-version",
+            qualname,
+            "every bump of HeapFile.version must bump the touched page's "
+            "page_versions counter — the chunk cache re-decodes only "
+            "pages whose counter moved, so a silent mutation would be "
+            "spliced in stale",
+        )
+        for qualname in ("HeapFile.insert", "HeapFile.delete")
+    ),
     (
         "parallel-prefix-invalidated",
         "GenericBeeModule.invalidate_query_bees",

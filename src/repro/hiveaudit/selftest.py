@@ -118,6 +118,14 @@ CASES = (
         (("heap-rebuild-invalidates-buffer", "Database.vacuum"),),
     ),
     InjectionCase(
+        "del-page-version-bump",
+        "storage/heapfile.py",
+        "a delete bumps the heap version but not its page's counter",
+        "        self.page_versions[tid.pageno] += 1\n",
+        "",
+        (("page-version-tracks-heap-version", "HeapFile.delete"),),
+    ),
+    InjectionCase(
         "sever-tuple-resolve",
         "engine/dml.py",
         "inserted rows get a constant beeID, bypassing the section store",

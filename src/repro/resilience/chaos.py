@@ -485,6 +485,15 @@ def _build_sites() -> dict[str, ChaosSite]:
             _patched_generator(maker, "generate_gcl", _gcl_arity_wrap),
         ),
         ChaosSite(
+            "gcl-cols-raise",
+            "specialized column decode raises mid-page",
+            _patched_generator(
+                maker, "generate_gcl_columns", _gen_raise("gcl-cols-raise")
+            ),
+            fused=True,
+            vectored=True,
+        ),
+        ChaosSite(
             "scl-raise",
             "specialized fill raises on insert",
             _patched_generator(maker, "generate_scl", _gen_raise("scl-raise")),

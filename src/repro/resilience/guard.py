@@ -36,6 +36,7 @@ from repro.resilience.registry import ResilienceRegistry
 #: the statement retry disables when that routine faults.
 FAMILY_BY_PREFIX = {
     "GCL": "gcl",
+    "GCLC": "gcl",     # the relation bee's column sink rides the gcl flag
     "SCL": "scl",
     "EVP": "evp",
     "EVJ": "evj",
@@ -145,6 +146,49 @@ class BeeGuard:
             return generic
         ctx.shield_used.append(key)
         return routine.fn
+
+    def column_sink(self, routine, reference):
+        """Guarded GCL column sink: *reference* redoes a faulted page.
+
+        Per call, like the write-path guards: the sink only appends to
+        lists its caller owns, so a page that faulted (an exception, or
+        columns left at unequal lengths) is cut back to where it started
+        and decoded by the reference decoder instead.
+        """
+        key = routine.name
+        registry = self.registry
+        if not registry.admit(key):
+            return reference
+        fn = self.maybe_timed(routine.fn, "gcl", key)
+
+        def guarded_sink(raws, sections, cols, nulls):
+            health = registry.health_or_none(key)
+            if health is not None and health.quarantined:
+                if not registry.admit_health(health):
+                    return reference(raws, sections, cols, nulls)
+            lists = [values for values in cols + nulls if values is not None]
+            marks = [len(values) for values in lists]
+            try:
+                fn(raws, sections, cols, nulls)
+            except Exception as exc:  # noqa: BLE001 — the guard is the handler
+                registry.record_failure(
+                    key, site="gcl", kind="exception", error=exc
+                )
+            else:
+                n = len(raws)
+                if all(
+                    len(values) == mark + n
+                    for values, mark in zip(lists, marks)
+                ):
+                    if health is not None:
+                        registry.record_success(key)
+                    return None
+                registry.record_failure(key, site="gcl", kind="shape")
+            for values, mark in zip(lists, marks):
+                del values[mark:]
+            return reference(raws, sections, cols, nulls)
+
+        return guarded_sink
 
     def scrub_sections(self, rel) -> None:
         """Verify (and repair) tuple-bee data sections before a scan.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
+from repro.engine.nodes import ExecContext
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.planner import lower_expr, plan_select, schema_from_create
@@ -114,8 +115,37 @@ def _bound_expr(db: "Database", table: str, expr_ast: ast.Expression) -> Any:
 def _row_predicate(
     db: "Database", table: str, where: ast.Expression | None
 ) -> Callable[[list], bool]:
-    """A values-list callable for UPDATE/DELETE WHERE clauses."""
+    """A values-list callable for UPDATE/DELETE WHERE clauses.
+
+    Charges what ``Filter`` charges for the qual: the EVP query bee
+    (``settings.evp``) charges itself, generic interpretation charges
+    ``qual.generic_cost`` per row.  A specialized predicate carries its
+    generic twin as ``predicate.generic`` — what the match scan redoes
+    the statement with when a bee faults (``dml.match_rows``).
+    """
     if where is None:
         return lambda _values: True
-    bound = _bound_expr(db, table, where)
-    return lambda values: bound.evaluate(values) is True
+    qual = _bound_expr(db, table, where)
+    charge, cost, evaluate = db.ledger.charge, qual.generic_cost, qual.evaluate
+
+    def generic(values: list) -> bool:
+        charge(cost)
+        return evaluate(values) is True
+
+    ctx = ExecContext(db)
+    if not ctx.settings.evp:
+        return generic
+    if ctx.shield is None:
+        fn = ctx.bees.get_evp(qual).fn
+    else:
+        # checked: a non-boolean verdict raises the retry signal.
+        entry = ctx.shield.predicate(ctx, qual, False, checked=True)
+        if entry is None:      # quarantined, or generation faulted
+            return generic
+        fn = entry[0]
+
+    def specialized(values: list) -> bool:
+        return fn(values) is True
+
+    specialized.generic = generic  # type: ignore[attr-defined]
+    return specialized

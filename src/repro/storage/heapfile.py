@@ -34,6 +34,11 @@ class HeapFile:
         self.uid = HeapFile._next_uid
         #: Bumped on every mutation; derived caches validate against it.
         self.version = 0
+        #: Per-page mutation counters, parallel to ``pages``: a cache that
+        #: remembers the counters it was built from can tell which pages
+        #: a ``version`` bump actually touched (pages are append-only and
+        #: the counters only grow, so equal counter means same contents).
+        self.page_versions: list[int] = []
 
     # -- modification ----------------------------------------------------------
 
@@ -41,17 +46,20 @@ class HeapFile:
         """Append a tuple (filling the last page first); returns its TID."""
         if not self.pages:
             self.pages.append(HeapPage())
+            self.page_versions.append(0)
             self.buffer_pool.install(self.name, 0)
         pageno = len(self.pages) - 1
         try:
             slot = self.pages[pageno].insert(tuple_bytes)
         except PageFullError:
             self.pages.append(HeapPage())
+            self.page_versions.append(0)
             pageno += 1
             self.buffer_pool.install(self.name, pageno)
             slot = self.pages[pageno].insert(tuple_bytes)
         self.live_count += 1
         self.version += 1
+        self.page_versions[pageno] += 1
         return TID(pageno, slot)
 
     def delete(self, tid: TID) -> None:
@@ -59,6 +67,7 @@ class HeapFile:
         self.pages[tid.pageno].delete(tid.slot)
         self.live_count -= 1
         self.version += 1
+        self.page_versions[tid.pageno] += 1
 
     def update(self, tid: TID, tuple_bytes: bytes) -> TID:
         """Delete the old version and insert the new one (append-style)."""

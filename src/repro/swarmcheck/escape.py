@@ -148,12 +148,12 @@ def scan_kernels(corpus) -> tuple[list[Finding], int]:
     return findings, checked
 
 
-def check_entries(entries) -> tuple[list, int]:
-    """Assert every array in *entries* (``uid -> (version, layout,
-    Chunk)``) is frozen; returns ``(findings, arrays_checked)``."""
+def check_entries(chunks) -> tuple[list, int]:
+    """Assert every array of every cached chunk in *chunks* (``uid ->
+    Chunk``) is frozen; returns ``(findings, arrays_checked)``."""
     findings: list[Finding] = []
     arrays = 0
-    for uid, (_version, _layout, chunk) in entries.items():
+    for uid, chunk in chunks.items():
         for i, arr in enumerate(chunk.cols):
             arrays += 1
             if arr.flags.writeable:
@@ -179,7 +179,10 @@ def runtime_check(databases) -> tuple[list, int]:
     findings: list[Finding] = []
     arrays = 0
     for db in databases:
-        db_findings, db_arrays = check_entries(db.chunk_cache._entries)
+        db_findings, db_arrays = check_entries({
+            uid: entry.chunk
+            for uid, entry in db.chunk_cache._entries.items()
+        })
         findings.extend(db_findings)
         arrays += db_arrays
     if arrays == 0:

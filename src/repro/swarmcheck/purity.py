@@ -3,7 +3,8 @@
 A bee is safe to run on any morsel worker iff it is *pure modulo
 declared sinks*: every effect it has is either (a) a write into an
 object the caller handed it for exactly that purpose (the AGG ``states``
-list, the fused-agg ``groups`` dict), or (b) one of the two declared
+list, the fused-agg ``groups`` dict, the GCL column sink's ``cols`` /
+``nulls`` lists), or (b) one of the two declared
 ambient effects every bee shares — charging the cost ledger through the
 captured ``_charge`` and falling back to the generic ``_slow`` path.
 Everything else must be provably local: plain-name stores are locals by
@@ -66,6 +67,9 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "gcl": Family(),
+    # The column sink appends to the per-column lists its caller hands
+    # it (through ``a<n> = cols[n].append`` binders it owns).
+    "gcl_cols": Family(sinks=("cols", "nulls")),
     "scl": Family(calls=frozenset({"_char"})),
     "evp": Family(),
     "agg": Family(sinks=("states",), calls=frozenset({"update"})),
@@ -87,7 +91,7 @@ FAMILIES: dict[str, Family] = {
 }
 
 #: Relation-scoped families, whose source names the routine itself.
-_NAMED_KINDS = frozenset({"gcl", "scl", "idx"})
+_NAMED_KINDS = frozenset({"gcl", "gcl_cols", "scl", "idx"})
 
 #: Namespace keys that may bind callables, and what they are.
 _CALLABLE_KEYS = re.compile(

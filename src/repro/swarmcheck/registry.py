@@ -71,10 +71,15 @@ REGISTRY: tuple[SharedState, ...] = (
 
     # -- chunk cache (vector tier) ------------------------------------------
     _shared("ChunkCache", "_entries", "chunk_lock", "HeapFile.version",
-            "uid -> (version, layout, frozen Chunk); arrays are "
+            "uid -> entry (version, layout, frozen Chunk, the page "
+            "versions and per-page row offsets it was built from); a "
+            "refresh patches dirty pages into a *new* entry under the "
+            "lock (and the reader's relation latch), arrays are "
             "read-only after insertion (escape pass)"),
     _shared("ChunkCache", "hits", "chunk_lock", "-"),
     _shared("ChunkCache", "misses", "chunk_lock", "-"),
+    _shared("ChunkCache", "pages_decoded", "chunk_lock", "-"),
+    _shared("ChunkCache", "pages_reused", "chunk_lock", "-"),
 
     # -- bee module memo caches ---------------------------------------------
     _shared("GenericBeeModule", "_evp_by_expr", "hive_lock",
@@ -144,6 +149,10 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("HeapFile", "live_count", "relation_lock", "-"),
     _shared("HeapFile", "version", "relation_lock", "-",
             "the storage invalidation epoch itself"),
+    _shared("HeapFile", "page_versions", "relation_lock",
+            "HeapFile.version",
+            "per-page mutation counters, bumped with version under the "
+            "relation write latch; the chunk cache patches by them"),
     _shared("HeapPage", "data", "relation_lock", "HeapFile.version",
             "slotted-page byte mutation under DML"),
     _shared("HeapPage", "upper", "relation_lock", "HeapFile.version"),

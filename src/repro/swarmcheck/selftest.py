@@ -151,7 +151,7 @@ def run_selftest(source, corpus) -> dict[str, bool]:
         ("a", INT4), ("b", NUMERIC, True),
     ])
     chunk = chunk_from_rows(schema, [[1, 1.5], [2, None]])
-    findings, arrays = esc.check_entries({7: (0, None, chunk)})
+    findings, arrays = esc.check_entries({7: chunk})
     results["escape-writable-chunk"] = arrays > 0 and _caught(
         findings, "escape"
     )

@@ -211,6 +211,11 @@ OWNED: dict[str, frozenset] = {
     # referenced_tables for every parse, filled recursively, never
     # escapes the call.
     "_collect_tables": frozenset({"names"}),
+    # Column sinks append to the scratch lists the chunk decode created
+    # for that call and drops once the arrays are built; the guard cuts
+    # a faulted page's appends back off the same lists.
+    "reference_column_sink": frozenset({"cols", "nulls"}),
+    "BeeGuard.column_sink": frozenset({"values"}),
 }
 
 

@@ -33,7 +33,7 @@ from repro.bees.maker import BeeMaker
 from repro.bees.pipeline.codegen import PipelineSpec
 from repro.bees.routines.agg import generate_agg
 from repro.bees.routines.evj import JOIN_TYPES, instantiate_evj
-from repro.bees.routines.gcl import generate_gcl
+from repro.bees.routines.gcl import generate_gcl, generate_gcl_columns
 from repro.bees.routines.idx import generate_idx
 from repro.bees.routines.scl import generate_scl
 from repro.bees.settings import BeeSettings
@@ -159,6 +159,7 @@ def harvest(module: Any, label: str = "") -> list[RoutineEntry]:
     entries: list[RoutineEntry] = []
     for bee in module.cache.relation_bees.values():
         entries.append(RoutineEntry("gcl", bee.gcl, (bee.layout,)))
+        entries.append(RoutineEntry("gcl_cols", bee.gcl_cols, (bee.layout,)))
         entries.append(RoutineEntry("scl", bee.scl, (bee.layout,)))
     for expr, routine in module.evp_entries():
         entries.append(RoutineEntry("evp", routine, (expr,)))
@@ -269,8 +270,10 @@ def spec_corpus() -> list[RoutineEntry]:
     entries: list[RoutineEntry] = []
     for label, layout in _relation_layouts():
         gcl = generate_gcl(layout, ledger, f"GCL_{label}")
+        gcl_cols = generate_gcl_columns(layout, f"GCLC_{label}")
         scl = generate_scl(layout, ledger, f"SCL_{label}")
         entries.append(RoutineEntry("gcl", gcl, (layout,)))
+        entries.append(RoutineEntry("gcl_cols", gcl_cols, (layout,)))
         entries.append(RoutineEntry("scl", scl, (layout,)))
 
     for join_type in JOIN_TYPES:

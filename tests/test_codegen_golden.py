@@ -1,6 +1,7 @@
 """Golden-source snapshots of generated bee code.
 
-Every representative layout's generated GCL/SCL — plus two EVP
+Every representative layout's generated GCL (row sink and column
+sink)/SCL — plus two EVP
 variants, all four EVJ templates, an AGG transition pair, an IDX
 extractor, five fused pipeline bees (filtered rows, tuple-bee
 rows, inner/anti probe, grouped agg), and the vector-tier kernels
@@ -23,7 +24,7 @@ import pytest
 from repro.bees.routines.agg import generate_agg
 from repro.bees.routines.evj import JOIN_TYPES, instantiate_evj
 from repro.bees.routines.evp import generate_evp
-from repro.bees.routines.gcl import generate_gcl
+from repro.bees.routines.gcl import generate_gcl, generate_gcl_columns
 from repro.bees.routines.idx import generate_idx
 from repro.bees.routines.scl import generate_scl
 from repro.catalog import BOOL, INT4, INT8, NUMERIC, char, make_schema, varchar
@@ -157,6 +158,8 @@ def _generate(name: str) -> str:
     ledger = Ledger()
     if name.startswith("gcl_"):
         return generate_gcl(LAYOUTS[name[4:]], ledger, name.upper()).source
+    if name.startswith("gclc_"):
+        return generate_gcl_columns(LAYOUTS[name[5:]], name.upper()).source
     if name.startswith("scl_"):
         return generate_scl(LAYOUTS[name[4:]], ledger, name.upper()).source
     if name == "evp_guarded":
@@ -195,6 +198,7 @@ def _generate(name: str) -> str:
 
 SNAPSHOTS = (
     [f"gcl_{key}" for key in LAYOUTS]
+    + [f"gclc_{key}" for key in LAYOUTS]
     + [f"scl_{key}" for key in LAYOUTS]
     + ["evp_guarded", "evp_direct"]
     + [f"evj_{join_type}" for join_type in JOIN_TYPES]

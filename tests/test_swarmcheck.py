@@ -47,7 +47,8 @@ class TestPurity:
         # The deterministic section guarantees every family appears
         # regardless of what the fuzzed statements built.
         assert set(counts) == {
-            "gcl", "scl", "evp", "evj", "agg", "idx", "pipeline", "vector",
+            "gcl", "gcl_cols", "scl", "evp", "evj", "agg", "idx",
+            "pipeline", "vector",
         }
 
     def test_global_write_is_impure(self, corpus):
@@ -216,21 +217,22 @@ class TestEscape:
         db.sql("SELECT a FROM t WHERE b > 5")
         entries = db.chunk_cache._entries
         assert entries, "vector scan did not populate the chunk cache"
-        findings, arrays = escape_mod.check_entries(entries)
+        chunks = {uid: entry.chunk for uid, entry in entries.items()}
+        findings, arrays = escape_mod.check_entries(chunks)
         assert findings == []
         assert arrays > 0
         # And mutation actually raises, not just reports.
-        (_v, _layout, chunk) = next(iter(entries.values()))
+        chunk = next(iter(chunks.values()))
         with pytest.raises(ValueError):
             chunk.cols[0][0] = 99
 
     def test_writable_entry_is_flagged(self):
         schema = make_schema("t", [("a", INT4), ("b", NUMERIC, True)])
         chunk = chunk_from_rows(schema, [[1, 1.5], [2, None]])
-        findings, arrays = escape_mod.check_entries({1: (0, None, chunk)})
+        findings, arrays = escape_mod.check_entries({1: chunk})
         assert findings and arrays > 0
         freeze_chunk(chunk)
-        findings, _ = escape_mod.check_entries({1: (0, None, chunk)})
+        findings, _ = escape_mod.check_entries({1: chunk})
         assert findings == []
 
 

@@ -23,7 +23,7 @@ TOOLS = ("beecheck", "swarmcheck", "wagglecheck", "hiveaudit", "resilience",
 #: Injection cases per pass at the commit that merged the six harnesses;
 #: merging them must not drop one (ROADMAP's condition for the merge).
 INJECTION_CENSUS = {
-    "beecheck": 25, "swarmcheck": 13, "wagglecheck": 13, "hiveaudit": 11,
+    "beecheck": 26, "swarmcheck": 13, "wagglecheck": 13, "hiveaudit": 12,
     "resilience": 3, "oracle": 5,
 }
 
@@ -64,7 +64,9 @@ class TestFullRun:
         proven = results["swarmcheck"]["stats"]["routines_proven_pure"]
         assert verified == proven
         assert sum(verified.values()) >= 178
-        assert set(verified) >= {"gcl", "scl", "evp", "evj", "agg", "idx"} | {
+        assert set(verified) >= {
+            "gcl", "gcl_cols", "scl", "evp", "evj", "agg", "idx",
+        } | {
             tier.name for tier in drivers.TIERS if not tier.remote
         }
 
@@ -126,7 +128,7 @@ class TestSelection:
     def test_pass_flag_runs_only_that_pass(self):
         report = cli.run(["hiveaudit"], statements=5)
         assert [result.name for result in report.passes] == ["hiveaudit"]
-        assert report.ok and len(report.passes[0].selftest) == 11
+        assert report.ok and len(report.passes[0].selftest) == 12
 
     def test_unknown_pass_is_rejected(self):
         with pytest.raises(ValueError):
