@@ -956,16 +956,19 @@ def check_pipeline(routine, spec) -> list[str]:
     except SyntaxError:
         return ["source does not parse"]
     fn = tree.body[0]
+    natts = layout.schema.natts
+    # A ctid spec's loop binds the tuple identifier itself, as the
+    # hoisted local of column natts: assigned on both deform branches.
+    target = f"(raw, v{natts})" if spec.ctid else "raw"
     loops = [
         node
         for node in ast.walk(fn)
-        if isinstance(node, ast.For)
-        and isinstance(node.target, ast.Name)
-        and node.target.id == "raw"
+        if isinstance(node, ast.For) and ast.unparse(node.target) == target
     ]
     if len(loops) != 1:
         return ["pipeline must have exactly one batch loop"]
     loop = loops[0]
+    loop_bound = {natts} if spec.ctid else set()
 
     body = list(loop.body)
     slow_assigned: set[int] = set()
@@ -1019,7 +1022,7 @@ def check_pipeline(routine, spec) -> list[str]:
                 m = _RE_PIPE_VLOCAL.fullmatch(node.id)
                 if m:
                     read.add(int(m.group(1)))
-    unassigned = sorted(read - (slow_assigned | fast_assigned))
+    unassigned = sorted(read - (slow_assigned | fast_assigned | loop_bound))
     if unassigned:
         findings.append(
             f"pipeline reads undeformed locals {sorted(unassigned)} "

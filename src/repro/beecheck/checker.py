@@ -187,7 +187,10 @@ def check_pipeline(routine, spec) -> RoutineReport:
     )
     report.add(
         "lint",
-        lint.lint_pipeline(routine.source, routine.name, spec.sink)
+        lint.lint_pipeline(
+            routine.source, routine.name, spec.sink,
+            f"v{spec.layout.schema.natts}" if spec.ctid else None,
+        )
         + lint.lint_name_hole(routine),
     )
     report.add("determinism", lint.lint_determinism(routine.source))
@@ -212,7 +215,9 @@ def check_vector(routine, spec) -> RoutineReport:
     )
     report.add(
         "lint",
-        lint.lint_vector(routine.source, routine.name, spec.sink)
+        lint.lint_vector(
+            routine.source, routine.name, spec.sink, spec.scan_width
+        )
         + lint.lint_name_hole(routine),
     )
     report.add("determinism", lint.lint_determinism(routine.source))

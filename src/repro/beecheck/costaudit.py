@@ -413,7 +413,7 @@ def audit_pipeline(routine, spec) -> list[str]:
 
     if spec.sink == "rows":
         if spec.output is None:
-            n_out = layout.schema.natts
+            n_out = spec.scan_width
             expr_cost = 0
         else:
             n_out = len(spec.output)
@@ -528,7 +528,7 @@ def audit_vector(routine, spec) -> list[str]:
 
     if spec.sink == "rows":
         if spec.output is None:
-            n_out = schema.natts
+            n_out = spec.scan_width
             expr_cost = 0
         else:
             n_out = len(spec.output)

@@ -802,8 +802,9 @@ def lint_agg(source: str, name: str) -> list[str]:
 # -- PIPE --------------------------------------------------------------------
 
 #: Pipeline bees are the one bee kind allowed a loop: exactly one batch
-#: loop (``for raw in batch:``) plus, on the probe sink, the candidate
-#: emission loop (``for _b in _cands:``).  Everything else stays banned.
+#: loop (``for raw in batch:``; ``for raw, v<natts> in batch:`` when the
+#: scan carries ctid) plus, on the probe sink, the candidate emission
+#: loop (``for _b in _cands:``).  Everything else stays banned.
 _PIPE_BANNED: tuple = tuple(n for n in _BANNED_NODES if n is not ast.For)
 
 _PIPE_PARAMS = {
@@ -961,8 +962,13 @@ def _lint_pipe_guard(stmt: ast.If, findings: list[str]) -> None:
     _match_shapes(stmt.orelse, _PIPE_DEFORM_SHAPES, findings, "PIPE deform")
 
 
-def lint_pipeline(source: str, name: str, sink: str) -> list[str]:
-    """Lint one generated pipeline routine against the fused-loop grammar."""
+def lint_pipeline(
+    source: str, name: str, sink: str, ctid_local: str | None = None
+) -> list[str]:
+    """Lint one generated pipeline routine against the fused-loop
+    grammar.  *ctid_local* is the hoisted local (``v<natts>``) a ctid
+    spec's batch loop must bind beside ``raw``; ``None`` for every other
+    spec, whose loop must not bind one."""
     findings: list[str] = []
     if sink not in _PIPE_PARAMS:
         return [f"unknown pipeline sink {sink!r}"]
@@ -991,14 +997,14 @@ def lint_pipeline(source: str, name: str, sink: str) -> list[str]:
         )
         return findings
     loop = loops[0]
+    target = "raw" if ctid_local is None else f"(raw, {ctid_local})"
     if not (
-        isinstance(loop.target, ast.Name)
-        and loop.target.id == "raw"
+        ast.unparse(loop.target) == target
         and isinstance(loop.iter, ast.Name)
         and loop.iter.id == "batch"
         and not loop.orelse
     ):
-        findings.append("batch loop must be exactly 'for raw in batch:'")
+        findings.append(f"batch loop must be exactly 'for {target} in batch:'")
 
     _match_shapes(
         body[: body.index(loop)],
@@ -1087,8 +1093,12 @@ _VEC_LOOPS = (
 )
 
 
-def lint_vector(source: str, name: str, sink: str) -> list[str]:
-    """Lint one generated vector kernel against the columnar grammar."""
+def lint_vector(
+    source: str, name: str, sink: str, width: int | None = None
+) -> list[str]:
+    """Lint one generated vector kernel against the columnar grammar.
+    *width* bounds the chunk columns it may read: the schema's, plus the
+    ``tids`` column at index ``natts`` for a ctid spec."""
     findings: list[str] = []
     if sink not in _VEC_PARAMS:
         return [f"unknown vector sink {sink!r}"]
@@ -1115,19 +1125,26 @@ def lint_vector(source: str, name: str, sink: str) -> list[str]:
                     f"vector loop not allowed: 'for {pair[0]} in {pair[1]}'"
                 )
 
-    # Chunk arrays may only be read at constant attribute numbers.
+    # Chunk arrays may only be read at constant attribute numbers,
+    # inside the scan's row.
     for node in ast.walk(fn):
-        if (
+        if not (
             isinstance(node, ast.Subscript)
             and isinstance(node.value, ast.Name)
             and node.value.id in ("cols", "nulls")
-            and not (
-                isinstance(node.slice, ast.Constant)
-                and isinstance(node.slice.value, int)
-            )
+        ):
+            continue
+        index = node.slice
+        if not (
+            isinstance(index, ast.Constant) and isinstance(index.value, int)
         ):
             findings.append(
                 f"chunk index must be a constant int: {ast.unparse(node)!r}"
+            )
+        elif width is not None and not 0 <= index.value < width:
+            findings.append(
+                f"chunk index outside the scan's {width} columns: "
+                f"{ast.unparse(node)!r}"
             )
 
     body = list(fn.body)

@@ -277,4 +277,24 @@ def run_selftest() -> dict[str, bool]:
         check_vector(tampered, pipe_spec)
     )
 
+    # -- ctid specs (a write's match plan): the emitted tuple identifier
+    # must be the emitted row's own — the validator hands every
+    # enumerated tuple a distinct (pageno, slot).
+    ctid_spec = dataclasses.replace(pipe_spec, output=None, ctid=True)
+    natts = layout.schema.natts
+
+    pipe = maker_mod.generate_pipeline(ctid_spec, Ledger(), "PIPE_selftest")
+    tampered = _tamper(pipe, f", v{natts}])", ", v0])")   # a key, not the tid
+    results["tamper-pipe-ctid"] = "transval" in _passes_fired(
+        check_pipeline(tampered, ctid_spec)
+    )
+
+    vec = maker_mod.generate_vector(ctid_spec, Ledger(), "VEC_selftest")
+    tampered = _tamper(                       # the neighbouring row's tid
+        vec, f"cols[{natts}][_idx]", f"cols[{natts}][_idx - 1]"
+    )
+    results["tamper-vec-ctid"] = "transval" in _passes_fired(
+        check_vector(tampered, ctid_spec)
+    )
+
     return results

@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 
+from repro.storage.heapfile import pack_tid
 from repro.storage.layout import TupleLayout
 
 #: Per-routine cap on enumerated inputs.
@@ -673,24 +674,24 @@ def _pipe_reference_agg(spec, rows: list, groups: dict, make_states) -> None:
                 states[i].update(value)
 
 
-def validate_pipeline(routine, spec) -> list[str]:
-    """Cross-check the fused pipeline against the interpreted plan.
+def _fused_candidates(spec) -> tuple[list, list, dict]:
+    """The enumerated input of one fused spec: ``(raws, rows, sections)``.
 
-    One enumerated batch per layout — every value row plus the NULL
-    patterns, each encoded under its **own** beeID so a whole batch can
-    share one data-section dict — is pushed through the compiled function
-    and through a reference that replicates the unfused node semantics
-    (``Filter`` admission, ``Project`` evaluation, ``HashJoin`` probe
-    emission per join type, ``HashAgg`` transition) over the generically
-    decoded rows.  Rows where the interpreter itself raises are dropped
-    as out-of-contract, as in :func:`validate_evp`.
+    Every value row of the layout plus the NULL patterns, each encoded
+    under its **own** beeID (so a whole batch can share one data-section
+    dict) and canonicalized through ``layout.encode``/``decode`` so
+    ``CHAR(n)`` padding and varlena round-trips match what a heap scan
+    hands the executor.  A ctid spec's rows end in the tuple identifier
+    of a made-up heap position — several pages, slot numbers repeating
+    across them — so a routine that emits the wrong row's ctid, or
+    mangles ``(pageno, slot)``, diverges from the reference.  Rows where
+    the interpreter itself raises are dropped as out-of-contract, as in
+    :func:`validate_evp`.
     """
-    findings: list[str] = []
     layout = spec.layout
     schema = layout.schema
-
-    batch: list = []
-    decoded: list = []
+    raws: list = []
+    rows: list = []
     sections: dict = {}
     candidates = list(_layout_rows(layout))
     base = candidates[0]
@@ -711,31 +712,57 @@ def validate_pipeline(routine, spec) -> list[str]:
         row = [
             None if exp_null[i] else full[i] for i in range(schema.natts)
         ]
+        if spec.ctid:
+            row.append(pack_tid(1 + n // 3, n % 3))
         try:
             _pipe_eval_all(spec, row)
         except Exception:  # noqa: BLE001 — out of contract
             continue
         if layout.has_beeid:
             sections[bee_id] = bee_values
-        batch.append(raw)
-        decoded.append(row)
+        raws.append(raw)
+        rows.append(row)
+    return raws, rows, sections
 
-    # Probe sinks need a build table: cover hit (1 and 2 candidates) and
-    # miss keys, deterministically, with build rows of the spec's width.
+
+def _probe_table(spec, rows: list) -> dict:
+    """A build table for a probe sink's validation run: hit (1 and 2
+    candidates) and miss keys, deterministically, with build rows of the
+    spec's width (empty for the other sinks)."""
     table: dict = {}
-    if spec.sink == "probe":
-        seen_keys: list = []
-        for row in decoded:
-            key = tuple(row[i] for i in spec.probe_idx)
-            if None not in key and key not in seen_keys:
-                seen_keys.append(key)
-        for j, key in enumerate(seen_keys):
-            if j % 3 == 0:
-                continue  # probe miss
-            table[key] = [
-                [f"b{j}.{c}.{i}" for i in range(spec.build_width)]
-                for c in range(1 + j % 2)
-            ]
+    if spec.sink != "probe":
+        return table
+    seen_keys: list = []
+    for row in rows:
+        key = tuple(row[i] for i in spec.probe_idx)
+        if None not in key and key not in seen_keys:
+            seen_keys.append(key)
+    for j, key in enumerate(seen_keys):
+        if j % 3 == 0:
+            continue  # probe miss
+        table[key] = [
+            [f"b{j}.{c}.{i}" for i in range(spec.build_width)]
+            for c in range(1 + j % 2)
+        ]
+    return table
+
+
+def validate_pipeline(routine, spec) -> list[str]:
+    """Cross-check the fused pipeline against the interpreted plan.
+
+    One enumerated batch per layout (:func:`_fused_candidates`; a ctid
+    spec's batch pairs each raw tuple with its row's identifier, as the
+    tier's input does) is pushed through the compiled function and
+    through a reference that replicates the unfused node semantics
+    (``Filter`` admission, ``Project`` evaluation, ``HashJoin`` probe
+    emission per join type, ``HashAgg`` transition) over the generically
+    decoded rows.
+    """
+    findings: list[str] = []
+    batch, decoded, sections = _fused_candidates(spec)
+    table = _probe_table(spec, decoded)
+    if spec.ctid:
+        batch = [(raw, row[-1]) for raw, row in zip(batch, decoded)]
 
     with ledger_guard(routine):
         runs = [([], "empty batch"), (batch, "enumerated batch")]
@@ -810,13 +837,12 @@ def validate_pipeline(routine, spec) -> list[str]:
 def validate_vector(routine, spec) -> list[str]:
     """Cross-check the columnar kernel against the interpreted plan.
 
-    The candidate set is the same as :func:`validate_pipeline` — every
-    enumerated value row plus the NULL patterns, canonicalized through
-    ``layout.encode``/``decode`` so ``CHAR(n)`` padding and varlena
-    round-trips match what a heap scan would hand the executor — but the
-    kernel consumes a :class:`repro.bees.vector.chunks.Chunk` built with
-    the same ``chunk_from_rows`` assembly the runtime decoder uses, and
-    is invoked **once** per run over the whole chunk.  Non-agg sinks
+    The candidate set is :func:`validate_pipeline`'s
+    (:func:`_fused_candidates`), but the kernel consumes a
+    :class:`repro.bees.vector.chunks.Chunk` built with the same
+    ``chunk_from_rows`` assembly the runtime decoder uses (widened by
+    the rows' identifiers for a ctid spec), and is invoked **once** per
+    run over the whole chunk.  Non-agg sinks
     compare against :func:`_pipe_reference`; the agg sink compares the
     kernel's finished rows (vector kernels group *and* finalize) against
     the finalized generic transition states, in first-seen group order
@@ -825,56 +851,20 @@ def validate_vector(routine, spec) -> list[str]:
     from repro.bees.vector.chunks import chunk_from_rows
 
     findings: list[str] = []
-    layout = spec.layout
-    schema = layout.schema
-
-    decoded: list = []
-    candidates = list(_layout_rows(layout))
-    base = candidates[0]
-    for isnull in _null_patterns(layout):
-        candidates.append(
-            [None if isnull[i] else base[i] for i in range(schema.natts)]
-        )
-    for n, values in enumerate(candidates):
-        bee_id = 0x0101 + n if layout.has_beeid else 0
-        isnull = [v is None for v in values]
-        has_nulls = any(isnull)
-        try:
-            bee_values = layout.bee_key(values) if layout.has_beeid else None
-            raw = layout.encode(values, isnull if has_nulls else None, bee_id)
-        except (TypeError, ValueError):
-            continue  # bee-resident NULLs etc.: not encodable, skip
-        full, exp_null = layout.decode(raw, bee_values)
-        row = [
-            None if exp_null[i] else full[i] for i in range(schema.natts)
-        ]
-        try:
-            _pipe_eval_all(spec, row)
-        except Exception:  # noqa: BLE001 — out of contract
-            continue
-        decoded.append(row)
-
-    # Probe sinks need a build table: cover hit (1 and 2 candidates) and
-    # miss keys, deterministically, with build rows of the spec's width.
-    table: dict = {}
-    if spec.sink == "probe":
-        seen_keys: list = []
-        for row in decoded:
-            key = tuple(row[i] for i in spec.probe_idx)
-            if None not in key and key not in seen_keys:
-                seen_keys.append(key)
-        for j, key in enumerate(seen_keys):
-            if j % 3 == 0:
-                continue  # probe miss
-            table[key] = [
-                [f"b{j}.{c}.{i}" for i in range(spec.build_width)]
-                for c in range(1 + j % 2)
-            ]
+    schema = spec.layout.schema
+    _raws, decoded, _sections = _fused_candidates(spec)
+    table = _probe_table(spec, decoded)
 
     with ledger_guard(routine):
         runs = [([], "empty chunk"), (decoded, "enumerated chunk")]
         for rows, label in runs:
-            chunk = chunk_from_rows(schema, rows)
+            if spec.ctid:
+                chunk = chunk_from_rows(
+                    schema, [row[:-1] for row in rows],
+                    tids=[row[-1] for row in rows],
+                ).with_ctid()
+            else:
+                chunk = chunk_from_rows(schema, rows)
             args = (chunk.cols, chunk.nulls, chunk.n)
             if spec.sink == "probe":
                 args = (*args, table)

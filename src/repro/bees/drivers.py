@@ -44,6 +44,7 @@ from repro.engine.nodes import (
     output_nullability,
 )
 from repro.resilience.guard import fused_key
+from repro.storage.heapfile import CTID_SLOT_BITS
 
 #: Fallback batch size when draining a generic anchor subtree.
 _GENERIC_BATCH = 256
@@ -111,6 +112,11 @@ class Tier:
         returns ``None`` instead of finished rows."""
         raise NotImplementedError
 
+    def accepts(self, spec: Any) -> bool:
+        """Whether this tier runs *spec*; a declined driver stays on the
+        tier below."""
+        return True
+
     def stack(self, plan: PlanNode, db: Any) -> PlanNode:
         """Rewrite *plan* around this tier's drivers: by default, wrap
         the drivers of the tier below."""
@@ -132,17 +138,24 @@ class _Pipeline(Tier):
     def open(
         self, ctx: ExecContext, driver: "FusedDriver", rel: Any, build_table: Any
     ) -> Iterator[list]:
-        """Each heap page's live raw tuples as one batch, charging
-        buffer access + PAGE_ACCESS per page exactly like
-        ``HeapFile.scan``."""
+        """Each heap page's live raw tuples as one batch — ``(raw,
+        ctid)`` pairs for a ctid spec — charging buffer access +
+        PAGE_ACCESS per page exactly like ``HeapFile.scan``."""
         heap = rel.heap
         access = heap.buffer_pool.access
         charge = heap.ledger.charge
         name = heap.name
+        ctid = driver.spec.ctid
         for pageno, page in enumerate(heap.pages):
             access(name, pageno, sequential=True)
             charge(C.PAGE_ACCESS)
-            batch = [raw for _slot, raw in page.live_tuples()]
+            if ctid:
+                page_base = pageno << CTID_SLOT_BITS      # pack_tid, inlined
+                batch = [
+                    (raw, page_base | slot) for slot, raw in page.live_tuples()
+                ]
+            else:
+                batch = [raw for _slot, raw in page.live_tuples()]
             if batch:
                 yield batch
 
@@ -174,14 +187,21 @@ class _Vector(Tier):
     def open(
         self, ctx: ExecContext, driver: "FusedDriver", rel: Any, build_table: Any
     ) -> Iterable[Any]:
-        """The relation's frozen columnar chunk, whole."""
-        return (ctx.db.chunk_cache.get(rel),)
+        """The relation's frozen columnar chunk, whole (widened by its
+        ``tids`` column for a ctid spec)."""
+        chunk = ctx.db.chunk_cache.get(rel)
+        return (chunk.with_ctid() if driver.spec.ctid else chunk,)
 
 
 class _Parallel(Tier):
     name, family, prefix = "parallel", "parallel", "PAR"
     enabled_by = ("parallel",)
     remote = True
+
+    def accepts(self, spec: Any) -> bool:
+        """No ctid specs: a match scan runs under its statement's write
+        latch, not on pool workers holding a shipped snapshot."""
+        return not spec.ctid
 
     def invoke(
         self, sink: str, fn: Any, unit: Any, sections: list, state: tuple
@@ -421,6 +441,8 @@ def lift(tier: Tier, plan: PlanNode) -> PlanNode:
     def visit(node: PlanNode) -> PlanNode | None:
         if not isinstance(node, FusedDriver):
             return None
+        if not tier.accepts(node.spec):
+            return node
         build = None if node.build is None else rewrite(node.build, visit)
         anchor = node
         if build is not node.build:
@@ -439,15 +461,6 @@ def fuse_vector_plan(plan: PlanNode, db: Any) -> PlanNode:
     same specs to columnar kernels.
     """
     return VECTOR.stack(PIPELINE.stack(plan, db), db)
-
-
-def parallelize_plan(plan: PlanNode, db: Any) -> PlanNode:
-    """Return *plan* rewritten around morsel drivers where fused.
-
-    *plan* must already be pipeline- or vector-fused; segments neither
-    tier matched stay serial (there is no spec to ship to a worker).
-    """
-    return PARALLEL.stack(plan, db)
 
 
 def settings_points(base: Any) -> list[tuple[Tier, Any]]:

@@ -62,6 +62,11 @@ class PipelineSpec:
       and emit joined rows per ``join_type``,
     * ``agg``: advance aggregate accumulators (``group_exprs`` +
       ``aggs``, :class:`repro.engine.aggregates.AggSpec`).
+
+    With ``ctid`` the anchoring scan carries its trailing tuple-identifier
+    column (the match scan of UPDATE/DELETE): a NOT NULL int at column
+    index ``natts``, handed to the routine by the tier's input instead of
+    being decoded.  Only the ``rows`` sink takes one.
     """
 
     relation: str
@@ -75,10 +80,18 @@ class PipelineSpec:
     group_exprs: tuple = ()             # agg sink
     aggs: tuple = ()                    # agg sink: AggSpec tuple
     fused_nodes: tuple = field(default=())   # node labels, for EXPLAIN
+    ctid: bool = False                  # rows sink: the scan carries ctid
 
     def __post_init__(self) -> None:
         if self.sink not in SINKS:
             raise ValueError(f"unknown pipeline sink {self.sink!r}")
+        if self.ctid and self.sink != "rows":
+            raise ValueError("only the rows sink takes a ctid scan")
+
+    @property
+    def scan_width(self) -> int:
+        """Columns of the anchoring scan's row: the schema's, plus ctid."""
+        return self.layout.schema.natts + self.ctid
 
 
 def _referenced(expr: E.Expr, acc: set) -> None:
@@ -87,6 +100,12 @@ def _referenced(expr: E.Expr, acc: set) -> None:
         acc.add(expr.index)
     for child in expr.children():
         _referenced(child, acc)
+
+
+def column_nullable(schema, index: int) -> bool:
+    """Whether scan column *index* may be NULL: the schema's word for an
+    attribute; the column past them is a ctid scan's ctid, never NULL."""
+    return index < schema.natts and schema.attributes[index].nullable
 
 
 def _direct_ok(expr: E.Expr, layout: TupleLayout) -> bool:
@@ -101,7 +120,7 @@ def _direct_ok(expr: E.Expr, layout: TupleLayout) -> bool:
         return False
     if isinstance(expr, E.Const) and expr.value is None:
         return False
-    if isinstance(expr, E.Col) and layout.schema.attributes[expr.index].nullable:
+    if isinstance(expr, E.Col) and column_nullable(layout.schema, expr.index):
         return False
     return all(_direct_ok(child, layout) for child in expr.children())
 
@@ -270,8 +289,10 @@ def generate_pipeline(
     * ``probe``: ``fn(batch, sections, table) -> list[row]``
     * ``agg``:   ``fn(batch, sections, groups, make_states) -> None``
 
-    where *batch* is a page's raw tuples and *sections* the relation's
-    tuple-bee data sections.  It charges the ledger once per batch:
+    where *batch* is a page's raw tuples — ``(raw, ctid)`` pairs for a
+    ctid spec, whose loop binds the ctid straight into the hoisted local
+    of column ``natts`` — and *sections* the relation's tuple-bee data
+    sections.  It charges the ledger once per batch:
     a batch constant, a per-input-row term, and per-survivor /
     per-candidate / per-emitted-row terms from loop counters.
 
@@ -313,6 +334,7 @@ def generate_pipeline(
         for agg in spec.aggs:
             if agg.arg is not None:
                 _referenced(agg.arg, needed)
+    needed.discard(natts)     # ctid: bound by the batch loop, not decoded
 
     em = _Emitter(col_ref="v{}")
     namespace = em.namespace
@@ -339,7 +361,10 @@ def generate_pipeline(
         lines.append("    _np = 0")
         if not spec.group_exprs:
             lines.append("    _st = groups[()]")
-    lines.append("    for raw in batch:")
+    if spec.ctid:
+        lines.append(f"    for raw, v{natts} in batch:")
+    else:
+        lines.append("    for raw in batch:")
 
     # -- deform: NULL-bearing tuples take the generic slow path ------------
     deform_cost = 0
@@ -378,7 +403,7 @@ def generate_pipeline(
     costs = {"_C0": C.PIPE_BATCH_OVERHEAD, "_C1": c1}
     if spec.sink == "rows":
         if spec.output is None:
-            items = [f"v{i}" for i in range(natts)]
+            items = [f"v{i}" for i in range(spec.scan_width)]
             expr_cost = 0
         else:
             items = []

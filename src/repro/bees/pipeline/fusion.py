@@ -16,7 +16,9 @@ priority order at each node:
 A *scan chain* is ``[Project|ColumnSelect]? (Filter|Rename)* SeqScan``.
 Because nothing below the optional projection reorders columns, every
 bound column index in the segment is a schema attnum — exactly what the
-pruned inlined deform needs.  Anything else (index scans, nest-loop or
+pruned inlined deform needs — or, over a ctid scan (the match plan of
+UPDATE/DELETE; ``rows`` sink only), ``natts``: the tuple identifier the
+tier's input hands over beside each tuple.  Anything else (index scans, nest-loop or
 merge joins, residual join quals, VALUES, materialization) keeps its
 generic node and only its inputs are considered for fusion, so
 unsupported shapes degrade to stock Volcano execution rather than
@@ -92,11 +94,11 @@ def _match_scan_chain(node: PlanNode, allow_projection: bool) -> _ScanChain | No
             break
     if type(node) is not SeqScan:
         return None
-    labels.append(f"SeqScan({node.relation})")
+    labels.append(node.node_label())
     return _ScanChain(node, quals, projection, tuple(labels))
 
 
-def _chain_spec(chain: _ScanChain, db, **sink) -> PipelineSpec | None:
+def _chain_spec(chain: _ScanChain, db, **sink_fields) -> PipelineSpec | None:
     """Build a :class:`PipelineSpec` for *chain*, or ``None`` when any
     part of the segment is outside what the codegen supports."""
     scan = chain.scan
@@ -104,16 +106,18 @@ def _chain_spec(chain: _ScanChain, db, **sink) -> PipelineSpec | None:
         rel = db.relation(scan.relation)
     except KeyError:
         return None
+    if scan.ctid and sink_fields["sink"] != "rows":
+        return None      # only the rows sink emits the scan's own row
     if not scan.columns:
         scan.bind_schema(rel.schema)
     exprs = list(chain.quals) + list(chain.projection or [])
-    natts = rel.schema.natts
+    width = rel.schema.natts + scan.ctid
     for expr in exprs:
         if not _emittable(expr) or not E.is_bound(expr):
             return None
         acc: set = set()
         _collect(expr, acc)
-        if any(i < 0 or i >= natts for i in acc):
+        if any(i < 0 or i >= width for i in acc):
             return None
     if not chain.quals:
         qual = None
@@ -127,7 +131,8 @@ def _chain_spec(chain: _ScanChain, db, **sink) -> PipelineSpec | None:
         qual=qual,
         output=chain.projection,
         fused_nodes=chain.labels,
-        **sink,
+        ctid=scan.ctid,
+        **sink_fields,
     )
 
 

@@ -6,7 +6,10 @@ for CHAR/varchar — plus a boolean null mask per *nullable* attribute
 (``None`` for NOT NULL columns, so generated kernels can skip the mask
 statically).  NULL lanes hold a type-stable fill (``0``/``0.0``/
 ``False``/``""``) that vectorized primitives can run over safely; the
-mask is consulted wherever NULL semantics matter.
+mask is consulted wherever NULL semantics matter.  ``tids`` holds each
+row's packed tuple identifier (:func:`repro.storage.heapfile.pack_tid`):
+what a ctid scan — the match phase of UPDATE/DELETE — reads as its
+trailing column (:meth:`Chunk.with_ctid`).
 
 Decode is page at a time, charging buffer access + ``PAGE_ACCESS`` per
 page plus per-value decode work, exactly the costs the row tiers pay on
@@ -40,6 +43,7 @@ from itertools import groupby
 import numpy as np
 
 from repro.cost import constants as C
+from repro.storage.heapfile import CTID_SLOT_BITS
 
 #: struct format character -> ndarray dtype (strings stay object lanes).
 _DTYPES = {"i": np.int64, "q": np.int64, "d": np.float64, "B": np.bool_}
@@ -55,6 +59,14 @@ class Chunk:
     cols: list
     nulls: list          # per attnum: bool ndarray, or None for NOT NULL
     n: int
+    tids: np.ndarray | None = None   # int64 ctid per row (heap decodes)
+
+    def with_ctid(self) -> "Chunk":
+        """This chunk as a ctid scan's kernel reads it: ``tids`` as one
+        more NOT NULL column, at index ``natts`` (shares the arrays)."""
+        return Chunk(
+            self.cols + [self.tids], self.nulls + [None], self.n, self.tids
+        )
 
 
 def _dtype_and_fill(sql_type):
@@ -92,8 +104,13 @@ def _arrays(schema, col_lists: list, null_lists: list) -> tuple[list, list]:
     return cols, nulls
 
 
-def chunk_from_rows(schema, rows: list) -> Chunk:
-    """Transpose schema-ordered *rows* (``None`` = NULL) into a chunk.
+def _tid_array(tids) -> np.ndarray:
+    return np.array(tids, dtype=np.int64)
+
+
+def chunk_from_rows(schema, rows: list, tids=None) -> Chunk:
+    """Transpose schema-ordered *rows* (``None`` = NULL) into a chunk;
+    *tids* are the rows' ctids when they have any.
 
     Shares the array assembly with page decode; the beecheck translation
     validator builds kernel inputs through it.
@@ -113,7 +130,9 @@ def chunk_from_rows(schema, rows: list) -> Chunk:
                 if null_lists[a] is not None:
                     null_lists[a].append(False)
     cols, nulls = _arrays(schema, col_lists, null_lists)
-    return Chunk(cols, nulls, len(rows))
+    return Chunk(
+        cols, nulls, len(rows), None if tids is None else _tid_array(tids)
+    )
 
 
 def reference_column_sink(layout):
@@ -148,7 +167,7 @@ def reference_column_sink(layout):
 
 
 def freeze_chunk(chunk: Chunk) -> Chunk:
-    """Mark every column/null array read-only (in place; returns *chunk*).
+    """Mark every column/null/tid array read-only (in place; returns *chunk*).
 
     Cached chunks are shared across statements — and, once the morsel
     tier lands, across workers — so the arrays must be immutable after
@@ -157,11 +176,9 @@ def freeze_chunk(chunk: Chunk) -> Chunk:
     violation into a hard ``ValueError`` at the write site instead of a
     silent cross-statement corruption.
     """
-    for arr in chunk.cols:
-        arr.setflags(write=False)
-    for mask in chunk.nulls:
-        if mask is not None:
-            mask.setflags(write=False)
+    for arr in (*chunk.cols, *chunk.nulls, chunk.tids):
+        if arr is not None:
+            arr.setflags(write=False)
     return chunk
 
 
@@ -173,8 +190,10 @@ def _decode(rel, old: "_Entry | None" = None) -> "tuple[_Entry, int]":
     frozen arrays; every other page (dirty or new) is decoded through
     the relation's column sink.  Consecutive clean pages become one
     slice and consecutive dirty pages one array, and the pieces are
-    spliced with a single ``np.concatenate`` per column.  With no *old*
-    every page is dirty: one piece, no splice — the full decode.
+    spliced with a single ``np.concatenate`` per column — ``tids``, built
+    from each decoded tuple's ``(pageno, slot)``, rides along as one
+    more column.  With no *old* every page is dirty: one piece, no
+    splice — the full decode.
 
     Charges: a decoded page costs what a first sequential scan pays
     (buffer access + ``PAGE_ACCESS``) plus the transpose work the row
@@ -197,7 +216,7 @@ def _decode(rel, old: "_Entry | None" = None) -> "tuple[_Entry, int]":
         for p, version in enumerate(page_versions)
     ]
     offsets = [0]
-    pieces: list[tuple[list, list]] = []
+    pieces: list[tuple[list, list, np.ndarray]] = []
     rows = 0
     for reuse, run in groupby(range(len(clean)), key=clean.__getitem__):
         if reuse:
@@ -206,28 +225,38 @@ def _decode(rel, old: "_Entry | None" = None) -> "tuple[_Entry, int]":
             pieces.append((
                 [col[lo:hi] for col in old.chunk.cols],
                 [None if m is None else m[lo:hi] for m in old.chunk.nulls],
+                old.chunk.tids[lo:hi],
             ))
             offsets.extend(rows + old.offsets[p + 1] - lo for p in pages)
             rows += hi - lo
             continue
         col_lists, null_lists = column_scratch(schema)
+        tids: list[int] = []
         for pageno in run:
             access(heap.name, pageno, sequential=True)
             charge(C.PAGE_ACCESS + C.VEC_CHUNK_BUILD * natts)
-            raws = [raw for _slot, raw in heap.pages[pageno].live_tuples()]
+            raws = []
+            page_base = pageno << CTID_SLOT_BITS      # pack_tid, inlined
+            for slot, raw in heap.pages[pageno].live_tuples():
+                raws.append(raw)
+                tids.append(page_base | slot)
             sink(raws, sections, col_lists, null_lists)
             charge(C.VEC_DECODE_PER_VALUE * natts * len(raws))
             rows += len(raws)
             offsets.append(rows)
-        pieces.append(_arrays(schema, col_lists, null_lists))
+        pieces.append(
+            (*_arrays(schema, col_lists, null_lists), _tid_array(tids))
+        )
     reused = sum(clean)
     if reused:
         charge(C.VEC_CHUNK_HIT * reused)
 
     if not pieces:      # no pages at all
-        pieces.append(_arrays(schema, *column_scratch(schema)))
+        pieces.append(
+            (*_arrays(schema, *column_scratch(schema)), _tid_array([]))
+        )
     if len(pieces) == 1:
-        cols, nulls = pieces[0]
+        cols, nulls, tid_array = pieces[0]
     else:
         cols = [np.concatenate([p[0][a] for p in pieces]) for a in range(natts)]
         nulls = [
@@ -235,8 +264,9 @@ def _decode(rel, old: "_Entry | None" = None) -> "tuple[_Entry, int]":
             else np.concatenate([p[1][a] for p in pieces])
             for a, mask in enumerate(pieces[0][1])
         ]
+        tid_array = np.concatenate([p[2] for p in pieces])
     entry = _Entry(
-        heap.version, rel.layout, Chunk(cols, nulls, rows),
+        heap.version, rel.layout, Chunk(cols, nulls, rows, tid_array),
         page_versions, offsets,
     )
     return entry, reused

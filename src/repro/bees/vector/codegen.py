@@ -41,7 +41,11 @@ import numpy as np
 
 from repro.cost import constants as C
 from repro.engine import expr as E
-from repro.bees.pipeline.codegen import PipelineSpec, _referenced
+from repro.bees.pipeline.codegen import (
+    PipelineSpec,
+    _referenced,
+    column_nullable,
+)
 from repro.bees.routines.base import (
     BeeRoutine,
     compile_routine,
@@ -77,6 +81,8 @@ def _vectorizable(expr: E.Expr, schema) -> bool:
         acc: set = set()
         _referenced(expr, acc)
         for index in acc:
+            if index >= schema.natts:     # ctid: an int64 lane
+                return False
             fmt = schema.attributes[index].sql_type.struct_fmt
             if fmt in _EXACT_ARITH_FMTS:
                 return False
@@ -216,7 +222,7 @@ class _KernelEmitter:
             else:
                 self._cache[key] = f"cols[{index}]"
         val = self._cache[key]
-        if not self.schema.attributes[index].nullable:
+        if not column_nullable(self.schema, index):
             return val, "False"
         nkey = ("nul", index, gather)
         if nkey not in self._cache:
@@ -364,7 +370,9 @@ def generate_vector(
     * ``agg``:   ``fn(cols, nulls, n) -> list[row]`` (finalized groups)
 
     where *cols*/*nulls* are the relation chunk's arrays and *n* its row
-    count.  Unlike the pipeline tier the aggregate sink groups **and**
+    count; a ctid spec is handed the chunk widened by its ``tids`` array
+    (:meth:`~repro.bees.vector.chunks.Chunk.with_ctid`), so column
+    ``natts`` reads like any NOT NULL int column.  Unlike the pipeline tier the aggregate sink groups **and**
     finalizes inside the kernel, so every sink returns finished rows and
     the drivers share one arity check.
     """
@@ -429,7 +437,7 @@ def generate_vector(
     costs = {"_C0": C.VEC_KERNEL_DISPATCH, "_C1": c1}
     if spec.sink == "rows":
         if spec.output is None:
-            items = [em.column_list(i) for i in range(natts)]
+            items = [em.column_list(i) for i in range(spec.scan_width)]
             expr_cost = 0
         else:
             items = [em.output_list(expr) for expr in spec.output]

@@ -343,15 +343,30 @@ class Database:
         """Bulk-load rows (the COPY path); returns the row count."""
         return dml.copy_from(self, relation, rows)
 
-    def delete_where(self, relation: str, predicate: Callable) -> int:
-        """Delete rows whose values-list satisfies *predicate*."""
-        return dml.delete_rows(self, relation, predicate)
+    def delete_where(
+        self, relation: str, predicate,
+        settings: BeeSettings | None = None, timeout: float | None = None,
+    ) -> int:
+        """Delete the rows *predicate* accepts.
+
+        *predicate* is a ``values -> bool`` callable, an engine
+        expression over the relation's columns, or ``None`` (every row).
+        Either way the match is a plan (:func:`repro.engine.dml.
+        match_plan`) run through :meth:`execute` with *settings* and
+        *timeout*; only an expression can use the bee tiers — a
+        callable is opaque to them.
+        """
+        return dml.delete_rows(self, relation, predicate, settings, timeout)
 
     def update_where(
-        self, relation: str, predicate: Callable, updater: Callable
+        self, relation: str, predicate, updater: Callable,
+        settings: BeeSettings | None = None, timeout: float | None = None,
     ) -> int:
-        """Update rows matching *predicate* via *updater*."""
-        return dml.update_rows(self, relation, predicate, updater)
+        """Update rows matching *predicate* (as for :meth:`delete_where`)
+        via *updater*, a map from old values to new values."""
+        return dml.update_rows(
+            self, relation, predicate, updater, settings, timeout
+        )
 
     def update_by_tid(self, relation: str, tid, new_values: Sequence):
         """Index-driven single-row update."""

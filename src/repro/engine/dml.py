@@ -3,19 +3,22 @@
 The write path is where SCL (specialized fill) and tuple-bee creation live:
 each inserted row is encoded by the SCL bee routine (or the generic
 ``heap_fill_tuple``), after the annotated attribute values are resolved to
-a beeID through the relation bee's data sections.  The match scan of
-UPDATE/DELETE deforms through the same admission a ``SeqScan`` uses (the
-relation bee's GCL when enabled and healthy); the by-TID paths deform their
-one tuple generically.
+a beeID through the relation bee's data sections.  UPDATE/DELETE run in
+two phases: the *match* is a plan — ``Filter(SeqScan(rel, ctid), qual)``,
+executed on the tier stack like any SELECT and drained completely — and
+the *apply* is the by-hand loop here over the ``(tid, values)`` pairs it
+produced.  The by-TID paths deform their one tuple generically.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.cost import constants as C
-from repro.engine.nodes import ExecContext, admit_deform
-from repro.resilience.errors import BeeDegradeError, is_verification_refusal
+from repro.engine.expr import Expr, Opaque
+from repro.engine.nodes import Filter, PlanNode, SeqScan
+from repro.resilience.errors import CallerError
+from repro.storage.heapfile import unpack_tid
 
 
 class RowWriter:
@@ -81,73 +84,47 @@ def copy_from(db, relation_name: str, rows: Iterable[Sequence]) -> int:
     return count
 
 
-def _scan_matches(ctx: ExecContext, rel, predicate: Callable, generic: bool):
-    """One pass of the match scan: ``[(tid, values)]`` of the rows
-    *predicate* accepts."""
-    if generic:
-        deform, checked = rel.generic_deformer, False
-    else:
-        deform, checked = admit_deform(ctx, rel)
-    sections = rel.sections_list()
-    charge = ctx.ledger.charge
-    natts = rel.layout.schema.natts
-    matches = []
-    for tid, raw in rel.heap.scan():
-        charge(C.SEQSCAN_NEXT)
-        values = deform(raw, sections)
-        if checked and len(values) != natts:
-            ctx.shield.fault("gcl", rel.bee.gcl.name, "arity")
-        if predicate(values):
-            matches.append((tid, values))
-    return matches
+def match_plan(db, relation_name: str, qual) -> PlanNode:
+    """The match phase of UPDATE/DELETE as a plan: a ctid-carrying scan
+    of the relation under one ``Filter``.
 
-
-def match_rows(db, rel, predicate: Callable) -> list:
-    """The match scan of UPDATE/DELETE: ``[(tid, values)]`` for every
-    live row of *rel* that *predicate* accepts.
-
-    The scan mutates nothing, so under beeshield a fault in the
-    specialized pass (a raising or wrong-arity GCL, a faulting EVP
-    behind *predicate*) is recorded against the bee, the ledger is
-    rolled back to the scan's start, and the scan is redone once with
-    the generic deformer and ``predicate.generic`` (the bee-free twin a
-    specialized predicate carries; a plain callable is its own twin).
-    An exception not raised inside a bee is the caller's error.
+    *qual* is a bound-ready expression over the relation's columns (it
+    then gets whatever the statement's settings give any WHERE clause —
+    EVP, a fused loop, a vector kernel), a plain ``values -> bool``
+    callable (wrapped opaque: interpreted, uncharged, unfusable), or
+    ``None`` for every row.
     """
-    ctx = ExecContext(db)
-    shield = ctx.shield
-    if shield is None:
-        return _scan_matches(ctx, rel, predicate, generic=False)
-    # Snapshot/rollback are multi-counter operations: under the server
-    # they take the ledger lock, as the executor's statement retry does.
-    with db.locks.ledger_lock:
-        snapshot = db.ledger.snapshot()
+    scan = SeqScan(relation_name, ctid=True)
+    schema = db.relation(relation_name).schema
+    scan.bind_schema(schema)
+    if qual is None:
+        return scan
+    if not isinstance(qual, Expr):
+        qual = Opaque(qual, schema.natts)
+    return Filter(scan, qual)
+
+
+def _matches(db, relation_name: str, qual, settings, timeout) -> list:
+    """Run the match plan to completion: ``[(tid, values)]`` of the rows
+    *qual* accepts, all of them before the caller's first write.  The
+    plan goes through ``db.execute`` like a SELECT's, so tier stacking,
+    beeshield's statement retry and the statement *timeout* are the
+    executor's; an exception out of an opaque callable is the caller's.
+    """
+    plan = match_plan(db, relation_name, qual)
     try:
-        matches = _scan_matches(ctx, rel, predicate, generic=False)
-    except BeeDegradeError as fault:
-        shield.registry.record_failure(
-            fault.bee, site=fault.site, kind=fault.kind, error=fault.original
-        )
-    except Exception as exc:  # noqa: BLE001 — the guard is the handler
-        family, key = shield.attribute(exc, db.bee_module)
-        if family is None or is_verification_refusal(exc):
-            raise      # not raised inside a bee: the caller's error
-        shield.registry.record_failure(
-            key, site=family, kind="exception", error=exc
-        )
-    else:
-        shield.statement_ok(ctx.shield_used)
-        return matches
-    with db.locks.ledger_lock:
-        db.ledger.rollback_to(snapshot)
-    predicate = getattr(predicate, "generic", predicate)
-    return _scan_matches(ctx, rel, predicate, generic=True)
+        rows = db.execute(plan, emit=False, settings=settings, timeout=timeout)
+    except CallerError as wrapped:
+        raise wrapped.__cause__ from None
+    return [(unpack_tid(row[-1]), list(row[:-1])) for row in rows]
 
 
-def delete_rows(db, relation_name: str, predicate) -> int:
-    """Delete every row matching *predicate* (a values-list callable)."""
+def delete_rows(
+    db, relation_name: str, qual, settings=None, timeout=None
+) -> int:
+    """Delete every row matching *qual* (see :func:`match_plan`)."""
+    doomed = _matches(db, relation_name, qual, settings, timeout)
     rel = db.relation(relation_name)
-    doomed = match_rows(db, rel, predicate)
     for tid, values in doomed:
         rel.heap.delete(tid)
         rel.index_delete(values, tid)
@@ -155,11 +132,13 @@ def delete_rows(db, relation_name: str, predicate) -> int:
     return len(doomed)
 
 
-def update_rows(db, relation_name: str, predicate, updater) -> int:
+def update_rows(
+    db, relation_name: str, qual, updater, settings=None, timeout=None
+) -> int:
     """Update matching rows: *updater* maps old values to new values."""
+    matches = _matches(db, relation_name, qual, settings, timeout)
     rel = db.relation(relation_name)
     writer = RowWriter(db, relation_name)
-    matches = match_rows(db, rel, predicate)
     for tid, old_values in matches:
         new_values = updater(list(old_values))
         rel.heap.delete(tid)

@@ -25,6 +25,7 @@ from repro.cost import constants as C
 from repro.engine.nodes import ExecContext, Materialize, PlanNode
 from repro.resilience.errors import (
     BeeDegradeError,
+    CallerError,
     QueryTimeout,
     is_verification_refusal,
 )
@@ -79,6 +80,8 @@ def execute(
             with ledger_lock:
                 db.ledger.rollback_to(snapshot)
             raise
+        except CallerError:
+            raise      # not raised inside a bee: the caller's error
         except BeeDegradeError as fault:
             if shield is None:
                 raise

@@ -21,6 +21,7 @@ import datetime
 import re
 
 from repro.cost import constants as C
+from repro.resilience.errors import CallerError
 
 _LIKE_SPECIAL = re.compile(r"([.^$*+?{}\[\]\\|()])")
 
@@ -400,6 +401,32 @@ class Func(Expr):
 
     def __repr__(self) -> str:
         return f"Func({self.name}, {', '.join(map(repr, self.args))})"
+
+
+class Opaque(Expr):
+    """A caller's Python predicate over a row's first *width* columns.
+
+    ``db.update_where`` / ``db.delete_where`` wrap a callable in one so
+    it can sit in a plan as a ``Filter`` qualification.  The engine
+    cannot see inside it: no fuser or generator accepts it (``Filter``
+    interprets it even with EVP on) and it is uncharged (both costs stay
+    zero — a user's callable has no modeled price).  What it raises is
+    the caller's error, wrapped in :class:`CallerError` so no layer in
+    between mistakes it for a bee fault.
+    """
+
+    def __init__(self, fn, width: int) -> None:
+        self.fn = fn
+        self.width = width
+
+    def evaluate(self, row: list):
+        try:
+            return bool(self.fn(row[: self.width]))
+        except Exception as exc:
+            raise CallerError() from exc
+
+    def __repr__(self) -> str:
+        return f"Opaque({getattr(self.fn, '__name__', 'callable')})"
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@ import math
 from typing import Iterator
 
 from repro.cost import constants as C
-from repro.engine.expr import Expr, bind, static_nullable
+from repro.engine.expr import Expr, Opaque, bind, static_nullable
+from repro.storage.heapfile import pack_tid
 
 Row = list
+
+#: Name of the trailing system column a ctid scan emits.
+CTID_COLUMN = "ctid"
 
 
 def output_nullability(node: "PlanNode") -> list[bool]:
@@ -112,10 +116,18 @@ def admit_deform(ctx: ExecContext, rel):
 
 
 class SeqScan(PlanNode):
-    """Sequential heap scan; deforms via GCL bee or generic path."""
+    """Sequential heap scan; deforms via GCL bee or generic path.
 
-    def __init__(self, relation: str) -> None:
+    With *ctid* the scan carries one trailing system column, ``ctid``:
+    each tuple's identifier packed into a NOT NULL int
+    (:func:`repro.storage.heapfile.pack_tid`).  It costs nothing extra —
+    the scan already holds the TID — and is what lets the match phase
+    of UPDATE/DELETE be an ordinary plan.
+    """
+
+    def __init__(self, relation: str, ctid: bool = False) -> None:
         self.relation = relation
+        self.ctid = ctid
         self.columns: list[str] = []
         self.nullable: list[bool] = []
         self._schema = None
@@ -125,9 +137,12 @@ class SeqScan(PlanNode):
         self._schema = schema
         self.columns = schema.column_names()
         self.nullable = [attr.nullable for attr in schema.attributes]
+        if self.ctid:
+            self.columns.append(CTID_COLUMN)
+            self.nullable.append(False)
 
     def node_label(self) -> str:
-        return f"SeqScan({self.relation})"
+        return f"SeqScan({self.relation}{'+ctid' if self.ctid else ''})"
 
     def rows(self, ctx: ExecContext) -> Iterator[Row]:
         rel = ctx.db.relation(self.relation)
@@ -140,7 +155,16 @@ class SeqScan(PlanNode):
         deform, checked = admit_deform(ctx, rel)
         per_row = C.SEQSCAN_NEXT + C.SLOT_STORE + C.NODE_OVERHEAD
         charge = ctx.ledger.charge
-        if checked:
+        if self.ctid:
+            gcl_name = rel.bee.gcl.name if checked else None
+            natts = rel.layout.schema.natts
+            for (pageno, slot), raw in rel.heap.scan():
+                charge(per_row)
+                row = deform(raw, sections)
+                if checked and len(row) != natts:
+                    shield.fault("gcl", gcl_name, "arity")
+                yield [*row, pack_tid(pageno, slot)]
+        elif checked:
             gcl_name = rel.bee.gcl.name
             natts = rel.layout.schema.natts
             for _tid, raw in rel.heap.scan():
@@ -235,7 +259,7 @@ class Filter(PlanNode):
     def rows(self, ctx: ExecContext) -> Iterator[Row]:
         charge = ctx.ledger.charge
         overhead = C.NODE_OVERHEAD
-        if ctx.settings.evp:
+        if ctx.settings.evp and not isinstance(self.qual, Opaque):
             shield = ctx.shield
             if shield is None:
                 routine = ctx.bees.get_evp(self.qual, self.not_null)

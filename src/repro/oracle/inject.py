@@ -7,8 +7,9 @@ patch point for in-process generators is ``repro.bees.maker`` — the
 maker imports the generators into its own namespace at import time, so
 patching the defining modules (``repro.bees.routines.*``) would have no
 effect, and the columnar engine's direct import of ``generate_evp``
-stays honest.  There is one kind per routine family the oracle guards
-and one per tier row of :data:`repro.bees.drivers.TIERS`.
+stays honest.  There is one kind per routine family the oracle guards,
+one per tier row of :data:`repro.bees.drivers.TIERS`, and one for the
+chunk cache's tuple identifiers (what a vectorized write trusts).
 """
 
 from __future__ import annotations
@@ -86,6 +87,18 @@ def _qualless_prepare(original: Callable) -> Callable:
     return patched
 
 
+def _shifted_tids(original: Callable) -> Callable:
+    def patched(rel, old=None):
+        import numpy as np
+
+        entry, reused = original(rel, old)
+        if old is not None:
+            entry.chunk.tids = np.roll(entry.chunk.tids, 1)
+        return entry, reused
+
+    return patched
+
+
 #: kind -> (module, dotted attribute to patch, wrapper of the original).
 _BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
     "gcl": ("repro.bees.maker", "generate_gcl", _off_by_one_gcl),
@@ -97,6 +110,7 @@ _BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
     "parallel": (
         "repro.parallel.worker", "_WorkerState.prepare", _qualless_prepare
     ),
+    "tids": ("repro.bees.vector.chunks", "_decode", _shifted_tids),
 }
 
 BUG_KINDS = tuple(_BUGS)
@@ -121,6 +135,12 @@ def inject_bug(kind: str) -> Iterator[None]:
       qualification (the morsel-tier analog: the coordinator ships the
       right spec and every worker compiles the wrong one).  Workers
       inherit the patch when the pool forks.
+    * ``'tids'`` — a chunk-cache refresh that patches a cached chunk
+      (re-decodes the dirty pages, splices the rest) leaves its ``tids``
+      column shifted by one row against the value columns: every read
+      is still right, and a vectorized UPDATE or DELETE writes the
+      neighbouring row.  Only the N-way lane over the write's match
+      plan sees it.
 
     Only bees generated while the context is active are affected, so the
     oracle (its databases, and any worker pool) must be created inside

@@ -3,12 +3,14 @@
 Every generated statement is executed against a stock-settings
 :class:`~repro.db.Database` and a bee-enabled one; their outcomes (rows,
 status, or error type) must match statement by statement.  On top of the
-engine diff, eligible SELECTs get three more lanes:
+engine diff, eligible statements get three more lanes:
 
 * **N-way plans**: every tier is just another plan for the same
-  statement, so the query re-runs on the bee database — same physical
+  statement, so a SELECT re-runs on the bee database — same physical
   tuples — under every legal settings point and each must reproduce the
-  specialized result.  The points are the generic interpreter
+  specialized result; an UPDATE or DELETE has its *match plan* run the
+  same way just before the write is applied (never applied itself), so
+  every point must find the same ``(values…, ctid)`` rows.  The points are the generic interpreter
   (``bees=False``: isolates execution-path bugs from storage bugs) and
   one per row of :data:`repro.bees.drivers.TIERS`, computed by
   :func:`~repro.bees.drivers.settings_points`; a new tier row is
@@ -52,6 +54,8 @@ from repro.oracle.normalize import (
     outcomes_equivalent,
     run_statement,
 )
+from repro.sql import parse
+from repro.sql.session import plan_match
 
 
 @dataclass
@@ -144,6 +148,16 @@ def _on_tier(stats: dict, tier: drivers.Tier) -> int:
         pool = stats.get(tier.name, {})
         return pool.get("statements", 0) - pool.get("degradations", 0)
     return stats["bees"].get(f"{tier.name}_routines", 0)
+
+
+def _match_outcome(db: Database, sql: str, settings=None) -> Outcome:
+    """Run (never apply) the match plan of UPDATE/DELETE *sql*: its
+    ``(values…, ctid)`` rows, or the error type."""
+    try:
+        plan = plan_match(db, parse(sql))
+        return ("rows", db.execute(plan, emit=False, settings=settings))
+    except Exception as exc:  # noqa: BLE001 — the comparison IS the handler
+        return ("error", type(exc).__name__)
 
 
 @dataclass(frozen=True)
@@ -278,6 +292,8 @@ class DifferentialOracle:
 
     def _run_one(self, stmt: GenStatement) -> None:
         self._count(self.statement_counts, stmt.kind)
+        if stmt.kind in ("update", "delete"):
+            self._check_match_plans(stmt)      # on the rows it is about to hit
         out_stock = run_statement(self.stock, stmt.sql)
         out_bee = run_statement(self.bee, stmt.sql)
         self._digest.update(stmt.sql.encode())
@@ -348,6 +364,31 @@ class DifferentialOracle:
                 still_diverges,
             )
 
+    def _check_match_plans(self, stmt: GenStatement) -> None:
+        """The N-way lane over a write's match plan: which rows, at
+        which tuple identifiers, each tier would hand the apply phase."""
+        base = _match_outcome(self.bee, stmt.sql)
+        if base[0] != "rows":
+            return      # the statement itself errors: engine-diff's lane
+
+        def run_at(settings) -> Outcome:
+            return _match_outcome(self.bee, stmt.sql, settings)
+
+        for point, out in self._nway(self.bee, base, run_at, ordered=False):
+
+            def still_diverges(_stock, bee, point=point) -> bool:
+                a = _match_outcome(bee, stmt.sql)
+                b = _match_outcome(bee, stmt.sql, point.settings)
+                return not point.agree(a, b, False)
+
+            self._record(
+                point.check,
+                stmt,
+                f"match plan: {point.name}={describe_outcome(out)} "
+                f"bees={describe_outcome(base)}",
+                still_diverges,
+            )
+
     def _check_metamorphic(self, stmt: GenStatement, out_stock, out_bee) -> None:
         tlp = stmt.tlp
         for label, db in (("tlp-stock", self.stock), ("tlp-bees", self.bee)):
@@ -394,7 +435,6 @@ class DifferentialOracle:
     def _columnar_detail(self, stmt: GenStatement, db: Database) -> str | None:
         """Cross-check a SUM/WHERE probe against the columnar engine."""
         from repro.columnar import ColumnStore, ColumnarExecutor
-        from repro.sql import parse
         from repro.sql.planner import lower_expr
 
         try:

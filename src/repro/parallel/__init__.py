@@ -17,7 +17,6 @@ from repro.parallel.coordinator import (
     ParallelError,
     ParallelStats,
 )
-from repro.bees.drivers import parallelize_plan
 
 __all__ = [
     "MIN_PARALLEL_PAGES",
@@ -26,5 +25,4 @@ __all__ = [
     "ParallelCoordinator",
     "ParallelError",
     "ParallelStats",
-    "parallelize_plan",
 ]

@@ -106,6 +106,29 @@ def _build_scenario(db) -> list[tuple[str, object]]:
              ).rows
          ]))
     )
+    # Writes whose match phase is a plan on the armed tier stack.  The
+    # UPDATE sets the column its WHERE reads: a degraded retry that
+    # re-applied (or re-matched after) a write would show in the rows
+    # the last step reads back.
+    steps.append(
+        ("scratch-update",
+         lambda: ("status", db.sql(
+             "UPDATE chaos_scratch SET qty = qty + 100 WHERE qty < 50"
+         ).status))
+    )
+    steps.append(
+        ("scratch-delete",
+         lambda: ("status", db.sql(
+             "DELETE FROM chaos_scratch WHERE id >= 60 AND kind = 'BBBB'"
+         ).status))
+    )
+    steps.append(
+        ("scratch-after-writes",
+         lambda: ("rows", [
+             tuple(row)
+             for row in db.sql("SELECT id, kind, qty FROM chaos_scratch").rows
+         ]))
+    )
     # The scratch table does not exist yet when the steps are built, so
     # the repeated plan is constructed lazily on first use and reused by
     # the second step — plan-object reuse is what re-acquires memoized

@@ -45,6 +45,15 @@ class BeeDegradeError(Exception):
         self.original = original
 
 
+class CallerError(Exception):
+    """Caller-supplied code running inside a plan raised (``__cause__``
+    is what it raised) — the opaque predicate of ``db.update_where`` /
+    ``db.delete_where``.  Never a bee fault: the executor's statement
+    retry lets it through untouched and the DML layer re-raises the
+    cause.
+    """
+
+
 def is_verification_refusal(exc: BaseException) -> bool:
     """True for beecheck's ``verify_on_generate`` refusals.
 

@@ -372,7 +372,7 @@ def _torn_probe(latching: bool) -> list[str]:
     resume = threading.Event()
     original = dml.update_rows
 
-    def drowsy(db_, relation, predicate, updater):
+    def drowsy(db_, relation, qual, updater, *context):
         calls = {"n": 0}
 
         def slow(values):
@@ -384,7 +384,7 @@ def _torn_probe(latching: bool) -> list[str]:
                 resume.wait(timeout=1.5)
             return updater(values)
 
-        return original(db_, relation, predicate, slow)
+        return original(db_, relation, qual, slow, *context)
 
     detections: list[str] = []
     writer_error: list[str] = []

@@ -113,6 +113,11 @@ def classify_statement(stmt) -> tuple[str, tuple[str, ...]]:
     latches, WAL-logged), or ``ddl`` (exclusive catalog latch,
     WAL-logged).
     """
+    if isinstance(stmt, ast.ExplainStmt) and not isinstance(
+        stmt.statement, ast.SelectStmt
+    ):
+        # EXPLAIN UPDATE/DELETE only plans the write's match scan.
+        return "read", (stmt.statement.table,)
     if isinstance(stmt, (ast.SelectStmt, ast.ExplainStmt)):
         return "read", tuple(sorted(referenced_tables(stmt)))
     if isinstance(stmt, (ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt)):
@@ -311,6 +316,8 @@ class HiveServer:
                     session, sql, stmt, relations, settings, budget
                 )
             elif kind == "write":
+                # A write's match plan never fans out (the parallel tier
+                # declines ctid scans), so there is nothing to shed.
                 result = self._execute_write(
                     session, sql, stmt, relations, budget
                 )

@@ -166,7 +166,7 @@ class DeleteStmt:
 
 @dataclass
 class ExplainStmt:
-    select: "SelectStmt"
+    statement: "SelectStmt | UpdateStmt | DeleteStmt"
 
 
 @dataclass

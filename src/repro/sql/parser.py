@@ -13,7 +13,7 @@ Grammar (informal)::
     insert      := INSERT INTO name VALUES row (, row)*
     update      := UPDATE name SET col = expr (, col = expr)* [WHERE expr]
     delete      := DELETE FROM name [WHERE expr]
-    explain     := EXPLAIN select
+    explain     := EXPLAIN (select | update | delete)
     vacuum      := VACUUM name
 
 Predicates support IN (SELECT ...), EXISTS/NOT EXISTS (SELECT ...), and
@@ -87,7 +87,12 @@ class Parser:
             stmt = self.delete()
         elif self.check("kw", "EXPLAIN"):
             self.advance()
-            stmt = ast.ExplainStmt(self.select())
+            if self.check("kw", "UPDATE"):
+                stmt = ast.ExplainStmt(self.update())
+            elif self.check("kw", "DELETE"):
+                stmt = ast.ExplainStmt(self.delete())
+            else:
+                stmt = ast.ExplainStmt(self.select())
         elif self.check("kw", "VACUUM"):
             self.advance()
             stmt = ast.VacuumStmt(self.expect("ident").value)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.engine.nodes import ExecContext
+from repro.bees.drivers import stack_tiers
+from repro.engine.dml import match_plan
+from repro.engine.executor import explain
+from repro.engine.expr import bind
+from repro.engine.nodes import PlanNode
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.planner import lower_expr, plan_select, schema_from_create
@@ -50,8 +54,10 @@ def execute_statement(
     SELECT returns rows; CREATE TABLE (with the paper's ``ANNOTATE``
     clause), INSERT, UPDATE, DELETE, DROP TABLE and VACUUM return
     status-only results; EXPLAIN returns the plan as rows.  *settings*
-    and *timeout* go straight into ``db.execute`` for a SELECT: the
-    concurrent server threads them per statement instead of swapping
+    and *timeout* go straight into ``db.execute`` for every plan a
+    statement runs — a SELECT's, and the match plan of an UPDATE or
+    DELETE (the deadline is not consulted once rows are being written):
+    the concurrent server threads them per statement instead of swapping
     ``db.settings`` / ``db._deadline`` (single-session fields it must
     not touch); ``db.sql`` leaves both ``None`` and swaps.
     """
@@ -71,16 +77,17 @@ def execute_statement(
         db.drop_table(stmt.name)
         return SQLResult("DROP TABLE")
     if isinstance(stmt, ast.DeleteStmt):
-        predicate = _row_predicate(db, stmt.table, stmt.where)
-        count = db.delete_where(stmt.table, predicate)
+        count = db.delete_where(
+            stmt.table, _where(db, stmt), settings=settings, timeout=timeout
+        )
         return SQLResult(f"DELETE {count}")
     if isinstance(stmt, ast.UpdateStmt):
         schema = db.relation(stmt.table).schema
+        columns = schema.column_names()
         assignments = [
-            (schema.attnum(column), _bound_expr(db, stmt.table, expr))
+            (schema.attnum(column), bind(lower_expr(expr, columns), columns))
             for column, expr in stmt.assignments
         ]
-        predicate = _row_predicate(db, stmt.table, stmt.where)
 
         def updater(values: list) -> list:
             new_values = list(values)
@@ -88,7 +95,10 @@ def execute_statement(
                 new_values[attnum] = expr.evaluate(values)
             return new_values
 
-        count = db.update_where(stmt.table, predicate, updater)
+        count = db.update_where(
+            stmt.table, _where(db, stmt), updater,
+            settings=settings, timeout=timeout,
+        )
         return SQLResult(f"UPDATE {count}")
     if isinstance(stmt, ast.VacuumStmt):
         report = db.vacuum(stmt.table)
@@ -96,56 +106,33 @@ def execute_statement(
             f"VACUUM {report['pages_before']} -> {report['pages_after']} pages"
         )
     if isinstance(stmt, ast.ExplainStmt):
-        from repro.engine.executor import explain
-
-        plan = plan_select(db, stmt.select)
+        target = stmt.statement
+        if isinstance(target, ast.SelectStmt):
+            plan = plan_select(db, target)
+        else:
+            # A write's match plan, as the tier stack will run it: the
+            # answer to "which tier runs this UPDATE".
+            plan = stack_tiers(
+                plan_match(db, target), db,
+                settings if settings is not None else db.settings, None,
+            )
         lines = explain(plan).splitlines()
         return SQLResult("EXPLAIN", [(line,) for line in lines], ["plan"])
     raise TypeError(f"unhandled statement {type(stmt).__name__}")
 
 
-def _bound_expr(db: "Database", table: str, expr_ast: ast.Expression) -> Any:
-    """Lower and bind an expression against a relation's schema columns."""
-    from repro.engine.expr import bind
+def plan_match(
+    db: "Database", stmt: "ast.UpdateStmt | ast.DeleteStmt"
+) -> PlanNode:
+    """The match plan of a parsed UPDATE/DELETE — what the statement
+    runs to find its rows (EXPLAIN prints it; the oracle's N-way lane
+    runs it under every tier without applying the write)."""
+    return match_plan(db, stmt.table, _where(db, stmt))
 
-    columns = db.relation(table).schema.column_names()
-    return bind(lower_expr(expr_ast, columns), columns)
 
-
-def _row_predicate(
-    db: "Database", table: str, where: ast.Expression | None
-) -> Callable[[list], bool]:
-    """A values-list callable for UPDATE/DELETE WHERE clauses.
-
-    Charges what ``Filter`` charges for the qual: the EVP query bee
-    (``settings.evp``) charges itself, generic interpretation charges
-    ``qual.generic_cost`` per row.  A specialized predicate carries its
-    generic twin as ``predicate.generic`` — what the match scan redoes
-    the statement with when a bee faults (``dml.match_rows``).
-    """
-    if where is None:
-        return lambda _values: True
-    qual = _bound_expr(db, table, where)
-    charge, cost, evaluate = db.ledger.charge, qual.generic_cost, qual.evaluate
-
-    def generic(values: list) -> bool:
-        charge(cost)
-        return evaluate(values) is True
-
-    ctx = ExecContext(db)
-    if not ctx.settings.evp:
-        return generic
-    if ctx.shield is None:
-        fn = ctx.bees.get_evp(qual).fn
-    else:
-        # checked: a non-boolean verdict raises the retry signal.
-        entry = ctx.shield.predicate(ctx, qual, False, checked=True)
-        if entry is None:      # quarantined, or generation faulted
-            return generic
-        fn = entry[0]
-
-    def specialized(values: list) -> bool:
-        return fn(values) is True
-
-    specialized.generic = generic  # type: ignore[attr-defined]
-    return specialized
+def _where(db: "Database", stmt: "ast.UpdateStmt | ast.DeleteStmt") -> Any:
+    """An UPDATE/DELETE's WHERE clause lowered over its relation's
+    columns (``None`` when absent) — the qual of its match plan."""
+    if stmt.where is None:
+        return None
+    return lower_expr(stmt.where, db.relation(stmt.table).schema.column_names())

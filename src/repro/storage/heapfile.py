@@ -17,6 +17,23 @@ class TID(NamedTuple):
     slot: int
 
 
+#: A *ctid* is a TID packed into one int — ``pageno << CTID_SLOT_BITS |
+#: slot`` — so a scan can carry it as an ordinary NOT NULL integer
+#: column (an int64 lane in the vector tier's chunks).  A page holds at
+#: most ``PAGE_SIZE / 4`` line pointers, far below ``2 ** 16`` slots.
+CTID_SLOT_BITS = 16
+
+
+def pack_tid(pageno: int, slot: int) -> int:
+    """The ctid of tuple ``(pageno, slot)``."""
+    return pageno << CTID_SLOT_BITS | slot
+
+
+def unpack_tid(ctid: int) -> TID:
+    """The :class:`TID` a ctid names (inverse of :func:`pack_tid`)."""
+    return TID(ctid >> CTID_SLOT_BITS, ctid & ((1 << CTID_SLOT_BITS) - 1))
+
+
 class HeapFile:
     """A relation's pages, with charged access through the buffer pool."""
 

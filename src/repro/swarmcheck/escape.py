@@ -49,9 +49,11 @@ def _root_name(node: ast.expr) -> str | None:
 def _touches_chunk(node: ast.expr) -> bool:
     """True when the store target is (an element of) a chunk array:
     rooted at a chunk-array name, or an attribute path through
-    ``.cols`` / ``.nulls``."""
+    ``.cols`` / ``.nulls`` / ``.tids``."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr in ("cols", "nulls"):
+        if isinstance(sub, ast.Attribute) and sub.attr in (
+            "cols", "nulls", "tids",
+        ):
             return True
     root = _root_name(node)
     return root in _CHUNK_ROOTS
@@ -169,6 +171,12 @@ def check_entries(chunks) -> tuple[list, int]:
                 findings.append(Finding(
                     "escape", f"chunk:{uid}",
                     f"cached null mask {i} is WRITABLE",
+                ))
+        if chunk.tids is not None:
+            arrays += 1
+            if chunk.tids.flags.writeable:
+                findings.append(Finding(
+                    "escape", f"chunk:{uid}", "cached tid array is WRITABLE",
                 ))
     return findings, arrays
 

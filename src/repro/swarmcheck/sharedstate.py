@@ -206,7 +206,7 @@ OWNED: dict[str, frozenset] = {
     # freeze_chunk is the one declared mutation point for cached chunk
     # arrays: it runs once, at ChunkCache insertion, before the chunk is
     # published (the escape pass proves nothing writes afterwards).
-    "freeze_chunk": frozenset({"arr", "mask"}),
+    "freeze_chunk": frozenset({"arr"}),
     # The statement classifier's accumulator set: created fresh in
     # referenced_tables for every parse, filled recursively, never
     # escapes the call.

@@ -194,7 +194,8 @@ def _relation_layouts() -> Iterator[tuple[str, TupleLayout]]:
 def fused_specs() -> list[PipelineSpec]:
     """One fused spec per sink shape, independent of what the fuzz
     stream happens to fuse: filtered/projected and full-row ``rows``
-    over the tuple-bee-annotated lineitem layout, all four join types on
+    over the tuple-bee-annotated lineitem layout plus the filtered
+    full-row ctid scan (a write's match plan), all four join types on
     the ``probe`` sink, grouped and grand-total ``agg`` sinks."""
 
     def bound(expr: E.Expr, schema: Any) -> E.Expr:
@@ -223,6 +224,7 @@ def fused_specs() -> list[PipelineSpec]:
     specs = [
         PipelineSpec("lineitem", li_layout, qual=qual, output=output),
         PipelineSpec("lineitem", li_layout),  # full-row, unfiltered
+        PipelineSpec("lineitem", li_layout, qual=qual, ctid=True),
     ]
 
     o_schema = TPCH_SCHEMAS["orders"]()

@@ -1,6 +1,7 @@
 """Pass 2 — rewrite soundness: fusion must be plan-preserving.
 
-``fuse_plan`` (and the tier re-wrapper above it) replaces fusable
+Each tier's ``stack`` (the pipeline matcher, then the re-wrappers above
+it — :data:`repro.bees.drivers.TIERS`) replaces fusable
 segments with driver nodes carrying a :class:`PipelineSpec`.  This pass
 proves, for every driver in the rewritten plan, that the spec *replays*
 exactly to the subtree it replaced — same relation and layout, the same
@@ -58,7 +59,7 @@ _NODE_SCALARS = {
     Sort: ("limit",),
     Limit: ("n",),
     Materialize: (),
-    SeqScan: ("relation",),
+    SeqScan: ("relation", "ctid"),
     IndexScan: ("relation", "index", "equal", "low", "high"),
     HashJoin: ("join_type", "probe_idx", "build_idx", "not_null"),
     NestLoop: ("join_type", "not_null"),
@@ -187,6 +188,7 @@ class RewriteChecker:
     def _specs_equal(self, a, b) -> bool:
         if (
             a.relation != b.relation
+            or a.ctid != b.ctid
             or a.sink != b.sink
             or a.join_type != b.join_type
             or a.probe_idx != b.probe_idx
@@ -358,7 +360,9 @@ class RewriteChecker:
                 break
         if type(node) is not SeqScan:
             return None
-        labels.append(f"SeqScan({node.relation})")
+        labels.append(
+            f"SeqScan({node.relation}{'+ctid' if node.ctid else ''})"
+        )
         return node, quals, projection, tuple(labels)
 
     def _check_chain(
@@ -384,6 +388,16 @@ class RewriteChecker:
             self.fail(
                 f"spec embeds a stale layout for {scan.relation!r} "
                 "(not the catalog's current TupleLayout)"
+            )
+        if spec.ctid != scan.ctid:
+            self.fail(
+                f"spec ctid={spec.ctid} but the replaced scan has "
+                f"ctid={scan.ctid}: the routine's row width is wrong"
+            )
+        elif spec.ctid and spec.sink != "rows":
+            self.fail(
+                f"{spec.sink}-sink spec over a ctid scan: only the rows "
+                "sink carries the tuple identifier"
             )
         if not quals:
             expected_qual = None
@@ -428,32 +442,29 @@ class RewriteChecker:
 def check_fusion(
     plan: PlanNode, db, subject: str
 ) -> tuple[list[Finding], int]:
-    """Fuse *plan* through every tier and prove each result equivalent.
+    """Stack *plan* through every tier and prove each result equivalent.
 
-    Three replays: the pipeline rewrite, the vector rewrite stacked on
-    it, and the parallel rewrite stacked on the vector one.  The morsel
-    drivers carry the same spec object as the driver they wrap, so the
-    existing driver-on-driver stacking rules apply unchanged — a
-    parallel node that invented its own spec (or grafted a build
-    subtree that no longer replays against the original join's build
-    side) is a finding.
+    One replay per row of :data:`repro.bees.drivers.TIERS`, bottom-up,
+    each tier's ``stack`` applied to the plan the tier below produced —
+    what ``stack_tiers`` does with every flag on — so a new tier row is
+    replayed by construction.  Upper-tier drivers carry the same spec
+    object as the driver they wrap, so the driver-on-driver stacking
+    rules apply unchanged: a node that invented its own spec (or
+    grafted a build subtree that no longer replays against the original
+    join's build side) is a finding.
     """
-    from repro.bees.pipeline import fuse_plan
-    from repro.bees.vector import fuse_vector_plan
-    from repro.parallel import parallelize_plan
+    from repro.bees.drivers import TIERS
 
     checker = RewriteChecker(subject, db)
-    replays = (
-        ("fuse_plan", fuse_plan),
-        ("fuse_vector_plan", fuse_vector_plan),
-        ("parallelize_plan",
-         lambda p, d: parallelize_plan(fuse_vector_plan(p, d), d)),
-    )
-    for name, replay in replays:
+    rewritten = plan
+    for tier in TIERS:
         try:
-            rewritten = replay(plan, db)
+            rewritten = tier.stack(rewritten, db)
         except Exception as exc:    # noqa: BLE001 - a crashing rewriter is a finding
-            checker.fail(f"{name} raised {type(exc).__name__}: {exc}")
+            checker.fail(
+                f"{tier.name} tier's rewrite raised "
+                f"{type(exc).__name__}: {exc}"
+            )
             break
         checker.compare(rewritten, plan)
     return checker.findings, checker.rewrites_checked

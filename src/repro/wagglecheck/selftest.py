@@ -209,6 +209,23 @@ def _rewrite_joinkey_drop() -> bool:
     return _caught(checker.findings, "probe keys")
 
 
+def _rewrite_ctid_drop() -> bool:
+    from repro.bees.pipeline.fusion import fuse_plan
+    from repro.engine import expr as E
+    from repro.engine.nodes import Filter, SeqScan
+    from repro.wagglecheck.rewrite import RewriteChecker
+
+    db = _fixture()
+    scan = SeqScan("t", ctid=True)      # a write's match plan
+    scan.bind_schema(db.relation("t").schema)
+    plan = Filter(scan, E.Cmp("<", E.Col("id"), E.Const(5)))
+    fused = fuse_plan(plan, db)
+    fused.spec.ctid = False             # the routine forgets the tid column
+    checker = RewriteChecker("selftest", db)
+    checker.compare(fused, plan)
+    return _caught(checker.findings, "the replaced scan has ctid=True")
+
+
 # -- sections ---------------------------------------------------------------
 
 
@@ -261,6 +278,7 @@ CASES = (
     ("rewrite-lost-qual", _rewrite_lost_qual),
     ("rewrite-projection-swap", _rewrite_projection_swap),
     ("rewrite-joinkey-drop", _rewrite_joinkey_drop),
+    ("rewrite-ctid-drop", _rewrite_ctid_drop),
     ("stale-section-constant", _stale_section_constant),
     ("section-null-erasure", _section_null_erasure),
 )

@@ -169,10 +169,15 @@ class PlanChecker(TypeChecker):
             self.fail(f"scan of unknown relation {node.relation!r}")
             return [ColumnContract(name, "any", True) for name in node.columns]
         contract = contracts_from_schema(rel.schema)
-        if node.columns and list(node.columns) != rel.schema.column_names():
+        if getattr(node, "ctid", False):
+            # The tuple identifier a ctid scan carries: a packed int,
+            # never NULL, legal only as this trailing column.
+            contract.append(ColumnContract("ctid", "int", False, 8))
+        expected = [column.name for column in contract]
+        if node.columns and list(node.columns) != expected:
             self.fail(
                 f"scan of {node.relation!r} disagrees with catalog columns: "
-                f"{node.columns} vs {rel.schema.column_names()}"
+                f"{node.columns} vs {expected}"
             )
         self.check_recorded_nullability(
             node, f"scan({node.relation})", contract

@@ -3,7 +3,9 @@ relation bee.
 
 * a property test drives random interleavings of INSERT / UPDATE /
   DELETE / VACUUM / reannotate and checks after every step that the
-  incrementally maintained chunk equals a fresh full decode;
+  incrementally maintained chunk equals a fresh full decode — its
+  ``tids`` column included, each naming the tuple whose values sit in
+  that row (slot reuse, new pages, a VACUUMed heap);
 * count tests pin how many pages a refresh decodes and what it charges;
 * the column sink is compared with ``TupleLayout.decode`` on every
   TPC-H and TPC-C layout, NULL-bearing tuples included;
@@ -27,6 +29,7 @@ from repro.catalog import INT4, NUMERIC, char, make_schema, varchar
 from repro.cost import constants as C
 from repro.db import Database
 from repro.resilience.chaos import ChaosInjector
+from repro.storage.heapfile import unpack_tid
 from repro.verify.corpus import _relation_layouts
 
 PAD = "x" * 300          # ~25 rows per 8 KB page
@@ -68,11 +71,33 @@ def assert_chunks_equal(got, want) -> None:
         assert (g is None) == (w is None), a
         if g is not None:
             assert g.dtype == w.dtype == np.bool_ and np.array_equal(g, w), a
+    assert got.tids.dtype == want.tids.dtype == np.int64
+    assert got.tids.shape == (want.n,) and np.array_equal(got.tids, want.tids)
 
 
 def assert_frozen(chunk) -> None:
-    for arr in chunk.cols + [m for m in chunk.nulls if m is not None]:
+    arrays = chunk.cols + [m for m in chunk.nulls if m is not None]
+    for arr in arrays + [chunk.tids]:
         assert not arr.flags.writeable
+
+
+def assert_tids_name_their_rows(chunk, rel) -> None:
+    """Row *i* of the chunk holds the values of the live tuple at
+    ``tids[i]`` — what a vectorized UPDATE/DELETE trusts."""
+    sections = rel.sections_list()
+    tids = chunk.tids.tolist()
+    assert len(set(tids)) == chunk.n == rel.heap.live_count
+    for i, ctid in enumerate(tids):
+        raw = rel.heap.fetch(unpack_tid(ctid))
+        values, isnull = rel.layout.decode(
+            raw, sections[rel.layout.read_bee_id(raw)] if sections else None
+        )
+        for a, (value, null) in enumerate(zip(values, isnull)):
+            if null:
+                assert chunk.nulls[a][i]
+            else:
+                assert chunk.cols[a][i] == value
+                assert chunk.nulls[a] is None or not chunk.nulls[a][i]
 
 
 # -- (a) the property: a patched chunk is a full decode ----------------------
@@ -125,7 +150,7 @@ def test_patched_chunk_equals_full_decode(initial, ops):
         got = cache.get(rel)
         assert_chunks_equal(got, decode_relation(rel))
         assert_frozen(got)
-        assert got.n == rel.heap.live_count
+        assert_tids_name_their_rows(got, rel)
         if (rel.heap.uid, rel.layout) != before:
             # A new heap or a new layout object is never patched from
             # what the old one left in the cache.
@@ -152,6 +177,45 @@ def test_same_heap_new_layout_object_is_a_full_decode():
     assert_chunks_equal(got, decode_relation(rel))
 
 
+def test_vacuum_never_serves_old_tids():
+    """VACUUM moves every tuple into a new heap (new uid): a write right
+    behind it must match on the new heap's tids, not the cached ones."""
+    db = _db(BeeSettings.vectorized(), 120)
+    db.sql("DELETE FROM t WHERE k < 60")            # whole pages of dead slots
+    old = db.chunk_cache.get(db.relation("t"))
+    db.sql("VACUUM t")
+    rel = db.relation("t")
+    reused0 = db.chunk_cache.pages_reused
+    got = db.chunk_cache.get(rel)
+    assert db.chunk_cache.pages_reused == reused0   # nothing spliced
+    assert not np.array_equal(got.tids, old.tids)   # every tuple moved
+    assert_tids_name_their_rows(got, rel)
+    assert db.sql("UPDATE t SET qty = -5 WHERE k = 77").status == "UPDATE 1"
+    assert db.sql("DELETE FROM t WHERE k = 78").status == "DELETE 1"
+    rows = {row[0]: row for row in db.read_all("t")}
+    assert rows[77][3] == -5 and 78 not in rows and len(rows) == 59
+    assert all(rows[k] == _row(k) for k in rows if k != 77)
+    assert_tids_name_their_rows(db.chunk_cache.get(db.relation("t")), rel)
+
+
+def test_slot_reuse_and_new_pages_keep_tids_aligned():
+    """Updates re-insert at the tail (a page the entry has, then pages
+    it has never seen) while deletes leave dead slots behind."""
+    db = _db(BeeSettings.vectorized(), 100)
+    rel = db.relation("t")
+    cache = db.chunk_cache
+    cache.get(rel)
+    for step in range(12):
+        db.sql(f"UPDATE t SET qty = {step} WHERE k = {step * 7}")
+        db.sql(f"DELETE FROM t WHERE k = {step * 7 + 1}")
+        db.insert("t", _row(1000 + step))
+        got = cache.get(rel)
+        assert_chunks_equal(got, decode_relation(rel))
+        assert_tids_name_their_rows(got, rel)
+    assert cache.statistics()["pages_reused"] > 0
+    assert rel.heap.page_count > 4
+
+
 # -- (b) counts and charges ---------------------------------------------------
 
 
@@ -175,7 +239,7 @@ def test_single_row_update_redecodes_at_most_two_pages():
     assert 1 <= decoded <= 2
     assert decoded + reused == rel.heap.page_count
     assert stats["misses"] == stats0["misses"] + 1      # still a miss
-    assert stats["hits"] == stats0["hits"]
+    assert stats["hits"] == stats0["hits"] + 1    # the UPDATE's own match scan
     assert_chunks_equal(got, decode_relation(rel))
 
     # Clean pages cost a cache probe, dirty pages what a full decode
@@ -312,10 +376,10 @@ def test_dml_where_clause_is_charged():
     snap = db.ledger.snapshot()
     db.sql("DELETE FROM t WHERE k = 100000")
     charged = db.ledger.delta_since(snap).total
-    from repro.sql.session import _bound_expr
+    from repro.sql.session import plan_match
     from repro.sql.parser import parse
 
-    qual = _bound_expr(db, "t", parse("DELETE FROM t WHERE k = 100000").where)
+    qual = plan_match(db, parse("DELETE FROM t WHERE k = 100000")).qual
     assert charged - free == qual.generic_cost * rel.heap.live_count
 
 

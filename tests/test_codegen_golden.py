@@ -126,6 +126,17 @@ def _pipeline_spec(name: str):
                 E.bind(E.Col("amount"), cols),
             ],
         )
+    if name == "pipe_rows_ctid":
+        # The match plan of UPDATE/DELETE: Filter <- SeqScan(+ctid),
+        # the full row and its tuple identifier emitted.
+        layout = LAYOUTS["holes"]
+        cols = [attr.name for attr in layout.schema.attributes]
+        return PipelineSpec(
+            "holes",
+            layout,
+            qual=E.bind(E.Cmp("=", E.Col("k"), E.Const(7)), cols),
+            ctid=True,
+        )
     if name in ("pipe_probe_inner", "pipe_probe_anti"):
         layout = LAYOUTS["notnull"]
         cols = [attr.name for attr in layout.schema.attributes]
@@ -206,6 +217,7 @@ SNAPSHOTS = (
     + [
         "pipe_rows",
         "pipe_rows_bees",
+        "pipe_rows_ctid",
         "pipe_probe_inner",
         "pipe_probe_anti",
         "pipe_agg",
@@ -213,6 +225,7 @@ SNAPSHOTS = (
     + [
         "vec_rows",
         "vec_rows_bees",
+        "vec_rows_ctid",
         "vec_probe_inner",
         "vec_probe_anti",
         "vec_agg",

@@ -1,0 +1,313 @@
+"""UPDATE/DELETE match scans are plans.
+
+The match phase of a SQL UPDATE/DELETE is ``Filter(SeqScan(t, ctid),
+qual)`` run through the executor, so it must behave like the same
+statement on every tier:
+
+* same status and same final table on every local settings point, over
+  NULL-bearing columns, CHAR at declared width, annotated (tuple-bee)
+  attributes, multi-row matches, a SET of the column the WHERE reads,
+  match-all, match-none and the empty relation;
+* the ctid a scan emits names the tuple whose values sit beside it;
+* a chaos fault in the tier that runs the match degrades down the
+  ladder and every row is still modified exactly once;
+* a caller's opaque callable that raises reaches the caller and
+  quarantines nothing;
+* ``timeout=`` and per-statement settings reach the match plan; a
+  timed-out write modifies nothing;
+* EXPLAIN UPDATE/DELETE names the tier that runs the match.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.bees.drivers import settings_points
+from repro.bees.settings import BeeSettings
+from repro.db import Database
+from repro.engine import expr as E
+from repro.engine.dml import match_plan
+from repro.engine.nodes import SeqScan
+from repro.resilience import QueryTimeout
+from repro.resilience.chaos import ChaosInjector
+from repro.server.core import HiveServer
+from repro.storage.heapfile import TID, pack_tid, unpack_tid
+from tests.test_chunk_patch import _db as _chunk_db, _row
+
+#: stock, the paper's routine bees, then one point per local tier row.
+POINTS = [("stock", BeeSettings.stock()), ("all_bees", BeeSettings.all_bees())] + [
+    (tier.name, point)
+    for tier, point in settings_points(BeeSettings.all_bees())
+    if not tier.remote
+]
+IDS = [name for name, _ in POINTS]
+
+
+def _db(bees: BeeSettings, n: int = 90) -> Database:
+    """The chunk-patch tests' relation: NULL-bearing columns, CHAR at
+    declared width, an annotated attribute, ~25 rows per page."""
+    return _chunk_db(bees, n)
+
+
+def _table(db) -> list:
+    return sorted(db.read_all("t"), key=repr)
+
+
+#: Each statement runs on what the one before left behind.
+WRITES = (
+    "UPDATE t SET qty = qty + 1 WHERE k = 17",                  # keyed, one row
+    "UPDATE t SET price = price * 2 WHERE k >= 30 AND k < 45",  # multi-row
+    "UPDATE t SET name = 'abcdef' WHERE qty IS NULL",           # NULLs, full width
+    "UPDATE t SET qty = qty + 40 WHERE qty < 60",     # SET what the WHERE reads
+    "UPDATE t SET tag = 'ZZZZ' WHERE tag = 'BB'",               # annotated attr
+    "UPDATE t SET name = NULL WHERE name LIKE 'n0001%'",        # object lane
+    "DELETE FROM t WHERE k > 70 AND name IS NULL",
+    "DELETE FROM t WHERE k = 3",
+    "UPDATE t SET qty = 0 WHERE k = 100000",                    # match-none
+    "UPDATE t SET price = price + 1",                           # match-all
+    "DELETE FROM t",                                            # match-all
+    "UPDATE t SET qty = 1 WHERE k = 1",                         # empty relation
+    "DELETE FROM t WHERE k < 5",                                # empty relation
+)
+
+
+def _run_writes(bees: BeeSettings):
+    db = _db(bees)
+    statuses, tables = [], []
+    for sql in WRITES:
+        statuses.append(db.sql(sql).status)
+        tables.append(_table(db))
+    return statuses, tables, db
+
+
+@pytest.fixture(scope="module")
+def stock_run():
+    statuses, tables, db = _run_writes(BeeSettings.stock())
+    db.close()
+    return statuses, tables
+
+
+@pytest.mark.parametrize("name,bees", POINTS[1:], ids=IDS[1:])
+def test_writes_are_the_same_statement_on_every_point(name, bees, stock_run):
+    statuses, tables, db = _run_writes(bees)
+    assert statuses == stock_run[0]
+    assert tables == stock_run[1]
+    assert statuses[3] == "UPDATE 17"       # no row matched (or written) twice
+    assert db.stats()["resilience"]["faults"] == 0
+    db.close()
+
+
+def test_per_statement_settings_pick_the_match_tier():
+    """One database, every point as a per-statement override."""
+    want = _run_writes(BeeSettings.stock())
+    db = _db(BeeSettings.all_bees())
+    for sql, status, table in zip(WRITES, want[0], want[1]):
+        _name, bees = POINTS[len(sql) % len(POINTS)]
+        assert db.sql(sql, bees=bees).status == status
+        assert _table(db) == table
+
+
+# -- the ctid scan -----------------------------------------------------------
+
+
+def test_tid_packing_round_trips():
+    for tid in (TID(0, 0), TID(0, 65535), TID(7, 3), TID(123456, 41)):
+        assert unpack_tid(pack_tid(*tid)) == tid
+    assert pack_tid(2, 5) != pack_tid(5, 2)
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_ctid_names_the_tuple_beside_it(name, bees):
+    db = _db(bees)
+    db.sql("DELETE FROM t WHERE k >= 10 AND k < 20")      # dead slots
+    db.copy_from("t", [_row(k) for k in range(200, 230)])  # a new page
+    rel = db.relation("t")
+    scan = SeqScan("t", ctid=True)
+    rows = db.execute(scan, emit=False)
+    assert scan.columns == rel.schema.column_names() + ["ctid"]
+    assert scan.nullable[-1] is False
+    assert len(rows) == rel.heap.live_count
+    assert len({row[-1] for row in rows}) == len(rows)
+    sections = rel.sections_list()
+    for row in rows:
+        raw = rel.heap.fetch(unpack_tid(row[-1]))
+        values, isnull = rel.layout.decode(
+            raw, sections[rel.layout.read_bee_id(raw)] if sections else None
+        )
+        want = [None if null else v for v, null in zip(values, isnull)]
+        assert list(row[:-1]) == want
+    # A qual may read the ctid like any NOT NULL int column.
+    third = sorted(row[-1] for row in rows)[2]
+    plan = match_plan(
+        db, "t", E.Cmp("=", E.Col("ctid"), E.Const(third))
+    )
+    assert [row[-1] for row in db.execute(plan, emit=False)] == [third]
+    db.close()
+
+
+def test_match_plan_runs_where_the_settings_say():
+    db = _db(BeeSettings.vectorized())
+    db.ledger.profiling = True
+    assert db.sql("UPDATE t SET qty = 1 WHERE k = 5").status == "UPDATE 1"
+    names = set(db.ledger.by_function)
+    assert any(n.startswith("VEC_") for n in names)
+    assert "GCL_t" not in names and not any(n.startswith("EVP_") for n in names)
+    db.ledger.by_function.clear()
+    db.sql("UPDATE t SET qty = 2 WHERE k = 5", vectors=False)
+    assert any(n.startswith("PIPE_") for n in db.ledger.by_function)
+    db.ledger.by_function.clear()
+    db.sql("UPDATE t SET qty = 3 WHERE k = 5", bees=False)
+    assert "slot_deform_tuple" in db.ledger.by_function
+    assert db.sql("SELECT qty FROM t WHERE k = 5").rows == [(3,)]
+    db.close()
+
+
+def test_parallel_tier_declines_the_match_scan():
+    db = _db(BeeSettings.parallelized(), 600)      # past the dispatch floor
+    assert db.relation("t").heap.page_count >= 16
+    plan = [r[0] for r in db.sql("EXPLAIN DELETE FROM t WHERE k = 5").rows]
+    assert plan == ["-> VectorScan[Filter <- SeqScan(t+ctid)]"]
+    assert db.sql("DELETE FROM t WHERE k = 5").status == "DELETE 1"
+    assert db._parallel is None                    # no pool was spawned
+    assert db.sql("SELECT count(*) FROM t").rows == [(599,)]
+    db.close()
+
+
+# -- EXPLAIN -----------------------------------------------------------------
+
+
+def test_explain_write_prints_the_stacked_match_plan():
+    def explain(db, sql, **kwargs):
+        return [row[0] for row in db.sql(sql, **kwargs).rows]
+
+    db = _db(BeeSettings.vectorized())
+    before = _table(db)
+    assert explain(db, "EXPLAIN UPDATE t SET qty = 1 WHERE k = 5") == [
+        "-> VectorScan[Filter <- SeqScan(t+ctid)]"
+    ]
+    assert explain(db, "EXPLAIN DELETE FROM t") == [
+        "-> VectorScan[SeqScan(t+ctid)]"
+    ]
+    assert explain(db, "EXPLAIN DELETE FROM t WHERE k = 5", vectors=False) == [
+        "-> PipelineScan[Filter <- SeqScan(t+ctid)]"
+    ]
+    assert explain(db, "EXPLAIN DELETE FROM t WHERE k = 5", bees=False) == [
+        "-> Filter(Cmp(Col(k@0) = Const(5)))",
+        "  -> SeqScan(t+ctid)",
+    ]
+    assert _table(db) == before                    # EXPLAIN wrote nothing
+    db.close()
+
+
+def test_explain_write_through_the_server():
+    db = _db(BeeSettings.vectorized())
+    server = HiveServer(db)
+    with server.session() as session:
+        rows = session.sql("EXPLAIN UPDATE t SET qty = 1 WHERE k = 5").rows
+        assert rows == [("-> VectorScan[Filter <- SeqScan(t+ctid)]",)]
+        assert session.sql("SELECT qty FROM t WHERE k = 5").rows == [(15,)]
+    db.close()
+
+
+# -- faults ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("site,bees", [
+    ("vector-shape", BeeSettings.vectorized()),
+    ("vector-gen-raise", BeeSettings.vectorized()),
+    ("gcl-cols-raise", BeeSettings.vectorized()),
+    ("pipeline-raise", BeeSettings.pipelined()),
+    ("pipeline-arity", BeeSettings.pipelined()),
+    ("fusion-raise", BeeSettings.pipelined()),
+    ("evp-raise", BeeSettings.all_bees()),
+    ("evp-wrong-type", BeeSettings.all_bees()),
+    ("gcl-raise", BeeSettings.all_bees()),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_fault_during_the_match_degrades_and_writes_once(site, bees, stock_run):
+    chaos = ChaosInjector(0)
+    with chaos.armed(site):
+        statuses, tables, db = _run_writes(bees)
+    assert statuses == stock_run[0]
+    assert tables == stock_run[1]       # each row modified exactly once
+    assert chaos.fired[site] > 0
+    assert db.stats()["resilience"]["faults"] > 0
+    db.close()
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_raising_callable_is_the_callers_error(name, bees):
+    db = _db(bees, 20)
+
+    def boom(values):
+        if values[0] == 7:
+            raise KeyError("mine")
+        return True
+
+    with pytest.raises(KeyError, match="mine"):
+        db.delete_where("t", boom)
+    with pytest.raises(KeyError, match="mine"):
+        db.update_where("t", boom, lambda values: values)
+    report = db.stats()["resilience"]
+    assert report["faults"] == 0 and report["quarantined"] == []
+    assert len(db.read_all("t")) == 20          # nothing was written
+    db.close()
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_callable_predicate_sees_the_schema_row(name, bees):
+    db = _db(bees, 30)
+    widths = set()
+
+    def small(values):
+        widths.add(len(values))
+        return values[0] < 4
+
+    snap = db.ledger.snapshot()
+    assert db.delete_where("t", lambda values: False) == 0
+    scan_only = db.ledger.delta_since(snap).total
+    assert db.update_where(
+        "t", small, lambda values: values[:3] + [-1] + values[4:]
+    ) == 4
+    assert widths == {db.relation("t").schema.natts}     # never the ctid
+    assert db.sql("SELECT count(*) FROM t WHERE qty = -1").rows == [(4,)]
+    assert scan_only > 0
+    db.close()
+
+
+# -- timeout -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_timed_out_write_modifies_nothing(name, bees):
+    db = _db(bees, 400)
+    before = _table(db)
+    version = db.relation("t").heap.version
+    for sql in (
+        "UPDATE t SET qty = qty + 1",
+        "UPDATE t SET qty = 0 WHERE k >= 0",
+        "DELETE FROM t",
+    ):
+        snap = db.ledger.snapshot()
+        with pytest.raises(QueryTimeout):
+            db.sql(sql, timeout=0.0)
+        assert db.ledger.delta_since(snap).total == 0    # rolled back
+    assert db.relation("t").heap.version == version      # zero rows modified
+    assert _table(db) == before
+    assert db._deadline is None
+    assert db.sql("UPDATE t SET qty = 5 WHERE k = 9", timeout=60).status == (
+        "UPDATE 1"
+    )
+    db.close()
+
+
+def test_server_statement_timeout_reaches_writes():
+    db = _db(BeeSettings.vectorized(), 400)
+    before = _table(db)
+    server = HiveServer(db)
+    with server.session() as session:
+        with pytest.raises(QueryTimeout):
+            session.sql("DELETE FROM t", timeout=0.0)
+        assert server.stats_snapshot()["timeouts"] == 1
+        assert session.sql("DELETE FROM t WHERE k = 1").status == "DELETE 1"
+    assert len(db.read_all("t")) == len(before) - 1
+    db.close()

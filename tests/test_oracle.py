@@ -192,6 +192,17 @@ class TestCampaign:
         assert report.check_counts["tlp"] > 0
         assert report.check_counts["rewrite"] > 0
 
+    def test_nway_lane_runs_the_match_plan_of_every_write(self):
+        report = run_campaign(7, 80, minimize=False)
+        assert report.ok, report.summary()
+        counts = report.statement_counts
+        writes = counts.get("update", 0) + counts.get("delete", 0)
+        assert writes > 0
+        # One N-way round per SELECT that returned rows and per write
+        # whose match plan ran.
+        assert report.check_counts["plan:generic"] > counts["select"] - writes
+        assert report.check_counts["plan:generic"] <= counts["select"] + writes
+
     def test_campaign_is_deterministic(self):
         a = run_campaign(5, 60, minimize=False)
         b = run_campaign(5, 60, minimize=False)
@@ -222,6 +233,20 @@ class TestInjectionSelfTest:
         with inject_bug("evp"):
             report = run_campaign(0, 80, minimize=False)
         assert not report.ok
+
+    def test_catches_shifted_chunk_tids_on_the_match_plan_lane(self):
+        """Reads never look at a chunk's tids, so only the N-way lane
+        over a write's match plan can see them misaligned."""
+        with inject_bug("tids"):
+            report = run_campaign(0, 60, minimize=False)
+        assert not report.ok
+        assert {d.check for d in report.divergences} <= {
+            "plan:vector", "plan:parallel", "plan:pipeline",
+        }
+        assert all("match plan" in d.detail for d in report.divergences)
+        assert {d.sql.split()[0] for d in report.divergences} <= {
+            "UPDATE", "DELETE",
+        }
 
     def test_divergences_come_with_repro_scripts(self):
         with inject_bug("gcl"):
