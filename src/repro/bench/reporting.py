@@ -49,30 +49,3 @@ def table(headers: list[str], rows: list[list], title: str = "") -> str:
     for row in rendered_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def summarize_improvements(per_query: dict[int, float]) -> tuple[float, float]:
-    """(Avg1, min..max helper) — Avg1 is the paper's equal-weight average."""
-    values = list(per_query.values())
-    avg1 = sum(values) / len(values) if values else 0.0
-    return avg1, (min(values) if values else 0.0)
-
-
-def emit(text: str) -> None:
-    """Print *text* and append it to ``results/experiments.log``.
-
-    Benchmark fixtures report through this so the paper-style tables are
-    always preserved in the results log, even when pytest's fd-level
-    capture swallows stdout (run with ``-s`` to also see them live).
-    """
-    import os
-    import sys
-
-    print(text, file=sys.__stdout__)
-    results_dir = os.environ.get("REPRO_RESULTS_DIR", "results")
-    try:
-        os.makedirs(results_dir, exist_ok=True)
-        with open(os.path.join(results_dir, "experiments.log"), "a") as handle:
-            handle.write(text + "\n")
-    except OSError:
-        pass  # reporting must never fail an experiment

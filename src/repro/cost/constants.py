@@ -173,8 +173,8 @@ FUSED_DISPATCH = 60           # per chunk: single generated-kernel call
 # paid once per heap version (the cache amortizes it across statements);
 # the kernel itself replaces the fused per-row Python loop with a handful
 # of whole-column primitives, so its per-row constants sit well below
-# PIPE_NEXT.  Calibrated against bench_vector.py the way the PIPE_*
-# constants were against bench_pipeline.py.
+# PIPE_NEXT.  Calibrated against the spine's tpch_vector_warm the way
+# the PIPE_* constants were against tpch_pipe_warm.
 # --------------------------------------------------------------------------
 VEC_DECODE_PER_VALUE = 5      # per value on a chunk miss: reference decode
                               # + column append (page-at-a-time transpose)

@@ -59,10 +59,13 @@ class RowWriter:
             )
         return self._fill(values, bee_id)
 
-    def write(self, values: Sequence, per_row_cost: int):
-        """Encode, store, and index one row; returns its TID."""
+    def write(self, values: Sequence, per_row_cost: int, raw: bytes | None = None):
+        """Encode, store, and index one row; returns its TID.  *raw* is
+        the row as :meth:`encode` already produced it (UPDATE encodes
+        every new row before its first delete)."""
         self.ledger.charge(per_row_cost)
-        raw = self.encode(values)
+        if raw is None:
+            raw = self.encode(values)
         tid = self.rel.heap.insert(raw)
         self.rel.index_insert(list(values), tid)
         return tid
@@ -135,16 +138,24 @@ def delete_rows(
 def update_rows(
     db, relation_name: str, qual, updater, settings=None, timeout=None
 ) -> int:
-    """Update matching rows: *updater* maps old values to new values."""
+    """Update matching rows: *updater* maps old values to new values.
+
+    Every new row is computed and encoded before the first delete, so a
+    statement whose updater or encoder raises leaves the relation as it
+    found it.
+    """
     matches = _matches(db, relation_name, qual, settings, timeout)
     rel = db.relation(relation_name)
     writer = RowWriter(db, relation_name)
+    staged = []
     for tid, old_values in matches:
         new_values = updater(list(old_values))
+        staged.append((tid, old_values, new_values, writer.encode(new_values)))
+    for tid, old_values, new_values, raw in staged:
         rel.heap.delete(tid)
         rel.index_delete(old_values, tid)
-        writer.write(new_values, C.INSERT_PER_ROW)
-    return len(matches)
+        writer.write(new_values, C.INSERT_PER_ROW, raw)
+    return len(staged)
 
 
 def update_by_tid(db, relation_name: str, tid, new_values: Sequence):
@@ -154,9 +165,10 @@ def update_by_tid(db, relation_name: str, tid, new_values: Sequence):
     sections = rel.sections_list()
     old_values = rel.generic_deformer(raw, sections)
     writer = RowWriter(db, relation_name)
+    new_raw = writer.encode(new_values)     # may raise: before the delete
     rel.heap.delete(tid)
     rel.index_delete(old_values, tid)
-    return writer.write(new_values, C.INSERT_PER_ROW)
+    return writer.write(new_values, C.INSERT_PER_ROW, new_raw)
 
 
 def delete_by_tid(db, relation_name: str, tid) -> None:

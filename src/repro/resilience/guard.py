@@ -1,7 +1,7 @@
 """Beeshield: guarded acquisition and invocation of bee routines.
 
 Design: three tiers, chosen so the healthy fast path stays within the
-zero-overhead guardrail (``benchmarks/bench_pipeline.py --check``).
+zero-overhead guardrail (``benchmarks/gates.py``: shield overhead < 1.05).
 
 * **Acquisition guards** (once per statement per call site): quarantine
   admission, guarded generation (a raising generator falls back to the

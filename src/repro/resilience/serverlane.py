@@ -24,7 +24,7 @@ gives each lane a self-checking workload:
   repair the tear and land exactly on a statement-prefix state.
 
 :func:`run_unlatched_selftest` is the lane's harness proof: with the
-relation latches *disabled* and a drowsy updater holding a flip half
+relation latches *disabled* and a drowsy row writer holding a flip half
 done, a concurrent reader must observe the torn state (a non-zero sum
 or a :class:`~repro.server.core.SnapshotViolation`); with latches on,
 the identical schedule must be clean.  A harness that cannot see the
@@ -370,21 +370,19 @@ def _torn_probe(latching: bool) -> list[str]:
     server = HiveServer(db, lock_timeout=5.0)
     started = threading.Event()
     resume = threading.Event()
-    original = dml.update_rows
+    original = dml.RowWriter.write
+    calls = {"n": 0}
 
-    def drowsy(db_, relation, qual, updater, *context):
-        calls = {"n": 0}
-
-        def slow(values):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                # One row of the pair is already rewritten: this is the
-                # torn window.  Hold it open until the reader has run.
-                started.set()
-                resume.wait(timeout=1.5)
-            return updater(values)
-
-        return original(db_, relation, qual, slow, *context)
+    def drowsy(writer_, values, *rest):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            # One row of the pair is already rewritten and the other
+            # deleted (UPDATE stages every new row first, so the window
+            # is in the apply loop): this is the torn window.  Hold it
+            # open until the reader has run.
+            started.set()
+            resume.wait(timeout=1.5)
+        return original(writer_, values, *rest)
 
     detections: list[str] = []
     writer_error: list[str] = []
@@ -396,7 +394,7 @@ def _torn_probe(latching: bool) -> list[str]:
         except Exception as exc:  # noqa: BLE001 — probe verdict
             writer_error.append(type(exc).__name__)
 
-    dml.update_rows = drowsy
+    dml.RowWriter.write = drowsy
     try:
         writer = threading.Thread(target=write_flip)
         writer.start()
@@ -412,7 +410,7 @@ def _torn_probe(latching: bool) -> list[str]:
             resume.set()
         writer.join(timeout=5.0)
     finally:
-        dml.update_rows = original
+        dml.RowWriter.write = original
         db.close()
     detections.extend(writer_error)
     return detections

@@ -34,6 +34,18 @@ class TestCLIInProcess:
         assert "TPC-C throughput" in out
         assert "query_only" in out
 
+    def test_extras_only(self, capsys):
+        assert run(["--sf", "0.001", "--only", "extras"]) == 0
+        out = capsys.readouterr().out
+        for title in (
+            "tuple-bee cardinality", "clone-and-patch vs recompile",
+            "bee placement", "+AGG routine", "q6 on row store vs column store",
+            "generic vs generated code",
+        ):
+            assert title in out
+        assert "Section II case study" not in out
+        assert "q18" in out and "bee-specialized" in out and "deform (GCL)" in out
+
     def test_bad_experiment_rejected(self):
         with pytest.raises(SystemExit):
             run(["--only", "fig99"])

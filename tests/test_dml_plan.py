@@ -15,7 +15,10 @@ statement on every tier:
   quarantines nothing;
 * ``timeout=`` and per-statement settings reach the match plan; a
   timed-out write modifies nothing;
-* EXPLAIN UPDATE/DELETE names the tier that runs the match.
+* EXPLAIN UPDATE/DELETE names the tier that runs the match;
+* an UPDATE whose updater or encoder rejects a row — the first or a
+  later one, by scan or by TID — modifies nothing, and one that succeeds
+  charges what the delete-then-encode order did.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import pytest
 
 from repro.bees.drivers import settings_points
 from repro.bees.settings import BeeSettings
+from repro.cost import constants as C
 from repro.db import Database
-from repro.engine import expr as E
+from repro.engine import dml, expr as E
 from repro.engine.dml import match_plan
 from repro.engine.nodes import SeqScan
 from repro.resilience import QueryTimeout
@@ -311,3 +315,136 @@ def test_server_statement_timeout_reaches_writes():
         assert session.sql("DELETE FROM t WHERE k = 1").status == "DELETE 1"
     assert len(db.read_all("t")) == len(before) - 1
     db.close()
+
+
+# -- a rejected UPDATE modifies nothing ---------------------------------------
+
+
+def _indexed_db(bees: BeeSettings, n: int = 60) -> Database:
+    db = _db(bees, n)
+    db.create_index("t", "t_k", ["k"])
+    return db
+
+
+def _state(db):
+    """Everything a failed statement must leave alone."""
+    rel = db.relation("t")
+    index = rel.indexes["t_k"]
+    return (
+        _table(db), rel.heap.version, list(rel.heap.page_versions),
+        [index.lookup((k,)) for k in range(60)],
+    )
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_rejected_update_keeps_the_row_it_matched(name, bees):
+    """ISSUE 18's repro: the encoder rejects the new row (CHAR overflow)
+    after the match; the old row must still be there."""
+    db = Database(bees)
+    db.sql("CREATE TABLE t (k INT NOT NULL, c CHAR(3) NOT NULL)")
+    db.sql("INSERT INTO t VALUES (1, 'abc')")
+    db.sql("INSERT INTO t VALUES (2, 'def')")
+    version = db.relation("t").heap.version
+    with pytest.raises(ValueError):
+        db.sql("UPDATE t SET c = 'toolong' WHERE k = 1")
+    assert db.relation("t").heap.version == version
+    assert sorted(db.sql("SELECT * FROM t").rows) == [(1, "abc"), (2, "def")]
+    db.close()
+
+
+@pytest.mark.parametrize("reject", ["encoder", "updater"])
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_update_rejected_on_a_later_row_modifies_none(name, bees, reject):
+    db = _indexed_db(bees)
+    db.sql("SELECT count(*) FROM t WHERE qty > 3")      # warm the chunk cache
+    before = _state(db)
+    chunk_misses = db.chunk_cache.statistics()["misses"]
+    seen = []
+
+    def updater(values):
+        seen.append(values[0])
+        if len(seen) == 2:
+            if reject == "updater":
+                raise KeyError("caller's bug")
+            values[2] = "wider than six"                 # name is CHAR(6)
+        else:
+            values[3] = -1
+        return values
+
+    qual = E.Between(E.Col("k"), 10, 14)
+    with pytest.raises(KeyError if reject == "updater" else ValueError):
+        db.update_where("t", qual, updater)
+    assert len(seen) == 2                                # stopped at the reject
+    assert _state(db) == before
+    db.sql("SELECT count(*) FROM t WHERE qty > 3")
+    assert db.chunk_cache.statistics()["misses"] == chunk_misses
+    assert db.update_where("t", qual, lambda v: v[:3] + [-1] + v[4:]) == 5
+    assert db.sql("SELECT count(*) FROM t WHERE qty = -1").rows == [(5,)]
+    db.close()
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_rejected_update_by_tid_keeps_the_row(name, bees):
+    db = _indexed_db(bees)
+    before = _state(db)
+    (tid,) = db.relation("t").indexes["t_k"].lookup((7,))
+    with pytest.raises(ValueError):
+        db.update_by_tid("t", tid, [7, "AAAA", "wider than six", 1, 1.0, "p"])
+    with pytest.raises(ValueError):
+        db.update_by_tid("t", tid, [7, "AAAA"])          # wrong arity
+    assert _state(db) == before
+    new_tid = db.update_by_tid("t", tid, [7, "AAAA", "ok", 1, 1.0, "p"])
+    assert db.relation("t").indexes["t_k"].lookup((7,)) == [new_tid]
+    db.close()
+
+
+def _update_in_the_old_order(db, qual, updater) -> int:
+    """The parent's apply loop — delete, then encode and store, row by
+    row — kept as the reference for what a successful UPDATE charges."""
+    matches = dml._matches(db, "t", qual, None, None)
+    rel, writer = db.relation("t"), dml.RowWriter(db, "t")
+    for tid, old_values in matches:
+        new_values = updater(list(old_values))
+        rel.heap.delete(tid)
+        rel.index_delete(old_values, tid)
+        writer.write(new_values, C.INSERT_PER_ROW)
+    return len(matches)
+
+
+def _update_by_tid_in_the_old_order(db, tid, new_values):
+    rel = db.relation("t")
+    raw = rel.heap.fetch(tid, sequential=False)
+    old_values = rel.generic_deformer(raw, rel.sections_list())
+    writer = dml.RowWriter(db, "t")
+    rel.heap.delete(tid)
+    rel.index_delete(old_values, tid)
+    return writer.write(new_values, C.INSERT_PER_ROW)
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_successful_update_charges_what_the_old_order_did(name, bees):
+    """Encoding before the first delete reorders the charges and nothing
+    else: same ledger, same profile, same heap bytes."""
+    new, old = _indexed_db(bees), _indexed_db(bees)
+    new.ledger.profiling = old.ledger.profiling = True
+    qual = E.Between(E.Col("k"), 5, 40)
+
+    def updater(values):
+        values[1] = "ZZZZ"                               # a new tuple bee
+        values[3] = (values[3] or 0) + 1
+        return values
+
+    assert new.update_where("t", qual, updater) == 36
+    assert _update_in_the_old_order(old, qual, updater) == 36
+    (tid,) = new.relation("t").indexes["t_k"].lookup((50,))
+    row = [50, "BB", None, 2, 9.5, "p"]
+    assert new.update_by_tid("t", tid, row) == (
+        _update_by_tid_in_the_old_order(old, tid, row)
+    )
+    assert new.ledger.total == old.ledger.total
+    assert new.ledger.by_function == old.ledger.by_function
+    assert list(new.relation("t").heap.scan()) == (
+        list(old.relation("t").heap.scan())
+    )
+    new.close()
+    old.close()
