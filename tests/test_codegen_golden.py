@@ -4,8 +4,9 @@ Every representative layout's generated GCL (row sink and column
 sink)/SCL — plus two EVP
 variants, all four EVJ templates, an AGG transition pair, an IDX
 extractor, five fused pipeline bees (filtered rows, tuple-bee
-rows, inner/anti probe, grouped agg), and the vector-tier kernels
-generated from the same five pipeline specs — is pinned byte-for-byte
+rows, inner/anti probe, grouped agg), the vector-tier kernels
+generated from the same five pipeline specs, and the morsel workers'
+partial-agg kernel — is pinned byte-for-byte
 under ``tests/golden/``.  A codegen change shows
 up as a reviewable diff instead of a silent behavior shift; regenerate
 deliberately with::
@@ -204,6 +205,13 @@ def _generate(name: str) -> str:
         return generate_vector(
             _pipeline_spec("pipe_" + name[4:]), ledger, name.upper()
         ).source
+    if name == "par_agg":
+        # The worker-side twin of vec_agg: same spec, mergeable partials.
+        from repro.parallel.partialagg import generate_partial_agg
+
+        return generate_partial_agg(
+            _pipeline_spec("pipe_agg"), ledger, name.upper()
+        ).source
     raise KeyError(name)
 
 
@@ -230,6 +238,7 @@ SNAPSHOTS = (
         "vec_probe_anti",
         "vec_agg",
     ]
+    + ["par_agg"]
 )
 
 

@@ -98,3 +98,44 @@ def test_scl_equals_reference_encode(scenario):
         isnull = [value is None for value in row]
         expected = layout.encode(row, isnull, bee_id)
         assert routine.fn(row, bee_id) == expected
+
+
+#: ``gcl_cost`` of every TPC-H/TPC-C layout (TPC-H annotated relations
+#: also in their tuple-bee variant), written down at the commit before
+#: the cost became a by-product of the one deform emitter: the derivation
+#: may change, these numbers may not (Fig. 6's instruction counts).
+GCL_COST_PINNED = {
+    "region": 68,
+    "nation": 80,
+    "nation_tuplebees": 72,
+    "supplier": 128,
+    "customer": 152,
+    "part": 166,
+    "part_tuplebees": 150,
+    "partsupp": 92,
+    "orders": 142,
+    "orders_tuplebees": 126,
+    "lineitem": 226,
+    "lineitem_tuplebees": 194,
+    "warehouse": 152,
+    "district": 178,
+    "tpcc_customer": 324,
+    "history": 128,
+    "new_order": 56,
+    "oorder": 122,
+    "order_line": 148,
+    "item": 104,
+    "stock": 128,
+}
+
+
+def test_gcl_cost_is_pinned_for_every_benchmark_layout():
+    from repro.bees.routines.gcl import gcl_cost
+    from repro.verify.corpus import _relation_layouts
+
+    layouts = dict(_relation_layouts())
+    assert set(layouts) == set(GCL_COST_PINNED)
+    for label, layout in layouts.items():
+        assert gcl_cost(layout) == GCL_COST_PINNED[label], label
+        routine = generate_gcl(layout, Ledger(), f"GCL_{label}")
+        assert routine.cost == routine.namespace["_COST"] == GCL_COST_PINNED[label]
