@@ -315,6 +315,8 @@ def check_gcl(routine, layout: TupleLayout) -> list[str]:
             )
         idx += 1
         for attr in rest:
+            # The offset is dead past the last attribute: no advance there.
+            advances = attr is not rest[-1]
             # Reference walk: where the layout puts this attribute.
             expected_off = s_align(expected_off, attr.attalign)
             if attr.attalign > 1:
@@ -358,11 +360,14 @@ def check_gcl(routine, layout: TupleLayout) -> list[str]:
                 var = f"ln{vl_idx}"
                 vl_idx += 1
                 ok = (
-                    idx + 2 < len(stmts)
+                    idx + 1 + advances < len(stmts)
                     and _RE_GCL_VLLEN.fullmatch(stmts[idx])
                     and (m := _RE_GCL_VLDATA.fullmatch(stmts[idx + 1]))
                     and int(m.group(1)) == attr.attnum
-                    and _RE_OFF_VL.fullmatch(stmts[idx + 2])
+                    and (
+                        not advances
+                        or _RE_OFF_VL.fullmatch(stmts[idx + 2])
+                    )
                 )
                 if not ok:
                     findings.append(
@@ -370,7 +375,7 @@ def check_gcl(routine, layout: TupleLayout) -> list[str]:
                         f"at: {stmts[idx:idx + 3]!r}"
                     )
                     return findings
-                idx += 3
+                idx += 2 + advances
                 off = s_addvar(s_add(off, VARLENA_HEADER_BYTES), var)
                 expected_off = s_addvar(
                     s_add(expected_off, VARLENA_HEADER_BYTES), var
@@ -418,13 +423,13 @@ def check_gcl(routine, layout: TupleLayout) -> list[str]:
                     idx += 1
                 adv = stmts[idx] if idx < len(stmts) else ""
                 m = _RE_OFF_ADD.fullmatch(adv)
-                if not m or int(m.group(1)) != sql_type.attlen:
+                if advances and m and int(m.group(1)) == sql_type.attlen:
+                    idx += 1
+                elif advances:
                     findings.append(
                         f"off must advance by {sql_type.attlen} after "
                         f"{attr.name}, got {adv!r}"
                     )
-                else:
-                    idx += 1
                 off = s_add(off, sql_type.attlen)
                 expected_off = s_add(expected_off, sql_type.attlen)
         if off != expected_off:

@@ -396,8 +396,13 @@ def audit_pipeline(routine, spec) -> list[str]:
         for attnum in fixed | varlena
         if layout.schema.attributes[attnum].nullable
     )
+    # The null-bitmap term is the deform's own: a column-free scan
+    # (``COUNT(*)``) emits no read, so no deform and no bitmap test.
+    bitmap = 0
+    if fixed or n_varlena or n_bee:
+        bitmap = C.GCL_ISNULL_ZERO * ((layout.schema.natts + 7) // 8)
     deform = (
-        C.GCL_ISNULL_ZERO * ((layout.schema.natts + 7) // 8)
+        bitmap
         + C.GCL_FIXED * len(fixed)
         + C.GCL_VARLENA * n_varlena
         + C.GCL_TUPLE_BEE * n_bee

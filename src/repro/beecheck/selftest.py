@@ -62,6 +62,7 @@ def _passes_fired(report) -> set[str]:
 def run_selftest() -> dict[str, bool]:
     """Run every self-test case; returns ``{case: caught}``."""
     from repro.bees import maker as maker_mod
+    from repro.bees.drivers import PIPELINE, VECTOR
     from repro.oracle.inject import inject_bug
 
     results: dict[str, bool] = {}
@@ -91,7 +92,9 @@ def run_selftest() -> dict[str, bool]:
     def caught_statically(report) -> bool:
         return bool(_passes_fired(report) & set(static))
 
-    tampered = _tamper(gcl, "off = off + 4 + ln", "off = off + 5 + ln")
+    tampered = _tamper(
+        gcl, "raw[off + 4 : off + 4 + ln]", "raw[off + 5 : off + 5 + ln]"
+    )
     results["tamper-gcl-offset"] = caught_statically(
         check_gcl(tampered, layout)
     )
@@ -222,13 +225,13 @@ def run_selftest() -> dict[str, bool]:
     # validator replays the *spec's* semantics, so the filterless routine
     # diverges on every enumerated row the qual rejects.
     with inject_bug("pipeline"):
-        routine = maker_mod.generate_pipeline(
+        routine = PIPELINE.generate(
             pipe_spec, Ledger(), "PIPE_selftest"
         )
     report = check_pipeline(routine, pipe_spec)
     results["inject-pipeline"] = "transval" in _passes_fired(report)
 
-    pipe = maker_mod.generate_pipeline(pipe_spec, Ledger(), "PIPE_selftest")
+    pipe = PIPELINE.generate(pipe_spec, Ledger(), "PIPE_selftest")
 
     tampered = _tamper(
         pipe, "raw[off + 4 : off + 4 + ln]", "raw[off + 5 : off + 5 + ln]"
@@ -251,13 +254,13 @@ def run_selftest() -> dict[str, bool]:
     # The same spec shape the pipeline cases use; the vector tier
     # compiles it to a whole-column kernel instead of a row loop.
     with inject_bug("vector"):
-        routine = maker_mod.generate_vector(
+        routine = VECTOR.generate(
             pipe_spec, Ledger(), "VEC_selftest"
         )
     report = check_vector(routine, pipe_spec)
     results["inject-vector"] = "transval" in _passes_fired(report)
 
-    vec = maker_mod.generate_vector(pipe_spec, Ledger(), "VEC_selftest")
+    vec = VECTOR.generate(pipe_spec, Ledger(), "VEC_selftest")
 
     # A flipped comparison direction survives the lint (expression text
     # is not pinned) but diverges against the interpreter on nearly
@@ -283,13 +286,13 @@ def run_selftest() -> dict[str, bool]:
     ctid_spec = dataclasses.replace(pipe_spec, output=None, ctid=True)
     natts = layout.schema.natts
 
-    pipe = maker_mod.generate_pipeline(ctid_spec, Ledger(), "PIPE_selftest")
+    pipe = PIPELINE.generate(ctid_spec, Ledger(), "PIPE_selftest")
     tampered = _tamper(pipe, f", v{natts}])", ", v0])")   # a key, not the tid
     results["tamper-pipe-ctid"] = "transval" in _passes_fired(
         check_pipeline(tampered, ctid_spec)
     )
 
-    vec = maker_mod.generate_vector(ctid_spec, Ledger(), "VEC_selftest")
+    vec = VECTOR.generate(ctid_spec, Ledger(), "VEC_selftest")
     tampered = _tamper(                       # the neighbouring row's tid
         vec, f"cols[{natts}][_idx]", f"cols[{natts}][_idx - 1]"
     )

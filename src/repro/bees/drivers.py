@@ -73,8 +73,8 @@ def new_groups(spec: Any) -> tuple[dict, Callable[[], list]]:
 class Tier:
     """One row of the tier table: what a fused tier genuinely changes.
 
-    Adding a tier is one subclass (a few attributes, ``make``, ``open``
-    and ``invoke``), one entry in :data:`TIERS`, plus its codegen.
+    Adding a tier is one subclass (a few attributes, ``generate``,
+    ``open`` and ``invoke``), one entry in :data:`TIERS`, plus its codegen.
     """
 
     #: Capitalized, the EXPLAIN label prefix (``PipelineScan[…]``).
@@ -90,9 +90,16 @@ class Tier:
     #: hash table ships with the statement instead of being passed.
     remote = False
 
-    def make(self, maker: Any, spec: Any) -> Any:
-        """Compile this tier's routine for *spec* (never asked of a
-        remote tier)."""
+    def generate(
+        self, spec: Any, ledger: Any, fn_name: str, code_cache: Any = None,
+        mergeable: bool = False,
+    ) -> Any:
+        """This tier's code generator over *spec* (never asked of a
+        remote tier): what the bee maker and the pool workers both call.
+        A worker asks for *mergeable* ``agg`` output — partial states
+        the coordinator can fold across morsels.  Resolved per call
+        through the codegen module's attribute (chaos sites and the
+        injection registry patch it there)."""
         raise NotImplementedError
 
     def open(
@@ -127,8 +134,15 @@ class _Pipeline(Tier):
     name, family, prefix = "pipeline", "pipelines", "PIPE"
     enabled_by = ("pipelines", "vectors")
 
-    def make(self, maker: Any, spec: Any) -> Any:
-        return maker.make_pipeline(spec)
+    def generate(
+        self, spec: Any, ledger: Any, fn_name: str, code_cache: Any = None,
+        mergeable: bool = False,
+    ) -> Any:
+        # The agg sink advances the caller's states in place: mergeable
+        # as it stands.
+        from repro.bees.pipeline import codegen
+
+        return codegen.generate_pipeline(spec, ledger, fn_name, code_cache)
 
     def invoke(
         self, sink: str, fn: Any, unit: Any, sections: list, state: tuple
@@ -172,8 +186,15 @@ class _Vector(Tier):
     name, family, prefix = "vector", "vectors", "VEC"
     enabled_by = ("vectors",)
 
-    def make(self, maker: Any, spec: Any) -> Any:
-        return maker.make_vector(spec)
+    def generate(
+        self, spec: Any, ledger: Any, fn_name: str, code_cache: Any = None,
+        mergeable: bool = False,
+    ) -> Any:
+        from repro.bees.vector import codegen
+
+        return codegen.generate_vector(
+            spec, ledger, fn_name, code_cache, mergeable=mergeable
+        )
 
     def invoke(
         self, sink: str, fn: Any, unit: Any, sections: list, state: tuple

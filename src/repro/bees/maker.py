@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bees.datasection import DataSectionStore
-from repro.bees.pipeline.codegen import PipelineSpec, generate_pipeline
-from repro.bees.vector.codegen import generate_vector
 from repro.bees.routines.base import BeeRoutine
 from repro.bees.routines.evj import EVJRoutine, instantiate_evj
 from repro.bees.routines.evp import generate_evp
@@ -87,8 +85,7 @@ class BeeMaker:
         self.code_cache = code_cache
         self._evp_counter = 0
         self._evj_counter = 0
-        self._pipeline_counter = 0
-        self._vector_counter = 0
+        self._fused_counter: dict[str, int] = {}   # tier prefix -> count
 
     def make_relation_bee(self, layout: TupleLayout) -> RelationBee:
         """Create the relation bee for *layout* (schema-definition time)."""
@@ -121,28 +118,19 @@ class BeeMaker:
             verify_evp(routine, expr)
         return routine
 
-    def make_pipeline(self, spec: PipelineSpec) -> BeeRoutine:
-        """Compile a fused pipeline bee for one fusable plan segment."""
-        self._pipeline_counter += 1
-        fn_name = f"PIPE_{self._pipeline_counter}"
-        routine = generate_pipeline(
-            spec, self.ledger, fn_name, self.code_cache
+    def make_fused(self, tier, spec) -> BeeRoutine:
+        """Compile *tier*'s routine (a fused pipeline bee, a columnar
+        vector kernel) for one fusable plan segment; *tier* is a row of
+        :data:`repro.bees.drivers.TIERS`."""
+        count = self._fused_counter.get(tier.prefix, 0) + 1
+        self._fused_counter[tier.prefix] = count
+        routine = tier.generate(
+            spec, self.ledger, f"{tier.prefix}_{count}", self.code_cache
         )
         if self.verify:
-            from repro.beecheck import verify_pipeline
+            import repro.beecheck as beecheck
 
-            verify_pipeline(routine, spec)
-        return routine
-
-    def make_vector(self, spec: PipelineSpec) -> BeeRoutine:
-        """Compile a columnar vector kernel for one fusable plan segment."""
-        self._vector_counter += 1
-        fn_name = f"VEC_{self._vector_counter}"
-        routine = generate_vector(spec, self.ledger, fn_name, self.code_cache)
-        if self.verify:
-            from repro.beecheck import verify_vector
-
-            verify_vector(routine, spec)
+            getattr(beecheck, f"verify_{tier.name}")(routine, spec)
         return routine
 
     def make_evj(self, join_type: str, n_keys: int) -> EVJRoutine:

@@ -280,7 +280,7 @@ class GenericBeeModule:
         """Fused-driver routine for one plan segment (memoized by anchor).
 
         *tier* is the driver's :class:`repro.bees.drivers.Tier` row (it
-        picks the maker method) and *anchor* the node the driver
+        owns the generator) and *anchor* the node the driver
         replaced.  Plans are rebuilt per query, so the memo keys routine
         reuse to repeated executions of the same prepared plan (a fresh
         plan of a shape seen before re-instantiates its proto-bee from
@@ -291,7 +291,7 @@ class GenericBeeModule:
         entry = self._fused_by_node.get(key)
         if entry is not None and entry[0] is anchor:
             return entry[2]
-        routine = tier.make(self.maker, spec)
+        routine = self.maker.make_fused(tier, spec)
         routine.epoch = self.query_epoch
         _remember(self._fused_by_node, key, (anchor, spec, routine))
         return routine

@@ -21,28 +21,27 @@ validation (``repro.beecheck``).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from repro.cost import constants as C
 from repro.engine import expr as E
 from repro.engine.agg import _COUNT_STAR
-from repro.engine.deform import generic_deform_null_cost
-from repro.bees.routines.agg import AGG_SPECIALIZED_PER_AGG
-from repro.bees.routines.base import (
-    BeeRoutine,
-    compile_routine,
-    hole_params,
-    proto_entry,
+from repro.bees.emit import (
+    column_nullable,
+    emit_deform,
+    emit_probe,
+    finish,
+    slow_path,
+    spec_columns,
+    tuple_of,
 )
+from repro.bees.routines.agg import AGG_SPECIALIZED_PER_AGG
+from repro.bees.routines.base import BeeRoutine
 from repro.bees.routines.evp import _Emitter, _emit_direct, _emit_guarded
 from repro.storage.layout import (
-    BEEID_HI_BYTE,
-    BEEID_LO_BYTE,
     HEADER_INFOMASK_BYTE,
     INFOMASK_HAS_NULLS,
     TupleLayout,
-    VARLENA_HEADER_BYTES,
 )
 
 SINKS = ("rows", "probe", "agg")
@@ -94,20 +93,6 @@ class PipelineSpec:
         return self.layout.schema.natts + self.ctid
 
 
-def _referenced(expr: E.Expr, acc: set) -> None:
-    """Collect the bound column indexes *expr* reads into *acc*."""
-    if isinstance(expr, E.Col):
-        acc.add(expr.index)
-    for child in expr.children():
-        _referenced(child, acc)
-
-
-def column_nullable(schema, index: int) -> bool:
-    """Whether scan column *index* may be NULL: the schema's word for an
-    attribute; the column past them is a ctid scan's ctid, never NULL."""
-    return index < schema.natts and schema.attributes[index].nullable
-
-
 def _direct_ok(expr: E.Expr, layout: TupleLayout) -> bool:
     """True when the direct (non-3VL) EVP emission variant is sound for
     *expr*: every referenced column is NOT NULL in the schema, and no
@@ -145,139 +130,6 @@ def _emit_value(expr: E.Expr, em: _Emitter, layout: TupleLayout,
     return temp
 
 
-def _emit_deform(layout: TupleLayout, needed: set, lines: list,
-                 namespace: dict, depth: int) -> int:
-    """Inline the pruned relation-bee deform for *needed* attnums at
-    *depth*; returns its per-tuple cost share."""
-    pad = "    " * depth
-    schema = layout.schema
-    hoff = layout.header_size(tuple_has_nulls=False)
-    cost = C.GCL_ISNULL_ZERO * ((schema.natts + 7) // 8)
-
-    if layout.has_beeid:
-        needed_bee = [
-            (slot, schema.attnum(name))
-            for name, slot in layout.bee_slot.items()
-            if schema.attnum(name) in needed
-        ]
-        if needed_bee:
-            lines.append(
-                f"{pad}_bv = sections[raw[{BEEID_LO_BYTE}]"
-                f" | (raw[{BEEID_HI_BYTE}] << 8)]"
-            )
-            for slot, attnum in needed_bee:
-                lines.append(f"{pad}v{attnum} = _bv[{slot}]")
-                cost += C.GCL_TUPLE_BEE
-
-    # Fixed prefix (stored attrs before the first varlena): one struct
-    # unpack over the needed subset, pad bytes skipping gaps *and* the
-    # pruned attributes.
-    prefix = []
-    for i, attr in enumerate(layout.stored_attrs):
-        if attr.attlen == -1:
-            break
-        prefix.append((i, attr))
-    fmt_parts = ["<"]
-    cursor = 0
-    prefix_end = 0
-    prefix_locals = []
-    char_fixups = []
-    bool_fixups = []
-    for i, attr in prefix:
-        offset = layout.stored_offset(i)
-        prefix_end = offset + attr.sql_type.attlen
-        if attr.attnum not in needed:
-            continue
-        if offset > cursor:
-            fmt_parts.append(f"{offset - cursor}x")
-        local = f"v{attr.attnum}"
-        prefix_locals.append(local)
-        sql_type = attr.sql_type
-        if sql_type.struct_fmt:
-            fmt_parts.append(sql_type.struct_fmt)
-            if sql_type.struct_fmt == "B":
-                bool_fixups.append(local)
-        else:
-            fmt_parts.append(f"{sql_type.attlen}s")
-            char_fixups.append(local)
-        cursor = offset + sql_type.attlen
-        cost += C.GCL_FIXED
-        if attr.nullable:
-            cost += C.GCL_NULLABLE
-    if prefix_locals:
-        namespace["_PREFIX"] = struct.Struct("".join(fmt_parts))
-        targets = ", ".join(prefix_locals)
-        trailing = "," if len(prefix_locals) == 1 else ""
-        lines.append(
-            f"{pad}{targets}{trailing} = _PREFIX.unpack_from(raw, {hoff})"
-        )
-        for local in char_fixups:
-            lines.append(f"{pad}{local} = {local}.decode().rstrip(' ')")
-        for local in bool_fixups:
-            lines.append(f"{pad}{local} = bool({local})")
-
-    # Post-varlena attrs: running-offset walk, stopping at the last
-    # needed attribute; pruned varlenas still hop their length.
-    rest = [
-        (i, attr)
-        for i, attr in enumerate(layout.stored_attrs)
-        if i >= len(prefix)
-    ]
-    needed_rest = [i for i, attr in rest if attr.attnum in needed]
-    if needed_rest:
-        last = max(needed_rest)
-        lines.append(f"{pad}off = {hoff + prefix_end}")
-        scalar_idx = 0
-        for i, attr in rest:
-            if i > last:
-                break
-            sql_type = attr.sql_type
-            align = attr.attalign
-            wanted = attr.attnum in needed
-            local = f"v{attr.attnum}"
-            if align > 1:
-                lines.append(f"{pad}off = (off + {align - 1}) & -{align}")
-            if sql_type.attlen == -1:
-                namespace.setdefault("_VL", struct.Struct("<i"))
-                vl = VARLENA_HEADER_BYTES
-                lines.append(f"{pad}ln = _VL.unpack_from(raw, off)[0]")
-                if wanted:
-                    lines.append(
-                        f"{pad}{local} = "
-                        f"raw[off + {vl} : off + {vl} + ln].decode()"
-                    )
-                cost += C.GCL_VARLENA
-                if wanted and attr.nullable:
-                    cost += C.GCL_NULLABLE
-                if i < last:
-                    lines.append(f"{pad}off = off + {vl} + ln")
-            else:
-                if wanted:
-                    if sql_type.struct_fmt:
-                        s_name = f"_S{scalar_idx}"
-                        scalar_idx += 1
-                        namespace[s_name] = struct.Struct(
-                            "<" + sql_type.struct_fmt
-                        )
-                        lines.append(
-                            f"{pad}{local} = {s_name}.unpack_from(raw, off)[0]"
-                        )
-                        if sql_type.struct_fmt == "B":
-                            lines.append(f"{pad}{local} = bool({local})")
-                    else:
-                        width = sql_type.attlen
-                        lines.append(
-                            f"{pad}{local} = raw[off : off + {width}]"
-                            ".decode().rstrip(' ')"
-                        )
-                    cost += C.GCL_FIXED
-                    if attr.nullable:
-                        cost += C.GCL_NULLABLE
-                if i < last:
-                    lines.append(f"{pad}off = off + {sql_type.attlen}")
-    return cost
-
-
 def generate_pipeline(
     spec: PipelineSpec, ledger, fn_name: str, code_cache=None
 ) -> BeeRoutine:
@@ -302,42 +154,11 @@ def generate_pipeline(
     layout share a code object from *code_cache*.
     """
     layout = spec.layout
-    schema = layout.schema
-    natts = schema.natts
-    exprs = list(spec.group_exprs) + [
-        s.arg for s in spec.aggs if s.arg is not None
-    ]
-    if spec.qual is not None:
-        exprs.append(spec.qual)
-    if spec.output is not None:
-        exprs.extend(spec.output)
-    for expr in exprs:
-        if not E.is_bound(expr):
-            raise ValueError(
-                "pipeline specialization requires bound expressions"
-            )
-
-    needed: set = set()
-    if spec.qual is not None:
-        _referenced(spec.qual, needed)
-    if spec.sink == "rows":
-        if spec.output is None:
-            needed.update(range(natts))
-        else:
-            for expr in spec.output:
-                _referenced(expr, needed)
-    elif spec.sink == "probe":
-        needed.update(range(natts))   # the full probe row is emitted
-    else:
-        for expr in spec.group_exprs:
-            _referenced(expr, needed)
-        for agg in spec.aggs:
-            if agg.arg is not None:
-                _referenced(agg.arg, needed)
-    needed.discard(natts)     # ctid: bound by the batch loop, not decoded
+    natts = layout.schema.natts
+    needed = spec_columns(spec, "pipeline")
 
     em = _Emitter(col_ref="v{}")
-    namespace = em.namespace
+    namespace = em.holes.namespace
     namespace["_charge"] = ledger.charge_fn
 
     params = {
@@ -346,7 +167,6 @@ def generate_pipeline(
         "agg": "batch, sections, groups, make_states",
     }[spec.sink]
     lines = [
-        "",   # the def line: written last, once the holes are known
         f'    """Fused {spec.sink} pipeline over relation '
         f'{spec.relation!r} (generated)."""',
     ]
@@ -368,18 +188,17 @@ def generate_pipeline(
 
     # -- deform: NULL-bearing tuples take the generic slow path ------------
     deform_cost = 0
-    if needed:
+    if needed:      # a column-free scan (COUNT(*)) inlines no deform at all
+        namespace["_slow"] = slow_path(layout, ledger, fn_name)
+        deform, hoisted, deform_cost = emit_deform(layout, needed, 3, namespace)
         lines.append(
             f"        if raw[{HEADER_INFOMASK_BYTE}] & {INFOMASK_HAS_NULLS}:"
         )
         lines.append("            _r = _slow(raw, sections)")
-        for attnum in sorted(needed):
-            lines.append(f"            v{attnum} = _r[{attnum}]")
+        for local, attnum in zip(hoisted, sorted(needed)):
+            lines.append(f"            {local} = _r[{attnum}]")
         lines.append("        else:")
-        before = len(lines)
-        deform_cost = _emit_deform(layout, needed, lines, namespace, 3)
-        if len(lines) == before:
-            lines.append("            pass")
+        lines += deform
 
     # -- qualification ------------------------------------------------------
     qual_cost = 0
@@ -419,47 +238,7 @@ def generate_pipeline(
         )
         charge = "_C0 + _C1 * len(batch) + _C2 * len(out)"
     elif spec.sink == "probe":
-        lines.append("        _np += 1")
-        keys = ", ".join(f"v{i}" for i in spec.probe_idx)
-        key_tuple = f"({keys},)" if len(spec.probe_idx) == 1 else f"({keys})"
-        nullable_keys = [
-            f"v{i}"
-            for i in spec.probe_idx
-            if layout.schema.attributes[i].nullable
-        ]
-        if nullable_keys:
-            guard = " and ".join(f"{k} is not None" for k in nullable_keys)
-            lines.append(
-                f"        _cands = _get({key_tuple}, ()) if {guard} else ()"
-            )
-        else:
-            lines.append(f"        _cands = _get({key_tuple}, ())")
-        row = "[" + ", ".join(f"v{i}" for i in range(natts)) + "]"
-        if spec.join_type == "inner":
-            lines.append("        if not _cands:")
-            lines.append("            continue")
-            lines.append("        _nc += len(_cands)")
-            lines.append(f"        row = {row}")
-            lines.append("        for _b in _cands:")
-            lines.append("            _append(row + _b)")
-        elif spec.join_type == "left":
-            lines.append(f"        row = {row}")
-            lines.append("        if _cands:")
-            lines.append("            _nc += len(_cands)")
-            lines.append("            for _b in _cands:")
-            lines.append("                _append(row + _b)")
-            lines.append("        else:")
-            lines.append("            _append(row + _PAD)")
-            namespace["_PAD"] = [None] * spec.build_width
-        elif spec.join_type == "semi":
-            lines.append("        if _cands:")
-            lines.append("            _nc += len(_cands)")
-            lines.append(f"            _append({row})")
-        else:   # anti
-            lines.append("        if _cands:")
-            lines.append("            _nc += len(_cands)")
-            lines.append("        else:")
-            lines.append(f"            _append({row})")
+        lines += emit_probe(spec, "v{}", True, namespace)
         costs["_C2"] = C.JOIN_HASH_COMPUTE + C.JOIN_HASH_PROBE
         costs["_C3"] = C.EVJ_COMPARE * len(spec.probe_idx)
         costs["_C4"] = C.JOIN_EMIT
@@ -475,9 +254,7 @@ def generate_pipeline(
                 parts.append(_emit_value(expr, em, layout, lines, 2))
                 em.lines = []
                 group_cost += expr.evp_cost
-            key = ", ".join(parts)
-            key_tuple = f"({key},)" if len(parts) == 1 else f"({key})"
-            lines.append(f"        _k = {key_tuple}")
+            lines.append(f"        _k = {tuple_of(parts)}")
             lines.append("        _st = groups.get(_k)")
             lines.append("        if _st is None:")
             lines.append("            _st = make_states()")
@@ -503,26 +280,6 @@ def generate_pipeline(
     lines.append(f"    _charge(_NAME, {charge})")
     if spec.sink != "agg":
         lines.append("    return out")
-    lines[0] = (
-        f"def {proto_entry(fn_name)}({params}{hole_params(em.holes)}):"
-    )
-    source = "\n".join(lines) + "\n"
-
-    # Slow path: NULL-bearing tuples decode generically, charged at the
-    # generic slow-path rate (specialize the frequent path, as GCL does).
-    def _slow(raw: bytes, sections) -> list:
-        bee_values = (
-            sections[layout.read_bee_id(raw)] if layout.has_beeid else None
-        )
-        values, isnull = layout.decode(raw, bee_values)
-        ledger.charge_fn(fn_name, generic_deform_null_cost(layout, isnull))
-        for attnum, null in enumerate(isnull):
-            if null:
-                values[attnum] = None
-        return values
-
-    namespace["_slow"] = _slow
-    fn = compile_routine(source, fn_name, namespace, code_cache)
-    return BeeRoutine(
-        name=fn_name, fn=fn, cost=c1, source=source, namespace=namespace,
+    return finish(
+        fn_name, params, lines, namespace, em.holes.consts, c1, code_cache
     )

@@ -41,6 +41,7 @@ from repro.engine.nodes import (
     SeqScan,
 )
 from repro.bees.drivers import PIPELINE, FusedDriver, rewrite
+from repro.bees.emit import referenced
 from repro.bees.pipeline.codegen import PipelineSpec
 
 # Expression node types the pipeline codegen can emit (mirrors the EVP
@@ -116,7 +117,7 @@ def _chain_spec(chain: _ScanChain, db, **sink_fields) -> PipelineSpec | None:
         if not _emittable(expr) or not E.is_bound(expr):
             return None
         acc: set = set()
-        _collect(expr, acc)
+        referenced(expr, acc)
         if any(i < 0 or i >= width for i in acc):
             return None
     if not chain.quals:
@@ -134,13 +135,6 @@ def _chain_spec(chain: _ScanChain, db, **sink_fields) -> PipelineSpec | None:
         ctid=scan.ctid,
         **sink_fields,
     )
-
-
-def _collect(expr, acc: set) -> None:
-    if isinstance(expr, E.Col):
-        acc.add(expr.index)
-    for child in expr.children():
-        _collect(child, acc)
 
 
 def _try_agg(plan: HashAgg, db) -> FusedDriver | None:

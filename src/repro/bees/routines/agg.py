@@ -16,12 +16,8 @@ Enabled by the experimental ``BeeSettings.agg`` flag (off in
 from __future__ import annotations
 
 from repro.cost import constants as C
-from repro.bees.routines.base import (
-    BeeRoutine,
-    compile_routine,
-    hole_params,
-    proto_entry,
-)
+from repro.bees.emit import finish
+from repro.bees.routines.base import BeeRoutine
 from repro.bees.routines.evp import _Emitter, _emit_direct, _emit_guarded
 
 # Specialized per-row transition cost per aggregate: the fmgr dispatch and
@@ -56,41 +52,32 @@ def generate_agg(
     """
     cost = agg_routine_cost(specs, assume_not_null)
     em = _Emitter()
-    em.namespace["_charge"] = ledger.charge_fn
-    em.namespace["_COST"] = cost
-    body: list[str] = []
+    namespace = em.holes.namespace
+    namespace["_charge"] = ledger.charge_fn
+    namespace["_COST"] = cost
+    body = [
+        '    """Specialized aggregate transition (generated)."""',
+        "    _charge(_NAME, _COST)",
+    ]
     for i, spec in enumerate(specs):
         if spec.arg is None:
             body.append(f"    states[{i}].update(None)")   # count(*)
             continue
         if assume_not_null:
             value = _emit_direct(spec.arg, em)
-            body.extend(em.lines)
-            em.lines = []
-            if spec.func == "count":
-                body.append(f"    if ({value}) is not None:")
-                body.append(f"        states[{i}].update({value})")
-            else:
-                body.append(f"    states[{i}].update({value})")
+            tested = f"({value})"
         else:
-            temp = _emit_guarded(spec.arg, em)
-            body.extend(em.lines)
-            em.lines = []
-            if spec.func == "count":
-                body.append(f"    if {temp} is not None:")
-                body.append(f"        states[{i}].update({temp})")
-            else:
-                body.append(f"    states[{i}].update({temp})")
-    holes = hole_params(["_NAME"] + em.holes)
-    header = [
-        f"def {proto_entry(fn_name)}(row, states{holes}):",
-        '    """Specialized aggregate transition (generated)."""',
-        "    _charge(_NAME, _COST)",
-    ]
-    source = "\n".join(header + body) + "\n"
-    fn = compile_routine(source, fn_name, em.namespace, code_cache)
-    return BeeRoutine(
-        name=fn_name, fn=fn, cost=cost, source=source, namespace=em.namespace
+            value = tested = _emit_guarded(spec.arg, em)
+        body.extend(em.lines)
+        em.lines = []
+        if spec.func == "count":
+            body.append(f"    if {tested} is not None:")
+            body.append(f"        states[{i}].update({value})")
+        else:
+            body.append(f"    states[{i}].update({value})")
+    return finish(
+        fn_name, "row, states", body, namespace,
+        ["_NAME"] + em.holes.consts, cost, code_cache,
     )
 
 

@@ -22,12 +22,8 @@ Both agree with the generic interpreter on every input (property-tested).
 from __future__ import annotations
 
 from repro.cost import constants as C
-from repro.bees.routines.base import (
-    BeeRoutine,
-    compile_routine,
-    hole_params,
-    proto_entry,
-)
+from repro.bees.emit import Holes, finish
+from repro.bees.routines.base import BeeRoutine
 from repro.engine import expr as E
 
 
@@ -36,16 +32,16 @@ class _Emitter:
 
     *col_ref* is the source template for a bound column load; EVP reads
     from the deformed row (``row[{}]``), while the pipeline-bee codegen
-    substitutes its hoisted per-tuple locals (``v{}``).
+    substitutes its hoisted per-tuple locals (``v{}``).  Literals,
+    regexes, IN sets and functions go to the data section through
+    :attr:`holes`.
     """
 
     def __init__(self, col_ref: str = "row[{}]") -> None:
         self.lines: list[str] = []
-        self.namespace: dict = {}
+        self.holes = Holes({})
         self.col_ref = col_ref
-        self.holes: list[str] = []
         self._temp = 0
-        self._const = 0
 
     def col(self, index: int) -> str:
         return self.col_ref.format(index)
@@ -54,14 +50,6 @@ class _Emitter:
         self._temp += 1
         return f"t{self._temp}"
 
-    def const(self, value) -> str:
-        """Intern a literal in the data section; returns its hole."""
-        name = f"_K{self._const}"
-        self._const += 1
-        self.namespace[name] = value
-        self.holes.append(name)
-        return name
-
     def add(self, line: str) -> None:
         self.lines.append("    " + line)
 
@@ -69,7 +57,7 @@ class _Emitter:
 def _emit_direct(expr: E.Expr, em: _Emitter) -> str:
     """Not-null variant: return a Python expression string."""
     if isinstance(expr, E.Const):
-        return em.const(expr.value)
+        return em.holes.const(expr.value)
     if isinstance(expr, E.Col):
         return em.col(expr.index)
     if isinstance(expr, E.Cmp):
@@ -87,19 +75,16 @@ def _emit_direct(expr: E.Expr, em: _Emitter) -> str:
     if isinstance(expr, E.Not):
         return f"(not {_emit_direct(expr.arg, em)})"
     if isinstance(expr, E.Like):
-        name = f"re{em._const}"
-        em._const += 1
-        em.namespace[name] = expr._regex
+        name = em.holes.bind("re", expr._regex)
         inner = f"({name}.match({_emit_direct(expr.arg, em)}) is not None)"
         return f"(not {inner})" if expr.negate else inner
     if isinstance(expr, E.InList):
-        name = f"in{em._const}"
-        em._const += 1
-        em.namespace[name] = expr.values
+        name = em.holes.bind("in", expr.values)
         return f"({_emit_direct(expr.arg, em)} in {name})"
     if isinstance(expr, E.Between):
         arg = _emit_direct(expr.arg, em)
-        return f"({em.const(expr.low)} <= {arg} <= {em.const(expr.high)})"
+        low, high = em.holes.const(expr.low), em.holes.const(expr.high)
+        return f"({low} <= {arg} <= {high})"
     if isinstance(expr, E.Case):
         result = _emit_direct(expr.default, em)
         for cond, value in reversed(expr.whens):
@@ -111,9 +96,7 @@ def _emit_direct(expr: E.Expr, em: _Emitter) -> str:
         inner = f"({_emit_direct(expr.arg, em)} is None)"
         return f"(not {inner})" if expr.negate else inner
     if isinstance(expr, E.Func):
-        name = f"fn{em._const}"
-        em._const += 1
-        em.namespace[name] = expr._fn
+        name = em.holes.bind("fn", expr._fn)
         args = ", ".join(_emit_direct(a, em) for a in expr.args)
         return f"{name}({args})"
     raise TypeError(f"cannot specialize expression node {type(expr).__name__}")
@@ -123,7 +106,7 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
     """Nullable variant: emit statements, return the temp holding the value."""
     out = em.temp()
     if isinstance(expr, E.Const):
-        em.add(f"{out} = {em.const(expr.value)}")
+        em.add(f"{out} = {em.holes.const(expr.value)}")
     elif isinstance(expr, E.Col):
         em.add(f"{out} = {em.col(expr.index)}")
     elif isinstance(expr, (E.Cmp, E.Arith)):
@@ -149,24 +132,20 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
         em.add(f"{out} = None if {arg} is None else (not {arg})")
     elif isinstance(expr, E.Like):
         arg = _emit_guarded(expr.arg, em)
-        name = f"re{em._const}"
-        em._const += 1
-        em.namespace[name] = expr._regex
+        name = em.holes.bind("re", expr._regex)
         test = f"{name}.match({arg}) is None"
         if not expr.negate:
             test = f"not ({test})"
         em.add(f"{out} = None if {arg} is None else ({test})")
     elif isinstance(expr, E.InList):
         arg = _emit_guarded(expr.arg, em)
-        name = f"in{em._const}"
-        em._const += 1
-        em.namespace[name] = expr.values
+        name = em.holes.bind("in", expr.values)
         em.add(f"{out} = None if {arg} is None else ({arg} in {name})")
     elif isinstance(expr, E.Between):
         arg = _emit_guarded(expr.arg, em)
+        low, high = em.holes.const(expr.low), em.holes.const(expr.high)
         em.add(
-            f"{out} = None if {arg} is None else "
-            f"({em.const(expr.low)} <= {arg} <= {em.const(expr.high)})"
+            f"{out} = None if {arg} is None else ({low} <= {arg} <= {high})"
         )
     elif isinstance(expr, E.Case):
         # Pre-evaluate every arm (expressions are pure), then select; all
@@ -192,9 +171,7 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
         em.add(f"{out} = {test}")
     elif isinstance(expr, E.Func):
         args = [_emit_guarded(a, em) for a in expr.args]
-        name = f"fn{em._const}"
-        em._const += 1
-        em.namespace[name] = expr._fn
+        name = em.holes.bind("fn", expr._fn)
         nully = " or ".join(f"{a} is None" for a in args)
         call = f"{name}({', '.join(args)})"
         em.add(f"{out} = None if ({nully}) else {call}")
@@ -227,20 +204,20 @@ def generate_evp(
         raise ValueError("EVP specialization requires a bound expression")
     cost = C.EVP_PROLOGUE + expr.evp_cost
     em = _Emitter()
-    em.namespace["_charge"] = ledger.charge_fn
-    em.namespace["_COST"] = cost
+    namespace = em.holes.namespace
+    namespace["_charge"] = ledger.charge_fn
+    namespace["_COST"] = cost
     if assume_not_null:
         result = _emit_direct(expr, em)
     else:
         result = _emit_guarded(expr, em)
-    holes = hole_params(["_NAME"] + em.holes)
-    header = [
-        f"def {proto_entry(fn_name)}(row{holes}):",
+    body = [
         '    """Specialized predicate (generated query-bee routine)."""',
         "    _charge(_NAME, _COST)",
+        *em.lines,
+        f"    return {result}",
     ]
-    source = "\n".join(header + em.lines + [f"    return {result}"]) + "\n"
-    fn = compile_routine(source, fn_name, em.namespace, code_cache)
-    return BeeRoutine(
-        name=fn_name, fn=fn, cost=cost, source=source, namespace=em.namespace,
+    return finish(
+        fn_name, "row", body, namespace, ["_NAME"] + em.holes.consts,
+        cost, code_cache,
     )

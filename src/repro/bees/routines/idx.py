@@ -17,7 +17,8 @@ Enabled by the experimental ``BeeSettings.idx`` flag (off in
 from __future__ import annotations
 
 from repro.cost import constants as C
-from repro.bees.routines.base import BeeRoutine, compile_routine
+from repro.bees.emit import finish
+from repro.bees.routines.base import BeeRoutine
 
 
 def idx_cost(n_columns: int) -> int:
@@ -40,13 +41,9 @@ def generate_idx(
     namespace = {"_charge": ledger.charge_fn, "_COST": cost}
     elements = ", ".join(f"values[{i}]" for i in key_indexes)
     trailing = "," if len(key_indexes) == 1 else ""
-    source = "\n".join([
-        f"def {fn_name}(values):",
+    body = [
         '    """Specialized index-key extraction (generated)."""',
         f"    _charge({fn_name!r}, _COST)",
         f"    return ({elements}{trailing})",
-    ]) + "\n"
-    fn = compile_routine(source, fn_name, namespace)
-    return BeeRoutine(
-        name=fn_name, fn=fn, cost=cost, source=source, namespace=namespace
-    )
+    ]
+    return finish(fn_name, "values", body, namespace, None, cost)

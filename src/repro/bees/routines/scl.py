@@ -13,7 +13,8 @@ from __future__ import annotations
 import struct
 
 from repro.cost import constants as C
-from repro.bees.routines.base import BeeRoutine, compile_routine
+from repro.bees.emit import finish
+from repro.bees.routines.base import BeeRoutine
 from repro.storage.layout import (
     BEEID_HI_BYTE,
     BEEID_LO_BYTE,
@@ -69,7 +70,6 @@ def generate_scl(layout: TupleLayout, ledger, fn_name: str) -> BeeRoutine:
     }
 
     lines = [
-        f"def {fn_name}(values, bee_id=0):",
         f'    """Specialized fill for relation {schema.name!r} (generated)."""',
         "    if None in values:",
         "        return _slow(values, bee_id)",
@@ -146,7 +146,6 @@ def generate_scl(layout: TupleLayout, ledger, fn_name: str) -> BeeRoutine:
                 lines.append(f"    off = off + {sql_type.attlen}")
 
     lines.append("    return bytes(out)")
-    source = "\n".join(lines) + "\n"
 
     def _slow(values: list, bee_id: int) -> bytes:
         from repro.engine.deform import generic_fill_cost
@@ -156,7 +155,4 @@ def generate_scl(layout: TupleLayout, ledger, fn_name: str) -> BeeRoutine:
         return layout.encode(values, isnull, bee_id)
 
     namespace["_slow"] = _slow
-    fn = compile_routine(source, fn_name, namespace)
-    return BeeRoutine(
-        name=fn_name, fn=fn, cost=cost, source=source, namespace=namespace,
-    )
+    return finish(fn_name, "values, bee_id=0", lines, namespace, None, cost)

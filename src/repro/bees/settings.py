@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,10 @@ class BeeSettings:
         """Return a copy with exactly the named routine flags enabled
         (``verify_on_generate`` and ``shield`` are preserved — they are
         not routines)."""
-        valid = {
-            "gcl", "scl", "evp", "evj", "tuple_bees", "agg", "idx",
-            "pipelines", "vectors", "parallel",
-        }
-        unknown = set(names) - valid
+        unknown = set(names) - set(ROUTINE_FLAGS)
         if unknown:
             raise ValueError(f"unknown bee routine flags: {sorted(unknown)}")
-        return BeeSettings(
-            verify_on_generate=self.verify_on_generate,
-            shield=self.shield,
-            **{name: name in names for name in valid},
-        )
+        return replace(self, **{name: name in names for name in ROUTINE_FLAGS})
 
     def enabling(self, **flags: bool) -> "BeeSettings":
         """Return a copy with the given flags overridden."""
@@ -123,11 +115,7 @@ class BeeSettings:
     @property
     def any_enabled(self) -> bool:
         """True when at least one bee routine family is on."""
-        return (
-            self.gcl or self.scl or self.evp or self.evj
-            or self.tuple_bees or self.agg or self.idx or self.pipelines
-            or self.vectors or self.parallel
-        )
+        return any(getattr(self, name) for name in ROUTINE_FLAGS)
 
     def label(self) -> str:
         """Short human-readable form, e.g. ``GCL+EVP``."""
@@ -137,10 +125,16 @@ class BeeSettings:
         }
         parts = [
             short.get(name, name.upper())
-            for name in (
-                "gcl", "scl", "evp", "evj", "tuple_bees", "agg", "idx",
-                "pipelines", "vectors", "parallel",
-            )
+            for name in ROUTINE_FLAGS
             if getattr(self, name)
         ]
         return "+".join(parts) if parts else "stock"
+
+
+#: The routine-family flags, in declaration order: every field except the
+#: two orthogonal switches.  A new family is one field above.
+ROUTINE_FLAGS: tuple[str, ...] = tuple(
+    f.name
+    for f in fields(BeeSettings)
+    if f.name not in ("verify_on_generate", "shield")
+)

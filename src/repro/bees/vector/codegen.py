@@ -41,16 +41,17 @@ import numpy as np
 
 from repro.cost import constants as C
 from repro.engine import expr as E
-from repro.bees.pipeline.codegen import (
-    PipelineSpec,
-    _referenced,
+from repro.bees.emit import (
+    Holes,
     column_nullable,
+    emit_probe,
+    finish,
+    referenced,
+    spec_columns,
+    tuple_of,
 )
-from repro.bees.routines.base import (
-    BeeRoutine,
-    compile_routine,
-    proto_entry,
-)
+from repro.bees.pipeline.codegen import PipelineSpec
+from repro.bees.routines.base import BeeRoutine
 
 #: The vector tier reuses the pipeline's spec as-is: same plan-invariant
 #: bundle, different compilation target.
@@ -79,7 +80,7 @@ def _vectorizable(expr: E.Expr, schema) -> bool:
         return False
     if isinstance(expr, E.Arith):
         acc: set = set()
-        _referenced(expr, acc)
+        referenced(expr, acc)
         for index in acc:
             if index >= schema.natts:     # ctid: an int64 lane
                 return False
@@ -145,19 +146,17 @@ def _div(numer, denom, denom_null):
 class _KernelEmitter:
     """Builds kernel body lines; every composite value gets a ``t{n}``.
 
-    Fragments are *atoms* — parameter subscripts, interned constants
-    (``_K{n}``), temps — or the literals ``"True"``/``"False"`` for
-    statically-known null lanes, so symbolic simplification never needs
-    parentheses.
+    Fragments are *atoms* — parameter subscripts, data-section holes
+    (``_K{n}`` literals, ``_E{n}`` interpreter expressions), temps — or
+    the literals ``"True"``/``"False"`` for statically-known null lanes,
+    so symbolic simplification never needs parentheses.
     """
 
     def __init__(self, namespace: dict, schema) -> None:
         self.lines: list[str] = []
-        self.namespace = namespace
+        self.holes = Holes(namespace)
         self.schema = schema
         self._n_temp = 0
-        self._n_const = 0
-        self._n_expr = 0
         self._cache: dict = {}
         self.gather = ""       # becomes "[_idx]" after selection
         self._rows: dict = {}  # materialized object-lane row domains
@@ -166,18 +165,6 @@ class _KernelEmitter:
         name = f"t{self._n_temp}"
         self._n_temp += 1
         self.lines.append(f"    {name} = {src}")
-        return name
-
-    def const(self, value) -> str:
-        name = f"_K{self._n_const}"
-        self._n_const += 1
-        self.namespace[name] = value
-        return name
-
-    def intern_expr(self, expr: E.Expr) -> str:
-        name = f"_E{self._n_expr}"
-        self._n_expr += 1
-        self.namespace[name] = expr
         return name
 
     # symbolic boolean combiners over atom/literal fragments ---------------
@@ -241,7 +228,7 @@ class _KernelEmitter:
         if isinstance(expr, E.Const):
             if expr.value is None:
                 return "False", "True"
-            return self.const(expr.value), "False"
+            return self.holes.const(expr.value), "False"
         if isinstance(expr, E.Col):
             return self.col(expr.index)
         if isinstance(expr, E.Cmp):
@@ -301,8 +288,8 @@ class _KernelEmitter:
             v, u = self.emit(expr.arg)
             if u == "True":
                 return "False", "True"
-            low = self.const(expr.low)
-            high = self.const(expr.high)
+            low = self.holes.const(expr.low)
+            high = self.holes.const(expr.high)
             t = self.and_(
                 self.temp(f"{low} <= {v}"), self.temp(f"{v} <= {high}")
             )
@@ -323,7 +310,7 @@ class _KernelEmitter:
 
     def object_mask(self, expr: E.Expr) -> str:
         """Strict-true qualification mask via the interpreter itself."""
-        name = self.intern_expr(expr)
+        name = self.holes.expr(expr)
         rows = self.rows_domain()
         return self.temp(
             f"_np.fromiter(({name}.evaluate(_r) is True for _r in {rows}), "
@@ -332,7 +319,7 @@ class _KernelEmitter:
 
     def object_values(self, expr: E.Expr) -> str:
         """Value list via the interpreter over the current domain."""
-        name = self.intern_expr(expr)
+        name = self.holes.expr(expr)
         rows = self.rows_domain()
         return self.temp(f"[{name}.evaluate(_r) for _r in {rows}]")
 
@@ -359,7 +346,8 @@ def _expr_charge(expr: E.Expr, schema) -> int:
 
 
 def generate_vector(
-    spec: PipelineSpec, ledger, fn_name: str, code_cache=None
+    spec: PipelineSpec, ledger, fn_name: str, code_cache=None,
+    mergeable: bool = False,
 ) -> BeeRoutine:
     """Compile *spec* into one columnar kernel routine.
 
@@ -372,25 +360,26 @@ def generate_vector(
     where *cols*/*nulls* are the relation chunk's arrays and *n* its row
     count; a ctid spec is handed the chunk widened by its ``tids`` array
     (:meth:`~repro.bees.vector.chunks.Chunk.with_ctid`), so column
-    ``natts`` reads like any NOT NULL int column.  Unlike the pipeline tier the aggregate sink groups **and**
-    finalizes inside the kernel, so every sink returns finished rows and
-    the drivers share one arity check.
+    ``natts`` reads like any NOT NULL int column.  Unlike the pipeline
+    tier the aggregate sink groups **and** finalizes inside the kernel,
+    so every sink returns finished rows and the drivers share one arity
+    check.
+
+    Finished groups cannot be merged across morsels, so a pool worker
+    asks for the *mergeable* form of the ``agg`` sink instead: the same
+    mask, compaction, insertion-ordered bucketing and charge, but the
+    epilogue bulk-fills one :class:`~repro.engine.aggregates.AggState`
+    per aggregate per bucket and returns ``[(group_key, [AggState])]``
+    in first-seen order.  The coordinator folds those with
+    ``AggState.merge`` in morsel order and the driver finalizes; only
+    the cross-morsel re-association of float sums can differ from
+    serial, in the last ulps.  A grand aggregate always yields its
+    single ``()`` bucket, even over zero selected rows (``HashAgg``).
     """
-    layout = spec.layout
-    schema = layout.schema
+    schema = spec.layout.schema
     natts = schema.natts
-    exprs = list(spec.group_exprs) + [
-        s.arg for s in spec.aggs if s.arg is not None
-    ]
-    if spec.qual is not None:
-        exprs.append(spec.qual)
-    if spec.output is not None:
-        exprs.extend(spec.output)
-    for expr in exprs:
-        if not E.is_bound(expr):
-            raise ValueError(
-                "vector specialization requires bound expressions"
-            )
+    spec_columns(spec, "vector")    # validation only: lanes gather lazily
+    mergeable = mergeable and spec.sink == "agg"
 
     namespace = {
         "_np": np,
@@ -402,10 +391,9 @@ def generate_vector(
     }
     em = _KernelEmitter(namespace, schema)
     params = "cols, nulls, n, table" if spec.sink == "probe" else "cols, nulls, n"
+    kind = "Partial-agg" if mergeable else f"Vector {spec.sink}"
     header = [
-        f"def {proto_entry(fn_name)}({params}):",
-        f'    """Vector {spec.sink} kernel over relation '
-        f'{spec.relation!r} (generated)."""',
+        f'    """{kind} kernel over relation {spec.relation!r} (generated)."""',
     ]
 
     # -- selection: one mask, one compaction --------------------------------
@@ -455,52 +443,22 @@ def generate_vector(
         em.lines.append("    _append = out.append")
         em.lines.append("    _get = table.get")
         em.lines.append("    for _r in _rows:")
-        keys = ", ".join(f"_r[{i}]" for i in spec.probe_idx)
-        key_tuple = f"({keys},)" if len(spec.probe_idx) == 1 else f"({keys})"
-        em.lines.append(f"        _k = {key_tuple}")
-        nullable_keys = [
-            f"_r[{i}]"
-            for i in spec.probe_idx
-            if schema.attributes[i].nullable
-        ]
-        if nullable_keys:
-            guard = " and ".join(f"{k} is not None" for k in nullable_keys)
-            em.lines.append(
-                f"        _cands = _get(_k, ()) if {guard} else ()"
-            )
-        else:
-            em.lines.append("        _cands = _get(_k, ())")
-        if spec.join_type == "inner":
-            em.lines.append("        for _b in _cands:")
-            em.lines.append("            _append(_r + _b)")
-        elif spec.join_type == "left":
-            em.lines.append("        if _cands:")
-            em.lines.append("            for _b in _cands:")
-            em.lines.append("                _append(_r + _b)")
-            em.lines.append("        else:")
-            em.lines.append("            _append(_r + _PAD)")
-            namespace["_PAD"] = [None] * spec.build_width
-        elif spec.join_type == "semi":
-            em.lines.append("        if _cands:")
-            em.lines.append("            _append(_r)")
-        else:   # anti
-            em.lines.append("        if not _cands:")
-            em.lines.append("            _append(_r)")
+        em.lines += emit_probe(spec, "_r[{}]", False, namespace)
         costs["_C2"] = (
             C.VEC_PROBE_PER_ROW + C.VEC_EMIT_PER_COLUMN * natts
         )
     else:   # agg
         group_lists = [em.output_list(expr) for expr in spec.group_exprs]
-        arg_lists = {}
-        for i, agg in enumerate(spec.aggs):
-            if agg.arg is not None:
-                arg_lists[i] = em.output_list(agg.arg)
+        arg_lists = {
+            i: em.output_list(agg.arg)
+            for i, agg in enumerate(spec.aggs)
+            if agg.arg is not None
+        }
         if spec.group_exprs:
-            key = ", ".join(f"{g}[_i]" for g in group_lists)
-            key_tuple = f"({key},)" if len(group_lists) == 1 else f"({key})"
+            key = tuple_of([f"{g}[_i]" for g in group_lists])
             em.lines.append("    _buckets = {}")
             em.lines.append("    for _i in range(_m):")
-            em.lines.append(f"        _k = {key_tuple}")
+            em.lines.append(f"        _k = {key}")
             em.lines.append("        _b = _buckets.get(_k)")
             em.lines.append("        if _b is None:")
             em.lines.append("            _buckets[_k] = _b = []")
@@ -509,44 +467,8 @@ def generate_vector(
             em.lines.append("    _buckets = {(): list(range(_m))}")
         em.lines.append("    out = []")
         em.lines.append("    for _k, _ix in _buckets.items():")
-        em.lines.append("        _row = list(_k)")
-        for i, agg in enumerate(spec.aggs):
-            if agg.arg is None:   # count(*)
-                em.lines.append("        _row.append(len(_ix))")
-                continue
-            values = arg_lists[i]
-            # Sequential Python folds over the selected positions, in
-            # row order: bit-identical to the generic accumulators.
-            if agg.distinct:
-                em.lines.append(
-                    f"        _vals = {{v for v in "
-                    f"({values}[_i] for _i in _ix) if v is not None}}"
-                )
-            else:
-                em.lines.append(
-                    f"        _vals = [v for v in "
-                    f"({values}[_i] for _i in _ix) if v is not None]"
-                )
-            if agg.func == "count":
-                em.lines.append("        _row.append(len(_vals))")
-            elif agg.func == "sum":
-                em.lines.append(
-                    "        _row.append(sum(_vals) if _vals else None)"
-                )
-            elif agg.func == "avg":
-                em.lines.append(
-                    "        _row.append(sum(_vals) / len(_vals) "
-                    "if _vals else None)"
-                )
-            elif agg.func == "min":
-                em.lines.append(
-                    "        _row.append(min(_vals) if _vals else None)"
-                )
-            else:   # max
-                em.lines.append(
-                    "        _row.append(max(_vals) if _vals else None)"
-                )
-        em.lines.append("        out.append(_row)")
+        epilogue = _emit_partial_states if mergeable else _emit_finished_row
+        epilogue(spec, arg_lists, em.lines, namespace)
         costs["_C2"] = (
             C.VEC_GROUP_PER_ROW
             + C.VEC_EMIT_PER_COLUMN
@@ -562,8 +484,67 @@ def generate_vector(
     namespace.update(costs)
     em.lines.append("    _charge(_NAME, _C0 + _C1 * n + _C2 * _m)")
     em.lines.append("    return out")
-    source = "\n".join(header + em.lines) + "\n"
-    fn = compile_routine(source, fn_name, namespace, code_cache)
-    return BeeRoutine(
-        name=fn_name, fn=fn, cost=c1, source=source, namespace=namespace,
+    return finish(
+        fn_name, params, header + em.lines, namespace, [], c1, code_cache
     )
+
+
+# The two per-bucket epilogues of the ``agg`` sink fold ``_ix``'s selected
+# positions with sequential Python reductions in row order — bit-identical
+# to the generic accumulators.
+
+
+def _emit_finished_row(spec, arg_lists: dict, lines: list, namespace) -> None:
+    """Finalizing epilogue: one finished output row per bucket."""
+    lines.append("        _row = list(_k)")
+    for i, agg in enumerate(spec.aggs):
+        if agg.arg is None:   # count(*)
+            lines.append("        _row.append(len(_ix))")
+            continue
+        values = f"({arg_lists[i]}[_i] for _i in _ix)"
+        if agg.distinct:
+            lines.append(
+                f"        _vals = {{v for v in {values} if v is not None}}"
+            )
+        else:
+            lines.append(
+                f"        _vals = [v for v in {values} if v is not None]"
+            )
+        result = {
+            "count": "len(_vals)",
+            "sum": "sum(_vals) if _vals else None",
+            "avg": "sum(_vals) / len(_vals) if _vals else None",
+            "min": "min(_vals) if _vals else None",
+            "max": "max(_vals) if _vals else None",
+        }[agg.func]
+        lines.append(f"        _row.append({result})")
+    lines.append("        out.append(_row)")
+
+
+def _partial_fill(agg, values: str | None) -> list[str]:
+    """Statements bulk-filling state ``_s`` of *agg* from its bucket."""
+    if values is None:   # count(*): every bucketed row counts
+        return ["        _s.count = len(_ix)"]
+    nonnull = f"v for v in ({values}[_i] for _i in _ix) if v is not None"
+    if agg.distinct:
+        return [f"        _s.seen = {{{nonnull}}}"]
+    fill = [f"        _vals = [{nonnull}]", "        _s.count = len(_vals)"]
+    if agg.func in ("sum", "avg"):
+        fill.append("        _s.total = sum(_vals)")
+    elif agg.func in ("min", "max"):
+        fill.append(
+            f"        _s.extreme = {agg.func}(_vals) if _vals else None"
+        )
+    return fill
+
+
+def _emit_partial_states(spec, arg_lists: dict, lines: list, namespace) -> None:
+    """Mergeable epilogue: one bulk-filled ``AggState`` per aggregate per
+    bucket (``count``/``total``/``extreme``/``seen``)."""
+    lines.append("        _states = []")
+    for i, agg in enumerate(spec.aggs):
+        namespace[f"_mk{i}"] = agg.make_state
+        lines.append(f"        _s = _mk{i}()")
+        lines += _partial_fill(agg, arg_lists.get(i))
+        lines.append("        _states.append(_s)")
+    lines.append("        out.append((_k, _states))")

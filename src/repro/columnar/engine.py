@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bees.routines.base import BeeRoutine, compile_routine
+from repro.bees.emit import finish
+from repro.bees.routines.base import BeeRoutine
 from repro.bees.routines.evp import generate_evp
 from repro.cost import constants as C
 from repro.cost.ledger import Ledger
@@ -51,7 +52,6 @@ def generate_cdl(
         "_PER_VALUE": C.COL_DECODE_SPEC * len(column_names),
     }
     lines = [
-        f"def {fn_name}(store, start, end):",
         '    """Specialized column-chunk extraction (generated)."""',
         f"    _charge({fn_name!r}, _COST + _PER_VALUE * (end - start))",
         "    cols = store.columns",
@@ -71,9 +71,7 @@ def generate_cdl(
             lines.append(f"    v{i} = cols[{name!r}].data[start:end]")
         outs.append(f"v{i}")
     lines.append(f"    return ({', '.join(outs)},)")
-    source = "\n".join(lines) + "\n"
-    fn = compile_routine(source, fn_name, namespace)
-    return BeeRoutine(name=fn_name, fn=fn, cost=cost, source=source)
+    return finish(fn_name, "store, start, end", lines, namespace, None, cost)
 
 
 @dataclass

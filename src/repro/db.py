@@ -15,6 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from repro.bees.emit import decode_row
 from repro.bees.maker import RelationBee
 from repro.bees.module import GenericBeeModule
 from repro.bees.settings import BeeSettings
@@ -248,9 +249,7 @@ class Database:
         sections = rel.sections_list()
         key_idx = [rel.schema.attnum(col) for col in columns]
         for tid, raw in rel.heap.scan():
-            values, _isnull = rel.layout.decode(
-                raw, sections[rel.layout.read_bee_id(raw)] if sections else None
-            )
+            values = decode_row(rel.layout, raw, sections)
             index.insert(tuple(values[i] for i in key_idx), tid)
 
     def _guarded_idx_extractor(self, relation, name, key_idx):
@@ -398,14 +397,7 @@ class Database:
         for raw in live:
             self.ledger.charge_fn("vacuum", _C.VACUUM_PER_TUPLE)
             tid = fresh.insert(raw)
-            bee_values = (
-                sections[rel.layout.read_bee_id(raw)] if sections else None
-            )
-            values, isnull = rel.layout.decode(raw, bee_values)
-            for i, null in enumerate(isnull):
-                if null:
-                    values[i] = None
-            tid_values.append((tid, values))
+            tid_values.append((tid, decode_row(rel.layout, raw, sections)))
         rel.heap = fresh
         for index_name, index in rel.indexes.items():
             fresh_index = build_index(
@@ -570,18 +562,11 @@ class Database:
         """All rows of a relation via the reference decoder (no charges)."""
         rel = self.relation(name)
         sections = rel.sections_list()
-        rows = []
-        for page in rel.heap.pages:
-            for _slot, raw in page.live_tuples():
-                bee_values = (
-                    sections[rel.layout.read_bee_id(raw)] if sections else None
-                )
-                values, isnull = rel.layout.decode(raw, bee_values)
-                for i, null in enumerate(isnull):
-                    if null:
-                        values[i] = None
-                rows.append(values)
-        return rows
+        return [
+            decode_row(rel.layout, raw, sections)
+            for page in rel.heap.pages
+            for _slot, raw in page.live_tuples()
+        ]
 
     # -- cache & measurement ------------------------------------------------------
 

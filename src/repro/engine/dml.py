@@ -43,15 +43,31 @@ class RowWriter:
         self._layout = self.rel.layout
         self._needs_bee_id = self._layout.has_beeid
         self._bee_key = self._layout.bee_key if self._needs_bee_id else None
+        self._not_null = tuple(
+            attr.attnum
+            for attr in self._layout.schema.attributes
+            if not attr.nullable
+        )
 
     def encode(self, values: Sequence) -> bytes:
-        """Resolve the tuple bee (if any) and encode the row."""
+        """Check the row against the schema (arity, NOT NULL), resolve
+        the tuple bee (if any) and encode it."""
         values = list(values)
         if len(values) != self._layout.schema.natts:
             raise ValueError(
                 f"row has {len(values)} values, relation "
                 f"{self.rel.schema.name!r} has {self._layout.schema.natts}"
             )
+        if None in values:
+            # Uncharged, like the arity check: a rejected row costs
+            # nothing and a NULL-free one pays one C-level scan.
+            for attnum in self._not_null:
+                if values[attnum] is None:
+                    attr = self._layout.schema.attributes[attnum]
+                    raise ValueError(
+                        f"NULL in column {attr.name!r} of relation "
+                        f"{self.rel.schema.name!r}, which is NOT NULL"
+                    )
         bee_id = 0
         if self._needs_bee_id:
             bee_id = self.db.bee_module.tuple_bee_id(

@@ -94,6 +94,10 @@ GENERATORS = (
           layout=_LAYOUT),
 )
 
+#: The emitter core every generator above calls into: in the function
+#: table beside the generators' own modules, an entry point of none.
+SHARED_MODULES = ("bees/emit.py",)
+
 # Minimum classes each kind must be seen to embed; an analysis run that
 # finds less has degraded and is itself reported as a finding.
 EXPECTED_EMBEDDINGS = {
@@ -146,12 +150,14 @@ class KindExtraction:
 
 
 class _Universe:
-    """Function table across every generator module (cross-module calls
-    like agg's use of evp's ``_emit_direct`` resolve by bare name)."""
+    """Function table across every generator module and the emitter
+    core (cross-module calls like agg's use of evp's ``_emit_direct`` or
+    anyone's of ``finish`` resolve by bare name)."""
 
     def __init__(self, source) -> None:
         self.functions: dict[str, tuple[str, ast.FunctionDef, bool]] = {}
-        for module in dict.fromkeys(spec.module for spec in GENERATORS):
+        modules = [spec.module for spec in GENERATORS] + list(SHARED_MODULES)
+        for module in dict.fromkeys(modules):
             tree = source.tree(module)
             for node in tree.body:
                 if isinstance(node, ast.FunctionDef):

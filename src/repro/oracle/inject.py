@@ -3,11 +3,14 @@
 An oracle that never fires is indistinguishable from one that cannot.
 :func:`inject_bug` swaps one generator for a subtly wrong variant; a
 healthy oracle campaign run under it MUST report divergences.  The
-patch point for in-process generators is ``repro.bees.maker`` — the
-maker imports the generators into its own namespace at import time, so
-patching the defining modules (``repro.bees.routines.*``) would have no
-effect, and the columnar engine's direct import of ``generate_evp``
-stays honest.  There is one kind per routine family the oracle guards,
+patch point for the routine-bee generators is ``repro.bees.maker`` — the
+maker imports them into its own namespace at import time, so patching
+the defining modules (``repro.bees.routines.*``) would have no effect,
+and the columnar engine's direct import of ``generate_evp`` stays
+honest.  The fused generators are patched where they are defined: each
+tier row resolves its generator through its codegen module per call
+(:meth:`repro.bees.drivers.Tier.generate`), for the maker and the pool
+workers alike.  There is one kind per routine family the oracle guards,
 one per tier row of :data:`repro.bees.drivers.TIERS`, and one for the
 chunk cache's tuple identifiers (what a vectorized write trusts).
 """
@@ -104,9 +107,12 @@ _BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
     "gcl": ("repro.bees.maker", "generate_gcl", _off_by_one_gcl),
     "evp": ("repro.bees.maker", "generate_evp", _inverted_evp),
     "pipeline": (
-        "repro.bees.maker", "generate_pipeline", _qualless_generator
+        "repro.bees.pipeline.codegen", "generate_pipeline",
+        _qualless_generator,
     ),
-    "vector": ("repro.bees.maker", "generate_vector", _qualless_generator),
+    "vector": (
+        "repro.bees.vector.codegen", "generate_vector", _qualless_generator
+    ),
     "parallel": (
         "repro.parallel.worker", "_WorkerState.prepare", _qualless_prepare
     ),

@@ -44,6 +44,7 @@ import pickle
 from functools import partial
 
 from repro.bees.drivers import TIER_BY_NAME, new_groups
+from repro.bees.emit import decode_row
 from repro.bees.module import CODE_CACHE_CAP
 from repro.bees.routines.base import CodeCache
 from repro.cost import constants as C
@@ -52,19 +53,6 @@ from repro.cost.ledger import Ledger
 
 def _spec_fingerprint(spec_bytes: bytes, tier: str) -> str:
     return hashlib.sha1(spec_bytes + tier.encode()).hexdigest()
-
-
-def _decode_rows(layout, raws, sections):
-    """Reference-decode raw tuples into schema-ordered value lists."""
-    rows = []
-    for raw in raws:
-        bee_values = sections[layout.read_bee_id(raw)] if sections else None
-        values, isnull = layout.decode(raw, bee_values)
-        for i, null in enumerate(isnull):
-            if null:
-                values[i] = None
-        rows.append(values)
-    return rows
 
 
 class _WorkerState:
@@ -104,22 +92,11 @@ class _WorkerState:
         if fn is None:
             self._seq += 1
             name = f"PAR_{self._seq}"
-            if tier == "vector" and spec.sink == "agg":
-                # The serial agg kernel groups *and* finalizes, which
-                # cannot be merged across morsels; the partial variant
-                # keeps columnar speed and yields combinable states.
-                from repro.parallel.partialagg import generate_partial_agg
-
-                generate = generate_partial_agg
-            elif tier == "vector":
-                from repro.bees.vector.codegen import generate_vector
-
-                generate = generate_vector
-            else:
-                from repro.bees.pipeline.codegen import generate_pipeline
-
-                generate = generate_pipeline
-            fn = generate(spec, self.ledger, name, self.code_cache).fn
+            # Mergeable: a vector agg kernel that finalized its groups
+            # could not be combined across morsels.
+            fn = TIER_BY_NAME[tier].generate(
+                spec, self.ledger, name, self.code_cache, mergeable=True
+            ).fn
             self.bees[fingerprint] = fn
         self.prepared[stmt_id] = (spec, tier, fn, table)
 
@@ -147,7 +124,7 @@ class _WorkerState:
             ledger.charge_fn(
                 "parallel_chunk_build", C.VEC_DECODE_PER_VALUE * natts * len(raws)
             )
-            rows.extend(_decode_rows(layout, raws, sections))
+            rows.extend(decode_row(layout, raw, sections) for raw in raws)
         chunk = freeze_chunk(chunk_from_rows(layout.schema, rows))
         self.chunks[key] = chunk
         return chunk

@@ -472,6 +472,11 @@ def _pipeline_package():
 
 
 def _build_sites() -> dict[str, ChaosSite]:
+    # Each fused tier row resolves its generator through its codegen
+    # module per call, so that is where those sites patch.
+    import repro.bees.pipeline.codegen as pipeline_codegen
+    import repro.bees.vector.codegen as vector_codegen
+
     maker = _maker_module()
     sites = [
         ChaosSite(
@@ -536,14 +541,18 @@ def _build_sites() -> dict[str, ChaosSite]:
             "pipeline-raise",
             "fused pipeline body raises mid-batch",
             _patched_generator(
-                maker, "generate_pipeline", _gen_raise("pipeline-raise")
+                pipeline_codegen, "generate_pipeline",
+                _gen_raise("pipeline-raise"),
             ),
             fused=True,
         ),
         ChaosSite(
             "pipeline-arity",
             "fused pipeline emits wide batches",
-            _patched_generator(maker, "generate_pipeline", _pipeline_arity_wrap),
+            _patched_generator(
+                pipeline_codegen, "generate_pipeline",
+                _pipeline_arity_wrap,
+            ),
             fused=True,
         ),
         ChaosSite(
@@ -557,14 +566,18 @@ def _build_sites() -> dict[str, ChaosSite]:
         ChaosSite(
             "vector-shape",
             "columnar kernel emits shape-corrupted rows",
-            _patched_generator(maker, "generate_vector", _vector_shape_wrap),
+            _patched_generator(
+                vector_codegen, "generate_vector", _vector_shape_wrap
+            ),
             fused=True,
             vectored=True,
         ),
         ChaosSite(
             "vector-gen-raise",
             "vector kernel generator fails outright",
-            _patched_generator(maker, "generate_vector", _vector_gen_wrap),
+            _patched_generator(
+                vector_codegen, "generate_vector", _vector_gen_wrap
+            ),
             fused=True,
             vectored=True,
         ),

@@ -175,8 +175,8 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("BeeCollector", "collected_query_bees", "hive_lock", "-"),
     _shared("BeeMaker", "_evp_counter", "hive_lock", "-"),
     _shared("BeeMaker", "_evj_counter", "hive_lock", "-"),
-    _shared("BeeMaker", "_pipeline_counter", "hive_lock", "-"),
-    _shared("BeeMaker", "_vector_counter", "hive_lock", "-"),
+    _shared("BeeMaker", "_fused_counter", "hive_lock", "-",
+            "tier prefix -> fused routines named so far"),
     _shared("DataSectionStore", "_slabs", "hive_lock", "-",
             "data-section slab allocator"),
     _shared("*", "slab", "hive_lock", "-",

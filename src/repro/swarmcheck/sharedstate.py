@@ -68,6 +68,7 @@ EXEC_MODULES: tuple[str, ...] = (
     "bees/placement.py",
     "bees/walcache.py",
     "bees/settings.py",
+    "bees/emit.py",
     "bees/routines/base.py",
     "bees/routines/gcl.py",
     "bees/routines/scl.py",
@@ -81,7 +82,6 @@ EXEC_MODULES: tuple[str, ...] = (
     "bees/vector/codegen.py",
     "bees/vector/chunks.py",
     "parallel/coordinator.py",
-    "parallel/partialagg.py",
     "parallel/worker.py",
     "resilience/guard.py",
     "resilience/registry.py",
@@ -159,6 +159,7 @@ CONSTRUCTION_MODULES = frozenset({
     "sql/planner.py",
     "engine/agg.py",
     "engine/joins.py",
+    "bees/emit.py",
     "bees/routines/base.py",
     "bees/routines/gcl.py",
     "bees/routines/scl.py",
@@ -169,7 +170,6 @@ CONSTRUCTION_MODULES = frozenset({
     "bees/pipeline/codegen.py",
     "bees/pipeline/fusion.py",
     "bees/vector/codegen.py",
-    "parallel/partialagg.py",
 })
 
 #: Method names that mutate their receiver (list/dict/set/deque/ndarray

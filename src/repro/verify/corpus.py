@@ -196,7 +196,8 @@ def fused_specs() -> list[PipelineSpec]:
     stream happens to fuse: filtered/projected and full-row ``rows``
     over the tuple-bee-annotated lineitem layout plus the filtered
     full-row ctid scan (a write's match plan), all four join types on
-    the ``probe`` sink, grouped and grand-total ``agg`` sinks."""
+    the ``probe`` sink, grouped, grand-total and column-free
+    (``COUNT(*)`` alone) ``agg`` sinks."""
 
     def bound(expr: E.Expr, schema: Any) -> E.Expr:
         return E.bind(expr, [a.name for a in schema.attributes])
@@ -257,6 +258,14 @@ def fused_specs() -> list[PipelineSpec]:
         )
     )
     specs.append(PipelineSpec("lineitem", li_layout, sink="agg", aggs=aggs))
+    # Column-free: an unfiltered grand COUNT(*) reads no attribute, so
+    # the row-loop backend inlines no deform at all.
+    specs.append(
+        PipelineSpec(
+            "lineitem", li_layout, sink="agg",
+            aggs=(AggSpec("count", name="n"),),
+        )
+    )
     return specs
 
 
@@ -319,7 +328,7 @@ def spec_corpus() -> list[RoutineEntry]:
     for tier in local_tiers():
         for spec in fused_specs():
             entries.append(
-                RoutineEntry(tier.name, tier.make(maker, spec), (spec,))
+                RoutineEntry(tier.name, maker.make_fused(tier, spec), (spec,))
             )
     return entries
 

@@ -137,7 +137,9 @@ def test_lint_rejects_wrong_guard(gcl, layout):
 
 
 def test_absint_rejects_offset_bump(gcl, layout):
-    bad = _tamper(gcl, "off = off + 4 + ln", "off = off + 5 + ln")
+    bad = _tamper(
+        gcl, "raw[off + 4 : off + 4 + ln]", "raw[off + 5 : off + 5 + ln]"
+    )
     assert any(
         f.pass_name == "absint"
         for f in check_gcl(bad, layout).findings
@@ -260,6 +262,25 @@ def test_verify_on_generate_clean_database_works():
     assert db.sql("SELECT a FROM t WHERE b LIKE 'x%'").rows == [(1,)]
 
 
+@pytest.mark.parametrize(
+    "settings", [BeeSettings.pipelined, BeeSettings.vectorized],
+    ids=["pipeline", "vector"],
+)
+def test_verify_on_generate_admits_column_free_scans(settings):
+    """``COUNT(*)`` references no column, so the fused loop inlines no
+    deform at all: the cost audit must not bill it the deform's
+    null-bitmap test (it did, and refused the routine).  The vector
+    kernel never inlines a deform and a ctid match scan deforms the
+    whole row; both pass either way and ride along."""
+    db = Database(settings().verified())
+    db.sql("CREATE TABLE t (a INT NOT NULL, b INT)")
+    db.sql("INSERT INTO t VALUES (1, 2)")
+    db.sql("INSERT INTO t VALUES (3, NULL)")
+    assert db.sql("SELECT COUNT(*) FROM t").rows == [(2,)]
+    assert db.sql("DELETE FROM t WHERE a = 3").status == "DELETE 1"
+    assert db.sql("SELECT COUNT(*), COUNT(b) FROM t").rows == [(1, 1)]
+
+
 def test_with_routines_preserves_verify_flag():
     settings = BeeSettings(verify_on_generate=True).with_routines("gcl")
     assert settings.verify_on_generate
@@ -267,7 +288,9 @@ def test_with_routines_preserves_verify_flag():
 
 
 def test_verify_gcl_raises_with_findings(gcl, layout):
-    bad = _tamper(gcl, "off = off + 4 + ln", "off = off + 5 + ln")
+    bad = _tamper(
+        gcl, "raw[off + 4 : off + 4 + ln]", "raw[off + 5 : off + 5 + ln]"
+    )
     with pytest.raises(BeecheckError) as excinfo:
         verify_gcl(bad, layout)
     assert excinfo.value.findings

@@ -207,10 +207,10 @@ def _generate(name: str) -> str:
         ).source
     if name == "par_agg":
         # The worker-side twin of vec_agg: same spec, mergeable partials.
-        from repro.parallel.partialagg import generate_partial_agg
+        from repro.bees.vector.codegen import generate_vector
 
-        return generate_partial_agg(
-            _pipeline_spec("pipe_agg"), ledger, name.upper()
+        return generate_vector(
+            _pipeline_spec("pipe_agg"), ledger, name.upper(), mergeable=True
         ).source
     raise KeyError(name)
 

@@ -139,3 +139,77 @@ def test_gcl_cost_is_pinned_for_every_benchmark_layout():
         assert gcl_cost(layout) == GCL_COST_PINNED[label], label
         routine = generate_gcl(layout, Ledger(), f"GCL_{label}")
         assert routine.cost == routine.namespace["_COST"] == GCL_COST_PINNED[label]
+
+
+@st.composite
+def pruned_scenarios(draw):
+    schema, bee_attrs, rows = draw(bee_scenarios())
+    needed = draw(
+        st.sets(st.integers(0, schema.natts - 1), min_size=1)
+    )
+    return schema, bee_attrs, rows, needed
+
+
+@settings(max_examples=150, deadline=None)
+@given(pruned_scenarios())
+def test_pruned_deform_agrees_with_decode_row(scenario):
+    """The one deform emitter, pruned to any attribute subset and
+    followed by reads of exactly that subset, sees what ``decode_row``
+    sees — NULL-bearing tuples through ``slow_path``, as every generated
+    caller escapes to it."""
+    from repro.bees.emit import decode_row, emit_deform, finish, slow_path
+    from repro.cost import constants as C
+    from repro.storage.layout import HEADER_INFOMASK_BYTE, INFOMASK_HAS_NULLS
+
+    schema, bee_attrs, rows, needed = scenario
+    layout = TupleLayout(schema, bee_attrs)
+    ledger = Ledger()
+    namespace = {"_slow": slow_path(layout, ledger, "DEFORM_prop")}
+    deform, locals_, cost = emit_deform(layout, needed, 1, namespace)
+    assert locals_ == [f"v{n}" for n in sorted(needed)]
+    full = emit_deform(layout, set(range(schema.natts)), 1, {})[2]
+    assert C.GCL_ISNULL_ZERO <= cost <= full
+    body = [
+        f"    if raw[{HEADER_INFOMASK_BYTE}] & {INFOMASK_HAS_NULLS}:",
+        "        _r = _slow(raw, sections)",
+        f"        return [{', '.join(f'_r[{n}]' for n in sorted(needed))}]",
+        *deform,
+        f"    return [{', '.join(locals_)}]",
+    ]
+    fn = finish("DEFORM_prop", "raw, sections", body, namespace, None, cost).fn
+    sections: list[tuple] = []
+    for row in rows:
+        if any(row[schema.attnum(name)] is None for name in bee_attrs):
+            continue  # annotated attrs are NOT NULL by construction
+        bee_id = 0
+        if bee_attrs:
+            key = layout.bee_key(row)
+            if key not in sections:
+                sections.append(key)
+            bee_id = sections.index(key)
+        raw = layout.encode(row, [value is None for value in row], bee_id)
+        expected = decode_row(layout, raw, sections)
+        assert expected == row
+        assert fn(raw, sections) == [expected[n] for n in sorted(needed)]
+
+
+def test_compile_routine_has_one_caller_outside_base():
+    """Every generator ends in ``emit.finish``: the structural floor
+    under "one routine epilogue" (checkers and chaos recompile tampered
+    sources; they are not generators and are not counted)."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    callers = sorted(
+        str(path.relative_to(root))
+        for package in ("bees", "parallel", "columnar", "engine", "sql")
+        for path in (root / package).rglob("*.py")
+        if path.name != "base.py"
+        and re.search(r"\bcompile_routine\(", path.read_text())
+    )
+    assert callers == ["bees/emit.py"]
+    assert (root / "bees/emit.py").read_text().count("compile_routine(") == 1
+    assert not re.search(r"\bcompile_routine\(", (root / "db.py").read_text())

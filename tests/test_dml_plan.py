@@ -448,3 +448,35 @@ def test_successful_update_charges_what_the_old_order_did(name, bees):
     )
     new.close()
     old.close()
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_null_in_a_not_null_column_is_rejected_on_write(name, bees):
+    """INSERT, COPY, SQL UPDATE and ``update_by_tid`` all encode through
+    ``RowWriter``: a NULL for a NOT NULL attribute is refused before
+    anything is modified.  (It used to be stored, and the tiers then
+    disagreed on the read: stock handed back ``None``, the vector tier
+    the chunk's fill.)"""
+    db = _indexed_db(bees)
+    db.sql("SELECT count(*) FROM t WHERE qty > 3")      # warm the chunk cache
+    before = _state(db)
+    chunk_misses = db.chunk_cache.statistics()["misses"]
+    tuple_bees = db.bee_module.statistics()["tuple_bees"]
+    (tid,) = db.relation("t").indexes["t_k"].lookup((7,))
+    writes = (
+        lambda: db.sql("INSERT INTO t VALUES (NULL, 'AAAA', 'x', 1, 1.0, 'p')"),
+        lambda: db.copy_from("t", [[99, "AAAA", "x", 1, None, "p"]]),
+        # qty is NULL at k = 7: the third matched row is the bad one.
+        lambda: db.sql("UPDATE t SET price = qty WHERE k >= 5 AND k < 9"),
+        lambda: db.sql("UPDATE t SET tag = NULL WHERE k = 3"),   # annotated
+        lambda: db.update_by_tid("t", tid, [7, "AAAA", "ok", 1, None, "p"]),
+    )
+    for write in writes:
+        with pytest.raises(ValueError, match="NOT NULL"):
+            write()
+    assert _state(db) == before
+    assert db.bee_module.statistics()["tuple_bees"] == tuple_bees
+    db.sql("SELECT count(*) FROM t WHERE qty > 3")
+    assert db.chunk_cache.statistics()["misses"] == chunk_misses
+    assert db.sql("UPDATE t SET qty = NULL WHERE k = 3").status == "UPDATE 1"
+    db.close()

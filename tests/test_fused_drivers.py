@@ -14,8 +14,8 @@ import importlib
 
 import pytest
 
-import repro.bees.maker as maker_module
-import repro.parallel.partialagg as partialagg_module
+import repro.bees.pipeline.codegen as pipeline_codegen
+import repro.bees.vector.codegen as vector_codegen
 from repro.bees.drivers import TIER_BY_NAME, FusedDriver, stack_tiers
 from repro.bees.module import FUSED_MEMO_CAP
 from repro.bees.settings import BeeSettings
@@ -182,10 +182,11 @@ def _widen_partials(fn):
 
 
 TAMPERS = {
-    "pipeline": (maker_module, "generate_pipeline", _widen_groups),
-    "vector": (maker_module, "generate_vector", _widen_rows),
-    # Workers compile their own routines; they fork after the patch.
-    "parallel": (partialagg_module, "generate_partial_agg", _widen_partials),
+    "pipeline": (pipeline_codegen, "generate_pipeline", _widen_groups),
+    "vector": (vector_codegen, "generate_vector", _widen_rows),
+    # Workers compile their own routines (the mergeable form of the
+    # vector kernel); they fork after the patch.
+    "parallel": (vector_codegen, "generate_vector", _widen_partials),
 }
 
 
@@ -194,9 +195,10 @@ def test_wrong_width_agg_row_retries_on_every_tier(monkeypatch, tier):
     module, name, widen = TAMPERS[tier]
     generate = getattr(module, name)
 
-    def tampered_generate(spec, *args):
-        routine = generate(spec, *args)
-        if spec.sink == "agg":
+    def tampered_generate(spec, *args, **kwargs):
+        routine = generate(spec, *args, **kwargs)
+        mergeable = kwargs.get("mergeable", False)
+        if spec.sink == "agg" and mergeable == (tier == "parallel"):
             routine.fn = widen(routine.fn)
         return routine
 
@@ -240,16 +242,16 @@ def test_evicted_prepared_plan_regenerates_cleanly():
     prepared = plan_select(db, parse(_statement(0)))
     first = db.execute(prepared)
     assert len(first) == 49
-    generated = maker._pipeline_counter
+    generated = maker._fused_counter["PIPE"]
     assert db.execute(prepared) == first
-    assert maker._pipeline_counter == generated, "memo hit expected"
+    assert maker._fused_counter["PIPE"] == generated, "memo hit expected"
     for i in range(1, FUSED_MEMO_CAP + 1):
         db.sql(_statement(i))
-    generated = maker._pipeline_counter
+    generated = maker._fused_counter["PIPE"]
     assert db.execute(prepared) == first
-    assert maker._pipeline_counter == generated + 1, "evicted: regenerate"
+    assert maker._fused_counter["PIPE"] == generated + 1, "evicted: regenerate"
     assert db.execute(prepared) == first
-    assert maker._pipeline_counter == generated + 1, "and memoized again"
+    assert maker._fused_counter["PIPE"] == generated + 1, "and memoized again"
     assert len(db.bee_module._fused_by_node) <= FUSED_MEMO_CAP
 
 

@@ -419,7 +419,7 @@ def test_bee_dump_writes_once_per_distinct_source(tmp_path, monkeypatch):
     with make_db("vector") as db:
         for key in (1, 2, 3, 4):
             both_ways(db, SHAPES["lookup"].format(key))
-        generated = db.bee_module.maker._vector_counter
+        generated = db.bee_module.maker._fused_counter["VEC"]
         assert generated >= 4
         dumped = sorted(p.name for p in tmp_path.glob("VEC_*.py"))
         assert len(dumped) == 1, dumped
