@@ -1,10 +1,11 @@
 """The Bee Cache: the repository of all bees, persistable to disk.
 
-In memory the cache maps relation names to relation bees and query ids to
-query bees.  ``save_to``/``load_from`` persist relation bees alongside the
-database: generated source text and data sections are written as JSON, and
-loading re-"links" them by recompiling the stored source (the analog of the
-paper's on-disk ELF bee cache that is loaded when the server starts).
+In memory the cache maps relation names to relation bees and statement
+shape keys to query bees.  ``save_to``/``load_from`` persist relation
+bees alongside the database: generated source text and data sections are
+written as JSON, and loading re-"links" them by recompiling the stored
+source (the analog of the paper's on-disk ELF bee cache that is loaded
+when the server starts).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class BeeCache:
 
     def __init__(self) -> None:
         self.relation_bees: dict[str, RelationBee] = {}
-        self.query_bees: dict[str, QueryBee] = {}
+        self.query_bees: dict[tuple, QueryBee] = {}
 
     def put_relation_bee(self, bee: RelationBee) -> None:
         """Register (or replace, on reconstruction) a relation bee."""
@@ -35,18 +36,18 @@ class BeeCache:
         return self.relation_bees.pop(relation, None) is not None
 
     def put_query_bee(self, bee: QueryBee) -> None:
-        self.query_bees[bee.query_id] = bee
+        self.query_bees[bee.key] = bee
 
-    def get_query_bee(self, query_id: str) -> QueryBee | None:
-        return self.query_bees.get(query_id)
+    def get_query_bee(self, key: tuple) -> QueryBee | None:
+        return self.query_bees.get(key)
 
     def all_routines(self) -> list:
-        """Every routine in the cache (placement optimizer input)."""
+        """Every relation-bee routine in the cache (placement optimizer
+        input; a query bee holds plans, its routines live in the
+        module's memos)."""
         routines: list = []
         for bee in self.relation_bees.values():
             routines.extend(bee.routines)
-        for query_bee in self.query_bees.values():
-            routines.extend(query_bee.routines)
         return routines
 
     # -- persistence -----------------------------------------------------------
@@ -54,8 +55,8 @@ class BeeCache:
     def save_to(self, directory: str | Path) -> int:
         """Write relation bees to *directory*; returns bees written.
 
-        Query bees are not persisted (they are cheap to re-instantiate at
-        query preparation, and plans do not survive the session anyway).
+        Query bees are not persisted (the first statement of a shape
+        rebuilds its own, and plans do not survive the session anyway).
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)

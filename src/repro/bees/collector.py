@@ -54,11 +54,18 @@ class BeeCollector:
         return len(dead)
 
     def trim_query_bees(self) -> int:
-        """Evict oldest query bees past the budget (insertion order)."""
+        """Evict oldest query bees past the budget (insertion order).
+
+        Statements of concurrent sessions trim under shared latches
+        only, so a picked bee may already be gone — evicted by another
+        trim, or checked out; only what this call removed is counted,
+        and the budget is met again by the next quiet trim."""
         excess = len(self.cache.query_bees) - self.query_bee_budget
         if excess <= 0:
             return 0
+        removed = 0
         for query_id in list(self.cache.query_bees)[:excess]:
-            del self.cache.query_bees[query_id]
-        self.collected_query_bees += excess
-        return excess
+            if self.cache.query_bees.pop(query_id, None) is not None:
+                removed += 1
+        self.collected_query_bees += removed
+        return removed

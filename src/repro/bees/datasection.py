@@ -77,6 +77,11 @@ class DataSectionStore:
             self.overflowed = True
         return bee_id
 
+    def find(self, key: tuple) -> int | None:
+        """The beeID of *key* if it has a section; uncharged, creates
+        nothing (:meth:`get_or_create` is the charged insert path)."""
+        return self._by_key.get(key)
+
     def get(self, bee_id: int) -> tuple:
         """The value tuple stored in data section *bee_id*."""
         if not 0 <= bee_id < self.count:

@@ -370,6 +370,7 @@ class FusedDriver(PlanNode):
             return
         if shield is not None:
             ctx.shield_used.append(key)
+        ctx.bees.executed[tier.name] += 1
         sections = rel.sections_list()
         invoke = partial(tier.invoke, sink, fn)
         outputs: Iterable[Any]

@@ -57,14 +57,17 @@ class Holes:
 
     Statement literals become ``_K{n}`` (:meth:`const`, also listed in
     :attr:`consts` so a per-row body can bind them as default-argument
-    locals); compiled regexes, IN sets and functions share that counter
-    under their own prefix (:meth:`bind`); interpreter expressions the
-    vector object lane evaluates are ``_E{n}`` (:meth:`expr`).
+    locals, and with where each came from in :attr:`binds` so a
+    re-bound plan can re-patch them); compiled regexes, IN sets and
+    functions share that counter under their own prefix (:meth:`bind`);
+    interpreter expressions the vector object lane evaluates are
+    ``_E{n}`` (:meth:`expr`).
     """
 
     def __init__(self, namespace: dict) -> None:
         self.namespace = namespace
         self.consts: list[str] = []
+        self.binds: list[tuple[str, object, str]] = []
         self._n = 0
         self._n_expr = 0
 
@@ -74,9 +77,12 @@ class Holes:
         self.namespace[name] = value
         return name
 
-    def const(self, value) -> str:
-        name = self.bind("_K", value)
+    def const(self, node: E.Expr, attr: str = "value") -> str:
+        """The hole for literal ``node.attr`` (a ``Const``'s value, a
+        ``Between`` bound)."""
+        name = self.bind("_K", getattr(node, attr))
         self.consts.append(name)
+        self.binds.append((name, node, attr))
         return name
 
     def expr(self, expr: E.Expr) -> str:
@@ -94,6 +100,7 @@ def finish(
     holes: list[str] | None,
     cost: int,
     code_cache=None,
+    binds: list | None = None,
 ) -> BeeRoutine:
     """The routine epilogue: ``def`` line, compile, :class:`BeeRoutine`.
 
@@ -101,7 +108,8 @@ def finish(
     carries only the family prefix and binds each hole as a
     default-argument local, so one shape compiles once in *code_cache*.
     ``None`` marks a relation-scoped routine, named in full (its source
-    is per relation anyway).
+    is per relation anyway).  *binds* is the emitter's
+    :attr:`Holes.binds`: what :meth:`BeeRoutine.repatch` re-reads.
     """
     if holes is None:
         head = f"def {fn_name}({params}):"
@@ -111,6 +119,7 @@ def finish(
     fn = compile_routine(source, fn_name, namespace, code_cache)
     return BeeRoutine(
         name=fn_name, fn=fn, cost=cost, source=source, namespace=namespace,
+        binds=binds or [],
     )
 
 

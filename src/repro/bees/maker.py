@@ -55,17 +55,44 @@ class RelationBee:
 
 @dataclass
 class QueryBee:
-    """Per-query specialized routines, created at plan-preparation time."""
+    """One statement *shape*, prepared: what a later statement of the
+    same shape needs in order to skip parsing, planning, tier stacking
+    and routine instantiation.
 
-    query_id: str
-    evp_routines: dict[int, BeeRoutine] = field(default_factory=dict)
-    evj_routines: dict[int, EVJRoutine] = field(default_factory=dict)
+    Built on the first statement of the shape (``repro.sql.session``),
+    cached in :attr:`BeeCache.query_bees` under ``key`` — the statement
+    text with its literals lifted out, their kinds, and the
+    :class:`BeeSettings` the plan was stacked under — and *bound* on
+    every later one: each ``(setter, slot, negate)`` of ``binds`` puts
+    that statement's literal into the plan constant it stands for.  The
+    routines the plan reaches re-patch their ``_K{n}`` holes from those
+    constants when they are next acquired
+    (:meth:`GenericBeeModule.get_evp` and friends), so the bee holds
+    plans, not routines.
+    """
 
-    @property
-    def routines(self) -> list:
-        return list(self.evp_routines.values()) + list(
-            self.evj_routines.values()
-        )
+    key: tuple | None
+    verb: str                           # select | insert | update | delete
+    kind: str                           # the server's latch class
+    relations: tuple[str, ...]          # ... and the relations it latches
+    epoch: int                          # query_epoch it was built under
+    binds: list = field(default_factory=list)
+    #: SELECT: its plan; UPDATE/DELETE: the ctid match plan.  Unstacked
+    #: — what beeshield's degrade-and-retry re-stacks — with the form
+    #: the tier stack gave it under the key's settings on its root
+    #: (:attr:`repro.engine.nodes.PlanNode.stacked`).
+    plan: object | None = None
+    columns: list = field(default_factory=list)     # SELECT output names
+    table: str | None = None                        # the written relation
+    assignments: list = field(default_factory=list)  # UPDATE: (attnum, expr)
+    rows: list = field(default_factory=list)        # INSERT: value rows
+
+    def bind(self, values: list) -> None:
+        """Put one statement's lifted *values* into the plan's holes,
+        sign-folded as ``Parser.primary`` folds a unary minus."""
+        for setter, slot, negate in self.binds:
+            value = values[slot]
+            setter(-value if negate else value)
 
 
 class BeeMaker:
@@ -112,11 +139,16 @@ class BeeMaker:
         routine = generate_evp(
             expr, self.ledger, fn_name, assume_not_null, self.code_cache
         )
+        self.check_evp(routine, expr)
+        return routine
+
+    def check_evp(self, routine: BeeRoutine, expr: Expr) -> None:
+        """The ``verify_on_generate`` gate of an EVP routine — after
+        generation, and again whenever its holes are re-patched."""
         if self.verify:
             from repro.beecheck import verify_evp
 
             verify_evp(routine, expr)
-        return routine
 
     def make_fused(self, tier, spec) -> BeeRoutine:
         """Compile *tier*'s routine (a fused pipeline bee, a columnar
@@ -127,11 +159,15 @@ class BeeMaker:
         routine = tier.generate(
             spec, self.ledger, f"{tier.prefix}_{count}", self.code_cache
         )
+        self.check_fused(routine, tier, spec)
+        return routine
+
+    def check_fused(self, routine: BeeRoutine, tier, spec) -> None:
+        """The ``verify_on_generate`` gate of a fused routine."""
         if self.verify:
             import repro.beecheck as beecheck
 
             getattr(beecheck, f"verify_{tier.name}")(routine, spec)
-        return routine
 
     def make_evj(self, join_type: str, n_keys: int) -> EVJRoutine:
         """Clone the pre-compiled EVJ template for a join node."""

@@ -120,6 +120,13 @@ class GenericBeeModule:
         self._fused_by_node: OrderedDict[
             tuple[str, int], tuple[object, object, BeeRoutine]
         ] = OrderedDict()
+        #: Fused drivers that ran their tier's routine (rather than
+        #: draining their anchor), per tier name.
+        self.executed: Counter = Counter()
+        # The statement front door's outcomes (repro.sql.session).
+        self.statement_hits = 0
+        self.statement_misses = 0
+        self.statement_declined = 0
 
     # -- relation bees (schema definition time) ---------------------------------
 
@@ -156,8 +163,16 @@ class GenericBeeModule:
         return bee
 
     def drop_relation_bee(self, relation: str) -> None:
-        """Collector entry point for DROP TABLE."""
+        """Collector entry point for DROP TABLE: the relation bee, and
+        every query bee whose statement reads or writes the relation (a
+        table created later under the same name is another relation)."""
         self.collector.collect_relation(relation)
+        for key in [
+            key for key, bee in self.cache.query_bees.items()
+            if relation in bee.relations
+        ]:
+            del self.cache.query_bees[key]
+            self.collector.collected_query_bees += 1
         for key in [k for k in self._idx_by_index if k[0] == relation]:
             del self._idx_by_index[key]
         for key in [
@@ -216,11 +231,16 @@ class GenericBeeModule:
 
     def get_evp(self, expr: Expr, assume_not_null: bool = False) -> BeeRoutine:
         """EVP routine for a bound predicate (memoized by expression
-        identity and nullability variant)."""
+        identity and nullability variant; a hit re-patches the holes
+        from the expression's current constants, as for
+        :meth:`get_fused`)."""
         key = (id(expr), assume_not_null)
         entry = self._evp_by_expr.get(key)
         if entry is not None and entry[0] is expr:
-            return entry[1]
+            routine = entry[1]
+            if routine.repatch():
+                self.maker.check_evp(routine, expr)
+            return routine
         routine = self.maker.make_evp(expr, assume_not_null)
         routine.epoch = self.query_epoch
         _remember(self._evp_by_expr, key, (expr, routine))
@@ -235,7 +255,10 @@ class GenericBeeModule:
         key = (id(specs), assume_not_null)
         entry = self._agg_by_specs.get(key)
         if entry is not None and entry[0] is specs:
-            return entry[1]
+            routine = entry[1]
+            if routine.repatch():
+                self._check_agg(routine, specs, assume_not_null)
+            return routine
         from repro.bees.routines.agg import generate_agg
 
         self._agg_counter += 1
@@ -243,13 +266,17 @@ class GenericBeeModule:
             list(specs), self.ledger, f"AGG_{self._agg_counter}",
             assume_not_null, self.code_cache,
         )
+        self._check_agg(routine, specs, assume_not_null)
+        routine.epoch = self.query_epoch
+        _remember(self._agg_by_specs, key, (specs, routine))
+        return routine
+
+    def _check_agg(self, routine, specs: tuple, assume_not_null: bool) -> None:
+        """The ``verify_on_generate`` gate of an AGG routine."""
         if self.maker.verify:
             from repro.beecheck import verify_agg
 
             verify_agg(routine, list(specs), assume_not_null)
-        routine.epoch = self.query_epoch
-        _remember(self._agg_by_specs, key, (specs, routine))
-        return routine
 
     def get_idx(
         self, relation: str, index_name: str, key_indexes: list[int]
@@ -281,16 +308,20 @@ class GenericBeeModule:
 
         *tier* is the driver's :class:`repro.bees.drivers.Tier` row (it
         owns the generator) and *anchor* the node the driver
-        replaced.  Plans are rebuilt per query, so the memo keys routine
-        reuse to repeated executions of the same prepared plan (a fresh
-        plan of a shape seen before re-instantiates its proto-bee from
-        the code cache instead); it is evicted with the other query
-        bees on DDL.
+        replaced.  The memo keys routine reuse to repeated executions of
+        one plan — a query bee's, whose constants a statement may have
+        re-bound since, so a hit re-patches the routine's holes (and
+        re-verifies it under ``verify_on_generate``); a fresh plan of a
+        shape seen before re-instantiates its proto-bee from the code
+        cache instead.  Evicted with the other query bees on DDL.
         """
         key = (tier.name, id(anchor))
         entry = self._fused_by_node.get(key)
         if entry is not None and entry[0] is anchor:
-            return entry[2]
+            routine = entry[2]
+            if routine.repatch():
+                self.maker.check_fused(routine, tier, spec)
+            return routine
         routine = self.maker.make_fused(tier, spec)
         routine.epoch = self.query_epoch
         _remember(self._fused_by_node, key, (anchor, spec, routine))
@@ -382,14 +413,59 @@ class GenericBeeModule:
                 return fused_key(routine_name.split("_", 1)[0], spec)
         return None
 
-    def register_query_bee(self, query_id: str) -> QueryBee:
-        """Create (or fetch) the query bee grouping a plan's routines."""
-        bee = self.cache.get_query_bee(query_id)
+    def check_out(self, key: tuple) -> QueryBee | None:
+        """Take the query bee of shape *key* out of the cache — a
+        statement-cache hit: the caller owns the bee (and may re-bind
+        its plan's constants) until it hands it back through
+        :meth:`check_in`.  One atomic ``dict.pop``, so of two concurrent
+        statements of a shape one gets the bee and the other ``None``.
+        A bee built under an older invalidation epoch is dropped, and
+        counted."""
+        bee = self.cache.query_bees.pop(key, None)
         if bee is None:
-            bee = QueryBee(query_id)
-            self.cache.put_query_bee(bee)
-            self.collector.trim_query_bees()
+            return None
+        if bee.epoch != self.query_epoch:
+            self.collector.collected_query_bees += 1
+            return None
+        self.statement_hits += 1
         return bee
+
+    def check_in(self, bee: QueryBee) -> None:
+        """Put a query bee (back) into the cache as its newest entry,
+        within the collector's budget — unless DDL ran since it was
+        built.  The twin a concurrent statement of the shape built
+        meanwhile is replaced, and counted."""
+        if bee.epoch != self.query_epoch:
+            self.collector.collected_query_bees += 1
+            return
+        if self.cache.query_bees.pop(bee.key, None) is not None:
+            self.collector.collected_query_bees += 1
+        self.cache.put_query_bee(bee)
+        self.collector.trim_query_bees()
+
+    def register_query_bee(self, key: tuple, bee: QueryBee) -> None:
+        """Cache the query bee a statement-cache miss built for shape
+        *key*."""
+        bee.key = key
+        self.statement_misses += 1
+        self.check_in(bee)
+
+    def decline_statement(self) -> None:
+        """Count a statement that ran ad hoc: not a class query bees
+        serve, or one whose bee could not be trusted to be reused."""
+        self.statement_declined += 1
+
+    def statement_statistics(self) -> dict:
+        """What the statement front door did: statements served from a
+        query bee, statements that built one, statements that ran ad
+        hoc (declined), query bees cached now and evicted so far."""
+        return {
+            "hits": self.statement_hits,
+            "misses": self.statement_misses,
+            "declined": self.statement_declined,
+            "entries": len(self.cache.query_bees),
+            "evicted": self.collector.collected_query_bees,
+        }
 
     # -- tuple bees (query execution time) ---------------------------------------
 
@@ -450,6 +526,7 @@ class GenericBeeModule:
             "vector_routines": fused["vector"],
             # ...and whatever other local tier has memoized routines.
             **{f"{tier}_routines": n for tier, n in fused.items()},
+            **{f"{tier}_executed": n for tier, n in self.executed.items()},
             "tuple_bees": tuple_bees,
             "collected_relation_bees": self.collector.collected_relation_bees,
             "compiles": self.code_cache.compiles,

@@ -281,5 +281,6 @@ def generate_pipeline(
     if spec.sink != "agg":
         lines.append("    return out")
     return finish(
-        fn_name, params, lines, namespace, em.holes.consts, c1, code_cache
+        fn_name, params, lines, namespace, em.holes.consts, c1, code_cache,
+        em.holes.binds,
     )

@@ -77,7 +77,7 @@ def generate_agg(
             body.append(f"    states[{i}].update({value})")
     return finish(
         fn_name, "row, states", body, namespace,
-        ["_NAME"] + em.holes.consts, cost, code_cache,
+        ["_NAME"] + em.holes.consts, cost, code_cache, em.holes.binds,
     )
 
 

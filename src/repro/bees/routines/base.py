@@ -32,6 +32,9 @@ class BeeRoutine:
             slow-path closure).  Kept so beecheck can introspect the
             structs the generated code references and recompile tampered
             source in its self-tests.
+        binds: where each ``_K{n}`` literal hole came from, as
+            ``(hole, node, attr)`` — the expression node whose
+            ``attr`` the literal was read from at generation time.
     """
 
     name: str
@@ -41,6 +44,7 @@ class BeeRoutine:
     size_bytes: int = 0
     invocations: int = field(default=0, compare=False)
     namespace: dict | None = field(default=None, repr=False, compare=False)
+    binds: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.size_bytes:
@@ -49,6 +53,33 @@ class BeeRoutine:
 
     def __call__(self, *args):
         return self.fn(*args)
+
+    def repatch(self) -> bool:
+        """Re-read every literal hole from the expression it came from
+        — the paper's "patch the clone's holes" for a routine whose plan
+        was re-bound to new constants.  The data section is updated and,
+        where the holes are default-argument locals, the function's
+        defaults rebuilt.  Returns whether any hole moved.
+        """
+        namespace = self.namespace
+        moved = False
+        for hole, node, attr in self.binds:
+            value = getattr(node, attr)
+            if namespace[hole] is not value:
+                namespace[hole] = value
+                moved = True
+        if moved:
+            # The proto-bee itself: ``fn`` may be a wrapper around it.
+            proto = namespace[proto_entry(self.name)]
+            defaults = proto.__defaults__
+            if defaults:
+                code = proto.__code__
+                first = code.co_argcount - len(defaults)
+                proto.__defaults__ = tuple(
+                    namespace[name]
+                    for name in code.co_varnames[first : code.co_argcount]
+                )
+        return moved
 
 
 def proto_entry(fn_name: str) -> str:

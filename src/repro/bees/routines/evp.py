@@ -57,7 +57,7 @@ class _Emitter:
 def _emit_direct(expr: E.Expr, em: _Emitter) -> str:
     """Not-null variant: return a Python expression string."""
     if isinstance(expr, E.Const):
-        return em.holes.const(expr.value)
+        return em.holes.const(expr)
     if isinstance(expr, E.Col):
         return em.col(expr.index)
     if isinstance(expr, E.Cmp):
@@ -83,7 +83,8 @@ def _emit_direct(expr: E.Expr, em: _Emitter) -> str:
         return f"({_emit_direct(expr.arg, em)} in {name})"
     if isinstance(expr, E.Between):
         arg = _emit_direct(expr.arg, em)
-        low, high = em.holes.const(expr.low), em.holes.const(expr.high)
+        low = em.holes.const(expr, "low")
+        high = em.holes.const(expr, "high")
         return f"({low} <= {arg} <= {high})"
     if isinstance(expr, E.Case):
         result = _emit_direct(expr.default, em)
@@ -106,7 +107,7 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
     """Nullable variant: emit statements, return the temp holding the value."""
     out = em.temp()
     if isinstance(expr, E.Const):
-        em.add(f"{out} = {em.holes.const(expr.value)}")
+        em.add(f"{out} = {em.holes.const(expr)}")
     elif isinstance(expr, E.Col):
         em.add(f"{out} = {em.col(expr.index)}")
     elif isinstance(expr, (E.Cmp, E.Arith)):
@@ -143,7 +144,8 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
         em.add(f"{out} = None if {arg} is None else ({arg} in {name})")
     elif isinstance(expr, E.Between):
         arg = _emit_guarded(expr.arg, em)
-        low, high = em.holes.const(expr.low), em.holes.const(expr.high)
+        low = em.holes.const(expr, "low")
+        high = em.holes.const(expr, "high")
         em.add(
             f"{out} = None if {arg} is None else ({low} <= {arg} <= {high})"
         )
@@ -219,5 +221,5 @@ def generate_evp(
     ]
     return finish(
         fn_name, "row", body, namespace, ["_NAME"] + em.holes.consts,
-        cost, code_cache,
+        cost, code_cache, em.holes.binds,
     )

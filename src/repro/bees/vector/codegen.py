@@ -228,7 +228,7 @@ class _KernelEmitter:
         if isinstance(expr, E.Const):
             if expr.value is None:
                 return "False", "True"
-            return self.holes.const(expr.value), "False"
+            return self.holes.const(expr), "False"
         if isinstance(expr, E.Col):
             return self.col(expr.index)
         if isinstance(expr, E.Cmp):
@@ -288,8 +288,8 @@ class _KernelEmitter:
             v, u = self.emit(expr.arg)
             if u == "True":
                 return "False", "True"
-            low = self.holes.const(expr.low)
-            high = self.holes.const(expr.high)
+            low = self.holes.const(expr, "low")
+            high = self.holes.const(expr, "high")
             t = self.and_(
                 self.temp(f"{low} <= {v}"), self.temp(f"{v} <= {high}")
             )
@@ -485,7 +485,8 @@ def generate_vector(
     em.lines.append("    _charge(_NAME, _C0 + _C1 * n + _C2 * _m)")
     em.lines.append("    return out")
     return finish(
-        fn_name, params, header + em.lines, namespace, [], c1, code_cache
+        fn_name, params, header + em.lines, namespace, [], c1, code_cache,
+        em.holes.binds,
     )
 
 

@@ -514,7 +514,12 @@ class Database:
 
         Returns a :class:`repro.sql.SQLResult`; SELECT results are in
         ``result.rows``.  CREATE TABLE supports the paper's ``ANNOTATE``
-        DDL clause for tuple-bee attributes.  ``bees=False`` runs this one
+        DDL clause for tuple-bee attributes.  A SELECT, INSERT, UPDATE
+        or DELETE whose *shape* (the text but for its literals) was seen
+        before under the same settings is served from that shape's
+        query bee — literals lifted and bound into the cached plan, no
+        parse, no planning (:mod:`repro.sql.session`;
+        ``stats()["statements"]`` counts it).  ``bees=False`` runs this one
         statement through the generic code paths (see
         :meth:`resolve_settings`); results must be identical either way —
         the invariant the differential oracle checks.  *pipelines*
@@ -598,7 +603,8 @@ class Database:
         return self.ledger.snapshot()
 
     def stats(self) -> dict:
-        """Observability roll-up: bee population + resilience health.
+        """Observability roll-up: bee population, what the statement
+        front door served from query bees, resilience health.
 
         The snapshot is deep-copied: the registries hand back their live
         dicts/lists, and a caller mutating the snapshot must never reach
@@ -620,6 +626,7 @@ class Database:
         )
         return copy.deepcopy({
             "bees": self.bee_module.statistics(),
+            "statements": self.bee_module.statement_statistics(),
             "chunks": self.chunk_cache.statistics(),
             "resilience": self.resilience.report(),
             "parallel": parallel.snapshot(),

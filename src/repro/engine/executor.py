@@ -38,6 +38,29 @@ _TIMEOUT_STRIDE = 128
 _MAX_ATTEMPTS = 10
 
 
+def resolve_shield(db, settings):
+    """The database's beeshield guard, or ``None`` where *settings*
+    turn it off."""
+    shield = getattr(db, "shield", None)
+    if shield is not None and not getattr(settings, "shield", True):
+        return None
+    return shield
+
+
+def stack(db, plan: PlanNode, settings, shield) -> PlanNode:
+    """*plan* as the tier stack rewrites it under *settings*: the
+    rewrite every execution attempt starts with.  The root of a query
+    bee's plan carries the result (:attr:`PlanNode.stacked`), so a
+    statement served from the bee skips the rewrite; a beeshield retry
+    runs under other settings and stacks afresh, never touching it."""
+    prepared = plan.stacked
+    if prepared is not None and (
+        prepared[0] is settings or prepared[0] == settings
+    ):
+        return prepared[1]
+    return stack_tiers(plan, db, settings, shield)
+
+
 def execute(
     db,
     plan: PlanNode,
@@ -58,9 +81,7 @@ def execute(
         settings = db.settings
     if deadline is None:
         deadline = getattr(db, "_deadline", None)
-    shield = getattr(db, "shield", None)
-    if shield is not None and not getattr(settings, "shield", True):
-        shield = None
+    shield = resolve_shield(db, settings)
     if shield is None and deadline is None:
         return _run(db, plan, emit, settings, None, None)
 
@@ -142,7 +163,7 @@ def _run(
     ctx = ExecContext(db, settings)
     if shield is None:
         ctx.shield = None
-    plan = stack_tiers(plan, db, settings, shield)
+    plan = stack(db, plan, settings, shield)
     charge = ctx.ledger.charge
     results: list[tuple] = []
     per_row = 0

@@ -72,6 +72,10 @@ class PlanNode:
 
     columns: list[str]
     nullable: list[bool]
+    #: On the root of a query bee's plan: ``(settings, the plan as the
+    #: tier stack rewrote it under them)`` — see
+    #: :func:`repro.engine.executor.stack`.
+    stacked: tuple | None = None
 
     def rows(self, ctx: ExecContext) -> Iterator[Row]:
         raise NotImplementedError

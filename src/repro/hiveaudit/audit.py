@@ -111,8 +111,17 @@ def _has_unlink(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def _has_subscript_delete(fn: ast.FunctionDef, attr: str) -> bool:
+def _removes_entries(fn: ast.FunctionDef, attr: str) -> bool:
+    """Does *fn* ``del <...>.attr[key]`` or call ``<...>.attr.pop(...)``?"""
     for node in ast.walk(fn):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == attr
+        ):
+            return True
         if isinstance(node, ast.Delete):
             for target in node.targets:
                 if (
@@ -121,6 +130,20 @@ def _has_subscript_delete(fn: ast.FunctionDef, attr: str) -> bool:
                     and target.value.attr == attr
                 ):
                     return True
+    return False
+
+
+def _clears_attribute(fn: ast.FunctionDef, attr: str) -> bool:
+    """Does *fn* call ``<...>.attr.clear()``?"""
+    for node in ast.walk(fn):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "clear"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == attr
+        ):
+            return True
     return False
 
 
@@ -175,8 +198,10 @@ def _check_integrity(graph: CallGraph, findings: list) -> None:
             ok = _reads_attribute(info.node, "query_epoch")
         elif name == "page-version-tracks-heap-version":
             ok = _page_bump_per_version_bump(info.node)
-        else:  # query-budget-evicts
-            ok = _has_subscript_delete(info.node, "query_bees")
+        elif name == "alter-edge-clears-query-bees":
+            ok = _clears_attribute(info.node, "query_bees")
+        else:  # query-budget-evicts, drop-edge-deletes-query-bees
+            ok = _removes_entries(info.node, "query_bees")
         if not ok:
             findings.append(
                 Finding(name, qualname, description, info.module, info.lineno)

@@ -40,6 +40,11 @@ TRACKED_ATTRS = {
 
 _NOTIFY_VERBS = {"create": "create", "alter": "replace", "drop": "destroy"}
 
+# Functions whose registry assignment registers a *new* name, though no
+# ``_notify`` literal says so: nothing cached can refer to it yet, so no
+# eviction edge is owed (the catalog refused a name already taken).
+_CREATE_SITES = frozenset({"Database.create_table"})
+
 # Methods on AnnotationStore reached via `.annotations`.
 _ANNOTATION_VERBS = {"annotate": "replace", "clear": "destroy"}
 
@@ -103,6 +108,8 @@ class _FunctionScanner(ast.NodeVisitor):
         self.notify_verb = None
         for event in info.notifies:
             self.notify_verb = _NOTIFY_VERBS.get(event, self.notify_verb)
+        if info.qualname in _CREATE_SITES:
+            self.notify_verb = "create"
 
     def _emit(self, lineno, invariant, verb, detail) -> None:
         self.sites.append(

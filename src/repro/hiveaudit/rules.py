@@ -73,6 +73,25 @@ RULES = (
         "evicted on ALTER.",
     ),
     _rule(
+        "drop-evicts-query-bees",
+        "catalog.schema",
+        {"destroy"},
+        {"GenericBeeModule.drop_relation_bee"},
+        "A query bee is a statement shape's cached plan; one that reads "
+        "or writes a dropped relation would be served to a statement "
+        "against a later relation of the same name and another schema.",
+    ),
+    _rule(
+        "relation-swap-evicts-query-bees",
+        "runtime.relations",
+        {"replace", "destroy"},
+        {"GenericBeeModule.invalidate_query_bees",
+         "GenericBeeModule.drop_relation_bee"},
+        "Cached plans hold the runtime relation's layout and column "
+        "positions: replacing or removing it (reannotate, DROP) must "
+        "reach one of the two query-bee eviction edges.",
+    ),
+    _rule(
         "annotation-reaches-bee-lifecycle",
         "layout.annotations",
         {"replace", "destroy"},
@@ -139,6 +158,19 @@ INTEGRITY_CHECKS = (
         "BeeCollector.trim_query_bees",
         "the query-bee budget must actually delete cache entries, not "
         "just account for them",
+    ),
+    (
+        "drop-edge-deletes-query-bees",
+        "GenericBeeModule.drop_relation_bee",
+        "the DROP edge must delete the dropped relation's query bees "
+        "from the cache — a statement shape outlives the statement that "
+        "built it",
+    ),
+    (
+        "alter-edge-clears-query-bees",
+        "GenericBeeModule.invalidate_query_bees",
+        "the ALTER edge must clear the query-bee cache: every cached "
+        "plan binds column positions of the old schema",
     ),
     *(
         (

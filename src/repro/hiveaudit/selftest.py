@@ -31,12 +31,15 @@ CASES = (
     InjectionCase(
         "del-drop-bee",
         "db.py",
-        "DROP listener no longer collects the relation bee",
+        "DROP listener no longer collects the relation bee — nor evicts "
+        "the query bees (cached statement plans) that use the relation",
         "        self.bee_module.drop_relation_bee(name)\n",
         "",
         (
             ("drop-collects-relation-bee", "Catalog.drop_relation"),
             ("annotation-reaches-bee-lifecycle", "Catalog.drop_relation"),
+            ("drop-evicts-query-bees", "Catalog.drop_relation"),
+            ("relation-swap-evicts-query-bees", "Database._on_drop"),
         ),
     ),
     InjectionCase(
@@ -58,6 +61,7 @@ CASES = (
             ("drop-collects-relation-bee", "Catalog.drop_relation"),
             ("drop-invalidates-buffer", "Catalog.drop_relation"),
             ("annotation-reaches-bee-lifecycle", "Catalog.drop_relation"),
+            ("drop-evicts-query-bees", "Catalog.drop_relation"),
         ),
     ),
     InjectionCase(
@@ -69,6 +73,7 @@ CASES = (
         (
             ("alter-rebuilds-relation-bee", "Catalog.alter_relation"),
             ("alter-evicts-query-bees", "Catalog.alter_relation"),
+            ("relation-swap-evicts-query-bees", "Database.reannotate"),
         ),
     ),
     InjectionCase(
@@ -137,7 +142,7 @@ CASES = (
             ("row-insert-resolves-tuple-bee", "RowWriter.write"),
             ("row-insert-resolves-tuple-bee", "insert_row"),
             ("row-insert-resolves-tuple-bee", "copy_from"),
-            ("row-insert-resolves-tuple-bee", "update_rows"),
+            ("row-insert-resolves-tuple-bee", "apply_update"),
             ("row-insert-resolves-tuple-bee", "update_by_tid"),
         ),
     ),

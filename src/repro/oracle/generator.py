@@ -25,6 +25,12 @@ Design notes that keep the stream *comparable* across engines:
   generator occasionally emits a deliberately over-width CHAR insert:
   both are regression probes for the padding/width bugs this oracle
   originally found.
+* A share of the DML and SELECT traffic is followed by a *literal
+  sibling*: the same statement text with its literals perturbed
+  (:func:`sibling_sql`), which is what makes the statement front door
+  serve shapes from their query bees — and bind them — under the
+  oracle's eyes.  Siblings draw from their own random stream, so the
+  statements between them are the ones the seed always produced.
 """
 
 from __future__ import annotations
@@ -35,11 +41,23 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.sql import reserved_words
+from repro.sql.lexer import lift
 
 _RESERVED = reserved_words()
 
 # Statement-kind mix (cumulative thresholds over random()).
 _MAX_TABLES = 4
+
+#: Share of INSERT/UPDATE/DELETE/SELECT statements re-issued as a
+#: literal sibling, and of those followed by a second one.
+_SIBLING_SHARE = 0.3
+_SECOND_SIBLING_SHARE = 0.3
+
+#: Column-boundary integers a sibling literal may become (INT and
+#: BIGINT extremes and their neighbours).
+_INT_BOUNDARIES = (
+    0, 1, 2**31 - 1, 2**31, 2**63 - 1, 2**31 - 14,
+)
 
 
 @dataclass
@@ -103,11 +121,94 @@ def _quote(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
 
 
+def _plain_float(value: float) -> str:
+    """*value* without an exponent (the lexer has no ``1e6`` form)."""
+    text = repr(float(value))
+    if "e" in text or "E" in text:
+        text = f"{float(value):.6f}"
+    return text
+
+
+def render_literal(value) -> str:
+    """SQL text of one lifted literal value (int, float or string)."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, float):
+        return _plain_float(value)
+    return str(value)
+
+
+def substitute(text: str, values: list) -> str:
+    """Undo :func:`repro.sql.lexer.lift`: shape *text* with *values*
+    rendered back into its ``?`` holes (no token of a shape text
+    contains a ``?``, so the split is exact)."""
+    pieces = text.split("?")
+    assert len(pieces) == len(values) + 1, (text, values)
+    out = [pieces[0]]
+    for value, piece in zip(values, pieces[1:]):
+        out += [render_literal(value), piece]
+    return "".join(out)
+
+
+def sibling_sql(sql: str, rng: random.Random) -> str | None:
+    """*sql* with its lifted literals perturbed, or ``None`` when it has
+    none.  Most perturbations keep each literal's kind — the sibling is
+    then the *same shape* and is served from the first statement's
+    query bee, re-bound (a literal behind a unary minus binds
+    sign-folded) — and some deliberately do not: an int written as a
+    float or a float as an int (the kinds are part of the key, so these
+    must not share a plan's constants by accident), and integers at
+    column boundaries."""
+    lifted = lift(sql)
+    if lifted is None or not lifted.values:
+        return None
+    text, values = lifted.text, lifted.values
+    strings = [v for v in values if isinstance(v, str)]
+    perturbed = []
+    for value in values:
+        r = rng.random()
+        if isinstance(value, str):
+            if r < 0.5:
+                new = value
+            elif r < 0.8:
+                new = rng.choice(strings)
+            else:
+                new = value[:-1]
+        elif isinstance(value, float):
+            if r < 0.5:
+                # Lifted values carry no sign (it is shape text): keep it
+                # that way, or ``-`` + ``-1.5`` would read as a comment.
+                new = abs(round(value + rng.choice((-1.5, 0.25, 2.0)), 3))
+            elif r < 0.7:
+                new = round(value * 2, 3)
+            elif r < 0.85:
+                new = 0.0
+            else:
+                new = int(value)            # kind change: another shape
+        else:
+            if r < 0.45:
+                new = abs(value + rng.choice((-1, 1, 3)))
+            elif r < 0.6:
+                new = rng.randint(0, 100)
+            elif r < 0.75:
+                new = rng.choice(_INT_BOUNDARIES)
+            elif r < 0.9:
+                new = value
+            else:
+                new = float(value)          # kind change: another shape
+        perturbed.append(new)
+    return substitute(text, perturbed)
+
+
 class StatementGenerator:
     """Deterministic random SQL generator over an evolving schema."""
 
     def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
+        # Siblings have a stream of their own: the statements between
+        # them stay the ones *seed* produced before siblings existed.
+        self._sibling_rng = random.Random(seed ^ 0x51B1)
+        self._siblings: list[GenStatement] = []
         self.tables: dict[str, GenTable] = {}
         self._table_counter = 0
 
@@ -124,12 +225,40 @@ class StatementGenerator:
     def stream(self, n: int) -> Iterator[GenStatement]:
         """The seed's first *n* statements: the bootstrap schema and
         rows, then generated traffic — the one statement stream every
-        campaign and checker corpus drives."""
+        campaign and checker corpus drives.  Literal siblings ride
+        behind the statement they repeat and are not counted in *n*:
+        the *n* are the ones the seed always produced."""
         pending = self.bootstrap()
         for _ in range(n):
             yield pending.pop(0) if pending else self.next_statement()
+            while self._siblings:
+                yield self.next_statement()
 
     def next_statement(self) -> GenStatement:
+        """The next statement: a queued literal sibling of the last one,
+        else fresh traffic (of which a share queues its siblings)."""
+        if self._siblings:
+            return self._siblings.pop(0)
+        stmt = self._fresh_statement()
+        rng = self._sibling_rng
+        if stmt.kind in ("insert", "update", "delete", "select") and (
+            rng.random() < _SIBLING_SHARE
+        ):
+            n = 2 if rng.random() < _SECOND_SIBLING_SHARE else 1
+            for _ in range(n):
+                sql = sibling_sql(stmt.sql, rng)
+                if sql is not None:
+                    # Same table and ordering; the metamorphic record
+                    # quotes the original's predicate, so it stays off.
+                    self._siblings.append(
+                        GenStatement(
+                            sql=sql, kind=stmt.kind, table=stmt.table,
+                            ordered=stmt.ordered, columnar=stmt.columnar,
+                        )
+                    )
+        return stmt
+
+    def _fresh_statement(self) -> GenStatement:
         if not self.tables:
             return self._create_table()
         r = self.rng.random()
@@ -304,10 +433,7 @@ class StatementGenerator:
         if col.kind == "int":
             return str(value)
         if col.kind == "float":
-            text = repr(float(value))
-            if "e" in text or "E" in text:  # lexer has no exponent form
-                text = f"{float(value):.6f}"
-            return text
+            return _plain_float(value)
         if col.kind == "bool":
             return "TRUE" if value else "FALSE"
         if col.kind == "date":

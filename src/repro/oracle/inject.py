@@ -12,7 +12,8 @@ tier row resolves its generator through its codegen module per call
 (:meth:`repro.bees.drivers.Tier.generate`), for the maker and the pool
 workers alike.  There is one kind per routine family the oracle guards,
 one per tier row of :data:`repro.bees.drivers.TIERS`, and one for the
-chunk cache's tuple identifiers (what a vectorized write trusts).
+chunk cache's tuple identifiers (what a vectorized write trusts) and one
+for the statement front door's hole patching.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ def _qualless_prepare(original: Callable) -> Callable:
     return patched
 
 
+def _stale_first_hole(original: Callable) -> Callable:
+    def patched(routine):
+        binds = routine.binds
+        routine.binds = binds[1:]       # hole 0 keeps its first literal
+        try:
+            return original(routine)
+        finally:
+            routine.binds = binds
+
+    return patched
+
+
 def _shifted_tids(original: Callable) -> Callable:
     def patched(rel, old=None):
         import numpy as np
@@ -117,6 +130,9 @@ _BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
         "repro.parallel.worker", "_WorkerState.prepare", _qualless_prepare
     ),
     "tids": ("repro.bees.vector.chunks", "_decode", _shifted_tids),
+    "proto": (
+        "repro.bees.routines.base", "BeeRoutine.repatch", _stale_first_hole
+    ),
 }
 
 BUG_KINDS = tuple(_BUGS)
@@ -147,6 +163,12 @@ def inject_bug(kind: str) -> Iterator[None]:
       is still right, and a vectorized UPDATE or DELETE writes the
       neighbouring row.  Only the N-way lane over the write's match
       plan sees it.
+    * ``'proto'`` — a statement served from its shape's query bee
+      re-patches every literal hole of the routines its plan reaches
+      *but the first*: the plan's constants are this statement's, one
+      ``_K0`` is still the statement's that built the bee.  Only a
+      cache hit with a different first literal shows it, which is what
+      the generator's literal siblings are for.
 
     Only bees generated while the context is active are affected, so the
     oracle (its databases, and any worker pool) must be created inside

@@ -22,15 +22,31 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from repro.sql.parser import parse
+from repro.sql.session import execute_statement
+
 Outcome = tuple  # ("rows", list[tuple]) | ("status", str) | ("error", str)
 
 
 def run_statement(db, sql: str, bees=None) -> Outcome:
-    """Execute *sql* on *db* and capture the outcome (never raises).
-    *bees* is ``db.sql``'s per-statement toggle: ``False`` or an
-    explicit :class:`BeeSettings` point."""
+    """Execute *sql* on *db* through ``db.sql`` — the statement front
+    door, so a shape seen before is served from its query bee — and
+    capture the outcome (never raises).  *bees* is ``db.sql``'s
+    per-statement toggle: ``False`` or an explicit :class:`BeeSettings`
+    point."""
+    return _outcome(lambda: db.sql(sql, bees=bees))
+
+
+def run_adhoc(db, sql: str) -> Outcome:
+    """Execute *sql* on *db* the ad hoc way — parse, plan, run; the
+    query-bee cache neither consulted nor filled — and capture the
+    outcome: the reference a cache-served statement is compared to."""
+    return _outcome(lambda: execute_statement(db, parse(sql)))
+
+
+def _outcome(execute) -> Outcome:
     try:
-        result = db.sql(sql, bees=bees)
+        result = execute()
     except Exception as exc:  # noqa: BLE001 — the comparison IS the handler
         return ("error", type(exc).__name__)
     if result.status.startswith("SELECT") or result.status == "EXPLAIN":

@@ -2,8 +2,19 @@
 
 Every generated statement is executed against a stock-settings
 :class:`~repro.db.Database` and a bee-enabled one; their outcomes (rows,
-status, or error type) must match statement by statement.  On top of the
-engine diff, eligible statements get three more lanes:
+status, or error type) must match statement by statement.  The stock
+engine is the reference in every sense: it runs each statement ad hoc
+(parse, plan, run), while the bee engine runs it through ``db.sql`` —
+from its shape's query bee when it has one — so the engine diff also
+covers what the statement front door binds and patches, for writes as
+much as reads.  On top of the engine diff, eligible statements get four
+more lanes:
+
+* **proto**: a SELECT's cache-served outcome must equal the ad hoc
+  outcome *on the same database under the same settings* — what
+  separates a front-door bug (a constant bound to the wrong hole, a
+  routine hole left stale) from a bee bug.  The generator re-issues a
+  share of its statements as literal siblings, so shapes do get hit.
 
 * **N-way plans**: every tier is just another plan for the same
   statement, so a SELECT re-runs on the bee database — same physical
@@ -52,6 +63,7 @@ from repro.oracle.normalize import (
     describe_outcome,
     outcomes_equal,
     outcomes_equivalent,
+    run_adhoc,
     run_statement,
 )
 from repro.sql import parse
@@ -141,13 +153,10 @@ def _sum_equal(expected, got) -> bool:
 
 def _on_tier(stats: dict, tier: drivers.Tier) -> int:
     """How much work *stats* (``db.stats()``) attributes to *tier*: the
-    statements a remote tier's pool finished, else the tier's memoized
-    routines (plans are rebuilt per statement, so a statement that runs
-    on a local tier generates at least one)."""
-    if tier.remote:
-        pool = stats.get(tier.name, {})
-        return pool.get("statements", 0) - pool.get("degradations", 0)
-    return stats["bees"].get(f"{tier.name}_routines", 0)
+    fused drivers that ran its routine instead of draining their anchor
+    (a statement served from a query bee generates nothing, so routine
+    counts say nothing about where it ran)."""
+    return stats["bees"].get(f"{tier.name}_executed", 0)
 
 
 def _match_outcome(db: Database, sql: str, settings=None) -> Outcome:
@@ -294,7 +303,7 @@ class DifferentialOracle:
         self._count(self.statement_counts, stmt.kind)
         if stmt.kind in ("update", "delete"):
             self._check_match_plans(stmt)      # on the rows it is about to hit
-        out_stock = run_statement(self.stock, stmt.sql)
+        out_stock = run_adhoc(self.stock, stmt.sql)
         out_bee = run_statement(self.bee, stmt.sql)
         self._digest.update(stmt.sql.encode())
         self._digest.update(canonical(out_stock).encode())
@@ -307,12 +316,14 @@ class DifferentialOracle:
                 f"stock={describe_outcome(out_stock)} "
                 f"bees={describe_outcome(out_bee)}",
                 lambda stock, bee: not outcomes_equal(
-                    run_statement(stock, stmt.sql),
+                    run_adhoc(stock, stmt.sql),
                     run_statement(bee, stmt.sql),
                     ordered=stmt.ordered,
                 ),
             )
 
+        if stmt.kind == "select":
+            self._check_proto(stmt, out_bee)
         if stmt.kind == "select" and out_bee[0] == "rows":
             self._check_plans(stmt, out_bee)
         if stmt.tlp is not None and out_stock[0] == "rows" and out_bee[0] == "rows":
@@ -344,6 +355,24 @@ class DifferentialOracle:
                 before = after
             if not point.agree(base, out, ordered):
                 yield point, out
+
+    def _check_proto(self, stmt: GenStatement, out_bee: Outcome) -> None:
+        """Cache-served vs ad hoc, same database, same settings."""
+        self._count(self.check_counts, "proto")
+        reference = run_adhoc(self.bee, stmt.sql)
+        if outcomes_equal(reference, out_bee, ordered=stmt.ordered):
+            return
+        self._record(
+            "proto",
+            stmt,
+            f"cached={describe_outcome(out_bee)} "
+            f"ad hoc={describe_outcome(reference)}",
+            lambda _stock, bee: not outcomes_equal(
+                run_adhoc(bee, stmt.sql),
+                run_statement(bee, stmt.sql),
+                ordered=stmt.ordered,
+            ),
+        )
 
     def _check_plans(self, stmt: GenStatement, out_bee: Outcome) -> None:
         def run_at(settings) -> Outcome:
@@ -498,7 +527,7 @@ class DifferentialOracle:
             bee = Database(self.bee_settings)
             try:
                 for s in prefix:
-                    run_statement(stock, s.sql)
+                    run_adhoc(stock, s.sql)
                     run_statement(bee, s.sql)
                 return bool(still_diverges(stock, bee))
             except Exception:  # noqa: BLE001 — replay failure != repro

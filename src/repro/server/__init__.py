@@ -23,8 +23,6 @@ _EXPORTS = {
     "ServerOverloadedError": "repro.server.core",
     "SessionClosedError": "repro.server.core",
     "SnapshotViolation": "repro.server.core",
-    "classify_statement": "repro.server.core",
-    "referenced_tables": "repro.server.core",
     "statement_fingerprint": "repro.server.oracle",
     "replay_schedule": "repro.server.oracle",
     "HiveListener": "repro.server.protocol",

@@ -39,9 +39,7 @@ from dataclasses import dataclass, fields
 from repro.resilience.errors import QueryTimeout
 from repro.server.locks import HiveLocks, LockTimeout
 from repro.server.wal import DataWAL, GroupCommitter, WALSyncError
-from repro.sql import ast
-from repro.sql.parser import parse
-from repro.sql.session import SQLResult, execute_statement
+from repro.sql.session import SQLResult, Statement
 
 
 class ServerError(Exception):
@@ -75,59 +73,6 @@ class SnapshotViolation(ServerError):
         )
         self.kind = kind
         self.relation = relation
-
-
-# -- statement classification -------------------------------------------------
-
-
-def referenced_tables(node) -> set[str]:
-    """Every relation name a statement subtree references.
-
-    Generic dataclass walk: collects ``SelectStmt.table``, join tables,
-    and recurses into nested ``SubqueryOp`` selects wherever they occur
-    (WHERE, HAVING, select items, ORDER BY).
-    """
-    names: set[str] = set()
-    _collect_tables(node, names)
-    return names
-
-
-def _collect_tables(node, names: set[str]) -> None:
-    if isinstance(node, ast.SelectStmt):
-        if node.table:
-            names.add(node.table)
-        for join in node.joins:
-            names.add(join.table)
-    if hasattr(node, "__dataclass_fields__"):
-        for f in fields(node):
-            _collect_tables(getattr(node, f.name), names)
-    elif isinstance(node, (list, tuple)):
-        for item in node:
-            _collect_tables(item, names)
-
-
-def classify_statement(stmt) -> tuple[str, tuple[str, ...]]:
-    """``(kind, relations)`` for a parsed statement.
-
-    *kind* is ``read`` (shared latches), ``write`` (exclusive relation
-    latches, WAL-logged), or ``ddl`` (exclusive catalog latch,
-    WAL-logged).
-    """
-    if isinstance(stmt, ast.ExplainStmt) and not isinstance(
-        stmt.statement, ast.SelectStmt
-    ):
-        # EXPLAIN UPDATE/DELETE only plans the write's match scan.
-        return "read", (stmt.statement.table,)
-    if isinstance(stmt, (ast.SelectStmt, ast.ExplainStmt)):
-        return "read", tuple(sorted(referenced_tables(stmt)))
-    if isinstance(stmt, (ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt)):
-        relations = {stmt.table} | referenced_tables(stmt)
-        return "write", tuple(sorted(relations))
-    if isinstance(stmt, ast.VacuumStmt):
-        return "write", (stmt.table,)
-    if isinstance(stmt, (ast.CreateTableStmt, ast.DropTableStmt)):
-        return "ddl", (stmt.name,)
-    raise TypeError(f"unhandled statement {type(stmt).__name__}")
 
 
 # -- bookkeeping --------------------------------------------------------------
@@ -295,36 +240,33 @@ class HiveServer:
 
     def execute(self, session: Session, sql: str,
                 timeout: float | None = None) -> SQLResult:
-        """Parse, admit, latch, run, log, and record one statement."""
-        try:
-            stmt = parse(sql)
-            kind, relations = classify_statement(stmt)
-        except Exception:  # noqa: BLE001 — counted, then re-raised
-            with self.locks.server_lock:
-                self.stats.errors += 1
-            raise
+        """Admit, look up (or parse), latch, run, log, and record one
+        statement — through the same front door as ``db.sql()``
+        (:class:`repro.sql.session.Statement`), which is what knows the
+        statement's latch class."""
         budget = self.statement_timeout if timeout is None else timeout
         shed = self._admit()
+        kind = None
         try:
+            # Under queue pressure the statement runs (and is keyed)
+            # without the parallel tier; a write's match plan never fans
+            # out anyway (the tier declines ctid scans), so only a read
+            # counts as shed.
+            settings = self.db.settings
+            shed = shed and settings.parallel
+            if shed:
+                settings = settings.enabling(parallel=False)
+            statement = Statement(self.db, sql, settings)
+            kind = statement.kind
             if kind == "read":
-                settings = self.db.settings
-                if shed and settings.parallel:
-                    settings = settings.enabling(parallel=False)
+                if shed:
                     with self.locks.server_lock:
                         self.stats.sheds += 1
-                result = self._execute_read(
-                    session, sql, stmt, relations, settings, budget
-                )
+                result = self._execute_read(session, statement, budget)
             elif kind == "write":
-                # A write's match plan never fans out (the parallel tier
-                # declines ctid scans), so there is nothing to shed.
-                result = self._execute_write(
-                    session, sql, stmt, relations, budget
-                )
+                result = self._execute_write(session, statement, budget)
             else:
-                result = self._execute_ddl(
-                    session, sql, stmt, relations, budget
-                )
+                result = self._execute_ddl(session, statement, budget)
         except QueryTimeout:
             with self.locks.server_lock:
                 self.stats.errors += 1
@@ -357,37 +299,34 @@ class HiveServer:
         finally:
             self._release()
 
-    def _execute_read(self, session, sql, stmt, relations, settings,
-                      timeout) -> SQLResult:
+    def _execute_read(self, session, statement, timeout) -> SQLResult:
+        relations = statement.relations
         with self.locks.catalog_lock.read(self.lock_timeout):
             with self.locks.relation_lock.read(relations, self.lock_timeout):
                 pins = self._pin(session, relations)
                 seq = self._next_seq()
-                result = execute_statement(
-                    self.db, stmt, settings, timeout
-                )
+                result = statement.run(timeout)
                 self._verify_pins(session, pins)
-                self._record(seq, session, sql, "read", result)
+                self._record(seq, session, statement.sql, "read", result)
                 return result
 
-    def _execute_write(self, session, sql, stmt, relations,
-                       timeout) -> SQLResult:
+    def _execute_write(self, session, statement, timeout) -> SQLResult:
+        relations = statement.relations
         with self.locks.catalog_lock.read(self.lock_timeout):
             with self.locks.relation_lock.write(relations, self.lock_timeout):
                 seq = self._next_seq()
-                result = execute_statement(self.db, stmt, None, timeout)
-                self._log_write(seq, session, sql)
+                result = statement.run(timeout)
+                self._log_write(seq, session, statement.sql)
                 self._pin(session, relations)
-                self._record(seq, session, sql, "write", result)
+                self._record(seq, session, statement.sql, "write", result)
                 return result
 
-    def _execute_ddl(self, session, sql, stmt, relations,
-                     timeout) -> SQLResult:
+    def _execute_ddl(self, session, statement, timeout) -> SQLResult:
         with self.locks.catalog_lock.write(self.lock_timeout):
             seq = self._next_seq()
-            result = execute_statement(self.db, stmt, None, timeout)
-            self._log_write(seq, session, sql)
-            self._record(seq, session, sql, "ddl", result)
+            result = statement.run(timeout)
+            self._log_write(seq, session, statement.sql)
+            self._record(seq, session, statement.sql, "ddl", result)
             return result
 
     # -- snapshot pinning ----------------------------------------------------
@@ -516,6 +455,7 @@ class HiveServer:
             snapshot["sessions_active"] = len(self._sessions)
             snapshot["durability"] = self.durability
             snapshot["schedule_length"] = len(self.schedule)
+        snapshot["query_bees"] = self.db.bee_module.statement_statistics()
         snapshot["group_commit"] = (
             self.committer.stats() if self.committer is not None
             else {"batches": 0, "fsyncs": 0, "records": 0,

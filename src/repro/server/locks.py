@@ -35,9 +35,12 @@ from time import monotonic
 #: touches the field); ``latch-internal`` means the field is mutated
 #: under the latch's own condition-variable lock; ``group-leader``
 #: means mutated only by the elected group-commit leader (leadership —
-#: a wal_lock-guarded flag — is the mutual exclusion).
+#: a wal_lock-guarded flag — is the mutual exclusion); ``check-out``
+#: means mutated only by the statement that took the owning query bee
+#: out of ``BeeCache.query_bees`` (the atomic ``dict.pop`` is the
+#: mutual exclusion, until the statement stores the bee back).
 PSEUDO_GUARDS = frozenset({
-    "session", "latch-internal", "group-leader", "-", "",
+    "session", "latch-internal", "group-leader", "check-out", "-", "",
 })
 
 

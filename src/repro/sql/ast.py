@@ -10,7 +10,18 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Literal:
+    """A constant.  *slot* is the literal's position among the ones the
+    shape lifter (:func:`repro.sql.lexer.lift`) lifts out of the
+    statement, ``None`` for one it leaves in the text (``NULL``,
+    ``DATE '…'``); *negate* records an odd number of unary minuses
+    folded into *value*.  The slot takes part in equality, so whether
+    two aggregate calls are "the same aggregate" — and with it the plan
+    — never depends on two literals happening to be equal.
+    """
+
     value: object
+    slot: int | None = None
+    negate: bool = False
 
 
 @dataclass
@@ -134,6 +145,9 @@ class CreateTableStmt:
 class InsertStmt:
     table: str
     rows: list[list]
+    #: ``(row, column, slot, negate)`` of each value a lifted literal
+    #: supplied (see :class:`Literal`).
+    slots: list[tuple] = field(default_factory=list)
 
 
 @dataclass

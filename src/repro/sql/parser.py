@@ -28,17 +28,29 @@ import datetime
 
 from repro.catalog.types import date_to_days
 from repro.sql import ast
-from repro.sql.lexer import SQLSyntaxError, Token, tokenize
+from repro.sql.lexer import SQLSyntaxError, Token, lift, tokenize
 
 AGG_FUNCS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
 
 class Parser:
-    """One-statement parser over a token list."""
+    """One-statement parser over a token list.
 
-    def __init__(self, tokens: list[Token]) -> None:
+    *slots* maps the text offset of each literal the shape lifter lifted
+    to its slot number; the parser stamps it on the ``Literal`` it
+    builds from that token, which is how a plan constant finds its way
+    back to a hole of the statement's shape.
+    """
+
+    def __init__(
+        self, tokens: list[Token], slots: dict[int, int] | None = None
+    ) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.slots = slots or {}
+        #: Whether a subquery was parsed (its result is spliced into the
+        #: plan as a literal, so such a plan is data-dependent).
+        self.has_subquery = False
 
     # -- token plumbing ---------------------------------------------------------
 
@@ -134,9 +146,7 @@ class Parser:
             order_by.append(self.order_item())
             while self.accept("symbol", ","):
                 order_by.append(self.order_item())
-        limit = None
-        if self.accept("kw", "LIMIT"):
-            limit = int(self.expect("number").value)
+        limit = self.integer() if self.accept("kw", "LIMIT") else None
         return ast.SelectStmt(
             items=items,
             table=table,
@@ -230,7 +240,7 @@ class Parser:
         type_name = type_token.value.lower()
         type_arg = None
         if self.accept("symbol", "("):
-            type_arg = int(self.expect("number").value)
+            type_arg = self.integer()
             self.expect("symbol", ")")
         nullable = True
         if self.accept("kw", "NOT"):
@@ -240,29 +250,47 @@ class Parser:
             nullable = True
         return ast.ColumnDef(name, type_name, type_arg, nullable)
 
+    def integer(self) -> int:
+        """A plain non-negative integer (``LIMIT n``, ``char(n)``)."""
+        token = self.expect("number")
+        if not token.value.isdigit():
+            raise SQLSyntaxError(
+                f"expected an integer at position {token.position}, "
+                f"found {token.value}"
+            )
+        return _number(token)
+
     def insert(self) -> ast.InsertStmt:
         self.expect("kw", "INSERT")
         self.expect("kw", "INTO")
         table = self.expect("ident").value
         self.expect("kw", "VALUES")
-        rows = [self.value_row()]
+        stmt = ast.InsertStmt(table, [])
+        self.value_row(stmt)
         while self.accept("symbol", ","):
-            rows.append(self.value_row())
-        return ast.InsertStmt(table, rows)
+            self.value_row(stmt)
+        return stmt
 
-    def value_row(self) -> list:
+    def value_row(self, stmt: ast.InsertStmt) -> None:
         self.expect("symbol", "(")
-        values = [self.literal_value()]
-        while self.accept("symbol", ","):
-            values.append(self.literal_value())
+        row: list = []
+        while True:
+            literal = self.literal()
+            if literal.slot is not None:
+                stmt.slots.append(
+                    (len(stmt.rows), len(row), literal.slot, literal.negate)
+                )
+            row.append(literal.value)
+            if not self.accept("symbol", ","):
+                break
         self.expect("symbol", ")")
-        return values
+        stmt.rows.append(row)
 
-    def literal_value(self) -> object:
+    def literal(self) -> ast.Literal:
         literal = self.primary()
         if not isinstance(literal, ast.Literal):
             raise SQLSyntaxError("INSERT VALUES must be literals")
-        return literal.value
+        return literal
 
     def update(self) -> ast.UpdateStmt:
         self.expect("kw", "UPDATE")
@@ -329,9 +357,14 @@ class Parser:
     def exists_expr(self, negate: bool) -> ast.SubqueryOp:
         self.expect("kw", "EXISTS")
         self.expect("symbol", "(")
+        return self.subquery("exists", negate=negate)
+
+    def subquery(self, kind: str, **fields) -> ast.SubqueryOp:
+        """``SELECT … )``: the caller took the opening parenthesis."""
         select = self.select()
         self.expect("symbol", ")")
-        return ast.SubqueryOp("exists", select, negate=negate)
+        self.has_subquery = True
+        return ast.SubqueryOp(kind, select, **fields)
 
     def comparison(self) -> ast.Expression:
         left = self.additive()
@@ -356,12 +389,10 @@ class Parser:
         if self.accept("kw", "IN"):
             self.expect("symbol", "(")
             if self.check("kw", "SELECT"):
-                select = self.select()
-                self.expect("symbol", ")")
-                return ast.SubqueryOp("in", select, arg=left, negate=negate)
-            values = [self.literal_value()]
+                return self.subquery("in", arg=left, negate=negate)
+            values = [self.literal().value]
             while self.accept("symbol", ","):
-                values.append(self.literal_value())
+                values.append(self.literal().value)
             self.expect("symbol", ")")
             return ast.InOp(left, values, negate)
         if self.accept("kw", "BETWEEN"):
@@ -393,21 +424,23 @@ class Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            text = token.value
-            return ast.Literal(float(text) if "." in text else int(text))
+            return ast.Literal(_number(token), self.slots.get(token.position))
         if token.kind == "string":
             self.advance()
-            return ast.Literal(token.value)
+            return ast.Literal(token.value, self.slots.get(token.position))
         if self.accept("symbol", "-"):
             inner = self.primary()
-            if isinstance(inner, ast.Literal):
-                return ast.Literal(-inner.value)
+            if isinstance(inner, ast.Literal) and inner.value is not None:
+                if isinstance(inner.value, str):
+                    raise SQLSyntaxError(
+                        f"cannot negate a string literal "
+                        f"at position {token.position}"
+                    )
+                return ast.Literal(-inner.value, inner.slot, not inner.negate)
             return ast.Binary("-", ast.Literal(0), inner)
         if self.accept("symbol", "("):
             if self.check("kw", "SELECT"):
-                select = self.select()
-                self.expect("symbol", ")")
-                return ast.SubqueryOp("scalar", select)
+                return self.subquery("scalar")
             inner = self.expr()
             self.expect("symbol", ")")
             return inner
@@ -475,6 +508,24 @@ class Parser:
         return ast.ColumnRef(name)
 
 
+def _number(token: Token) -> int | float:
+    text = token.value
+    try:
+        return float(text) if "." in text else int(text)
+    except ValueError as error:     # more digits than int() converts
+        raise SQLSyntaxError(
+            f"bad number literal at position {token.position}"
+        ) from error
+
+
+def literal_slots(positions: list[int]) -> dict[int, int]:
+    """The parser's *slots* map for the literal offsets
+    :func:`repro.sql.lexer.lift` reported."""
+    return {position: slot for slot, position in enumerate(positions)}
+
+
 def parse(sql: str) -> ast.Statement:
     """Parse one SQL statement; raises SQLSyntaxError on bad input."""
-    return Parser(tokenize(sql)).parse_statement()
+    lifted = lift(sql)
+    slots = literal_slots(lifted.positions) if lifted is not None else None
+    return Parser(tokenize(sql), slots).parse_statement()

@@ -8,6 +8,9 @@ paper's pinned-plan methodology.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Any, Callable
+
 from repro.catalog import (
     BOOL,
     DATE,
@@ -36,8 +39,6 @@ from repro.engine.nodes import (
 )
 from repro.sql import ast
 
-from typing import Any
-
 
 class PlanningError(ValueError):
     """Raised when a statement cannot be lowered onto the executor."""
@@ -65,56 +66,92 @@ def resolve_column(name: str, columns: list[str]) -> str:
 
 _SCALAR_FUNCS = {"substr", "length", "abs", "extract_year", "extract_month"}
 
+#: One hole of a statement shape in the plan built for it:
+#: ``(setter, slot, negate)`` — calling *setter* with the slot's lifted
+#: value (negated first when *negate*) re-binds the plan constant.
+Bind = tuple[Callable[[Any], None], int, bool]
 
-def lower_expr(node, columns: list[str]) -> E.Expr:
-    """Lower a SQL AST expression to a bound-ready engine expression."""
+
+def _hole(
+    binds: list[Bind] | None, target: Any, attr: str, literal: ast.Literal
+) -> None:
+    """Record that ``target.attr`` holds lifted *literal*'s value."""
+    if binds is not None and literal.slot is not None:
+        binds.append(
+            (partial(setattr, target, attr), literal.slot, literal.negate)
+        )
+
+
+def lower_expr(
+    node, columns: list[str], binds: list[Bind] | None = None
+) -> E.Expr:
+    """Lower a SQL AST expression to a bound-ready engine expression.
+
+    With *binds* every constant that came from a lifted literal is
+    recorded there as a hole of the statement's shape."""
     if isinstance(node, ast.Literal):
-        return E.Const(node.value)
+        const = E.Const(node.value)
+        _hole(binds, const, "value", node)
+        return const
     if isinstance(node, ast.ColumnRef):
         return E.Col(resolve_column(node.name, columns))
     if isinstance(node, ast.Binary):
-        left = lower_expr(node.left, columns)
-        right = lower_expr(node.right, columns)
+        left = lower_expr(node.left, columns, binds)
+        right = lower_expr(node.right, columns, binds)
         if node.op in ("+", "-", "*", "/"):
             return E.Arith(node.op, left, right)
         return E.Cmp(node.op, left, right)
     if isinstance(node, ast.BoolOp):
-        args = [lower_expr(a, columns) for a in node.args]
+        args = [lower_expr(a, columns, binds) for a in node.args]
         return E.And(*args) if node.op == "and" else E.Or(*args)
     if isinstance(node, ast.NotOp):
-        return E.Not(lower_expr(node.arg, columns))
+        return E.Not(lower_expr(node.arg, columns, binds))
     if isinstance(node, ast.LikeOp):
-        return E.Like(lower_expr(node.arg, columns), node.pattern, node.negate)
+        return E.Like(
+            lower_expr(node.arg, columns, binds), node.pattern, node.negate
+        )
     if isinstance(node, ast.InOp):
-        expr = E.InList(lower_expr(node.arg, columns), node.values)
+        expr = E.InList(lower_expr(node.arg, columns, binds), node.values)
         return E.Not(expr) if node.negate else expr
     if isinstance(node, ast.BetweenOp):
         low = node.low
         high = node.high
         if not isinstance(low, ast.Literal) or not isinstance(high, ast.Literal):
-            lowered = lower_expr(node.arg, columns)
             expr: E.Expr = E.And(
-                E.Cmp(">=", lowered, lower_expr(low, columns)),
-                E.Cmp("<=", lower_expr(node.arg, columns), lower_expr(high, columns)),
+                E.Cmp(
+                    ">=",
+                    lower_expr(node.arg, columns, binds),
+                    lower_expr(low, columns, binds),
+                ),
+                E.Cmp(
+                    "<=",
+                    lower_expr(node.arg, columns, binds),
+                    lower_expr(high, columns, binds),
+                ),
             )
         else:
             expr = E.Between(
-                lower_expr(node.arg, columns), low.value, high.value
+                lower_expr(node.arg, columns, binds), low.value, high.value
             )
+            _hole(binds, expr, "low", low)
+            _hole(binds, expr, "high", high)
         return E.Not(expr) if node.negate else expr
     if isinstance(node, ast.IsNullOp):
-        return E.IsNull(lower_expr(node.arg, columns), node.negate)
+        return E.IsNull(lower_expr(node.arg, columns, binds), node.negate)
     if isinstance(node, ast.CaseOp):
         whens = [
-            (lower_expr(cond, columns), lower_expr(value, columns))
+            (
+                lower_expr(cond, columns, binds),
+                lower_expr(value, columns, binds),
+            )
             for cond, value in node.whens
         ]
-        return E.Case(whens, lower_expr(node.default, columns))
+        return E.Case(whens, lower_expr(node.default, columns, binds))
     if isinstance(node, ast.FuncCall):
         if node.name not in _SCALAR_FUNCS:
             raise PlanningError(f"unknown function {node.name!r}")
         return E.Func(
-            node.name, *[lower_expr(a, columns) for a in node.args]
+            node.name, *[lower_expr(a, columns, binds) for a in node.args]
         )
     if isinstance(node, ast.AggCall):
         raise PlanningError(
@@ -164,7 +201,12 @@ def _substitute_aggs(
 
     *mapping* is a list of ``(agg_ast, output_name)`` pairs matched
     structurally, so the same aggregate written twice (e.g. in SELECT and
-    HAVING) resolves to one output column.
+    HAVING) resolves to one output column — unless it contains a lifted
+    literal: ``Literal.slot`` takes part in equality, so ``SUM(a * 2)``
+    written twice is two aggregates, as ``SUM(a * 2)`` and ``SUM(a * 3)``
+    are.  Both statements are one shape and share a query bee; were the
+    plan to depend on the literals being equal, a cache hit would charge
+    two aggregates where the ad hoc run charges one.
     """
     if isinstance(node, ast.AggCall):
         for agg, name in mapping:
@@ -347,8 +389,11 @@ def _output_name(item: ast.SelectItem, index: int) -> str:
     return f"col{index}"
 
 
-def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
-    """Build the executor plan for a SELECT statement."""
+def plan_select(
+    db, stmt: ast.SelectStmt, binds: list[Bind] | None = None
+) -> PlanNode:
+    """Build the executor plan for a SELECT statement (*binds* as for
+    :func:`lower_expr`)."""
     if stmt.table is None:
         raise PlanningError("SELECT without FROM is not supported")
     plan: PlanNode = _scan(db, stmt.table, stmt.table_alias)
@@ -358,7 +403,7 @@ def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
             join.condition, plan.columns, right.columns
         )
         extra = (
-            lower_expr(residual, plan.columns + right.columns)
+            lower_expr(residual, plan.columns + right.columns, binds)
             if residual is not None
             else None
         )
@@ -403,7 +448,7 @@ def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
             join_type="anti" if sub.negate else "semi",
         )
     if where is not None:
-        plan = Filter(plan, lower_expr(where, plan.columns))
+        plan = Filter(plan, lower_expr(where, plan.columns, binds))
 
     aggs: list[ast.AggCall] = []
     for item in stmt.items:
@@ -419,7 +464,7 @@ def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
             name = f"__agg{i}"
             mapping.append((agg, name))
             arg = (
-                lower_expr(agg.arg, plan.columns)
+                lower_expr(agg.arg, plan.columns, binds)
                 if agg.arg is not None
                 else None
             )
@@ -428,7 +473,7 @@ def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
             )
         group = []
         for i, group_expr in enumerate(stmt.group_by):
-            lowered = lower_expr(group_expr, plan.columns)
+            lowered = lower_expr(group_expr, plan.columns, binds)
             if isinstance(group_expr, ast.ColumnRef):
                 name = resolve_column(group_expr.name, plan.columns)
             else:
@@ -441,7 +486,7 @@ def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
         ]
         if stmt.having is not None:
             having = _substitute_aggs(stmt.having, mapping)
-            plan = Filter(plan, lower_expr(having, plan.columns))
+            plan = Filter(plan, lower_expr(having, plan.columns, binds))
 
     # Projection, with ORDER BY placed before or after it depending on
     # whether the sort keys survive projection (SQL allows ordering by
@@ -454,7 +499,7 @@ def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
     if star:
         if stmt.order_by:
             keys = [
-                (lower_expr(expr, plan.columns), desc)
+                (lower_expr(expr, plan.columns, binds), desc)
                 for expr, desc in stmt.order_by
             ]
             plan = Sort(plan, keys)
@@ -472,11 +517,16 @@ def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
         sort_after = True
         order_keys = []
         if stmt.order_by:
+            # Holes of keys lowered before the attempt failed belong to
+            # discarded constants: keep them only if it succeeds.
+            key_binds: list[Bind] | None = None if binds is None else []
             try:
                 order_keys = [
-                    (lower_expr(expr, names), desc)
+                    (lower_expr(expr, names, key_binds), desc)
                     for expr, desc in stmt.order_by
                 ]
+                if binds is not None:
+                    binds += key_binds
             except PlanningError:
                 sort_after = False
                 # Sort pre-projection; output aliases are substituted by
@@ -489,11 +539,13 @@ def plan_select(db, stmt: ast.SelectStmt) -> PlanNode:
                     ):
                         expr = alias_exprs[expr.name]
                     resolved.append(
-                        (lower_expr(expr, plan.columns), desc)
+                        (lower_expr(expr, plan.columns, binds), desc)
                     )
                 plan = Sort(plan, resolved)
 
-        exprs = [lower_expr(item.expr, plan.columns) for item in items]
+        exprs = [
+            lower_expr(item.expr, plan.columns, binds) for item in items
+        ]
         plan = Project(plan, exprs, names)
         if stmt.order_by and sort_after:
             plan = Sort(plan, order_keys)

@@ -15,9 +15,10 @@ server exists:
    and ``self._cond`` for ``wal_lock`` — both are condition variables
    *backed by* those locks).  Constructors are exempt: the object is
    unpublished.
-3. **Engine under latch.**  Every ``execute_statement`` call in the server
-   core must execute under the catalog latch, with the relation-latch
-   mode matching the statement class: shared for reads, exclusive for
+3. **Engine under latch.**  Every ``statement.run`` call in the server
+   core — the query-bee check-out, the execution and the check-in —
+   must execute under the catalog latch, with the relation-latch mode
+   matching the statement class: shared for reads, exclusive for
    writes, exclusive *catalog* latch for DDL.
 4. **Sync before commit.**  The WAL group append must invoke the
    ``_sync`` durability hook before returning, and the data WAL's
@@ -47,7 +48,7 @@ GUARD_ALIASES: dict[str, tuple[str, ...]] = {
 }
 
 #: Relation-latch mode each statement-runner method must hold around
-#: its ``execute_statement`` call (all of them also need the catalog
+#: its ``statement.run`` call (all of them also need the catalog
 #: latch, shared by default).
 _LATCH_MODES = {
     "_execute_read": "relation_lock.read",
@@ -139,8 +140,10 @@ def _check_guarded_writes(source, registry, findings: list) -> int:
 
 
 def _check_latched_execution(source, findings: list) -> int:
-    """Every ``execute_statement`` call sits under the catalog latch and
-    the relation-latch mode its statement class requires."""
+    """Every ``statement.run`` call sits under the catalog latch and
+    the relation-latch mode its statement class requires.  The run is
+    also where the statement's query bee is checked out and back in, so
+    no DDL (exclusive catalog latch) can evict between the two."""
     tree = source.tree("server/core.py")
     ranges = _with_ranges(tree)
     calls = 0
@@ -154,21 +157,21 @@ def _check_latched_execution(source, findings: list) -> int:
                 node.func.id if isinstance(node.func, ast.Name)
                 else getattr(node.func, "attr", None)
             )
-            if name != "execute_statement" or fn.name not in _LATCH_MODES:
+            if name != "run" or fn.name not in _LATCH_MODES:
                 continue
             calls += 1
             held = _held_at(ranges, node.lineno)
             if not any("catalog_lock." in text for text in held):
                 findings.append(Finding(
                     "locks", fn.name,
-                    "execute_statement executes outside the catalog latch",
+                    "statement.run executes outside the catalog latch",
                     "server/core.py", node.lineno,
                 ))
             needed = _LATCH_MODES[fn.name]
             if not any(needed in text for text in held):
                 findings.append(Finding(
                     "locks", fn.name,
-                    f"execute_statement in {fn.name} does not hold "
+                    f"statement.run in {fn.name} does not hold "
                     f"`{needed}` — its statement class requires it "
                     "(shared latches for reads, exclusive for writes, "
                     "exclusive catalog for DDL)",
@@ -177,7 +180,7 @@ def _check_latched_execution(source, findings: list) -> int:
     if calls < len(_LATCH_MODES):
         findings.append(Finding(
             "locks", "HiveServer",
-            f"expected an execute_statement call in each of "
+            f"expected a statement.run call in each of "
             f"{sorted(_LATCH_MODES)}, found {calls} — the statement "
             "runner was restructured; update the locks pass",
             "server/core.py",

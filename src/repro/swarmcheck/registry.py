@@ -107,12 +107,26 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("CodeCache", "hits", "hive_lock", "-"),
     _shared("GenericBeeModule", "query_epoch", "hive_lock", "-",
             "the invalidation epoch itself"),
+    _shared("*", "executed", "hive_lock", "-",
+            "GenericBeeModule.executed: per-tier count of fused drivers "
+            "that ran their routine (the scanner cannot pin the class "
+            "behind ``ctx.bees``)"),
+    _shared("GenericBeeModule", "statement_hits", "hive_lock", "-",
+            "statement front door outcomes (db.stats()['statements'])"),
+    _shared("GenericBeeModule", "statement_misses", "hive_lock", "-"),
+    _shared("GenericBeeModule", "statement_declined", "hive_lock", "-"),
 
     # -- resilience registry -------------------------------------------------
     _shared("ResilienceRegistry", "_health", "resilience_lock", "-",
             "bee name -> quarantine state machine"),
     _shared("ResilienceRegistry", "_events", "resilience_lock", "-"),
     _shared("ResilienceRegistry", "_counts", "resilience_lock", "-"),
+
+    # -- the statement front door --------------------------------------------
+    _local("Statement", "stmt",
+           "one Statement per db.sql()/server statement; parsed lazily"),
+    _local("Statement", "key",
+           "cleared when parsing finds a subquery (declined)"),
 
     # -- session/database fields --------------------------------------------
     _shared("Database", "settings", "session", "-",
@@ -169,7 +183,33 @@ REGISTRY: tuple[SharedState, ...] = (
             "relation -> installed GCL/SCL routines"),
     _shared("BeeCache", "query_bees", "hive_lock",
             "GenericBeeModule.query_epoch",
-            "installed query-bee routines; cleared on invalidation"),
+            "statement shape key -> QueryBee.  A statement takes its "
+            "shape's bee out with one atomic dict.pop (check-out), owns "
+            "it while it runs, and stores it back (check-in); the "
+            "server does both inside Statement.run, under the "
+            "statement's latches, so no DDL — which clears the dict "
+            "(ALTER) or deletes the relation's entries (DROP) under the "
+            "exclusive catalog latch — runs in between.  Statements of "
+            "other sessions do: every step is one atomic dict "
+            "operation, and eviction (the budget trim, the check-in "
+            "replacing a twin) pops with a default, so a bee another "
+            "session already took or evicted is skipped, not an error"),
+    _shared("QueryBee", "key", "check-out",
+            "GenericBeeModule.query_epoch",
+            "set once, by the statement that built the bee, before it "
+            "is first published"),
+    _shared("*", "stacked", "check-out",
+            "GenericBeeModule.query_epoch",
+            "PlanNode.stacked on the root of a new query bee's plan; "
+            "as for key.  What a later statement of the shape mutates "
+            "is the plan's constants (QueryBee.bind) and, when their "
+            "routines are next acquired, those routines' _K{n} holes "
+            "(BeeRoutine.repatch): both only between its check-out and "
+            "its check-in, on a plan no other statement can reach"),
+    _shared("BeeRoutine", "namespace", "check-out",
+            "GenericBeeModule.query_epoch",
+            "repatch re-reads a memoized routine's literal holes from "
+            "the plan constants its owner just re-bound"),
     _shared("BeeCollector", "collected_relation_bees", "hive_lock", "-",
             "uninstalled-routine graveyard (HSR reuse)"),
     _shared("BeeCollector", "collected_query_bees", "hive_lock", "-"),

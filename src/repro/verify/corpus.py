@@ -43,7 +43,7 @@ from repro.engine import expr as E
 from repro.engine.aggregates import AggSpec
 from repro.hiveaudit.source import EngineSource
 from repro.oracle.generator import StatementGenerator
-from repro.oracle.normalize import run_statement
+from repro.oracle.normalize import run_adhoc
 from repro.storage.layout import TupleLayout
 from repro.workloads.tpcc.schema import ALL_SCHEMAS as TPCC_SCHEMAS
 from repro.workloads.tpch.dbgen import TPCHGenerator
@@ -142,13 +142,17 @@ def capture(
 
 def drive(db: Database, seed: int, n: int, on_plan: OnPlan | None = None) -> int:
     """The one fuzz-stream drive loop: run seed *seed*'s first *n*
-    statements against *db*; returns the number executed."""
+    statements against *db*; returns the number executed.  Ad hoc, so
+    that every statement plans and instantiates its own routines — the
+    corpus is what the planner and the generators can produce, and a
+    statement served from its shape's query bee would add nothing to it
+    (the oracle pass is where the statement cache is exercised)."""
     label = f"fuzz[{db.settings.label()}]"
     count = 0
     for stmt in StatementGenerator(seed).stream(n):
         capture(
             db, f"{label}/{count}:{stmt.kind}", on_plan,
-            lambda d, s=stmt.sql: run_statement(d, s),
+            lambda d, s=stmt.sql: run_adhoc(d, s),
         )
         count += 1
     return count

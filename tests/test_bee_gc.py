@@ -9,47 +9,54 @@ file along with its in-memory bee — including through the full
 
 import pytest
 
-from repro.bees.cache import BeeCache
-from repro.bees.collector import BeeCollector
-from repro.bees.maker import QueryBee
 from repro.bees.settings import BeeSettings
 from repro.db import Database
+from repro.sql.session import Statement
 
 
-def _cache_with_query_bees(n: int) -> BeeCache:
-    cache = BeeCache()
+def _shape(i: int) -> str:
+    """Statement *i* of a family of distinct shapes (the alias is text)."""
+    return f"SELECT a AS x{i} FROM q WHERE b = 1"
+
+
+def _db_with_query_bees(n: int, budget: int) -> Database:
+    """A database whose first *n* shapes each left a query bee behind."""
+    db = Database(BeeSettings.all_bees())
+    db.bee_module.collector.query_bee_budget = budget
+    db.sql("CREATE TABLE q (a int NOT NULL, b int NOT NULL)")
     for i in range(n):
-        cache.put_query_bee(QueryBee(f"q{i}"))
-    return cache
+        db.sql(_shape(i))
+    return db
 
 
 class TestQueryBeeTrim:
     def test_within_budget_is_untouched(self):
-        cache = _cache_with_query_bees(5)
-        collector = BeeCollector(cache, query_bee_budget=5)
+        db = _db_with_query_bees(5, budget=5)
+        collector = db.bee_module.collector
         assert collector.trim_query_bees() == 0
-        assert len(cache.query_bees) == 5
+        assert len(db.bee_module.cache.query_bees) == 5
         assert collector.collected_query_bees == 0
 
     def test_evicts_oldest_past_budget(self):
-        cache = _cache_with_query_bees(8)
-        collector = BeeCollector(cache, query_bee_budget=5)
+        db = _db_with_query_bees(8, budget=8)
+        cache, collector = db.bee_module.cache, db.bee_module.collector
+        collector.query_bee_budget = 5
         assert collector.trim_query_bees() == 3
-        assert list(cache.query_bees) == ["q3", "q4", "q5", "q6", "q7"]
+        assert list(cache.query_bees) == [
+            Statement(db, _shape(i)).key for i in range(3, 8)
+        ]
         assert collector.collected_query_bees == 3
         # idempotent once within budget again
         assert collector.trim_query_bees() == 0
 
     def test_module_registration_respects_budget(self):
-        db = Database(BeeSettings.all_bees())
-        module = db.bee_module
-        module.collector.query_bee_budget = 4
-        for i in range(10):
-            module.register_query_bee(f"plan-{i}")
-        assert len(module.cache.query_bees) <= 4
-        # the most recent plan survives; the earliest was evicted
-        assert module.cache.get_query_bee("plan-9") is not None
-        assert module.cache.get_query_bee("plan-0") is None
+        db = _db_with_query_bees(10, budget=4)
+        cache = db.bee_module.cache
+        assert len(cache.query_bees) <= 4
+        # the most recent shape survives; the earliest was evicted
+        assert cache.get_query_bee(Statement(db, _shape(9)).key) is not None
+        assert cache.get_query_bee(Statement(db, _shape(0)).key) is None
+        assert db.stats()["statements"]["evicted"] == 6
 
 
 class TestRelationBeeGC:
@@ -121,7 +128,7 @@ class TestInvalidationEdges:
         db.sql("SELECT a FROM t WHERE b > 1")
         module = db.bee_module
         assert module.evp_entries()
-        module.register_query_bee("plan-x")
+        assert module.cache.query_bees      # the SELECT's shape
 
         db.catalog.alter_relation(db.relation("t").schema)
 

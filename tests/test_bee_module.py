@@ -236,14 +236,20 @@ class TestCollector:
         assert not (tmp_path / "orders.bee.json").exists()
 
     def test_query_bee_budget(self):
-        cache = BeeCache()
-        collector = BeeCollector(cache, query_bee_budget=3)
-        from repro.bees.maker import QueryBee
+        from repro.bees.settings import BeeSettings
+        from repro.db import Database
 
-        for i in range(5):
-            cache.put_query_bee(QueryBee(f"q{i}"))
+        db = Database(BeeSettings.all_bees())
+        db.sql("CREATE TABLE q (a int NOT NULL)")
+        shapes = [f"SELECT a AS x{i} FROM q WHERE a = 1" for i in range(5)]
+        for sql in shapes:
+            db.sql(sql)
+        collector = db.bee_module.collector
+        collector.query_bee_budget = 3
         assert collector.trim_query_bees() == 2
-        assert list(cache.query_bees) == ["q2", "q3", "q4"]
+        assert [key[0] for key in db.bee_module.cache.query_bees] == [
+            sql.replace("= 1", "= ?") for sql in shapes[2:]
+        ]
 
 
 class TestPlacement:

@@ -18,10 +18,15 @@ statement on every tier:
 * EXPLAIN UPDATE/DELETE names the tier that runs the match;
 * an UPDATE whose updater or encoder rejects a row — the first or a
   later one, by scan or by TID — modifies nothing, and one that succeeds
-  charges what the delete-then-encode order did.
+  charges what the delete-then-encode order did;
+* a multi-row INSERT whose later row is rejected inserts nothing,
+  charges nothing and creates no tuple bee, and one that succeeds
+  charges what inserting its rows one by one did.
 """
 
 from __future__ import annotations
+
+import struct
 
 import pytest
 
@@ -401,7 +406,7 @@ def test_rejected_update_by_tid_keeps_the_row(name, bees):
 def _update_in_the_old_order(db, qual, updater) -> int:
     """The parent's apply loop — delete, then encode and store, row by
     row — kept as the reference for what a successful UPDATE charges."""
-    matches = dml._matches(db, "t", qual, None, None)
+    matches = dml.matches(db, match_plan(db, "t", qual))
     rel, writer = db.relation("t"), dml.RowWriter(db, "t")
     for tid, old_values in matches:
         new_values = updater(list(old_values))
@@ -480,3 +485,64 @@ def test_null_in_a_not_null_column_is_rejected_on_write(name, bees):
     assert db.chunk_cache.statistics()["misses"] == chunk_misses
     assert db.sql("UPDATE t SET qty = NULL WHERE k = 3").status == "UPDATE 1"
     db.close()
+
+
+#: A good first row (a *new* tuple-bee value), then one the schema
+#: rejects: short, NULL into NOT NULL, CHAR overflow, an int out of range.
+REJECTED_INSERTS = {
+    "arity": "(200, 'QQQQ', 'a', 1, 1.0, 'p'), (201)",
+    "not-null": "(200, 'QQQQ', 'a', 1, 1.0, 'p'), (201, 'AAAA', 'b', 2, NULL, 'p')",
+    "char-width": "(200, 'QQQQ', 'a', 1, 1.0, 'p'), (201, 'AAAA', 'wider than six', 2, 2.0, 'p')",
+    "int-range": "(200, 'QQQQ', 'a', 1, 1.0, 'p'), (201, 'AAAA', 'b', 99999999999, 2.0, 'p')",
+    "third-row": "(200, 'QQQQ', 'a', 1, 1.0, 'p'), (201, 'RRRR', 'b', 2, 2.0, 'p'), (202)",
+}
+
+
+@pytest.mark.parametrize("reject", list(REJECTED_INSERTS))
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_rejected_multi_row_insert_inserts_none(name, bees, reject):
+    """A multi-row INSERT is all-or-nothing, like UPDATE: every row is
+    encoded before the first is stored.  (It used to insert the rows
+    before the rejected one.)"""
+    db = _indexed_db(bees)
+    db.sql("SELECT count(*) FROM t WHERE qty > 3")      # warm the chunk cache
+    before = _state(db)
+    chunk_misses = db.chunk_cache.statistics()["misses"]
+    tuple_bees = db.bee_module.statistics()["tuple_bees"]
+    charged = db.ledger.total
+    statement = f"INSERT INTO t VALUES {REJECTED_INSERTS[reject]}"
+    for _ in range(2):                   # as a miss, then (if cached) again
+        with pytest.raises((ValueError, struct.error)):
+            db.sql(statement)
+    assert _state(db) == before
+    assert db.bee_module.statistics()["tuple_bees"] == tuple_bees
+    assert db.ledger.total == charged    # a rejected statement charges nothing
+    db.sql("SELECT count(*) FROM t WHERE qty > 3")
+    assert db.chunk_cache.statistics()["misses"] == chunk_misses
+    db.close()
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_multi_row_insert_charges_what_row_by_row_inserts_did(name, bees):
+    rows = [
+        [200, "QQQQ", "a", 1, 1.0, "p"], [201, "AAAA", None, None, 2.0, "p"],
+        [202, "QQQQ", "c", 3, 3.0, "p"], [203, "RRRR", "d", 4, 4.0, "p"],
+    ]
+    one, many = _indexed_db(bees), _indexed_db(bees)
+    for db in (one, many):
+        db.ledger.reset()
+    for row in rows:
+        one.insert("t", row)
+    values = ", ".join(
+        "(" + ", ".join("NULL" if v is None else repr(v) for v in row) + ")"
+        for row in rows
+    )
+    assert many.sql(f"INSERT INTO t VALUES {values}").status == "INSERT 4"
+    assert many.ledger.total == one.ledger.total
+    assert _state(many) == _state(one)
+    assert (
+        many.bee_module.statistics()["tuple_bees"]
+        == one.bee_module.statistics()["tuple_bees"]
+    )
+    one.close()
+    many.close()

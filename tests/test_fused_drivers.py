@@ -215,7 +215,9 @@ def test_wrong_width_agg_row_retries_on_every_tier(monkeypatch, tier):
 
 
 def _statement(i: int) -> str:
-    return f"SELECT id FROM t WHERE price > {i}.5"
+    # A shape of its own per statement (the alias is text, not a
+    # literal): each one builds a plan and memoizes its routines.
+    return f"SELECT id AS id{i} FROM t WHERE price > {i}.5"
 
 
 def _small_db(settings) -> Database:

@@ -177,9 +177,11 @@ class TestCampaign:
     def test_seed_corpus_is_clean(self):
         report = run_campaign(0, 120, minimize=False)
         assert report.ok, report.summary()
-        assert report.iterations == 120
+        # The seed's 120 statements, and the literal siblings behind them.
+        assert 120 < report.iterations < 200
         # every lane actually ran
-        assert report.check_counts["engine-diff"] == 120
+        assert report.check_counts["engine-diff"] == report.iterations
+        assert report.check_counts["proto"] > 0
         assert report.check_counts["plan:generic"] > 0
         # one N-way point per tier row, each run for every SELECT
         from repro.bees.drivers import TIERS

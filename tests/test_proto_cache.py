@@ -1,5 +1,8 @@
 """Proto-bee code cache: one compiled code object per query-bee shape,
-instantiated per statement.
+instantiated per plan.  A statement whose shape has a query bee reuses
+that bee's plan and routines (tests/test_proto_statement.py), so the
+statements here are each given a shape of their own (:func:`fresh`):
+every one plans, and instantiates its routines from the code cache.
 
 Sharing (same shape, different literals -> one ``__code__``, stock
 results), hit rate and bounds, soundness across layout changes, fault
@@ -9,6 +12,7 @@ their nullability-variant keys, and the observability counters.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -51,9 +55,19 @@ def make_db(tier: str, **enabled) -> Database:
     return db
 
 
+_FRESH = itertools.count()
+
+
+def fresh(sql: str) -> str:
+    """*sql* as a statement shape no earlier statement had (a comment is
+    shape text): a query-bee miss, whose plan gets its own routines."""
+    return f"{sql} -- {next(_FRESH)}"
+
+
 def both_ways(db: Database, sql: str) -> list[tuple]:
-    """Rows under the database's bees, checked against stock."""
-    rows = sorted(db.sql(sql).rows, key=repr)
+    """Rows under the database's bees (a fresh shape each call), checked
+    against stock."""
+    rows = sorted(db.sql(fresh(sql)).rows, key=repr)
     assert rows == sorted(db.sql(sql, bees=False).rows, key=repr), sql
     return rows
 
@@ -135,7 +149,7 @@ def test_templated_stream_hits_the_cache():
     rng = random.Random(20120401)
     with make_db("vector") as db:
         for _ in range(300):
-            db.sql(rng.choice(TEMPLATES).format(rng.randint(0, 59)))
+            db.sql(fresh(rng.choice(TEMPLATES).format(rng.randint(0, 59))))
         stats = db.bee_module.statistics()
         hits, compiles = stats["code_cache_hits"], stats["compiles"]
         assert hits / (hits + compiles) >= 0.95, stats

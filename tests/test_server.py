@@ -31,14 +31,13 @@ from repro.server.core import (
     ServerOverloadedError,
     SessionClosedError,
     SnapshotViolation,
-    classify_statement,
 )
 from repro.server.locks import HiveLocks, LockTimeout, RWLatch
 from repro.server.oracle import replay_schedule, statement_fingerprint
 from repro.server.protocol import HiveClient, HiveListener, RemoteStatementError
 from repro.server.wal import DataWAL, GroupCommitter, recover_database
 from repro.sql.parser import parse
-from repro.sql.session import SQLResult
+from repro.sql.session import SQLResult, classify_statement
 
 
 @pytest.fixture()

@@ -1,5 +1,7 @@
 """Tests for the SQL front-end: lexer, parser, planner, end-to-end."""
 
+import re
+
 import pytest
 
 from repro import BeeSettings, Database
@@ -48,8 +50,44 @@ class TestLexer:
         with pytest.raises(SQLSyntaxError):
             tokenize("SELECT @a")
 
+    def test_positions_and_error_messages(self):
+        tokens = tokenize("SELECT  a,\n -- c 'x\n 'it''s' .5 1.5.2 t.5")
+        assert [(t.kind, t.value, t.position) for t in tokens] == [
+            ("kw", "SELECT", 0), ("ident", "a", 8), ("symbol", ",", 9),
+            ("string", "it's", 21), ("number", ".5", 29),
+            ("number", "1.5", 32), ("number", ".2", 35), ("ident", "t", 38),
+            ("number", ".5", 39), ("eof", "", 41),
+        ]
+        for text, message in (
+            ("SELECT a\n  -- c\n ?", "unexpected character '?' at 17"),
+            ("x 'a''b", "unterminated string literal at 2"),
+            ("a = \u00b23", "unexpected character '\u00b2' at 4"),   # not a digit
+        ):
+            with pytest.raises(SQLSyntaxError, match=re.escape(message)):
+                tokenize(text)
+
 
 class TestParser:
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t WHERE b = -'x'",         # was TypeError
+        "SELECT a FROM t WHERE a = \u00b2",          # was ValueError (int)
+        "SELECT a FROM t LIMIT 1.5",              # was ValueError (int)
+        "CREATE TABLE t (a char(1.5))",           # was ValueError (int)
+        "INSERT INTO t VALUES (-'x')",
+    ])
+    def test_malformed_literals_are_syntax_errors(self, sql):
+        with pytest.raises(SQLSyntaxError):
+            parse(sql)
+
+    def test_unary_minus_folds_onto_number_literals_only(self):
+        where = parse("SELECT a FROM t WHERE a = - -5 AND b = -NULL").where
+        folded, null = (arg.right for arg in where.args)
+        assert (folded.value, folded.slot, folded.negate) == (5, 0, False)
+        assert isinstance(null, ast.Binary) and null.right.value is None
+        row = parse("INSERT INTO t VALUES (-2.5, - 3)")
+        assert row.rows == [[-2.5, -3]]
+        assert row.slots == [(0, 0, 0, True), (0, 1, 1, True)]
+
     def test_select_structure(self):
         stmt = parse(
             "SELECT a, sum(b) AS total FROM t WHERE c = 1 "

@@ -24,7 +24,7 @@ TOOLS = ("beecheck", "swarmcheck", "wagglecheck", "hiveaudit", "resilience",
 #: merging them must not drop one (ROADMAP's condition for the merge).
 INJECTION_CENSUS = {
     "beecheck": 28, "swarmcheck": 13, "wagglecheck": 14, "hiveaudit": 12,
-    "resilience": 3, "oracle": 6,
+    "resilience": 3, "oracle": 7,
 }
 
 
@@ -63,7 +63,7 @@ class TestFullRun:
         verified = results["beecheck"]["stats"]["routines_by_kind"]
         proven = results["swarmcheck"]["stats"]["routines_proven_pure"]
         assert verified == proven
-        assert sum(verified.values()) >= 178
+        assert sum(verified.values()) >= 250
         assert set(verified) >= {
             "gcl", "gcl_cols", "scl", "evp", "evj", "agg", "idx",
         } | {
@@ -73,9 +73,12 @@ class TestFullRun:
     def test_plan_corpus_did_not_shrink(self, full_run):
         _code, results, _summary = full_run
         stats = results["wagglecheck"]["stats"]
+        # Raised when the fuzz stream gained literal siblings: they ride
+        # behind the seed's 200 statements (not in place of any), so the
+        # corpus has every plan it had, and the siblings' on top.
         floor = {
-            "plans_checked": 182, "nodes_checked": 827,
-            "rewrites_checked": 2329, "relations_checked": 21,
+            "plans_checked": 308, "nodes_checked": 1157,
+            "rewrites_checked": 3153, "relations_checked": 21,
             "sections_checked": 177,
         }
         for key, n in floor.items():
@@ -92,7 +95,7 @@ class TestFullRun:
         assert all(n > 0 for n in stats["executed_on_tier"].values()), stats
         pool = stats["worker_pools"]["parallel"]
         assert pool["statements"] > 0 and pool["morsels_dispatched"] > 0
-        assert stats["fingerprint"] == "ead0f69e3d91dcdc"
+        assert stats["fingerprint"] == "90e817c23d163f82"
 
     def test_summary_is_deterministic(self, full_run):
         """Same seed, same bytes.  The second run skips the self-tests
@@ -120,7 +123,7 @@ class TestCommittedBaselines:
         golden = json.loads(
             (REPO / "results" / "oracle" / "seed0.json").read_text()
         )
-        assert golden["fingerprint"] == "ead0f69e3d91dcdc"
+        assert golden["fingerprint"] == "90e817c23d163f82"
         assert golden["executed_on_tier"]["parallel"] > 0
 
 
