@@ -28,9 +28,10 @@ new :class:`TupleLayout`, so a stale entry can never serve a
 reannotated or altered relation).  A warm hit charges only
 ``VEC_CHUNK_HIT`` per page — the columnar chunk cache stands in for the
 buffer pool on the vector path, which is where the tier's cold/warm
-asymmetry comes from.  After a write, the entry is *patched*: only the
-pages whose per-page mutation counter moved are decoded again, the rest
-are slices of the arrays already held (:func:`_decode`).
+asymmetry comes from.  After a write, the entry is *patched* slot by
+slot: on the pages whose mutation counter moved, the cached rows whose
+tuples died are masked out and only the tuples born since are decoded;
+everything else is runs of the arrays already held (:func:`_decode`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress
+from operator import ne
 
 import numpy as np
 
@@ -166,6 +168,12 @@ def reference_column_sink(layout):
     return sink
 
 
+def _flat(chunk: Chunk) -> list:
+    """Every array of *chunk* in one list: columns, null masks (``None``
+    for NOT NULL attributes), ``tids``."""
+    return [*chunk.cols, *chunk.nulls, chunk.tids]
+
+
 def freeze_chunk(chunk: Chunk) -> Chunk:
     """Mark every column/null/tid array read-only (in place; returns *chunk*).
 
@@ -176,100 +184,124 @@ def freeze_chunk(chunk: Chunk) -> Chunk:
     violation into a hard ``ValueError`` at the write site instead of a
     silent cross-statement corruption.
     """
-    for arr in (*chunk.cols, *chunk.nulls, chunk.tids):
+    for arr in _flat(chunk):
         if arr is not None:
             arr.setflags(write=False)
     return chunk
 
 
-def _decode(rel, old: "_Entry | None" = None) -> "tuple[_Entry, int]":
-    """Build *rel*'s chunk: decode its pages, or only those *old* lacks.
+def _decode(rel, old: "_Entry | None" = None) -> "tuple[_Entry, int, int]":
+    """Build *rel*'s chunk: decode its tuples, or only those *old* lacks.
 
-    A page whose mutation counter equals the one *old* was built under
-    holds the tuples it held then, so its rows are a slice of *old*'s
-    frozen arrays; every other page (dirty or new) is decoded through
-    the relation's column sink.  Consecutive clean pages become one
-    slice and consecutive dirty pages one array, and the pieces are
-    spliced with a single ``np.concatenate`` per column — ``tids``, built
-    from each decoded tuple's ``(pageno, slot)``, rides along as one
-    more column.  With no *old* every page is dirty: one piece, no
-    splice — the full decode.
+    Heap pages are append-only — a slot is allocated once, at the page's
+    end, and a delete only marks it dead — so what *old* does not know
+    about a page whose mutation counter moved is exactly two things:
+    which of its rows there have *died*, and which live tuples sit in
+    slots at or past the slot count it was built at (*births*).  Deaths
+    are a mask over the cached rows (``old.chunk.tids`` is sorted, so it
+    is also the row -> page -> slot map); births alone go through the
+    relation's column sink, one call per page that has any.  Each new
+    column is one ``np.concatenate`` of *old*'s runs between dead rows
+    and the decoded births, ``tids`` riding along as one more column.
+    With no *old* every page is new and every live tuple a birth: one
+    run, no splice — the full decode.
 
-    Charges: a decoded page costs what a first sequential scan pays
-    (buffer access + ``PAGE_ACCESS``) plus the transpose work the row
-    tiers never do (``VEC_CHUNK_BUILD`` per column,
-    ``VEC_DECODE_PER_VALUE`` per value); a reused page costs
-    ``VEC_CHUNK_HIT``, as on a cache hit.  Returns the new entry and the
-    number of pages it reused.
+    Charges are per page, whatever was decoded: a dirty page costs what
+    a first sequential scan pays (buffer access + ``PAGE_ACCESS``) plus
+    the transpose work the row tiers never do (``VEC_CHUNK_BUILD`` per
+    column, ``VEC_DECODE_PER_VALUE`` per value of every row it now
+    holds, kept or born); a clean page costs ``VEC_CHUNK_HIT``, as on a
+    cache hit.  Returns the new entry, the number of clean pages and
+    the number of tuples decoded.
     """
     schema = rel.layout.schema
     heap = rel.heap
+    pages = heap.pages
     sections = rel.sections_list()
     sink = rel.column_sink()
     access = heap.buffer_pool.access
-    charge = heap.ledger.charge
     natts = schema.natts
+    page_cost = C.PAGE_ACCESS + C.VEC_CHUNK_BUILD * natts
+    row_cost = C.VEC_DECODE_PER_VALUE * natts
     page_versions = list(heap.page_versions)
-    old_versions = old.page_versions if old is not None else ()
-    clean = [
-        p < len(old_versions) and old_versions[p] == version
-        for p, version in enumerate(page_versions)
-    ]
-    offsets = [0]
-    pieces: list[tuple[list, list, np.ndarray]] = []
-    rows = 0
-    for reuse, run in groupby(range(len(clean)), key=clean.__getitem__):
-        if reuse:
-            pages = list(run)
-            lo, hi = old.offsets[pages[0]], old.offsets[pages[-1] + 1]
-            pieces.append((
-                [col[lo:hi] for col in old.chunk.cols],
-                [None if m is None else m[lo:hi] for m in old.chunk.nulls],
-                old.chunk.tids[lo:hi],
-            ))
-            offsets.extend(rows + old.offsets[p + 1] - lo for p in pages)
-            rows += hi - lo
-            continue
-        col_lists, null_lists = column_scratch(schema)
-        tids: list[int] = []
-        for pageno in run:
-            access(heap.name, pageno, sequential=True)
-            charge(C.PAGE_ACCESS + C.VEC_CHUNK_BUILD * natts)
-            raws = []
-            page_base = pageno << CTID_SLOT_BITS      # pack_tid, inlined
-            for slot, raw in heap.pages[pageno].live_tuples():
-                raws.append(raw)
-                tids.append(page_base | slot)
-            sink(raws, sections, col_lists, null_lists)
-            charge(C.VEC_DECODE_PER_VALUE * natts * len(raws))
-            rows += len(raws)
-            offsets.append(rows)
-        pieces.append(
-            (*_arrays(schema, col_lists, null_lists), _tid_array(tids))
-        )
-    reused = sum(clean)
-    if reused:
-        charge(C.VEC_CHUNK_HIT * reused)
-
-    if not pieces:      # no pages at all
-        pieces.append(
-            (*_arrays(schema, *column_scratch(schema)), _tid_array([]))
-        )
-    if len(pieces) == 1:
-        cols, nulls, tid_array = pieces[0]
+    npages = len(page_versions)
+    if old is None:
+        known, old_rows, old_tids = 0, 0, None
+        page_slots = [0] * npages
+        dirty = range(npages)
     else:
-        cols = [np.concatenate([p[0][a] for p in pieces]) for a in range(natts)]
-        nulls = [
-            None if mask is None
-            else np.concatenate([p[1][a] for p in pieces])
-            for a, mask in enumerate(pieces[0][1])
+        known, old_rows, old_tids = (
+            len(old.page_versions), old.chunk.n, old.chunk.tids
+        )
+        page_slots = old.page_slots + [0] * (npages - known)
+        dirty = [
+            *compress(range(known), map(ne, page_versions, old.page_versions)),
+            *range(known, npages),
         ]
-        tid_array = np.concatenate([p[2] for p in pieces])
-    entry = _Entry(
-        heap.version, rel.layout, Chunk(cols, nulls, rows, tid_array),
-        page_versions, offsets,
+    # The new chunk's rows, in order, as runs ``(source, lo, hi)`` of
+    # *old*'s rows (source 0) and of the births (source 1); ``cursor``
+    # is the first of *old*'s rows not yet placed or dropped.
+    runs: list[tuple[int, int, int]] = []
+    cursor = 0
+    col_lists, null_lists = column_scratch(schema)
+    tids: list[int] = []
+    rows_priced = 0
+    for pageno in dirty:
+        access(heap.name, pageno, sequential=True)
+        page = pages[pageno]
+        page_base = pageno << CTID_SLOT_BITS          # pack_tid, inlined
+        kept, hi = 0, old_rows       # a new page sits behind every old row
+        if pageno < known:
+            lo, hi = old_tids.searchsorted(
+                (page_base, (pageno + 1) << CTID_SLOT_BITS)
+            ).tolist()
+            kept = hi - lo
+            if kept:
+                dead = page.dead_among(old_tids[lo:hi] - page_base)
+                for row in (dead.nonzero()[0] + lo).tolist():
+                    if row > cursor:
+                        runs.append((0, cursor, row))
+                    cursor = row + 1
+                    kept -= 1
+        first_born = len(tids)
+        raws = []
+        for slot, raw in page.live_tuples(page_slots[pageno]):
+            raws.append(raw)
+            tids.append(page_base | slot)
+        page_slots[pageno] = page.nslots
+        if raws:
+            sink(raws, sections, col_lists, null_lists)
+            if hi > cursor:
+                runs.append((0, cursor, hi))
+                cursor = hi
+            if runs and runs[-1][0]:      # births of consecutive pages
+                first_born = runs.pop()[1]
+            runs.append((1, first_born, len(tids)))
+        rows_priced += kept + len(raws)
+    if old_rows > cursor:
+        runs.append((0, cursor, old_rows))
+    reused = npages - len(dirty)
+    heap.ledger.charge(
+        page_cost * len(dirty) + row_cost * rows_priced
+        + C.VEC_CHUNK_HIT * reused
     )
-    return entry, reused
+
+    chunk = Chunk(
+        *_arrays(schema, col_lists, null_lists), len(tids), _tid_array(tids)
+    )
+    if old is not None and runs:
+        spliced = [
+            None if born is None else np.concatenate(
+                [(cached, born)[source][lo:hi] for source, lo, hi in runs]
+            )
+            for cached, born in zip(_flat(old.chunk), _flat(chunk))
+        ]
+        chunk = Chunk(
+            spliced[:natts], spliced[natts:-1],
+            sum(hi - lo for _source, lo, hi in runs), spliced[-1],
+        )
+    entry = _Entry(heap.version, rel.layout, chunk, page_versions, page_slots)
+    return entry, reused, len(tids)
 
 
 def decode_relation(rel) -> Chunk:
@@ -293,21 +325,22 @@ class _Entry:
     layout: object        # the TupleLayout *object* decoded under
     chunk: Chunk
     page_versions: list   # heap.page_versions at build time
-    offsets: list         # row offset of each page's first tuple, + total
+    page_slots: list      # each page's slot count at build time
 
 
 class ChunkCache:
-    """Small LRU cache of per-relation chunks, maintained page by page.
+    """Small LRU cache of per-relation chunks, maintained slot by slot.
 
     Keyed by ``HeapFile.uid`` (monotonic, never recycled); an entry
     serves only while the heap's ``version`` and the relation's layout
     object are the ones it was decoded under.  DML bumps the version —
     and the mutation counter of each page it touched, so the refresh
-    re-decodes those pages alone and splices them into the retained
-    arrays (:func:`_decode`).  There is no threshold: a refresh that
-    finds every page dirty *is* the full decode.  ALTER/reannotate build
-    a new layout and VACUUM a new heap (new ``uid``), so neither is ever
-    patched from an old entry, without the cache having to observe DDL.
+    visits those pages alone, drops the cached rows that died there and
+    decodes the tuples born since (:func:`_decode`).  There is no
+    threshold: a refresh with no entry to start from *is* the full
+    decode.  ALTER/reannotate build a new layout and VACUUM a new heap
+    (new ``uid``), so neither is ever patched from an old entry, without
+    the cache having to observe DDL.
     """
 
     def __init__(self, capacity: int = 16, lock=None) -> None:
@@ -318,6 +351,8 @@ class ChunkCache:
         self.misses = 0
         self.pages_decoded = 0
         self.pages_reused = 0
+        self.tuples_decoded = 0
+        self.rows_reused = 0
 
     def get(self, rel) -> Chunk:
         """The current chunk for *rel*: cached, or refreshed and cached.
@@ -326,7 +361,7 @@ class ChunkCache:
         ``chunk_lock`` guard): lookup, validation, LRU maintenance, and
         the decode itself — concurrent readers of a cold relation decode
         it once, not once each, and frozen chunks are shared read-only.
-        A refresh that reuses pages is still a miss.
+        A refresh that reuses rows is still a miss.
         """
         with self._lock:
             heap = rel.heap
@@ -339,10 +374,12 @@ class ChunkCache:
                 heap.ledger.charge(C.VEC_CHUNK_HIT * max(1, heap.page_count))
                 return entry.chunk
             self.misses += 1
-            entry, reused = _decode(rel, entry)
+            entry, reused, decoded = _decode(rel, entry)
             freeze_chunk(entry.chunk)
             self.pages_decoded += len(entry.page_versions) - reused
             self.pages_reused += reused
+            self.tuples_decoded += decoded
+            self.rows_reused += entry.chunk.n - decoded
             self._entries[heap.uid] = entry
             self._entries.move_to_end(heap.uid)
             while len(self._entries) > self.capacity:
@@ -365,4 +402,6 @@ class ChunkCache:
                 "misses": self.misses,
                 "pages_decoded": self.pages_decoded,
                 "pages_reused": self.pages_reused,
+                "tuples_decoded": self.tuples_decoded,
+                "rows_reused": self.rows_reused,
             }

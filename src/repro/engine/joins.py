@@ -10,6 +10,7 @@ never match.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from typing import Iterator
 
 from repro.cost import constants as C
@@ -102,20 +103,29 @@ class HashJoin(PlanNode):
         subtree that replaced it — so the phase is charged identically
         on every tier.
         """
-        charge = ctx.ledger.charge
         build_idx = self.build_idx
         build_cost = (
             C.NODE_OVERHEAD
             + C.JOIN_HASH_COMPUTE
             + C.EXPR_COLUMN * len(build_idx)
         )
+        # The build always drains its input (unlike the probe loop, which
+        # LIMIT can abandon), so it is charged once, by row count.
+        rows = list(build.rows(ctx))
+        ctx.ledger.charge(build_cost * len(rows))
         table: dict[tuple, list[Row]] = defaultdict(list)
-        for row in build.rows(ctx):
-            charge(build_cost)
-            key = tuple(row[i] for i in build_idx)
-            if None in key:
-                continue  # NULL keys never match
-            table[key].append(row)
+        if len(build_idx) == 1:
+            (i,) = build_idx
+            for row in rows:
+                value = row[i]
+                if value is not None:       # NULL keys never match
+                    table[(value,)].append(row)
+        else:
+            key_of = itemgetter(*build_idx)
+            for row in rows:
+                key = key_of(row)
+                if None not in key:
+                    table[key].append(row)
         table.default_factory = None   # misses must not insert from here on
         return table
 

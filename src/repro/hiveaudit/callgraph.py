@@ -40,6 +40,7 @@ GRAPH_MODULES = (
     "bees/datasection.py",
     "parallel/coordinator.py",
     "storage/heapfile.py",
+    "storage/page.py",
     "storage/buffer.py",
     "storage/layout.py",
 )

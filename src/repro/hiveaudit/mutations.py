@@ -287,6 +287,119 @@ def _scan_storage_primitives(graph: CallGraph, sites: list) -> None:
                 break  # one site per function
 
 
+_SLOT_FIELDS = frozenset({"nslots", "lower", "upper"})
+
+
+def _page_format_verb(fn: ast.FunctionDef) -> str | None:
+    """How *fn* (a ``HeapPage`` method) writes the page format.
+
+    ``allocate``: one tuple-area store, one line pointer packed at
+    ``lower``, the slot handed out is ``nslots`` and the three header
+    fields only step (``+=``/``-=``).  ``kill``: one line pointer packed
+    with a constant-zero length and nothing else.  Any other write of
+    ``data``, a line pointer or a header field is a ``rewrite``; a
+    method that writes none of them is not a site (``None``).
+    """
+    packs, stores, fields, hands_out_nslots = [], 0, [], False
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and _attr_name(node.func) == "pack_into":
+            packs.append(node)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                if _subscript_base_attr(target) == "data":
+                    stores += 1
+                elif (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in _SLOT_FIELDS
+                ):
+                    fields.append(node)
+                elif (
+                    isinstance(node, ast.Assign)
+                    and _attr_name(target) == "slot"
+                    and _attr_name(node.value) == "nslots"
+                ):
+                    hands_out_nslots = True
+    if not (packs or stores or fields):
+        return None
+    if len(packs) == 1 and len(packs[0].args) == 4:
+        _buffer, position, _offset, length = packs[0].args
+        if (
+            stores == 1 and hands_out_nslots
+            and _attr_name(position) == "lower"
+            and all(isinstance(node, ast.AugAssign) for node in fields)
+        ):
+            return "allocate"
+        if (
+            not stores and not fields
+            and isinstance(length, ast.Constant) and length.value == 0
+        ):
+            return "kill"
+    return "rewrite"
+
+
+def _fills_last_page_only(fn: ast.FunctionDef) -> bool | None:
+    """Does every ``self.pages[i].insert(...)`` in *fn* index the last
+    page — ``i`` bound to ``len(self.pages) - 1`` and only ever stepped
+    by one (behind an append)?  ``None`` when *fn* inserts into no page."""
+    indexes = {
+        ast.unparse(node.func.value.slice)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and _attr_name(node.func) == "insert"
+        and _subscript_base_attr(node.func.value) == "pages"
+    }
+    if not indexes:
+        return None
+    if len(indexes) != 1:
+        return False
+    (index,) = indexes
+    if not index.isidentifier():
+        return index == "len(self.pages) - 1"
+    for node in ast.walk(fn):
+        if isinstance(node, ast.AugAssign) and _attr_name(node.target) == index:
+            if not (
+                isinstance(node.op, ast.Add)
+                and isinstance(node.value, ast.Constant)
+                and node.value.value == 1
+            ):
+                return False
+        elif isinstance(node, ast.Assign) and any(
+            _attr_name(target) == index for target in node.targets
+        ):
+            if ast.unparse(node.value) != "len(self.pages) - 1":
+                return False
+    return True
+
+
+def _scan_page_slots(graph: CallGraph, sites: list) -> None:
+    """The slotted page is append-only — a slot is allocated once, at
+    ``nslots``, on the file's last page, and a delete only zeroes its
+    line pointer's length.  The chunk cache's refresh leans on it (old
+    slots can only die, new tuples only sit past the slot count it
+    saw), so every writer of the page format is a site and any writer
+    that is not an ``allocate``/``kill``/``fill-last`` is a ``rewrite``."""
+    for qual, info in graph.functions.items():
+        if info.node.name == "__init__":
+            continue
+        verb = None
+        if info.module == "storage/page.py":
+            verb = _page_format_verb(info.node)
+        elif info.module == "storage/heapfile.py":
+            last_only = _fills_last_page_only(info.node)
+            if last_only is not None:
+                verb = "fill-last" if last_only else "rewrite"
+        if verb is not None:
+            sites.append(
+                MutationSite(
+                    info.module, qual, info.lineno, "storage.slots", verb,
+                    "writes the page format",
+                )
+            )
+
+
 def scan_mutations(source, graph: CallGraph) -> list[MutationSite]:
     """Every mutation site of tracked invariants across the engine."""
     sites: list[MutationSite] = []
@@ -300,6 +413,7 @@ def scan_mutations(source, graph: CallGraph) -> list[MutationSite]:
             _FunctionScanner(info.module, info, graph, sites).visit(info.node)
     _scan_datasection(source, graph, sites)
     _scan_storage_primitives(graph, sites)
+    _scan_page_slots(graph, sites)
     sites.sort(key=lambda s: (s.module, s.lineno))
     return sites
 

@@ -128,6 +128,19 @@ RULES = (
         "removing or compacting entries re-points every existing tuple "
         "bee at the wrong values.",
     ),
+    _rule(
+        "page-slots-append-only",
+        "storage.slots",
+        {"rewrite"},
+        frozenset(),
+        "the chunk cache refreshes a cached relation slot by slot: rows "
+        "whose slots died are masked out and only slots past the count "
+        "it saw are decoded.  That is sound only while HeapPage.insert "
+        "allocates slot = nslots and nothing else, delete only zeroes a "
+        "line pointer's length, nothing else writes the page format and "
+        "HeapFile.insert fills only the last page; a reused slot would "
+        "be served from the cache with its dead tuple's values.",
+    ),
 )
 
 # (rule name, mutation-site qualname) -> why the site is safe anyway.

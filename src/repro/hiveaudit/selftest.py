@@ -131,6 +131,25 @@ CASES = (
         (("page-version-tracks-heap-version", "HeapFile.delete"),),
     ),
     InjectionCase(
+        "reuse-dead-slot",
+        "storage/page.py",
+        "an insert re-points a dead slot's line pointer instead of "
+        "allocating slot nslots",
+        "        _LINE_POINTER.pack_into(self.data, self.lower, self.upper, "
+        "length)\n",
+        "        for slot in range(self.nslots):\n"
+        "            if not self.is_live(slot):\n"
+        "                _LINE_POINTER.pack_into(\n"
+        "                    self.data,\n"
+        "                    _HEADER_SIZE + slot * _LINE_POINTER.size,\n"
+        "                    self.upper, length,\n"
+        "                )\n"
+        "                return slot\n"
+        "        _LINE_POINTER.pack_into(self.data, self.lower, self.upper, "
+        "length)\n",
+        (("page-slots-append-only", "HeapPage.insert"),),
+    ),
+    InjectionCase(
         "sever-tuple-resolve",
         "engine/dml.py",
         "inserted rows get a constant beeID, bypassing the section store",

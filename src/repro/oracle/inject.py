@@ -107,10 +107,10 @@ def _shifted_tids(original: Callable) -> Callable:
     def patched(rel, old=None):
         import numpy as np
 
-        entry, reused = original(rel, old)
+        entry, *counts = original(rel, old)
         if old is not None:
             entry.chunk.tids = np.roll(entry.chunk.tids, 1)
-        return entry, reused
+        return (entry, *counts)
 
     return patched
 
@@ -158,11 +158,12 @@ def inject_bug(kind: str) -> Iterator[None]:
       right spec and every worker compiles the wrong one).  Workers
       inherit the patch when the pool forks.
     * ``'tids'`` — a chunk-cache refresh that patches a cached chunk
-      (re-decodes the dirty pages, splices the rest) leaves its ``tids``
-      column shifted by one row against the value columns: every read
-      is still right, and a vectorized UPDATE or DELETE writes the
-      neighbouring row.  Only the N-way lane over the write's match
-      plan sees it.
+      (masks the rows that died, appends the tuples born since) leaves
+      its ``tids`` column shifted by one row against the value columns:
+      a vectorized UPDATE or DELETE writes the neighbouring row, and
+      the next refresh — which reads ``tids`` to decide which cached
+      rows survive — drops the wrong one.  The N-way lane over the
+      write's match plan sees it first; reads behind it diverge too.
     * ``'proto'`` — a statement served from its shape's query bee
       re-patches every literal hole of the routines its plan reaches
       *but the first*: the plan's constants are this statement's, one

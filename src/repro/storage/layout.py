@@ -86,6 +86,14 @@ class TupleLayout:
             and not attr.sql_type.struct_fmt
             and attr.sql_type.attlen >= 0
         ]
+        # Scalar bee attrs never meet the encoder's ``struct.pack``; bee_key
+        # packs them once so a value the type cannot hold (a float or an
+        # out-of-range int for INT) is refused as the stored path refuses it.
+        self._bee_scalar_attrs = [
+            (self.bee_slot[attr.name], _PACK[attr.sql_type.struct_fmt].pack)
+            for attr in schema.attributes
+            if attr.name in self._bee_set and attr.sql_type.struct_fmt
+        ]
         # Cacheable offsets within the *stored* data area.
         self._stored_offsets = self._compute_stored_offsets()
         self._bitmap_bytes = (len(self.stored_attrs) + 7) // 8
@@ -251,10 +259,15 @@ class TupleLayout:
 
         CHAR(n) values are canonicalized exactly as the stored-tuple path
         would round-trip them (width-checked, trailing pad spaces stripped)
-        so a bee-enabled database is value-identical to a stock one.
+        so a bee-enabled database is value-identical to a stock one, and a
+        scalar value its type cannot hold raises what encoding it would
+        (``struct.error``).
         """
         schema = self.schema
         key = [values[schema.attnum(name)] for name in self.bee_attrs]
+        for slot, pack in self._bee_scalar_attrs:
+            if key[slot] is not None:
+                pack(key[slot])
         for slot, attr in self._bee_char_attrs:
             value = key[slot]
             if not isinstance(value, str):

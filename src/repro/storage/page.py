@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from repro.cost import constants
 
 PAGE_SIZE = constants.PAGE_SIZE
@@ -90,13 +92,27 @@ class HeapPage:
         )
         return length > 0
 
-    def live_tuples(self):
-        """Yield ``(slot, tuple_bytes)`` for every live tuple on the page."""
+    def live_tuples(self, start: int = 0):
+        """Yield ``(slot, tuple_bytes)`` for every live tuple on the page
+        in slot *start* or later."""
         data = self.data
         base = _HEADER_SIZE
-        for slot in range(self.nslots):
+        for slot in range(start, self.nslots):
             offset, length = _LINE_POINTER.unpack_from(
                 data, base + slot * _LINE_POINTER.size
             )
             if length:
                 yield slot, bytes(data[offset : offset + length])
+
+    def dead_among(self, slots: np.ndarray) -> np.ndarray:
+        """Boolean mask over *slots* (an integer array of allocated slot
+        numbers): True where the slot's tuple has been deleted.
+
+        One vectorised read of the line pointers' lengths.  The view of
+        ``data`` (a live ``bytearray``) does not outlive the call: the
+        fancy index copies.
+        """
+        lengths = np.frombuffer(
+            self.data, dtype="<u2", count=2 * self.nslots, offset=_HEADER_SIZE
+        )[1::2]
+        return lengths[slots] == 0

@@ -72,14 +72,18 @@ REGISTRY: tuple[SharedState, ...] = (
     # -- chunk cache (vector tier) ------------------------------------------
     _shared("ChunkCache", "_entries", "chunk_lock", "HeapFile.version",
             "uid -> entry (version, layout, frozen Chunk, the page "
-            "versions and per-page row offsets it was built from); a "
-            "refresh patches dirty pages into a *new* entry under the "
-            "lock (and the reader's relation latch), arrays are "
-            "read-only after insertion (escape pass)"),
+            "versions and per-page slot counts it was built at; the "
+            "chunk's sorted tids are its row -> page -> slot map); a "
+            "refresh masks dead rows and appends the tuples born since "
+            "into a *new* entry under the lock (and the reader's "
+            "relation latch), arrays are read-only after insertion "
+            "(escape pass)"),
     _shared("ChunkCache", "hits", "chunk_lock", "-"),
     _shared("ChunkCache", "misses", "chunk_lock", "-"),
     _shared("ChunkCache", "pages_decoded", "chunk_lock", "-"),
     _shared("ChunkCache", "pages_reused", "chunk_lock", "-"),
+    _shared("ChunkCache", "tuples_decoded", "chunk_lock", "-"),
+    _shared("ChunkCache", "rows_reused", "chunk_lock", "-"),
 
     # -- bee module memo caches ---------------------------------------------
     _shared("GenericBeeModule", "_evp_by_expr", "hive_lock",

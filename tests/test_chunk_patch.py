@@ -1,4 +1,4 @@
-"""Page-granular chunk cache, the GCL column sink, and DML on the
+"""Slot-granular chunk cache, the GCL column sink, and DML on the
 relation bee.
 
 * a property test drives random interleavings of INSERT / UPDATE /
@@ -6,7 +6,9 @@ relation bee.
   incrementally maintained chunk equals a fresh full decode — its
   ``tids`` column included, each naming the tuple whose values sit in
   that row (slot reuse, new pages, a VACUUMed heap);
-* count tests pin how many pages a refresh decodes and what it charges;
+* count tests pin how many pages a refresh visits, how many tuples it
+  hands the column sink (the ones born since, nothing else) and what it
+  charges;
 * the column sink is compared with ``TupleLayout.decode`` on every
   TPC-H and TPC-C layout, NULL-bearing tuples included;
 * DML returns the same statuses and leaves the same heap under every
@@ -15,6 +17,8 @@ relation bee.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -259,15 +263,180 @@ def test_single_row_update_redecodes_at_most_two_pages():
     assert db.stats()["chunks"]["pages_reused"] == stats["pages_reused"]
 
 
+class _CountingSink:
+    """Wraps a relation's column-sink admission: how often the sink
+    ran and how many raw tuples each call was handed."""
+
+    def __init__(self, rel) -> None:
+        self.calls: list[int] = []
+        admit = rel.column_sink
+
+        def admit_counting():
+            sink = admit()
+
+            def counting(raws, sections, cols, nulls):
+                self.calls.append(len(raws))
+                return sink(raws, sections, cols, nulls)
+
+            return counting
+
+        rel.column_sink = admit_counting
+
+
+def _cached(n: int):
+    """A vectorized database whose ``t`` (*n* rows) is in the chunk
+    cache, and a counter round its column sink."""
+    db = _db(BeeSettings.vectorized(), n)
+    rel = db.relation("t")
+    db.chunk_cache.get(rel)
+    return db, rel, _CountingSink(rel)
+
+
+def _refreshed(db, rel, sink=None):
+    """Refresh ``t``'s chunk: the chunk, the delta of the cache's
+    counters and the raw-tuple count of each sink call it made."""
+    stats0 = db.chunk_cache.statistics()
+    got = db.chunk_cache.get(rel)
+    stats = db.chunk_cache.statistics()
+    calls = list(sink.calls) if sink is not None else None
+    assert_chunks_equal(got, decode_relation(rel))
+    if sink is not None:
+        sink.calls.clear()
+    assert_frozen(got)
+    assert_tids_name_their_rows(got, rel)
+    return got, {key: stats[key] - stats0[key] for key in stats}, calls
+
+
+def test_refresh_decodes_the_written_tuples_and_nothing_else():
+    db, rel, sink = _cached(400)
+    assert rel.heap.page_count >= 10
+
+    db.sql("UPDATE t SET qty = qty + 1 WHERE k = 33")
+    got, delta, calls = _refreshed(db, rel, sink)
+    assert calls == [1]                       # the parent handed it a page
+    assert delta["misses"] == 1 and delta["tuples_decoded"] == 1
+    assert delta["rows_reused"] == got.n - 1 == 399
+    assert db.stats()["chunks"]["tuples_decoded"] == (
+        db.chunk_cache.statistics()["tuples_decoded"]
+    )
+
+    db.sql("UPDATE t SET price = price + 1 WHERE k >= 100 AND k < 117")
+    _got, delta, calls = _refreshed(db, rel, sink)
+    assert sum(calls) == delta["tuples_decoded"] == 17
+    assert len(calls) <= 2                    # one call per page with births
+
+    db.sql("DELETE FROM t WHERE k >= 200 AND k < 230")
+    got, delta, calls = _refreshed(db, rel, sink)
+    assert calls == []                        # deaths are a mask, not a decode
+    assert delta["tuples_decoded"] == 0 and delta["rows_reused"] == got.n == 370
+    assert delta["pages_decoded"] >= 1        # the pages were still visited
+
+    pages = rel.heap.page_count
+    for k in range(1000, 1040):               # overflows onto new pages
+        db.insert("t", _row(k))
+    assert rel.heap.page_count > pages
+    _got, delta, calls = _refreshed(db, rel, sink)
+    assert sum(calls) == delta["tuples_decoded"] == 40
+    assert len(calls) == delta["pages_decoded"]
+
+
+def test_tuple_born_and_killed_between_refreshes_never_appears():
+    db, rel, sink = _cached(60)
+    before = db.chunk_cache.get(rel)
+    # By TID: a SQL write's match scan would refresh the chunk itself.
+    tid = db.insert("t", _row(900))
+    tid = db.update_by_tid("t", tid, _row(901))    # kills it, births another
+    db.delete_by_tid("t", tid)                     # and kills that one too
+    got, delta, calls = _refreshed(db, rel, sink)
+    assert calls == [] and delta["tuples_decoded"] == 0
+    assert_chunks_equal(got, before)
+
+
+def test_page_with_every_row_deleted_then_more_writes():
+    db, rel, sink = _cached(120)
+    first_page = sum(1 for _ in rel.heap.pages[0].live_tuples())
+    db.sql(f"DELETE FROM t WHERE k < {first_page}")
+    got, delta, calls = _refreshed(db, rel, sink)
+    assert got.n == 120 - first_page and calls == []
+    assert not any(tid >> 16 == 0 for tid in got.tids.tolist())
+    # The emptied page is clean now; a later refresh neither visits it
+    # nor resurrects anything from it.
+    db.sql("UPDATE t SET qty = 5 WHERE k = 100")
+    _got, delta, calls = _refreshed(db, rel, sink)
+    assert calls == [1] and delta["pages_reused"] >= 1
+
+
+def test_relation_emptied_then_refilled():
+    db, rel, sink = _cached(80)
+    db.sql("DELETE FROM t")
+    got, delta, calls = _refreshed(db, rel, sink)
+    assert got.n == 0 and calls == [] and delta["rows_reused"] == 0
+    db.copy_from("t", [_row(k) for k in range(300, 345)])
+    got, delta, calls = _refreshed(db, rel, sink)
+    assert got.n == 45 and sum(calls) == delta["tuples_decoded"] == 45
+    # Old pages hold only dead slots: scanned from their recorded slot
+    # count, not from 0, they hand the sink nothing.
+    assert len(calls) <= rel.heap.page_count - 3
+
+
+def test_write_to_null_bearing_and_tuple_bee_rows():
+    """The born tuple takes the sink's slow path (a NULL) and a data
+    section the entry has never seen (a new tuple-bee value)."""
+    db, rel, sink = _cached(90)
+    sections = len(rel.sections_list())
+    db.update_where(
+        "t", lambda v: v[0] in (11, 12),
+        lambda v: [v[0], "ZZ", None, None] + v[4:],
+    )
+    assert len(rel.sections_list()) == sections + 1
+    got, delta, calls = _refreshed(db, rel, sink)
+    assert sum(calls) == delta["tuples_decoded"] == 2
+    rows = {int(k): i for i, k in enumerate(got.cols[0].tolist())}
+    for k in (11, 12):
+        assert got.cols[1][rows[k]] == "ZZ"
+        assert got.nulls[2][rows[k]] and got.nulls[3][rows[k]]
+
+
+def test_refresh_stays_cheap_on_a_heap_of_mostly_dead_pages():
+    """5,000 one-row updates of a 50-row relation leave hundreds of
+    pages of dead slots behind.  The refresh still equals a fresh
+    decode, and its wall follows the pages it visits, not the heap: at
+    over 20x the pages (3 -> ~210) it may cost at most 4x — growth
+    linear in the page count would be 20x and more; measured 1.0-1.05x."""
+    db, rel, sink = _cached(50)
+
+    def refresh_wall(start: int) -> float:
+        walls = []
+        for i in range(start, start + 40):
+            db.sql(f"UPDATE t SET qty = {i} WHERE k = {i % 50}")
+            t0 = time.perf_counter()
+            db.chunk_cache.get(rel)
+            walls.append(time.perf_counter() - t0)
+        return sorted(walls)[len(walls) // 4]
+
+    small_pages = rel.heap.page_count
+    small = refresh_wall(0)
+    for i in range(40, 5000):
+        db.sql(f"UPDATE t SET qty = {i} WHERE k = {i % 50}")
+    _got, delta, calls = _refreshed(db, rel, sink)
+    assert delta["tuples_decoded"] <= 50 and delta["pages_reused"] > 100
+    assert rel.heap.page_count >= 20 * small_pages
+    assert rel.heap.live_count == 50
+    large = refresh_wall(5000)
+    assert large < 4 * small, (small, large)
+
+
 def test_copy_into_cached_relation_equals_full_decode():
     db = _db(BeeSettings.vectorized(), 200)
     rel = db.relation("t")
     db.chunk_cache.get(rel)
     db.copy_from("t", [_row(k) for k in range(1000, 1130)])
+    decoded0 = db.chunk_cache.statistics()["tuples_decoded"]
     got = db.chunk_cache.get(rel)
     assert_chunks_equal(got, decode_relation(rel))
     assert got.n == 330
     assert db.chunk_cache.statistics()["pages_reused"] > 0
+    assert db.chunk_cache.statistics()["tuples_decoded"] - decoded0 == 130
 
 
 def test_full_decode_charges_the_same_with_either_sink():
@@ -479,3 +648,32 @@ def test_faulting_column_sink_falls_back_to_reference(tamper):
     assert rows == db.sql(
         "SELECT count(*), sum(price) FROM t WHERE k < 50", bees=False
     ).rows
+
+
+@pytest.mark.parametrize("tamper", ["raise", "short"])
+def test_faulting_column_sink_on_a_refresh_costs_its_page(tamper):
+    """The sink runs under the guard once per page with births: a fault
+    while patching redoes that page's births on the reference decoder
+    and counts one failure, as a faulting page of a full decode does."""
+    db = _db(BeeSettings.vectorized(), 120)
+    rel = db.relation("t")
+    db.chunk_cache.get(rel)
+    inner = rel.bee.gcl_cols.fn
+
+    def raising(raws, sections, cols, nulls):
+        inner(raws[:1], sections, cols, nulls)
+        raise RuntimeError("boom")
+
+    def short(raws, sections, cols, nulls):
+        inner(raws, sections, cols, nulls)
+        cols[-1].pop()
+
+    rel.bee.gcl_cols.fn = raising if tamper == "raise" else short
+    kind = "exception" if tamper == "raise" else "shape"
+    for step, failures in ((0, 1), (1, 2)):
+        db.sql(f"UPDATE t SET qty = -1 WHERE k >= {step * 10} AND k < {step * 10 + 3}")
+        got = db.chunk_cache.get(rel)
+        rel.bee.gcl_cols.fn, tampered = inner, rel.bee.gcl_cols.fn
+        assert_chunks_equal(got, decode_relation(rel))
+        rel.bee.gcl_cols.fn = tampered
+        assert db.stats()["resilience"]["by_site"][f"gcl/{kind}"] == failures

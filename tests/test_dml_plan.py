@@ -21,7 +21,9 @@ statement on every tier:
   charges what the delete-then-encode order did;
 * a multi-row INSERT whose later row is rejected inserts nothing,
   charges nothing and creates no tuple bee, and one that succeeds
-  charges what inserting its rows one by one did.
+  charges what inserting its rows one by one did;
+* a value an annotated (tuple-bee) attribute's type cannot hold is
+  refused on every write path, as it is for a stored attribute.
 """
 
 from __future__ import annotations
@@ -484,6 +486,53 @@ def test_null_in_a_not_null_column_is_rejected_on_write(name, bees):
     db.sql("SELECT count(*) FROM t WHERE qty > 3")
     assert db.chunk_cache.statistics()["misses"] == chunk_misses
     assert db.sql("UPDATE t SET qty = NULL WHERE k = 3").status == "UPDATE 1"
+    db.close()
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_annotated_attribute_refuses_what_its_type_cannot_hold(name, bees):
+    """Annotated values live in the data section and never meet the
+    encoder's ``struct.pack``: a float or an out-of-range int for an
+    annotated INT used to be *stored* under every bee-enabled point
+    (stock raised), and ``vectorized()`` then read the 7.5 back as 7."""
+    db = Database(bees)
+    db.sql(
+        "CREATE TABLE t (k INT NOT NULL, b INT NOT NULL, c CHAR(3) NOT NULL, "
+        "d FLOAT, ANNOTATE (b, c))"
+    )
+    db.copy_from("t", [[k, k % 3, "xyz"[k % 3], k + 0.5] for k in range(60)])
+    db.create_index("t", "t_k", ["k"])
+    db.sql("SELECT count(*) FROM t WHERE d > 3")        # warm the chunk cache
+    before = _state(db)
+    chunk_misses = db.chunk_cache.statistics()["misses"]
+    tuple_bees = db.bee_module.statistics()["tuple_bees"]
+    charged = db.ledger.total
+    (tid,) = db.relation("t").indexes["t_k"].lookup((7,))
+    writes = (
+        lambda: db.sql("INSERT INTO t VALUES (200, 2147483648, 'y', 2.0)"),
+        lambda: db.sql("INSERT INTO t VALUES (201, 1.0, 'y', 2.0)"),
+        lambda: db.sql(
+            "INSERT INTO t VALUES (200, 5, 'q', 2.0), (201, 7.5, 'y', 2.0)"
+        ),
+        lambda: db.copy_from("t", [[202, 2 ** 31, "y", 1.0]]),
+        lambda: db.sql("UPDATE t SET b = 7.5 WHERE k = 1"),
+        lambda: db.update_by_tid("t", tid, [7, 7.5, "y", 1.0]),
+    )
+    for write in writes:
+        with pytest.raises(struct.error):
+            write()
+        assert _state(db) == before
+        assert db.bee_module.statistics()["tuple_bees"] == tuple_bees
+    # b is k % 3: the second matched row (k = 2) overflows int32, after
+    # the first resolved its (new) tuple bee — and before the first delete.
+    with pytest.raises(struct.error):
+        db.sql("UPDATE t SET b = b * 1073741824 WHERE k >= 1 AND k < 4")
+    assert _state(db) == before
+    db.sql("SELECT count(*) FROM t WHERE d > 3")
+    assert db.chunk_cache.statistics()["misses"] == chunk_misses
+    assert db.sql("UPDATE t SET b = 7 WHERE k = 1").status == "UPDATE 1"
+    assert db.sql("SELECT b FROM t WHERE k = 1").rows == [(7,)]
+    assert charged < db.ledger.total
     db.close()
 
 

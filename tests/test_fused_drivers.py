@@ -3,7 +3,8 @@
 Per cell: the result equals stock, the EXPLAIN label is the historical
 one, quarantining the cell's health key drains the next tier down, and
 the ledger charge equals the literal pinned before the nine driver
-classes were collapsed.  Around the grid: the output width check fires
+classes were collapsed (and, with one TPC-H q3/q5 total, before the
+hash-join build was charged once per build).  Around the grid: the output width check fires
 on every tier (it used to skip the pipeline agg sink), the fused-routine
 memo stays bounded, and the forked driver modules stay deleted.
 """
@@ -24,6 +25,9 @@ from repro.engine.nodes import PlanNode
 from repro.oracle import rows_equivalent
 from repro.sql.parser import parse
 from repro.sql.planner import plan_select
+from repro.workloads.tpch import QUERIES
+from repro.workloads.tpch.dbgen import TPCHGenerator
+from repro.workloads.tpch.loader import build_tpch_database, generate_rows
 
 SETTINGS = {
     "pipeline": BeeSettings.pipelined,
@@ -153,6 +157,24 @@ class TestCell:
         with make_db(tier) as db:
             run = db.measure(lambda: db.sql(STATEMENTS[sink]))
         assert run.instructions == PINNED[tier, sink]
+
+
+#: Virtual instructions of TPC-H q3 + q5 (SF 0.002, fresh database) —
+#: five hash-join builds of one and two keys on every tier's path —
+#: measured at the commit *before* ``HashJoin.build_table`` began
+#: charging once per build instead of once per row.
+PINNED_Q3_Q5 = {
+    "stock": 55873744, "all_bees": 44024310, "vectorized": 10789211,
+}
+
+
+def test_hash_build_charges_what_the_per_row_loop_did():
+    rows = generate_rows(TPCHGenerator(0.002, 20120401))
+    for name, pinned in PINNED_Q3_Q5.items():
+        with build_tpch_database(getattr(BeeSettings, name)(), rows=rows) as db:
+            QUERIES[3](db)
+            QUERIES[5](db)
+            assert db.ledger.total == pinned, name
 
 
 # -- the width check exists once, so it fires everywhere ----------------------

@@ -1,5 +1,6 @@
 """Tests for pages, heap files, and the buffer pool."""
 
+import numpy as np
 import pytest
 
 from repro.cost import Ledger
@@ -59,6 +60,24 @@ class TestHeapPage:
         assert [(slot, raw) for slot, raw in page.live_tuples()] == [
             (keep, b"keep")
         ]
+
+    def test_live_tuples_from_a_slot(self):
+        page = HeapPage()
+        slots = [page.insert(bytes([65 + i])) for i in range(5)]
+        page.delete(slots[3])
+        assert list(page.live_tuples(2)) == [(2, b"C"), (4, b"E")]
+        assert list(page.live_tuples(5)) == []
+
+    def test_dead_among(self):
+        page = HeapPage()
+        slots = [page.insert(b"t%d" % i) for i in range(6)]
+        page.delete(slots[1])
+        page.delete(slots[4])
+        dead = page.dead_among(np.array([0, 1, 4, 5]))
+        assert dead.tolist() == [False, True, True, False]
+        assert dead.base is None                # no view of page.data left
+        page.insert(b"later")                   # the buffer is not pinned
+        assert page.dead_among(np.array([], dtype=np.int64)).tolist() == []
 
     def test_out_of_range_slot(self):
         page = HeapPage()

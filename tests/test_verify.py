@@ -23,7 +23,7 @@ TOOLS = ("beecheck", "swarmcheck", "wagglecheck", "hiveaudit", "resilience",
 #: Injection cases per pass at the commit that merged the six harnesses;
 #: merging them must not drop one (ROADMAP's condition for the merge).
 INJECTION_CENSUS = {
-    "beecheck": 28, "swarmcheck": 13, "wagglecheck": 14, "hiveaudit": 12,
+    "beecheck": 28, "swarmcheck": 13, "wagglecheck": 14, "hiveaudit": 13,
     "resilience": 3, "oracle": 7,
 }
 
@@ -131,7 +131,9 @@ class TestSelection:
     def test_pass_flag_runs_only_that_pass(self):
         report = cli.run(["hiveaudit"], statements=5)
         assert [result.name for result in report.passes] == ["hiveaudit"]
-        assert report.ok and len(report.passes[0].selftest) == 12
+        assert report.ok and len(report.passes[0].selftest) == (
+            INJECTION_CENSUS["hiveaudit"]
+        )
 
     def test_unknown_pass_is_rejected(self):
         with pytest.raises(ValueError):
