@@ -479,6 +479,10 @@ def _expr_texts(source: str) -> list[str]:
 
 
 _RE_VEC_ZIP = re.compile(r"out = _zip_rows\(\[(.*)\]\)")
+_RE_VEC_PROBE = re.compile(
+    r"out = _probe\('(\w+)', table, \[(.*)\], \[(.*)\], cols, nulls, "
+    r"(?:_idx|None)(, _PAD)?\)"
+)
 
 
 def audit_vector(routine, spec) -> list[str]:
@@ -552,11 +556,42 @@ def audit_vector(routine, spec) -> list[str]:
                     f"emits {emitted}-column rows, spec projects {n_out}"
                 )
     elif spec.sink == "probe":
+        # _C2 still prices a probe and a full-width row per selected
+        # row, though ``_probe`` materialises only the survivors: the
+        # model clock is kept as it was and the gain is real-clock
+        # only.  The call itself must be the spec's join.
         model = C.VEC_PROBE_PER_ROW + C.VEC_EMIT_PER_COLUMN * schema.natts
         if namespace.get("_C2") != model:
             findings.append(
                 f"_C2={namespace.get('_C2')!r}, probe model gives {model}"
             )
+        calls = [m for t in texts for m in [_RE_VEC_PROBE.fullmatch(t)] if m]
+        if len(calls) != 1:
+            findings.append(
+                f"expected one 'out = _probe(...)' sink call, found "
+                f"{len(calls)}"
+            )
+        else:
+            kind, keys, key_nulls, pad = calls[0].groups()
+            n_keys = len(spec.probe_idx)
+            if kind != spec.join_type:
+                findings.append(
+                    f"probes as a {kind} join, spec says {spec.join_type}"
+                )
+            if len(keys.split(",")) != n_keys or (
+                len(key_nulls.split(",")) != n_keys
+            ):
+                findings.append(
+                    f"hands _probe key lanes [{keys}] / null lanes "
+                    f"[{key_nulls}], spec probes {n_keys} keys"
+                )
+            if (pad is not None) != (spec.join_type == "left") or (
+                pad and namespace.get("_PAD") != [None] * spec.build_width
+            ):
+                findings.append(
+                    f"_PAD={namespace.get('_PAD')!r} for a {spec.join_type}"
+                    f" join of build width {spec.build_width}"
+                )
     else:  # agg
         n_args = sum(1 for a in spec.aggs if a.arg is not None)
         model = (

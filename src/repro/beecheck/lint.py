@@ -1053,9 +1053,10 @@ def lint_pipeline(
 # -- VEC ---------------------------------------------------------------------
 
 #: Vector kernels are whole-column programs: loops are allowed only for
-#: the sink epilogues (bucket build / finalize / probe emission), and
-#: comprehensions carry the object-lane and reduction work, so the
-#: pipeline bans are relaxed accordingly.  As with EVP, expression text
+#: the agg sink's epilogues (bucket build / finalize; the probe sink is
+#: key lanes plus one ``_probe`` call), and comprehensions carry the
+#: object-lane and reduction work, so the pipeline bans are relaxed
+#: accordingly.  As with EVP, expression text
 #: is not pinned — names, loop shapes, and the charge line are; semantic
 #: drift is the translation validator's lane.
 _VEC_BANNED: tuple = tuple(
@@ -1075,9 +1076,8 @@ _VEC_CHARGE = "_charge(_NAME, _C0 + _C1 * n + _C2 * _m)"
 
 _VEC_NAMES = re.compile(
     r"t\d+|_K\d+|_E\d+|_C[0-2]|cols|nulls|n|table|out|_np|_obj|_zip_rows"
-    r"|_materialize|_div|_idx|_m|_rows|_r|_b|_k|_ix|_i|_vals|_row|_buckets"
-    r"|_append|_get|_cands|_charge|_NAME|_PAD|_NOSEL|len|range|sum|min|max"
-    r"|list|v"
+    r"|_materialize|_probe|_div|_idx|_m|_r|_b|_k|_ix|_i|_vals|_row|_buckets"
+    r"|_charge|_NAME|_PAD|_NOSEL|len|range|sum|min|max|list|v"
 )
 
 _VEC_METHODS = frozenset(
@@ -1088,8 +1088,6 @@ _VEC_METHODS = frozenset(
 _VEC_LOOPS = (
     ("_i", "range(_m)"),          # agg bucket build
     ("(_k, _ix)", "_buckets.items()"),   # agg finalize
-    ("_r", "_rows"),              # probe row walk
-    ("_b", "_cands"),             # probe candidate emission
 )
 
 

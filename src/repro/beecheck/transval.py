@@ -834,6 +834,73 @@ def validate_pipeline(routine, spec) -> list[str]:
 # -- VEC ---------------------------------------------------------------------
 
 
+def _probe_builds(spec, rows: list) -> tuple[list, list]:
+    """Build sides for a probe kernel's validation run: ``(build_idx,
+    [(label, build rows)])``.
+
+    Build rows have the spec's width, each probe key spread over the
+    columns *build_idx* names: **mixed** (every third distinct non-NULL
+    probe key misses, the others get one or two candidates), **all-hit**
+    (every key one candidate or more) and **all-miss**.  Each also holds
+    a NULL-keyed build row, which ``HashJoin`` must never store.
+    """
+    n_keys = len(spec.probe_idx)
+    width = spec.build_width or n_keys
+    build_idx = [j % width for j in range(n_keys)]
+    keys: list = []
+    for row in rows:
+        key = tuple(row[i] for i in spec.probe_idx)
+        if None not in key and key not in keys:
+            keys.append(key)
+
+    def build_row(key, tag: str) -> list:
+        out = [f"b{tag}.{i}" for i in range(width)]
+        for j, value in zip(build_idx, key):
+            out[j] = value
+        return out
+
+    nulls = [build_row((None,) * n_keys, "null")]
+    every = [
+        (j, build_row(key, f"{j}.{c}"))
+        for j, key in enumerate(keys)
+        for c in range(1 + j % 2)
+    ]
+    return build_idx, [
+        ("mixed", [row for j, row in every if j % 3] + nulls),
+        ("all-hit", [row for _j, row in every] + nulls),
+        ("all-miss", nulls),
+    ]
+
+
+def _hash_join(spec, rows: list, build_idx: list, build: list):
+    """``HashJoin`` itself, generic, over the *rows* that pass the
+    spec's qualification and *build*: ``(table, output)``, the table its
+    build phase hashes (what the kernel probes) and the rows it emits."""
+    from types import SimpleNamespace
+
+    from repro.bees.settings import BeeSettings
+    from repro.cost.ledger import Ledger
+    from repro.engine.joins import HashJoin
+    from repro.engine.nodes import ExecContext, ValuesNode
+
+    natts = spec.layout.schema.natts
+    width = len(build[0])
+    probe_node = ValuesNode(     # the Filter the kernel fused
+        [f"p{i}" for i in range(natts)],
+        [row for row in rows if _pipe_qual_pass(spec, row)],
+    )
+    build_node = ValuesNode([f"b{i}" for i in range(width)], build)
+    join = HashJoin(
+        probe_node, build_node,
+        [f"p{i}" for i in spec.probe_idx], [f"b{j}" for j in build_idx],
+        spec.join_type,
+    )
+    ctx = ExecContext(SimpleNamespace(
+        ledger=Ledger(), settings=BeeSettings.stock(), bee_module=None,
+    ))
+    return join.build_table(ctx, build_node), list(join.rows(ctx))
+
+
 def validate_vector(routine, spec) -> list[str]:
     """Cross-check the columnar kernel against the interpreted plan.
 
@@ -842,22 +909,33 @@ def validate_vector(routine, spec) -> list[str]:
     :class:`repro.bees.vector.chunks.Chunk` built with the same
     ``chunk_from_rows`` assembly the runtime decoder uses (widened by
     the rows' identifiers for a ctid spec), and is invoked **once** per
-    run over the whole chunk.  Non-agg sinks
-    compare against :func:`_pipe_reference`; the agg sink compares the
-    kernel's finished rows (vector kernels group *and* finalize) against
-    the finalized generic transition states, in first-seen group order
-    on both sides.
+    run over the whole chunk.  The rows sink compares against
+    :func:`_pipe_reference`; the agg sink compares the kernel's finished
+    rows (vector kernels group *and* finalize) against the finalized
+    generic transition states, in first-seen group order on both sides.
+    A probe kernel runs against ``HashJoin`` itself, row for row and in
+    order, over each of :func:`_probe_builds`' build sides: it probes the
+    table ``HashJoin`` hashed, with an entry added under every
+    NULL-bearing probe key, so a kernel that leans on the table holding
+    no NULL keys instead of guarding them matches rows ``HashJoin``
+    never does.
     """
     from repro.bees.vector.chunks import chunk_from_rows
 
     findings: list[str] = []
     schema = spec.layout.schema
     _raws, decoded, _sections = _fused_candidates(spec)
-    table = _probe_table(spec, decoded)
+    runs: list = [([], "empty chunk", None), (decoded, "enumerated chunk", None)]
+    if spec.sink == "probe":
+        build_idx, builds = _probe_builds(spec, decoded)
+        runs = [
+            (rows, f"{label} with a {name} build", build)
+            for rows, label, _ in runs
+            for name, build in builds
+        ]
 
     with ledger_guard(routine):
-        runs = [([], "empty chunk"), (decoded, "enumerated chunk")]
-        for rows, label in runs:
+        for rows, label, build in runs:
             if spec.ctid:
                 chunk = chunk_from_rows(
                     schema, [row[:-1] for row in rows],
@@ -865,8 +943,14 @@ def validate_vector(routine, spec) -> list[str]:
                 ).with_ctid()
             else:
                 chunk = chunk_from_rows(schema, rows)
-            args = (chunk.cols, chunk.nulls, chunk.n)
-            if spec.sink == "probe":
+            args: tuple = (chunk.cols, chunk.nulls, chunk.n)
+            if build is not None:
+                table, expected = _hash_join(spec, rows, build_idx, build)
+                table = dict(table)
+                for row in rows:
+                    key = tuple(row[i] for i in spec.probe_idx)
+                    if None in key:
+                        table[key] = [["poison"] * len(build[0])]
                 args = (*args, table)
             try:
                 got = routine.fn(*args)
@@ -885,8 +969,8 @@ def validate_vector(routine, spec) -> list[str]:
                     list(key) + [state.result() for state in states]
                     for key, states in exp_groups.items()
                 ]
-            else:
-                expected = _pipe_reference(spec, rows, table)
+            elif spec.sink == "rows":
+                expected = _pipe_reference(spec, rows, {})
             if not _batches_eq(got, expected):
                 findings.append(
                     f"vector output diverges on {label}: "

@@ -13,8 +13,9 @@ their bodies speak; what they share lives here:
   NULL-bearing tuple;
 * **the fused-kernel skeleton** over a ``PipelineSpec`` —
   :func:`spec_columns` (bound-expression validation and the columns a
-  sink reads) and :func:`emit_probe` (the hash-probe sink's lookup and
-  join-type switch);
+  sink reads) and :func:`emit_probe` (the row loop's hash-probe sink:
+  lookup and join-type switch; the vector kernel probes whole key lanes
+  through its own runtime helper);
 * **the data section and the epilogue** — :class:`Holes` allocates every
   ``_K{n}``/``re{n}``/``in{n}``/``fn{n}``/``_E{n}`` hole, and
   :func:`finish` writes the ``def`` line, compiles and builds the
@@ -313,14 +314,16 @@ def spec_columns(spec, what: str) -> set:
     return needed
 
 
-def emit_probe(spec, col: str, counted: bool, namespace: dict) -> list[str]:
-    """The ``probe`` sink over one input row, at loop depth: candidate
-    lookup (a NULL key matches nothing) and the join-type switch.
+def emit_probe(spec, col: str, namespace: dict) -> list[str]:
+    """The row loop's ``probe`` sink over one input row, at loop depth:
+    candidate lookup (a NULL key matches nothing) and the join-type
+    switch.
 
     *col* is the backend's fragment template for scan column ``{}``.
-    *counted* is the row-loop form: the row list is built from hoisted
-    locals only once it is emitted, and ``_np``/``_nc`` count probes and
-    candidates for the batch charge; otherwise the row is ``_r``.
+    The row list is built from hoisted locals only once it is emitted,
+    and ``_np``/``_nc`` count probes and candidates for the batch
+    charge.  (The vector kernel probes whole key lanes instead:
+    :func:`repro.bees.vector.codegen._probe`.)
     """
     schema = spec.layout.schema
     keys = [col.format(i) for i in spec.probe_idx]
@@ -329,34 +332,26 @@ def emit_probe(spec, col: str, counted: bool, namespace: dict) -> list[str]:
         for key, i in zip(keys, spec.probe_idx)
         if schema.attributes[i].nullable
     )
-    if counted:
-        row = "[" + ", ".join(col.format(i) for i in range(schema.natts)) + "]"
-        lines, key = ["_np += 1"], tuple_of(keys)
-        tally, hoist, held = ["_nc += len(_cands)"], [f"row = {row}"], "row"
-    else:
-        row = held = "_r"
-        lines, key = [f"_k = {tuple_of(keys)}"], "_k"
-        tally, hoist = [], []
-    lines.append(
-        f"_cands = _get({key}, ())" + (f" if {guard} else ()" if guard else "")
-    )
-    each = ["for _b in _cands:", f"    _append({held} + _b)"]
+    row = "[" + ", ".join(col.format(i) for i in range(schema.natts)) + "]"
+    lines = [
+        "_np += 1",
+        f"_cands = _get({tuple_of(keys)}, ())"
+        + (f" if {guard} else ()" if guard else ""),
+    ]
+    tally, hoist = ["_nc += len(_cands)"], [f"row = {row}"]
+    each = ["for _b in _cands:", "    _append(row + _b)"]
 
     def nest(inner: list[str]) -> list[str]:
         return ["    " + line for line in inner]
 
     if spec.join_type == "inner":
-        if counted:
-            lines += ["if not _cands:", "    continue"]
-        lines += tally + hoist + each
+        lines += ["if not _cands:", "    continue"] + tally + hoist + each
     elif spec.join_type == "left":
         namespace["_PAD"] = [None] * spec.build_width
         lines += hoist + ["if _cands:"] + nest(tally + each)
-        lines += ["else:", f"    _append({held} + _PAD)"]
+        lines += ["else:", "    _append(row + _PAD)"]
     elif spec.join_type == "semi":
         lines += ["if _cands:"] + nest(tally + [f"_append({row})"])
-    elif counted:   # anti
+    else:   # anti
         lines += ["if _cands:"] + nest(tally) + ["else:", f"    _append({row})"]
-    else:
-        lines += ["if not _cands:", f"    _append({row})"]
     return nest(nest(lines))

@@ -238,7 +238,7 @@ def generate_pipeline(
         )
         charge = "_C0 + _C1 * len(batch) + _C2 * len(out)"
     elif spec.sink == "probe":
-        lines += emit_probe(spec, "v{}", True, namespace)
+        lines += emit_probe(spec, "v{}", namespace)
         costs["_C2"] = C.JOIN_HASH_COMPUTE + C.JOIN_HASH_PROBE
         costs["_C3"] = C.EVJ_COMPARE * len(spec.probe_idx)
         costs["_C4"] = C.JOIN_EMIT

@@ -37,6 +37,9 @@ the shield degrades the statement vector→pipeline→generic.
 
 from __future__ import annotations
 
+from itertools import compress, count, repeat
+from operator import not_
+
 import numpy as np
 
 from repro.cost import constants as C
@@ -44,7 +47,6 @@ from repro.engine import expr as E
 from repro.bees.emit import (
     Holes,
     column_nullable,
-    emit_probe,
     finish,
     referenced,
     spec_columns,
@@ -112,7 +114,8 @@ def _zip_rows(columns: list) -> list:
 
 
 def _materialize(cols, nulls, idx) -> list:
-    """Chunk → Python rows (object-lane evaluation domain)."""
+    """Chunk → Python rows at chunk positions *idx* (``None``: all rows):
+    the object-lane evaluation domain and the probe's survivors."""
     columns = []
     for arr, mask in zip(cols, nulls):
         if idx is not None:
@@ -123,7 +126,42 @@ def _materialize(cols, nulls, idx) -> list:
         if mask is not None:
             vals = [None if f else v for f, v in zip(mask.tolist(), vals)]
         columns.append(vals)
-    return [list(row) for row in zip(*columns)]
+    return _zip_rows(columns)
+
+
+def _probe(kind, table, keys, key_nulls, cols, nulls, idx, pad=None) -> list:
+    """The ``probe`` sink past its key lanes: look up, keep the
+    survivors, materialise only them, emit per join type.
+
+    *keys* are the selected rows' key lanes as value lists (``_obj``),
+    *key_nulls* their null lanes (``False`` for a NOT NULL key), and
+    *idx* maps a selected position to its chunk row (``None`` when every
+    row is selected).  Every key is looked up in one C-level pass; a
+    NULL key lane matches nothing, whatever *table* holds.  Survivors —
+    rows with candidates for inner and semi joins, rows without for anti
+    joins, every row for a left join — are gathered at their chunk
+    positions and turned into rows; output is in probe order, then
+    build order, as ``HashJoin`` emits it.
+    """
+    cands = list(map(table.get, zip(*keys), repeat(())))
+    for mask in key_nulls:
+        if mask is not False:
+            for i in mask.nonzero()[0].tolist():
+                cands[i] = ()
+    if kind == "left":
+        at = idx
+    else:
+        alive = cands if kind != "anti" else map(not_, cands)
+        at = np.fromiter(compress(count(), alive), np.intp)
+        if idx is not None:
+            at = idx[at]
+    rows = _materialize(cols, nulls, at)
+    if kind == "inner":
+        return [row + b for row, bs in zip(rows, filter(None, cands))
+                for b in bs]
+    if kind == "left":
+        return [row + b for row, bs in zip(rows, cands) for b in bs or (pad,)]
+    return rows
 
 
 def _div(numer, denom, denom_null):
@@ -387,6 +425,7 @@ def generate_vector(
         "_obj": _obj,
         "_zip_rows": _zip_rows,
         "_materialize": _materialize,
+        "_probe": _probe,
         "_div": _div,
     }
     em = _KernelEmitter(namespace, schema)
@@ -437,13 +476,20 @@ def generate_vector(
             C.VEC_EMIT_BASE + C.VEC_EMIT_PER_COLUMN * len(items) + expr_cost
         )
     elif spec.sink == "probe":
-        items = [em.column_list(i) for i in range(natts)]
-        em.lines.append(f"    _rows = _zip_rows([{', '.join(items)}])")
-        em.lines.append("    out = []")
-        em.lines.append("    _append = out.append")
-        em.lines.append("    _get = table.get")
-        em.lines.append("    for _r in _rows:")
-        em.lines += emit_probe(spec, "_r[{}]", False, namespace)
+        # Key lanes only; the helper materialises the survivors.  _C2
+        # still prices every selected row, survivor or not: pricing is
+        # kept, and the saving is real-clock only.
+        keys = [em.column_list(i) for i in spec.probe_idx]
+        key_nulls = [em.col(i)[1] for i in spec.probe_idx]
+        args = [
+            repr(spec.join_type), "table", f"[{', '.join(keys)}]",
+            f"[{', '.join(key_nulls)}]", "cols", "nulls",
+            "_idx" if em.gather else "None",
+        ]
+        if spec.join_type == "left":
+            namespace["_PAD"] = [None] * spec.build_width
+            args.append("_PAD")
+        em.lines.append(f"    out = _probe({', '.join(args)})")
         costs["_C2"] = (
             C.VEC_PROBE_PER_ROW + C.VEC_EMIT_PER_COLUMN * natts
         )

@@ -86,8 +86,10 @@ def days_to_date(days: int) -> datetime.date:
 def align_offset(offset: int, alignment: int) -> int:
     """Round *offset* up to the next multiple of *alignment*.
 
-    This is PostgreSQL's ``att_align_nominal``; the generic deform loop
-    executes it per attribute while specialized bees fold it into constants.
+    This is PostgreSQL's ``att_align_nominal``.  A layout computes its
+    cached offsets (``attcacheoff``) with it once; the generic decode
+    realigns inline only past the first varlena or in a tuple with
+    NULLs, and specialized bees fold it into constants.
     """
     return (offset + alignment - 1) & ~(alignment - 1)
 

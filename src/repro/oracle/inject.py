@@ -12,8 +12,9 @@ tier row resolves its generator through its codegen module per call
 (:meth:`repro.bees.drivers.Tier.generate`), for the maker and the pool
 workers alike.  There is one kind per routine family the oracle guards,
 one per tier row of :data:`repro.bees.drivers.TIERS`, and one for the
-chunk cache's tuple identifiers (what a vectorized write trusts) and one
-for the statement front door's hole patching.
+chunk cache's tuple identifiers (what a vectorized write trusts), one
+for the vector probe's survivor gather and one for the statement front
+door's hole patching.
 """
 
 from __future__ import annotations
@@ -115,6 +116,15 @@ def _shifted_tids(original: Callable) -> Callable:
     return patched
 
 
+def _domain_gather(original: Callable) -> Callable:
+    def patched(kind, table, keys, key_nulls, cols, nulls, idx, pad=None):
+        # Survivors' positions are taken as chunk rows: ``hits``, not
+        # ``idx[hits]``.
+        return original(kind, table, keys, key_nulls, cols, nulls, None, pad)
+
+    return patched
+
+
 #: kind -> (module, dotted attribute to patch, wrapper of the original).
 _BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
     "gcl": ("repro.bees.maker", "generate_gcl", _off_by_one_gcl),
@@ -130,6 +140,7 @@ _BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
         "repro.parallel.worker", "_WorkerState.prepare", _qualless_prepare
     ),
     "tids": ("repro.bees.vector.chunks", "_decode", _shifted_tids),
+    "probe": ("repro.bees.vector.codegen", "_probe", _domain_gather),
     "proto": (
         "repro.bees.routines.base", "BeeRoutine.repatch", _stale_first_hole
     ),
@@ -164,6 +175,12 @@ def inject_bug(kind: str) -> Iterator[None]:
       the next refresh — which reads ``tids`` to decide which cached
       rows survive — drops the wrong one.  The N-way lane over the
       write's match plan sees it first; reads behind it diverge too.
+    * ``'probe'`` — the vector join sink looks its keys up over the
+      selected rows, then gathers the survivors at their positions *in
+      that selection* instead of their chunk rows (``hits`` where it
+      means ``idx[hits]``): the index-space mix-up late materialisation
+      invites.  Every probe behind a filter emits the wrong rows; a
+      probe over a whole chunk stays right.
     * ``'proto'`` — a statement served from its shape's query bee
       re-patches every literal hole of the routines its plan reaches
       *but the first*: the plan's constants are this statement's, one

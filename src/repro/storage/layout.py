@@ -97,6 +97,29 @@ class TupleLayout:
         # Cacheable offsets within the *stored* data area.
         self._stored_offsets = self._compute_stored_offsets()
         self._bitmap_bytes = (len(self.stored_attrs) + 7) // 8
+        # decode's per-attribute metadata, read once per layout instead
+        # of per tuple: (attnum, unpack_from or None, BOOL?, attlen,
+        # cached offset or -1, attalign).
+        self._decode_steps = tuple(
+            (
+                attr.attnum,
+                _PACK[attr.sql_type.struct_fmt].unpack_from
+                if attr.sql_type.struct_fmt else None,
+                attr.sql_type.struct_fmt == "B",
+                attr.sql_type.attlen,
+                offset,
+                attr.attalign,
+            )
+            for attr, offset in zip(self.stored_attrs, self._stored_offsets)
+        )
+        self._bee_targets = tuple(
+            (schema.attnum(name), slot) for name, slot in self.bee_slot.items()
+        )
+
+    def __reduce__(self):
+        # Everything else is derived, and some of it (bound struct
+        # methods) does not pickle: a pool worker rebuilds it.
+        return TupleLayout, (self.schema, self.bee_attrs)
 
     def _compute_stored_offsets(self) -> list[int]:
         """Fixed data-area offsets for stored attrs (-1 when not cacheable)."""
@@ -204,6 +227,10 @@ class TupleLayout:
         attributes (in :attr:`bee_attrs` order); pass None for stock tuples.
         This is the reference decoder — the generic ``slot_deform_tuple``
         and the generated GCL routines must agree with it bit for bit.
+
+        Like PostgreSQL's ``attcacheoff``, an attribute before the first
+        varlena of a tuple without NULLs is read at its cached offset;
+        the others realign the running offset.
         """
         natts = self.schema.natts
         values: list = [None] * natts
@@ -217,35 +244,41 @@ class TupleLayout:
         bitmap_start = pos
 
         offset = hoff
-        for i, attr in enumerate(self.stored_attrs):
-            if has_nulls and raw[bitmap_start + (i >> 3)] & (1 << (i & 7)):
-                isnull[attr.attnum] = True
-                continue
-            sql_type = attr.sql_type
-            offset = align_offset(offset, attr.attalign)
-            if sql_type.struct_fmt:
-                (value,) = _PACK[sql_type.struct_fmt].unpack_from(raw, offset)
-                if sql_type.struct_fmt == "B":
+        for i, (attnum, unpack, is_bool, attlen, cached, align) in enumerate(
+            self._decode_steps
+        ):
+            if has_nulls:
+                if raw[bitmap_start + (i >> 3)] & (1 << (i & 7)):
+                    isnull[attnum] = True
+                    continue
+                offset = (offset + align - 1) & -align
+            elif cached >= 0:
+                offset = hoff + cached
+            else:
+                offset = (offset + align - 1) & -align
+            if unpack is not None:
+                (value,) = unpack(raw, offset)
+                if is_bool:
                     value = bool(value)
-                offset += sql_type.attlen
-            elif sql_type.attlen >= 0:
+                offset += attlen
+            elif attlen >= 0:
                 # CHAR(n): trailing pad spaces are insignificant in SQL.
-                value = raw[offset : offset + sql_type.attlen].decode().rstrip(" ")
-                offset += sql_type.attlen
+                value = raw[offset : offset + attlen].decode().rstrip(" ")
+                offset += attlen
             else:
                 (length,) = _VARLEN_STRUCT.unpack_from(raw, offset)
                 start = offset + VARLENA_HEADER_BYTES
                 value = raw[start : start + length].decode()
                 offset += VARLENA_HEADER_BYTES + length
-            values[attr.attnum] = value
+            values[attnum] = value
 
-        if self.bee_attrs:
+        if self._bee_targets:
             if bee_values is None:
                 raise ValueError(
                     f"tuple of {self.schema.name!r} needs data-section values"
                 )
-            for name, slot in self.bee_slot.items():
-                values[self.schema.attnum(name)] = bee_values[slot]
+            for attnum, slot in self._bee_targets:
+                values[attnum] = bee_values[slot]
         return values, isnull
 
     def read_bee_id(self, raw: bytes) -> int:

@@ -82,7 +82,7 @@ FAMILIES: dict[str, Family] = {
         sinks=("groups",),
         calls=frozenset({
             "append", "update", "make_states",
-            "_obj", "_zip_rows", "_materialize", "_div",
+            "_obj", "_zip_rows", "_materialize", "_probe", "_div",
             # numpy surface the kernel emitter uses
             "nonzero", "fromiter", "bool_", "evaluate", "astype",
             "zeros", "array", "where", "isin",
@@ -95,8 +95,8 @@ _NAMED_KINDS = frozenset({"gcl", "gcl_cols", "scl", "idx"})
 
 #: Namespace keys that may bind callables, and what they are.
 _CALLABLE_KEYS = re.compile(
-    r"^(_charge|_slow|_char|_obj|_zip_rows|_materialize|_div|make_states"
-    r"|fn\d+)$"
+    r"^(_charge|_slow|_char|_obj|_zip_rows|_materialize|_probe|_div"
+    r"|make_states|fn\d+)$"
 )
 
 #: Immutable scalar/container types for captured constants.

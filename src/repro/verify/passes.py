@@ -32,10 +32,12 @@ from repro.wagglecheck import selftest as wagglecheck_selftest
 from repro.workloads.tpch.queries import QUERIES
 
 #: Fuzz statements per injected-bug oracle campaign, and the TPC-H
-#: queries (single-table scans of lineitem with a residual qual) the
-#: campaign falls back to when the fuzz stream cannot reach the bug.
+#: queries the campaign falls back to when the fuzz stream cannot reach
+#: the bug: single-table scans of lineitem with a residual qual (q1,
+#: q6), and a join probing a filtered lineitem (q3) — the fuzz stream's
+#: joins filter above the join, never below the probe.
 ORACLE_SELFTEST_STATEMENTS = 60
-ORACLE_SELFTEST_QUERIES = (1, 6)
+ORACLE_SELFTEST_QUERIES = (1, 3, 6)
 
 
 @dataclass(frozen=True)

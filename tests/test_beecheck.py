@@ -332,3 +332,88 @@ def test_report_json_shape(gcl, layout):
         "lint": "ok", "absint": "ok", "costaudit": "ok", "transval": "ok",
         "determinism": "ok",
     }
+
+
+# -- the vector probe sink against HashJoin ----------------------------------
+
+
+_PROBE_LAYOUT = TupleLayout(make_schema("pr", [
+    ("a", INT4), ("k", INT4, True), ("j", INT4, True), ("s", varchar(6)),
+]))
+
+
+def _probe_spec(join_type: str, keys: tuple, qual: str):
+    from repro.bees.pipeline.codegen import PipelineSpec
+
+    cols = [attr.name for attr in _PROBE_LAYOUT.schema.attributes]
+    predicate = {
+        "filtered": E.Cmp("<", E.Col("a"), E.Const(3)),
+        "none": None,
+        "nothing": E.Cmp("=", E.Col("a"), E.Const(None)),   # _NOSEL
+    }[qual]
+    return PipelineSpec(
+        "pr", _PROBE_LAYOUT,
+        qual=None if predicate is None else E.bind(predicate, cols),
+        sink="probe", join_type=join_type,
+        probe_idx=tuple(_PROBE_LAYOUT.schema.attnum(k) for k in keys),
+        build_width=3,
+    )
+
+
+def _vector_probe(spec):
+    from repro.bees.vector.codegen import generate_vector
+
+    return generate_vector(spec, Ledger(), "VEC_probe")
+
+
+@pytest.mark.parametrize("join_type", ["inner", "left", "semi", "anti"])
+@pytest.mark.parametrize("keys", [("k",), ("a",), ("k", "j")],
+                         ids=["nullable", "notnull", "two-key"])
+@pytest.mark.parametrize("qual", ["filtered", "none", "nothing"])
+def test_vector_probe_matches_hash_join(join_type, keys, qual):
+    """Every join type, over nullable and NOT NULL keys, one key and two,
+    a selection, no qualification (no ``_idx``) and an empty selection
+    (``_NOSEL``), each against mixed, all-hit and all-miss builds."""
+    from repro.beecheck.checker import check_vector
+
+    spec = _probe_spec(join_type, keys, qual)
+    routine = _vector_probe(spec)
+    assert ("_NOSEL" in routine.source) == (qual == "nothing")
+    assert ("_idx" in routine.source) == (qual != "none")
+    report = check_vector(routine, spec)
+    assert report.ok, [str(f) for f in report.findings]
+
+
+def test_vector_probe_lane_needs_the_null_key_guard():
+    """The lane probes a table holding entries under NULL-bearing keys:
+    a kernel that skips the null-lane guard (and trusts the build never
+    to store them) matches rows ``HashJoin`` never does."""
+    from repro.beecheck.transval import validate_vector
+    from repro.bees.vector import codegen
+
+    spec = _probe_spec("inner", ("k",), "none")
+    routine = _vector_probe(spec)
+    assert validate_vector(routine, spec) == []
+
+    def unguarded(kind, table, keys, key_nulls, *rest):
+        return codegen._probe(
+            kind, table, keys, [False] * len(key_nulls), *rest
+        )
+
+    routine.namespace["_probe"] = unguarded
+    assert validate_vector(routine, spec)
+
+
+def test_vector_probe_lane_catches_domain_positions():
+    """``inject_bug("probe")``: survivors gathered at their positions in
+    the selection instead of their chunk rows — wrong behind a filter,
+    right over a whole chunk."""
+    from repro.beecheck.transval import validate_vector
+    from repro.oracle import inject_bug
+
+    with inject_bug("probe"):
+        filtered = _probe_spec("inner", ("k",), "filtered")
+        whole = _probe_spec("inner", ("k",), "none")
+        broken = [_vector_probe(filtered), _vector_probe(whole)]
+    assert validate_vector(broken[0], filtered)
+    assert validate_vector(broken[1], whole) == []

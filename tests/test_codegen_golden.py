@@ -5,8 +5,9 @@ sink)/SCL — plus two EVP
 variants, all four EVJ templates, an AGG transition pair, an IDX
 extractor, five fused pipeline bees (filtered rows, tuple-bee
 rows, inner/anti probe, grouped agg), the vector-tier kernels
-generated from the same five pipeline specs, and the morsel workers'
-partial-agg kernel — is pinned byte-for-byte
+generated from the same five pipeline specs plus a left probe (nullable
+key, no qualification) and a semi probe (two keys), and the morsel
+workers' partial-agg kernel — is pinned byte-for-byte
 under ``tests/golden/``.  A codegen change shows
 up as a reviewable diff instead of a silent behavior shift; regenerate
 deliberately with::
@@ -150,6 +151,30 @@ def _pipeline_spec(name: str):
             probe_idx=(layout.schema.attnum("b"),),
             build_width=2,
         )
+    if name == "pipe_probe_semi":
+        # Two key lanes, one selected domain.
+        layout = LAYOUTS["notnull"]
+        cols = [attr.name for attr in layout.schema.attributes]
+        return PipelineSpec(
+            "notnull",
+            layout,
+            qual=E.bind(E.Cmp("<", E.Col("a"), E.Const(10)), cols),
+            sink="probe",
+            join_type="semi",
+            probe_idx=(layout.schema.attnum("a"), layout.schema.attnum("b")),
+            build_width=2,
+        )
+    if name == "pipe_probe_left":
+        # A nullable key lane over every row (no qualification).
+        layout = LAYOUTS["varlena"]
+        return PipelineSpec(
+            "varlena",
+            layout,
+            sink="probe",
+            join_type="left",
+            probe_idx=(layout.schema.attnum("n1"),),
+            build_width=2,
+        )
     if name == "pipe_agg":
         layout = LAYOUTS["notnull"]
         cols = [attr.name for attr in layout.schema.attributes]
@@ -236,6 +261,8 @@ SNAPSHOTS = (
         "vec_rows_ctid",
         "vec_probe_inner",
         "vec_probe_anti",
+        "vec_probe_left",
+        "vec_probe_semi",
         "vec_agg",
     ]
     + ["par_agg"]

@@ -138,6 +138,36 @@ class TestStoredOffsets:
             assert layout.header_size(False) % 8 == 0
             assert layout.header_size(True) % 8 == 0
 
+    def test_cached_offsets_read_what_the_realigning_walk_reads(self):
+        # A NULL-free tuple reads its pre-varlena attributes at their
+        # cached offsets; the same tuple with a NULL realigns every one.
+        schema = make_schema("t", [
+            ("b", BOOL), ("i", INT4), ("d", NUMERIC), ("c", char(3)),
+            ("q", INT8), ("v", varchar(9)), ("j", INT4, True), ("e", NUMERIC),
+        ])
+        layout = TupleLayout(schema)
+        row = [True, -3, 2.5, "ab", 2**40, "hey", 7, -1.0]
+        assert layout.decode(layout.encode(row)) == (row, [False] * 8)
+        isnull = [False] * 6 + [True, False]
+        values, nulls = layout.decode(layout.encode(row, isnull))
+        assert nulls == isnull
+        assert values == row[:6] + [None, -1.0]
+
+    def test_pickles_with_annotated_scalars(self, orders_schema, orders_row):
+        # A pool worker gets the layout by pickle; its derived struct
+        # methods are rebuilt, not pickled.
+        import pickle
+
+        schema = make_schema("t", [("a", INT4), ("g", INT4), ("s", char(2))])
+        annotated = TupleLayout(schema, ("g", "s"))
+        clone = pickle.loads(pickle.dumps(annotated))
+        assert repr(clone) == repr(annotated)
+        raw = clone.encode([5, 6, "x"], bee_id=3)
+        assert clone.decode(raw, (6, "x")) == annotated.decode(raw, (6, "x"))
+        plain = TupleLayout(orders_schema)
+        raw = plain.encode(orders_row)
+        assert pickle.loads(pickle.dumps(plain)).decode(raw) == plain.decode(raw)
+
 
 # -- property-based: arbitrary schemas and values round-trip ------------------
 

@@ -24,7 +24,7 @@ TOOLS = ("beecheck", "swarmcheck", "wagglecheck", "hiveaudit", "resilience",
 #: merging them must not drop one (ROADMAP's condition for the merge).
 INJECTION_CENSUS = {
     "beecheck": 28, "swarmcheck": 13, "wagglecheck": 14, "hiveaudit": 13,
-    "resilience": 3, "oracle": 7,
+    "resilience": 3, "oracle": 8,
 }
 
 
