@@ -56,10 +56,10 @@ class BeeCollector:
     def trim_query_bees(self) -> int:
         """Evict oldest query bees past the budget (insertion order).
 
-        Statements of concurrent sessions trim under shared latches
-        only, so a picked bee may already be gone — evicted by another
-        trim, or checked out; only what this call removed is counted,
-        and the budget is met again by the next quiet trim."""
+        Callers outside the server's gate may trim concurrently, so a
+        picked bee may already be gone — evicted by another trim, or
+        checked out; only what this call removed is counted, and the
+        budget is met again by the next quiet trim."""
         excess = len(self.cache.query_bees) - self.query_bee_budget
         if excess <= 0:
             return 0

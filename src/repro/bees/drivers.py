@@ -220,8 +220,8 @@ class _Parallel(Tier):
     remote = True
 
     def accepts(self, spec: Any) -> bool:
-        """No ctid specs: a match scan runs under its statement's write
-        latch, not on pool workers holding a shipped snapshot."""
+        """No ctid specs: a match scan runs in its writing statement,
+        not on pool workers holding a shipped snapshot."""
         return not spec.ctid
 
     def invoke(

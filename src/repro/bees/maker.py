@@ -73,8 +73,8 @@ class QueryBee:
 
     key: tuple | None
     verb: str                           # select | insert | update | delete
-    kind: str                           # the server's latch class
-    relations: tuple[str, ...]          # ... and the relations it latches
+    kind: str                           # the server's statement class
+    relations: tuple[str, ...]          # ... and the relations it pins
     epoch: int                          # query_epoch it was built under
     binds: list = field(default_factory=list)
     #: SELECT: its plan; UPDATE/DELETE: the ctid match plan.  Unstacked

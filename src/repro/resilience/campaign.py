@@ -23,10 +23,10 @@ recovery, and a *server* lane
 (:mod:`repro.resilience.serverlane`) drives the four ``server=True``
 sites against the Hive Gate front-end under real concurrency.
 :func:`run_self_test` re-runs two sites with the shield *disabled* —
-plus the server harness with its relation latches disabled — to prove
+plus the server harness with its admission gate bypassed — to prove
 the harness reports exactly the failures the defenses exist to prevent
 (escapes for raising routines, silent wrong results for shape bugs,
-torn reads for unlatched writers).
+torn reads for writers that overlap a reader).
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ def run_campaign(
 
     expected = _expected_outcomes(rows)
     results = [
-        # server=True sites need clients and latches; they run in the
+        # server=True sites need clients and a gate; they run in the
         # server lane below, not the single-session site harness.
         run_site(name, rows, expected, seed)
         for name in sites or SITE_NAMES
@@ -396,7 +396,7 @@ def run_self_test(rows, seed: int = 0) -> dict:
 
     Three deliberately *undefended* runs: a raising deform must surface
     as a ChaosFault escape, a wrong-type predicate as silent result
-    mismatches, and — with the server's relation latches disabled — a
+    mismatches, and — with the server's admission gate bypassed — a
     half-applied flip as a torn read.  If any run comes back clean, the
     harness could not have caught a real hole either — the self-test
     fails.
@@ -415,5 +415,7 @@ def run_self_test(rows, seed: int = 0) -> dict:
             "mismatches": result.mismatches,
             "caught": detected,
         }
-    verdicts["server-unlatched"] = serverlane.run_unlatched_selftest(seed)
+    verdicts["server-unserialized"] = serverlane.run_unserialized_selftest(
+        seed
+    )
     return verdicts

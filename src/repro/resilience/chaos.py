@@ -402,16 +402,15 @@ def _arm_server_noop(chaos, _server):
 
 
 @contextmanager
-def _arm_latch_hijack(chaos, server):
-    """Hold the lane table's write latch from outside any session, so
-    every statement touching it exhausts its lock-wait budget."""
-    latch = server.locks.relation_lock.latch(SERVER_LANE_TABLE)
-    latch.acquire_write(None)
-    chaos.fired["server-lock-timeout"] += 1
+def _arm_gate_hold(chaos, server):
+    """Hold the admission gate from outside any session, so every
+    statement exhausts its admission wait budget."""
+    server._admit()
+    chaos.fired["server-gate-held"] += 1
     try:
         yield
     finally:
-        latch.release_write()
+        server._release()
 
 
 @contextmanager
@@ -641,16 +640,17 @@ def _build_sites() -> dict[str, ChaosSite]:
             server=True,
         ),
         ChaosSite(
-            "server-lock-timeout",
-            "a hung writer holds a relation latch past the wait budget",
-            _arm_latch_hijack,
+            "server-gate-held",
+            "a hung statement holds the admission gate past the wait "
+            "budget",
+            _arm_gate_hold,
             arm_with_db=True,
-            evidence=_server_stat_evidence("lock_timeouts"),
+            evidence=_server_stat_evidence("refused"),
             server=True,
         ),
         ChaosSite(
             "server-fsync-fail",
-            "fsync fails during group commit",
+            "fsync fails during a commit",
             _arm_fsync_fail,
             arm_with_db=True,
             evidence=_server_event_evidence("wal_fsync_failed"),

@@ -1,7 +1,7 @@
 """Server lane: Hive Gate chaos under real concurrency.
 
 The campaign's per-site harness is single-session by design; the four
-``server=True`` chaos sites need clients, latches, and a WAL to hurt.
+``server=True`` chaos sites need clients, a gate, and a WAL to hurt.
 Every lane here runs against the same **balanced-pair** scratch
 relation: ``gate_ledger(id, pair, qty)`` holds one ``+q`` and one
 ``-q`` row per pair, so ``SUM(qty) = 0`` is an invariant that every
@@ -13,22 +13,23 @@ gives each lane a self-checking workload:
 * **client disconnect** — sockets reset (``SO_LINGER 0`` → RST) with a
   statement in flight; the server must count the disconnect, close the
   session, keep the invariant, and keep serving other clients.
-* **lock timeout** — a hijacked relation latch must surface as a clean
-  ``LockTimeout`` statement error, never a stuck session; service
-  resumes the moment the latch is released.
-* **fsync failure** — group commit's fsync raises mid-run; durability
+* **gate held** — a statement holding the admission gate must make the
+  next one a clean ``ServerOverloadedError`` refusal after
+  ``admission_timeout``, never a stuck session; service resumes the
+  moment the gate is released.
+* **fsync failure** — a commit's fsync raises mid-run; durability
   degrades (the server says so) while statements keep succeeding, and
   the on-disk WAL stays a valid committed prefix that still recovers.
 * **kill mid-commit** — the WAL is torn at a seeded offset inside the
   final commit group; :func:`~repro.server.wal.recover_database` must
   repair the tear and land exactly on a statement-prefix state.
 
-:func:`run_unlatched_selftest` is the lane's harness proof: with the
-relation latches *disabled* and a drowsy row writer holding a flip half
-done, a concurrent reader must observe the torn state (a non-zero sum
-or a :class:`~repro.server.core.SnapshotViolation`); with latches on,
-the identical schedule must be clean.  A harness that cannot see the
-fault the latches prevent would prove nothing by passing.
+:func:`run_unserialized_selftest` is the lane's harness proof: with
+the admission gate *bypassed* and a drowsy row writer holding a flip
+half done, a concurrent reader must observe the torn state (a non-zero
+sum or a :class:`~repro.server.core.SnapshotViolation`); through the
+gate, the identical schedule must be clean.  A harness that cannot see
+the fault the gate prevents would prove nothing by passing.
 """
 
 from __future__ import annotations
@@ -181,33 +182,34 @@ def _lane_disconnect(seed: int) -> dict:
     }
 
 
-def _lane_lock_timeout(seed: int) -> dict:
-    """A hijacked write latch: statements fail fast with LockTimeout,
-    nothing wedges, service resumes on release."""
-    from repro.server.locks import LockTimeout
+def _lane_gate_held(seed: int) -> dict:
+    """A held admission gate: statements are refused cleanly after the
+    admission wait budget, nothing wedges, service resumes on release."""
+    from repro.server.core import ServerOverloadedError
 
-    site = SITES["server-lock-timeout"]
+    site = SITES["server-gate-held"]
     chaos = ChaosInjector(seed)
-    db, server = _fresh_server(lock_timeout=0.05)
+    db, server = _fresh_server(admission_timeout=0.05)
     failures: list[str] = []
-    timed_out = 0
+    refused = 0
     with server.session() as session:
         with site.arm(chaos, server):
             for sql in (_SUM_SQL, _flip_sql(0)):
                 try:
                     session.sql(sql)
-                except LockTimeout:
-                    timed_out += 1
+                except ServerOverloadedError:
+                    refused += 1
                 except Exception as exc:  # noqa: BLE001 — lane verdict
                     failures.append(
-                        f"expected LockTimeout, got {type(exc).__name__}"
+                        "expected ServerOverloadedError, got "
+                        f"{type(exc).__name__}"
                     )
                 else:
-                    failures.append(f"statement ran under a held latch: {sql}")
-        # Latch released: the same session must work immediately.
+                    failures.append(f"statement ran past a held gate: {sql}")
+        # Gate released: the same session must work immediately.
         try:
             if _sum_via(session) != 0:
-                failures.append("invariant broken after latch release")
+                failures.append("invariant broken after gate release")
             session.sql(_flip_sql(1))
             session.sql(_flip_sql(1))
             if _sum_via(session) != 0:
@@ -218,19 +220,19 @@ def _lane_lock_timeout(seed: int) -> dict:
     stats = server.stats_snapshot()
     db.close()
     if not evidence:
-        failures.append("no lock timeout was ever counted")
+        failures.append("no refusal was ever counted")
     return {
         "description": site.description,
-        "timed_out": timed_out,
+        "timed_out": refused,
         "fired": chaos.fired[site.name],
-        "lock_timeouts": stats["lock_timeouts"],
+        "refused": stats["refused"],
         "failures": failures,
         "ok": not failures,
     }
 
 
 def _lane_fsync_fail(seed: int) -> dict:
-    """Group commit's fsync fails once: durability degrades loudly, the
+    """A commit's fsync fails once: durability degrades loudly, the
     server keeps serving, and the on-disk WAL stays a recoverable
     committed prefix."""
     from repro.server.wal import DataWAL, recover_database
@@ -346,7 +348,7 @@ def run_server_lane(seed: int = 0) -> dict:
     """All four server sites; the campaign's ``server`` section."""
     lanes = {
         "server-client-disconnect": _lane_disconnect,
-        "server-lock-timeout": _lane_lock_timeout,
+        "server-gate-held": _lane_gate_held,
         "server-fsync-fail": _lane_fsync_fail,
         "server-kill-mid-commit": _lane_kill_mid_commit,
     }
@@ -358,16 +360,17 @@ def run_server_lane(seed: int = 0) -> dict:
 # harness self-test
 
 
-def _torn_probe(latching: bool) -> list[str]:
-    """Run one drowsy half-flip with a concurrent reader; returns the
-    detections (torn sums / snapshot violations / reader errors)."""
+def _torn_probe(gated: bool) -> list[str]:
+    """Run one drowsy half-flip with a concurrent reader, each from its
+    own thread; returns the detections (torn sums / snapshot violations
+    / reader errors).  *gated* sends both through ``Session.sql``;
+    otherwise both call the server's ungated ``_run`` directly."""
     import repro.engine.dml as dml
+    from repro.server.core import HiveServer
+    from repro.sql.session import Statement
 
     db = build_gate_db()
-    db.locks.relation_lock.enabled = latching
-    from repro.server.core import HiveServer
-
-    server = HiveServer(db, lock_timeout=5.0)
+    server = HiveServer(db)
     started = threading.Event()
     resume = threading.Event()
     original = dml.RowWriter.write
@@ -379,10 +382,15 @@ def _torn_probe(latching: bool) -> list[str]:
             # One row of the pair is already rewritten and the other
             # deleted (UPDATE stages every new row first, so the window
             # is in the apply loop): this is the torn window.  Hold it
-            # open until the reader has run.
+            # open until the reader has run or queued at the gate.
             started.set()
             resume.wait(timeout=1.5)
         return original(writer_, values, *rest)
+
+    def run(session, sql):
+        if gated:
+            return session.sql(sql)
+        return server._run(session, Statement(db, sql, db.settings), None)
 
     detections: list[str] = []
     writer_error: list[str] = []
@@ -390,24 +398,32 @@ def _torn_probe(latching: bool) -> list[str]:
     def write_flip():
         try:
             with server.session() as session:
-                session.sql(_flip_sql(0))
+                run(session, _flip_sql(0))
         except Exception as exc:  # noqa: BLE001 — probe verdict
             writer_error.append(type(exc).__name__)
+
+    def read_sum():
+        try:
+            with server.session() as session:
+                total = run(session, _SUM_SQL).rows[0][0]
+            if total != 0:
+                detections.append(f"torn-sum({total})")
+        except Exception as exc:  # noqa: BLE001 — probe verdict
+            detections.append(type(exc).__name__)
 
     dml.RowWriter.write = drowsy
     try:
         writer = threading.Thread(target=write_flip)
         writer.start()
         started.wait(timeout=2.0)
-        try:
-            with server.session() as session:
-                total = _sum_via(session)
-            if total != 0:
-                detections.append(f"torn-sum({total})")
-        except Exception as exc:  # noqa: BLE001 — probe verdict
-            detections.append(type(exc).__name__)
-        finally:
-            resume.set()
+        reader = threading.Thread(target=read_sum)
+        reader.start()
+        deadline = time.monotonic() + 2.0
+        while reader.is_alive() and not server._waiting \
+                and time.monotonic() < deadline:
+            time.sleep(0.001)
+        resume.set()
+        reader.join(timeout=5.0)
         writer.join(timeout=5.0)
     finally:
         dml.RowWriter.write = original
@@ -416,16 +432,16 @@ def _torn_probe(latching: bool) -> list[str]:
     return detections
 
 
-def run_unlatched_selftest(seed: int = 0) -> dict:
-    """With relation latches disabled, the probe MUST see the torn
-    half-flip; with latches on, the same schedule must be clean."""
+def run_unserialized_selftest(seed: int = 0) -> dict:
+    """With the admission gate bypassed, the probe MUST see the torn
+    half-flip; through the gate, the same schedule must be clean."""
     del seed  # the probe is event-coordinated, not seeded
-    unlatched = _torn_probe(latching=False)
-    latched = _torn_probe(latching=True)
+    ungated = _torn_probe(gated=False)
+    gated = _torn_probe(gated=True)
     return {
         "expected": "mismatches",
         "escapes": [],
-        "mismatches": unlatched,
-        "latched_detections": latched,
-        "caught": bool(unlatched) and not latched,
+        "mismatches": ungated,
+        "gated_detections": gated,
+        "caught": bool(ungated) and not gated,
     }

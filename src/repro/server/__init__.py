@@ -9,9 +9,6 @@ from __future__ import annotations
 
 _EXPORTS = {
     "HiveLocks": "repro.server.locks",
-    "RWLatch": "repro.server.locks",
-    "RelationLatches": "repro.server.locks",
-    "LockTimeout": "repro.server.locks",
     "DataWAL": "repro.server.wal",
     "GroupCommitter": "repro.server.wal",
     "WALSyncError": "repro.server.wal",

@@ -1,30 +1,29 @@
-"""Hive Gate: the concurrent, fault-tolerant statement server.
+"""Hive Gate: the multi-client, fault-tolerant statement server.
 
 :class:`HiveServer` is the multi-client front-end over one
 :class:`repro.db.Database`.  Every statement gets:
 
-* **admission control** — a bounded wait queue with backpressure: at
-  most ``max_concurrent`` statements execute, at most ``queue_limit``
-  wait, and past that the server *refuses* (``ServerOverloadedError``)
-  rather than building unbounded latency.  Under queue pressure it
-  first degrades gracefully: reads are shed from the parallel tier to
-  the serial vector tier before anything is refused.
-* **snapshot stability** — statement-level isolation: readers take
-  shared per-relation latches, pin each relation's
-  ``(HeapFile.uid, version)`` epoch, and verify the pins after the
-  scan, so a statement never observes a torn write.  Writers take
-  exclusive latches and serialize per relation; DDL takes the catalog
-  latch exclusively.  Latches are acquired in sorted name order
-  (deadlock-free) with a timeout (``LockTimeout`` → clean statement
-  error, never a stuck session).
+* **admission control** — one gate that admits **one** statement at a
+  time, a bounded wait queue with backpressure: at most ``queue_limit``
+  statements wait, and past that — or past ``admission_timeout`` — the
+  server *refuses* (``ServerOverloadedError``) rather than building
+  unbounded latency.  Under queue pressure it first degrades
+  gracefully: reads are shed from the parallel tier to the serial
+  vector tier before anything is refused.
+* **statement-level isolation** — one admitted statement at a time is
+  a serial schedule by construction.  Readers still pin each
+  relation's ``(HeapFile.uid, version)`` epoch and verify the pins
+  after the scan, and every session checks that a relation's version
+  never goes backwards: those tripwires (``SnapshotViolation``) catch a
+  statement that ran outside the gate.
 * **durability** — committed write statements are logged to the data
-  WAL through the group committer (one fsync per batch); an fsync
-  failure degrades durability (the server keeps serving and says so in
-  ``stats()``) instead of corrupting the log.
+  WAL (one fsync per commit); an fsync failure degrades durability
+  (the server keeps serving and says so in ``stats()``) instead of
+  corrupting the log.
 * **a schedule** — every committed statement is recorded with its
   global sequence number and a result fingerprint, so the serialized
   oracle (:func:`repro.server.oracle.replay_schedule`) can replay the
-  whole concurrent history single-threaded and assert equivalence.
+  whole multi-session history single-threaded and assert equivalence.
 
 Sessions (:class:`Session`) are the in-process client API; the socket
 line protocol in :mod:`repro.server.protocol` wraps one session per
@@ -37,7 +36,7 @@ import threading
 from dataclasses import dataclass, fields
 
 from repro.resilience.errors import QueryTimeout
-from repro.server.locks import HiveLocks, LockTimeout
+from repro.server.locks import HiveLocks
 from repro.server.wal import DataWAL, GroupCommitter, WALSyncError
 from repro.sql.session import SQLResult, Statement
 
@@ -62,9 +61,9 @@ class SessionClosedError(ServerError):
 class SnapshotViolation(ServerError):
     """A pinned snapshot epoch moved under a reader (``torn-read``) or
     a relation's version went backwards across a session's statements
-    (``monotonicity``).  Never raised when the relation latches are
-    enabled — it is the tripwire the resilience self-test fires by
-    disabling them."""
+    (``monotonicity``).  Never raised through the admission gate — it is
+    the tripwire the resilience self-test fires by running statements
+    past it."""
 
     def __init__(self, kind: str, relation: str, pinned, observed) -> None:
         super().__init__(
@@ -103,6 +102,9 @@ class ServerStats:
     ddl: int = 0
     errors: int = 0
     timeouts: int = 0
+    # Always 0: the server has no lock wait left to time out.  Kept
+    # because the spine benchmark reads it; a benchmark change retires
+    # it.
     lock_timeouts: int = 0
     snapshot_violations: int = 0
     refused: int = 0
@@ -148,13 +150,14 @@ class Session:
 
 
 class HiveServer:
-    """The concurrent statement front-end over one database.
+    """The multi-client statement front-end over one database.
 
     The server is passive: client threads call :meth:`execute` (via
-    :class:`Session`) and run the statement themselves under the
-    server's admission gate and latches.  Lock order (see
-    docs/SERVER.md): admission gate (``server_lock``) → catalog latch →
-    relation latches (sorted) → subsystem leaf locks.
+    :class:`Session`) and run the statement themselves once the
+    admission gate has admitted it — one statement at a time, so the
+    statement path takes no lock of its own.  Subsystem leaf locks
+    (``server_lock``, ``wal_lock``, ...) are taken innermost (see
+    docs/SERVER.md).
     """
 
     def __init__(
@@ -162,19 +165,15 @@ class HiveServer:
         db,
         wal_path=None,
         *,
-        max_concurrent: int = 8,
         queue_limit: int = 32,
         shed_threshold: int = 2,
-        lock_timeout: float | None = 10.0,
         admission_timeout: float | None = 10.0,
         statement_timeout: float | None = None,
     ) -> None:
         self.db = db
         self.locks: HiveLocks = db.locks
-        self.max_concurrent = max_concurrent
         self.queue_limit = queue_limit
         self.shed_threshold = shed_threshold
-        self.lock_timeout = lock_timeout
         self.admission_timeout = admission_timeout
         self.statement_timeout = statement_timeout
         self.stats = ServerStats()
@@ -190,7 +189,7 @@ class HiveServer:
         self._next_session_id = 0
         self._seq = 0
         self._waiting = 0
-        self._executing = 0
+        self._busy = False
         self._closed = False
         db._server = self
 
@@ -221,7 +220,7 @@ class HiveServer:
 
     @property
     def durability(self) -> str:
-        """``wal`` (group commit active), ``degraded`` (fsync failed,
+        """``wal`` (commits logged), ``degraded`` (fsync failed,
         logging stopped), or ``none`` (no WAL configured)."""
         if self.committer is None:
             return "none"
@@ -240,13 +239,13 @@ class HiveServer:
 
     def execute(self, session: Session, sql: str,
                 timeout: float | None = None) -> SQLResult:
-        """Admit, look up (or parse), latch, run, log, and record one
-        statement — through the same front door as ``db.sql()``
+        """Admit, look up (or parse), run, log, and record one statement
+        — through the same front door as ``db.sql()``
         (:class:`repro.sql.session.Statement`), which is what knows the
-        statement's latch class."""
+        statement's class."""
         budget = self.statement_timeout if timeout is None else timeout
-        shed = self._admit()
         kind = None
+        shed = self._admit()
         try:
             # Under queue pressure the statement runs (and is keyed)
             # without the parallel tier; a write's match plan never fans
@@ -258,24 +257,14 @@ class HiveServer:
                 settings = settings.enabling(parallel=False)
             statement = Statement(self.db, sql, settings)
             kind = statement.kind
-            if kind == "read":
-                if shed:
-                    with self.locks.server_lock:
-                        self.stats.sheds += 1
-                result = self._execute_read(session, statement, budget)
-            elif kind == "write":
-                result = self._execute_write(session, statement, budget)
-            else:
-                result = self._execute_ddl(session, statement, budget)
+            if kind == "read" and shed:
+                with self.locks.server_lock:
+                    self.stats.sheds += 1
+            result = self._run(session, statement, budget)
         except QueryTimeout:
             with self.locks.server_lock:
                 self.stats.errors += 1
                 self.stats.timeouts += 1
-            raise
-        except LockTimeout:
-            with self.locks.server_lock:
-                self.stats.errors += 1
-                self.stats.lock_timeouts += 1
             raise
         except SnapshotViolation:
             with self.locks.server_lock:
@@ -299,35 +288,21 @@ class HiveServer:
         finally:
             self._release()
 
-    def _execute_read(self, session, statement, timeout) -> SQLResult:
-        relations = statement.relations
-        with self.locks.catalog_lock.read(self.lock_timeout):
-            with self.locks.relation_lock.read(relations, self.lock_timeout):
-                pins = self._pin(session, relations)
-                seq = self._next_seq()
-                result = statement.run(timeout)
-                self._verify_pins(session, pins)
-                self._record(seq, session, statement.sql, "read", result)
-                return result
-
-    def _execute_write(self, session, statement, timeout) -> SQLResult:
-        relations = statement.relations
-        with self.locks.catalog_lock.read(self.lock_timeout):
-            with self.locks.relation_lock.write(relations, self.lock_timeout):
-                seq = self._next_seq()
-                result = statement.run(timeout)
-                self._log_write(seq, session, statement.sql)
-                self._pin(session, relations)
-                self._record(seq, session, statement.sql, "write", result)
-                return result
-
-    def _execute_ddl(self, session, statement, timeout) -> SQLResult:
-        with self.locks.catalog_lock.write(self.lock_timeout):
-            seq = self._next_seq()
-            result = statement.run(timeout)
+    def _run(self, session, statement, timeout) -> SQLResult:
+        """Sequence, run, log if not a read, record.  Reached only
+        between :meth:`_admit` and :meth:`_release`, so no other
+        statement runs meanwhile; the pins check that."""
+        reading = statement.kind == "read"
+        pins = self._pin(session, statement.relations) if reading else {}
+        seq = self._next_seq()
+        result = statement.run(timeout)
+        if reading:
+            self._verify_pins(session, pins)
+        else:
             self._log_write(seq, session, statement.sql)
-            self._record(seq, session, statement.sql, "ddl", result)
-            return result
+            self._pin(session, statement.relations)
+        self._record(seq, session, statement.sql, statement.kind, result)
+        return result
 
     # -- snapshot pinning ----------------------------------------------------
 
@@ -352,7 +327,7 @@ class HiveServer:
 
     def _verify_pins(self, session: Session, pins: dict) -> None:
         """Re-read every pinned epoch after the statement: any movement
-        means a writer ran inside our read latch — a torn read."""
+        means a writer ran during our read — a torn read."""
         for name, epoch in pins.items():
             try:
                 heap = self.db.relation(name).heap
@@ -366,10 +341,10 @@ class HiveServer:
     # -- sequencing, WAL, schedule -------------------------------------------
 
     def _next_seq(self) -> int:
-        """Global statement sequence, assigned *after* latch grant — so
-        conflicting statements are sequenced in the order the latches
-        serialized them, which is what makes replay-in-seq-order an
-        equivalent serial history."""
+        """Global statement sequence, assigned *after* admission — so
+        statements are sequenced in the order the gate admitted them,
+        which is what makes replay-in-seq-order an equivalent serial
+        history."""
         with self.locks.server_lock:
             self._seq += 1
             return self._seq
@@ -407,8 +382,8 @@ class HiveServer:
     # -- admission control ---------------------------------------------------
 
     def _admit(self) -> bool:
-        """Wait for an execution slot.  Returns whether the statement
-        should shed to the serial tier (queue pressure)."""
+        """Wait for the gate.  Returns whether the statement should shed
+        to the serial tier (queue pressure)."""
         with self._gate:
             if self._closed:
                 raise ServerClosedError("server is shut down")
@@ -422,22 +397,22 @@ class HiveServer:
                 self.stats.queue_high_water, self._waiting
             )
             try:
-                while self._executing >= self.max_concurrent:
+                while self._busy:
                     if not self._gate.wait(self.admission_timeout):
                         self.stats.refused += 1
                         raise ServerOverloadedError(
-                            "timed out waiting for an execution slot"
+                            "timed out waiting for the gate"
                         )
                     if self._closed:
                         raise ServerClosedError("server is shut down")
-                self._executing += 1
+                self._busy = True
                 return self._waiting > self.shed_threshold
             finally:
                 self._waiting -= 1
 
     def _release(self) -> None:
         with self._gate:
-            self._executing -= 1
+            self._busy = False
             self._gate.notify()
 
     def note_disconnect(self) -> None:

@@ -1,9 +1,9 @@
-"""Serialized oracle: replay a concurrent schedule single-threaded.
+"""Serialized oracle: replay a multi-session schedule single-threaded.
 
 The server records every committed statement as a
 :class:`~repro.server.core.ScheduleEntry` — global sequence number
-(assigned after latch grant, i.e. in the order the latches serialized
-conflicting statements) plus a fingerprint of its result.  The oracle
+(assigned after admission, i.e. in the order the gate admitted the
+statements) plus a fingerprint of its result.  The oracle
 replays the same SQL in sequence order on a *fresh* single-threaded
 database and asserts every fingerprint matches: if the concurrent run
 ever returned rows a serial execution could not have produced (a torn

@@ -1,4 +1,4 @@
-"""Durable DML: a statement-level data WAL with group commit.
+"""Durable DML: a statement-level data WAL, fsynced per commit.
 
 The server logs every committed write statement (DML and DDL) to a
 :class:`DataWAL` — the same CRC-framed, COMMIT-marked, torn-tail-
@@ -8,19 +8,16 @@ extended with real ``os.fsync`` durability.  Records are *logical*:
 SQL in sequence order on a fresh base reproduces the database, which is
 exactly what :func:`recover_database` does after a crash.
 
-**Group commit** (:class:`GroupCommitter`): concurrent committers
-enqueue their records under one condition variable; the first waiter
-elects itself leader, drains the whole queue, writes the batch plus a
-single COMMIT marker, and pays *one* fsync for every statement in the
-group.  Followers just wait for their ticket to be flushed.  This is
-the classic leader/follower protocol — fsync cost is amortized across
-whatever concurrency the moment offers, and a crash between groups
-loses only un-fsynced statements, never tears a committed one.
+**Commit** (:class:`GroupCommitter`): the server admits one statement
+at a time, so a commit is one group of one record: the record and its
+COMMIT marker are written in one append and sealed by one fsync, under
+``wal_lock``.  A crash between commits loses only an un-fsynced
+statement, never tears a committed one.
 
-An fsync failure poisons the committer: the current group's committers
-see :class:`WALSyncError`, and the server degrades durability (keeps
-serving, stops logging) rather than pretending the disk still promises
-anything.  The on-disk file remains a valid committed prefix.
+An fsync failure poisons the committer: that commit and every later
+one see :class:`WALSyncError`, and the server degrades durability
+(keeps serving, stops logging) rather than pretending the disk still
+promises anything.  The on-disk file remains a valid committed prefix.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from repro.bees.walcache import WALFile, _encode_record
 
 
 class WALSyncError(Exception):
-    """The group leader's write or fsync failed; durability is gone."""
+    """A commit's write or fsync failed; durability is gone."""
 
 
 class DataWAL(WALFile):
@@ -75,89 +72,40 @@ class DataWAL(WALFile):
 
 
 class GroupCommitter:
-    """Leader/follower fsync batching over a :class:`DataWAL`.
+    """Fsync-per-commit over a :class:`DataWAL`, poisoned on failure.
 
-    ``commit(record)`` blocks until *record* is on disk (or raises
-    :class:`WALSyncError`).  All bookkeeping fields are guarded by
-    *lock* — the database's materialized ``wal_lock`` — which also
-    backs the condition variable, so the swarmcheck registry's
-    ``wal_lock`` guard is literally the lock these writes happen under.
-    The leader performs the file write *outside* the lock (followers
-    must be able to enqueue into the next group meanwhile); mutual
-    exclusion of writers is the leadership flag itself.
+    ``commit(record)`` returns once *record* is on disk, or raises
+    :class:`WALSyncError`.  The append and every bookkeeping field are
+    guarded by *lock* — the database's materialized ``wal_lock`` — so
+    the swarmcheck registry's ``wal_lock`` guard is literally the lock
+    these writes happen under.
     """
 
     def __init__(self, wal: DataWAL, lock=None) -> None:
         self.wal = wal
-        self._cond = threading.Condition(lock or threading.RLock())
-        self._pending: list[dict] = []
-        self._ticket = 0
-        self._flushed = 0        # highest ticket whose group was attempted
-        self._flushed_ok = 0     # highest ticket actually on disk
-        self._leader = False
+        self._lock = lock or threading.RLock()
         self._broken: Exception | None = None
-        self.batches = 0
         self.records_logged = 0
-        self.max_batch = 0
 
     def commit(self, record: dict) -> None:
-        with self._cond:
+        with self._lock:
             if self._broken is not None:
                 raise WALSyncError("data WAL is broken") from self._broken
-            self._ticket += 1
-            ticket = self._ticket
-            self._pending.append(record)
-            while self._flushed < ticket and self._leader:
-                self._cond.wait()
-            if self._flushed >= ticket:
-                if ticket <= self._flushed_ok:
-                    return
-                raise WALSyncError(
-                    "group fsync failed"
-                ) from self._broken
-            self._leader = True
-        self._lead(ticket)
-
-    def _lead(self, ticket: int) -> None:
-        """Leadership loop: flush groups until the queue drains."""
-        failed: Exception | None = None
-        while True:
-            with self._cond:
-                batch = self._pending
-                high = self._ticket
-                self._pending = []
-                if not batch:
-                    self._leader = False
-                    self._cond.notify_all()
-                    if failed is not None or self._broken is not None:
-                        raise WALSyncError(
-                            "group fsync failed"
-                        ) from (failed or self._broken)
-                    return
-            error: Exception | None = None
             try:
-                self.wal.append_group(batch)
+                self.wal.append_group([record])
             except OSError as exc:
-                error = exc
-            with self._cond:
-                self._flushed = high
-                if error is None:
-                    self._flushed_ok = high
-                    self.batches += 1
-                    self.records_logged += len(batch)
-                    self.max_batch = max(self.max_batch, len(batch))
-                else:
-                    self._broken = error
-                    failed = error
-                self._cond.notify_all()
+                self._broken = exc
+                raise WALSyncError("commit fsync failed") from exc
+            self.records_logged += 1
 
     def stats(self) -> dict:
-        with self._cond:
+        """Group-commit counters; every commit is a batch of one."""
+        with self._lock:
             return {
-                "batches": self.batches,
+                "batches": self.records_logged,
                 "fsyncs": self.wal.fsyncs,
                 "records": self.records_logged,
-                "max_batch": self.max_batch,
+                "max_batch": min(self.records_logged, 1),
                 "broken": self._broken is not None,
             }
 

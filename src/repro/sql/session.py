@@ -96,9 +96,8 @@ def _collect_tables(node, names: set[str]) -> None:
 def classify_statement(stmt) -> tuple[str, tuple[str, ...]]:
     """``(kind, relations)`` for a parsed statement.
 
-    *kind* is ``read`` (shared latches), ``write`` (exclusive relation
-    latches, WAL-logged), or ``ddl`` (exclusive catalog latch,
-    WAL-logged).
+    *kind* is ``read`` (snapshot-pinned by the server), ``write``
+    (WAL-logged), or ``ddl`` (WAL-logged).
     """
     if isinstance(stmt, ast.ExplainStmt) and not isinstance(
         stmt.statement, ast.SelectStmt
@@ -272,13 +271,13 @@ class Statement:
     """One ``db.sql()`` / server statement, from look-up to check-in.
 
     Construction lifts the literals and *peeks* at the shape's query bee
-    for the statement's latch class (:attr:`kind`, :attr:`relations`),
+    for the statement's class (:attr:`kind`, :attr:`relations`),
     parsing only when there is none.  :meth:`run` takes the bee out of
     the cache for the duration of the execution — an atomic ``dict.pop``,
     so a concurrent statement of the same shape finds nothing, builds
     its own and both are put back — binds it and runs it; the server
-    calls it with its latches held, so no DDL runs between a check-out
-    and its check-in.  *settings* is the statement's effective
+    calls it with its admission gate held, so no other statement runs
+    between a check-out and its check-in.  *settings* is the statement's effective
     :class:`BeeSettings` (``None``: the database's): part of the key,
     and what :meth:`run` executes under.
     """

@@ -12,14 +12,14 @@ server exists:
 2. **Guarded writes.**  In the server modules, every write to a field
    whose registry guard is a real lock must sit lexically inside a
    ``with`` over that lock (``self._gate`` counts for ``server_lock``
-   and ``self._cond`` for ``wal_lock`` — both are condition variables
-   *backed by* those locks).  Constructors are exempt: the object is
-   unpublished.
-3. **Engine under latch.**  Every ``statement.run`` call in the server
-   core — the query-bee check-out, the execution and the check-in —
-   must execute under the catalog latch, with the relation-latch mode
-   matching the statement class: shared for reads, exclusive for
-   writes, exclusive *catalog* latch for DDL.
+   — a condition variable *backed by* it — and ``self._lock`` for
+   ``wal_lock``, the committer's handle on it).  Constructors are
+   exempt: the object is unpublished.
+3. **Engine behind the gate.**  Every ``statement.run`` call in the
+   server core — the query-bee check-out, the execution and the
+   check-in — must be reached only between ``_admit()`` and
+   ``_release()``: that is what the ``gate`` pseudo-guard of every
+   catalog, storage and bee-module entry promises.
 4. **Sync before commit.**  The WAL group append must invoke the
    ``_sync`` durability hook before returning, and the data WAL's
    ``_sync`` must be a real ``os.fsync`` — a group commit that never
@@ -40,20 +40,12 @@ from repro.verify.report import Finding
 SERVER_MODULES = ("server/core.py", "server/wal.py", "server/locks.py")
 
 #: Lock name -> context-manager spellings that prove the lock is held.
-#: The condition variables are constructed over the named locks, so a
-#: ``with self._gate`` / ``with self._cond`` block holds them.
+#: The gate's condition variable is constructed over ``server_lock``
+#: and the committer's ``_lock`` is ``wal_lock``, so a
+#: ``with self._gate`` / ``with self._lock`` block holds them.
 GUARD_ALIASES: dict[str, tuple[str, ...]] = {
     "server_lock": ("server_lock", "_gate"),
-    "wal_lock": ("wal_lock", "_cond"),
-}
-
-#: Relation-latch mode each statement-runner method must hold around
-#: its ``statement.run`` call (all of them also need the catalog
-#: latch, shared by default).
-_LATCH_MODES = {
-    "_execute_read": "relation_lock.read",
-    "_execute_write": "relation_lock.write",
-    "_execute_ddl": "catalog_lock.write",
+    "wal_lock": ("wal_lock", "_lock"),
 }
 
 
@@ -139,50 +131,58 @@ def _check_guarded_writes(source, registry, findings: list) -> int:
     return checked
 
 
-def _check_latched_execution(source, findings: list) -> int:
-    """Every ``statement.run`` call sits under the catalog latch and
-    the relation-latch mode its statement class requires.  The run is
-    also where the statement's query bee is checked out and back in, so
-    no DDL (exclusive catalog latch) can evict between the two."""
+def _self_calls(nodes) -> list[str]:
+    """Names of the ``self.<method>(...)`` calls under *nodes*."""
+    return [
+        call.func.attr
+        for node in nodes for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and ast.unparse(call.func.value) == "self"
+    ]
+
+
+def _check_gated_execution(source, findings: list) -> int:
+    """Every ``statement.run`` call is reached only between the gate's
+    ``_admit()`` and ``_release()``: it sits in a method that is called
+    only from ``execute``'s ``try`` entered right after ``_admit()`` and
+    closed by a ``finally`` that calls ``_release()``.  The run is also
+    where the statement's query bee is checked out and back in, so no
+    other statement can evict between the two."""
     tree = source.tree("server/core.py")
-    ranges = _with_ranges(tree)
+    methods = {
+        fn.name: fn for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "HiveServer"
+        for fn in node.body if isinstance(fn, ast.FunctionDef)
+    }
+    body = methods["execute"].body if "execute" in methods else []
+    gated: list[str] = []
+    for before, node in zip(body, body[1:]):
+        if isinstance(node, ast.Try) and "_admit" in _self_calls([before]) \
+                and "_release" in _self_calls(node.finalbody):
+            gated += _self_calls(node.body)
+    everywhere = _self_calls(methods.values())
     calls = 0
-    for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef):
-            continue
+    for fn in methods.values():
         for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            name = (
-                node.func.id if isinstance(node.func, ast.Name)
-                else getattr(node.func, "attr", None)
-            )
-            if name != "run" or fn.name not in _LATCH_MODES:
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "run"):
                 continue
             calls += 1
-            held = _held_at(ranges, node.lineno)
-            if not any("catalog_lock." in text for text in held):
+            if fn.name not in gated \
+                    or everywhere.count(fn.name) != gated.count(fn.name):
                 findings.append(Finding(
                     "locks", fn.name,
-                    "statement.run executes outside the catalog latch",
+                    f"statement.run in {fn.name} is reached outside the "
+                    "gate — only a method that execute alone calls "
+                    "between _admit() and _release() may run a statement",
                     "server/core.py", node.lineno,
                 ))
-            needed = _LATCH_MODES[fn.name]
-            if not any(needed in text for text in held):
-                findings.append(Finding(
-                    "locks", fn.name,
-                    f"statement.run in {fn.name} does not hold "
-                    f"`{needed}` — its statement class requires it "
-                    "(shared latches for reads, exclusive for writes, "
-                    "exclusive catalog for DDL)",
-                    "server/core.py", node.lineno,
-                ))
-    if calls < len(_LATCH_MODES):
+    if calls == 0:
         findings.append(Finding(
             "locks", "HiveServer",
-            f"expected a statement.run call in each of "
-            f"{sorted(_LATCH_MODES)}, found {calls} — the statement "
-            "runner was restructured; update the locks pass",
+            "found no statement.run call — the statement runner was "
+            "restructured; update the locks pass",
             "server/core.py",
         ))
     return calls
@@ -235,12 +235,12 @@ def run_locks(
     findings: list[Finding] = []
     resolution = _check_resolution(registry, findings)
     writes_checked = _check_guarded_writes(source, registry, findings)
-    latched_calls = _check_latched_execution(source, findings)
+    gated_calls = _check_gated_execution(source, findings)
     _check_durability_chain(source, findings)
     stats = {
         "declared_guards": resolution["declared_guards"],
         "materialized": resolution["materialized"],
         "guarded_writes_checked": writes_checked,
-        "latched_run_sites": latched_calls,
+        "gated_run_sites": gated_calls,
     }
     return findings, stats

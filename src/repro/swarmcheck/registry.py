@@ -75,9 +75,8 @@ REGISTRY: tuple[SharedState, ...] = (
             "versions and per-page slot counts it was built at; the "
             "chunk's sorted tids are its row -> page -> slot map); a "
             "refresh masks dead rows and appends the tuples born since "
-            "into a *new* entry under the lock (and the reader's "
-            "relation latch), arrays are read-only after insertion "
-            "(escape pass)"),
+            "into a *new* entry under the lock, arrays are read-only "
+            "after insertion (escape pass)"),
     _shared("ChunkCache", "hits", "chunk_lock", "-"),
     _shared("ChunkCache", "misses", "chunk_lock", "-"),
     _shared("ChunkCache", "pages_decoded", "chunk_lock", "-"),
@@ -86,39 +85,39 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("ChunkCache", "rows_reused", "chunk_lock", "-"),
 
     # -- bee module memo caches ---------------------------------------------
-    _shared("GenericBeeModule", "_evp_by_expr", "hive_lock",
+    _shared("GenericBeeModule", "_evp_by_expr", "gate",
             "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_evj_by_shape", "hive_lock",
+    _shared("GenericBeeModule", "_evj_by_shape", "gate",
             "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_agg_by_specs", "hive_lock",
+    _shared("GenericBeeModule", "_agg_by_specs", "gate",
             "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_agg_counter", "hive_lock", "-",
+    _shared("GenericBeeModule", "_agg_counter", "gate", "-",
             "name counter for generated AGG routines"),
-    _shared("GenericBeeModule", "_idx_by_index", "hive_lock",
+    _shared("GenericBeeModule", "_idx_by_index", "gate",
             "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_fused_by_node", "hive_lock",
+    _shared("GenericBeeModule", "_fused_by_node", "gate",
             "GenericBeeModule.query_epoch",
             "fused-driver routines of every tier; bounded, oldest-first"),
-    _shared("*", "memo", "hive_lock", "GenericBeeModule.query_epoch",
+    _shared("*", "memo", "gate", "GenericBeeModule.query_epoch",
             "parameter view of the EVP/AGG/fused memos above inside the "
             "one bounded-insert helper (_remember); same lock as the "
             "memo it was handed"),
-    _shared("CodeCache", "_code", "hive_lock", "-",
+    _shared("CodeCache", "_code", "gate", "-",
             "proto-bee code objects keyed by generated source text; the "
             "key is the artifact, so no epoch invalidates it; bounded, "
             "oldest-first"),
-    _shared("CodeCache", "compiles", "hive_lock", "-"),
-    _shared("CodeCache", "hits", "hive_lock", "-"),
-    _shared("GenericBeeModule", "query_epoch", "hive_lock", "-",
+    _shared("CodeCache", "compiles", "gate", "-"),
+    _shared("CodeCache", "hits", "gate", "-"),
+    _shared("GenericBeeModule", "query_epoch", "gate", "-",
             "the invalidation epoch itself"),
-    _shared("*", "executed", "hive_lock", "-",
+    _shared("*", "executed", "gate", "-",
             "GenericBeeModule.executed: per-tier count of fused drivers "
             "that ran their routine (the scanner cannot pin the class "
             "behind ``ctx.bees``)"),
-    _shared("GenericBeeModule", "statement_hits", "hive_lock", "-",
+    _shared("GenericBeeModule", "statement_hits", "gate", "-",
             "statement front door outcomes (db.stats()['statements'])"),
-    _shared("GenericBeeModule", "statement_misses", "hive_lock", "-"),
-    _shared("GenericBeeModule", "statement_declined", "hive_lock", "-"),
+    _shared("GenericBeeModule", "statement_misses", "gate", "-"),
+    _shared("GenericBeeModule", "statement_declined", "gate", "-"),
 
     # -- resilience registry -------------------------------------------------
     _shared("ResilienceRegistry", "_health", "resilience_lock", "-",
@@ -139,65 +138,64 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("Database", "_deadline", "session", "-",
             "per-statement timeout deadline"),
 
-    _shared("Database", "_relations", "catalog_lock", "HeapFile.version",
+    _shared("Database", "_relations", "gate", "HeapFile.version",
             "name -> Relation runtime mirror of the catalog; mutated by "
             "DDL via catalog listeners"),
 
     # -- catalog -------------------------------------------------------------
-    _shared("Catalog", "_relations", "catalog_lock", "HeapFile.version",
+    _shared("Catalog", "_relations", "gate", "HeapFile.version",
             "relation name -> Relation; DDL only"),
-    _shared("Catalog", "_relids", "catalog_lock", "-"),
-    _shared("Catalog", "_next_relid", "catalog_lock", "-"),
-    _shared("AnnotationSet", "_by_relation", "catalog_lock", "-",
+    _shared("Catalog", "_relids", "gate", "-"),
+    _shared("Catalog", "_next_relid", "gate", "-"),
+    _shared("AnnotationSet", "_by_relation", "gate", "-",
             "relation -> value-distribution annotations (ANALYZE)"),
 
     # -- relations and their storage ----------------------------------------
-    _shared("Relation", "heap", "relation_lock", "HeapFile.version",
+    _shared("Relation", "heap", "gate", "HeapFile.version",
             "heap swap on VACUUM"),
-    _shared("Relation", "indexes", "relation_lock", "HeapFile.version",
+    _shared("Relation", "indexes", "gate", "HeapFile.version",
             "index rebuild on VACUUM / CREATE INDEX"),
-    _shared("Relation", "bee", "relation_lock", "-",
+    _shared("Relation", "bee", "gate", "-",
             "relation bee slot; replaced on ALTER"),
-    _shared("Relation", "_index_keys", "relation_lock", "-",
+    _shared("Relation", "_index_keys", "gate", "-",
             "index name -> key attnums; CREATE INDEX only"),
-    _shared("Relation", "_idx_routines", "relation_lock", "-",
+    _shared("Relation", "_idx_routines", "gate", "-",
             "index name -> IDX extractor routine; CREATE INDEX only"),
-    _shared("HeapFile", "pages", "relation_lock", "HeapFile.version",
+    _shared("HeapFile", "pages", "gate", "HeapFile.version",
             "page list append/extend under DML"),
-    _shared("HeapFile", "live_count", "relation_lock", "-"),
-    _shared("HeapFile", "version", "relation_lock", "-",
+    _shared("HeapFile", "live_count", "gate", "-"),
+    _shared("HeapFile", "version", "gate", "-",
             "the storage invalidation epoch itself"),
-    _shared("HeapFile", "page_versions", "relation_lock",
+    _shared("HeapFile", "page_versions", "gate",
             "HeapFile.version",
-            "per-page mutation counters, bumped with version under the "
-            "relation write latch; the chunk cache patches by them"),
-    _shared("HeapPage", "data", "relation_lock", "HeapFile.version",
+            "per-page mutation counters, bumped with version by the "
+            "writing statement; the chunk cache patches by them"),
+    _shared("HeapPage", "data", "gate", "HeapFile.version",
             "slotted-page byte mutation under DML"),
-    _shared("HeapPage", "upper", "relation_lock", "HeapFile.version"),
-    _shared("HeapPage", "lower", "relation_lock", "HeapFile.version"),
-    _shared("HeapPage", "nslots", "relation_lock", "HeapFile.version"),
-    _shared("BTreeIndex", "_keys", "relation_lock", "HeapFile.version"),
-    _shared("BTreeIndex", "_tids", "relation_lock", "HeapFile.version"),
-    _shared("BTreeIndex", "_seq", "relation_lock", "HeapFile.version"),
-    _shared("HashIndex", "_buckets", "relation_lock", "HeapFile.version"),
+    _shared("HeapPage", "upper", "gate", "HeapFile.version"),
+    _shared("HeapPage", "lower", "gate", "HeapFile.version"),
+    _shared("HeapPage", "nslots", "gate", "HeapFile.version"),
+    _shared("BTreeIndex", "_keys", "gate", "HeapFile.version"),
+    _shared("BTreeIndex", "_tids", "gate", "HeapFile.version"),
+    _shared("BTreeIndex", "_seq", "gate", "HeapFile.version"),
+    _shared("HashIndex", "_buckets", "gate", "HeapFile.version"),
 
     # -- bee lifecycle -------------------------------------------------------
-    _shared("BeeCache", "relation_bees", "hive_lock",
+    _shared("BeeCache", "relation_bees", "gate",
             "GenericBeeModule.query_epoch",
             "relation -> installed GCL/SCL routines"),
-    _shared("BeeCache", "query_bees", "hive_lock",
+    _shared("BeeCache", "query_bees", "gate",
             "GenericBeeModule.query_epoch",
             "statement shape key -> QueryBee.  A statement takes its "
             "shape's bee out with one atomic dict.pop (check-out), owns "
             "it while it runs, and stores it back (check-in); the "
-            "server does both inside Statement.run, under the "
-            "statement's latches, so no DDL — which clears the dict "
-            "(ALTER) or deletes the relation's entries (DROP) under the "
-            "exclusive catalog latch — runs in between.  Statements of "
-            "other sessions do: every step is one atomic dict "
-            "operation, and eviction (the budget trim, the check-in "
-            "replacing a twin) pops with a default, so a bee another "
-            "session already took or evicted is skipped, not an error"),
+            "server does both inside Statement.run, between admission "
+            "and release, so no other statement — DDL that clears the "
+            "dict (ALTER) or deletes the relation's entries (DROP) "
+            "included — runs in between.  Eviction (the budget trim, "
+            "the check-in replacing a twin) still pops with a default, "
+            "so a bee already taken or evicted is skipped, not an "
+            "error"),
     _shared("QueryBee", "key", "check-out",
             "GenericBeeModule.query_epoch",
             "set once, by the statement that built the bee, before it "
@@ -214,22 +212,22 @@ REGISTRY: tuple[SharedState, ...] = (
             "GenericBeeModule.query_epoch",
             "repatch re-reads a memoized routine's literal holes from "
             "the plan constants its owner just re-bound"),
-    _shared("BeeCollector", "collected_relation_bees", "hive_lock", "-",
+    _shared("BeeCollector", "collected_relation_bees", "gate", "-",
             "uninstalled-routine graveyard (HSR reuse)"),
-    _shared("BeeCollector", "collected_query_bees", "hive_lock", "-"),
-    _shared("BeeMaker", "_evp_counter", "hive_lock", "-"),
-    _shared("BeeMaker", "_evj_counter", "hive_lock", "-"),
-    _shared("BeeMaker", "_fused_counter", "hive_lock", "-",
+    _shared("BeeCollector", "collected_query_bees", "gate", "-"),
+    _shared("BeeMaker", "_evp_counter", "gate", "-"),
+    _shared("BeeMaker", "_evj_counter", "gate", "-"),
+    _shared("BeeMaker", "_fused_counter", "gate", "-",
             "tier prefix -> fused routines named so far"),
-    _shared("DataSectionStore", "_slabs", "hive_lock", "-",
+    _shared("DataSectionStore", "_slabs", "gate", "-",
             "data-section slab allocator"),
-    _shared("*", "slab", "hive_lock", "-",
+    _shared("*", "slab", "gate", "-",
             "element view of DataSectionStore._slabs (from _slab_slot); "
             "same lock as the slab list itself"),
-    _shared("DataSectionStore", "_by_key", "hive_lock", "-"),
-    _shared("DataSectionStore", "_shadow", "hive_lock", "-"),
-    _shared("DataSectionStore", "count", "hive_lock", "-"),
-    _shared("DataSectionStore", "overflowed", "hive_lock", "-"),
+    _shared("DataSectionStore", "_by_key", "gate", "-"),
+    _shared("DataSectionStore", "_shadow", "gate", "-"),
+    _shared("DataSectionStore", "count", "gate", "-"),
+    _shared("DataSectionStore", "overflowed", "gate", "-"),
     _shared("BeeHealth", "quarantined", "resilience_lock", "-"),
     _shared("BeeHealth", "probing", "resilience_lock", "-"),
     _shared("BeeHealth", "quarantines", "resilience_lock", "-"),
@@ -274,10 +272,11 @@ REGISTRY: tuple[SharedState, ...] = (
     # -- server: sessions, admission, schedule, data WAL ---------------------
     # The Hive Gate server (PR 10) is what finally *takes* the guards
     # declared above: ``repro.server.locks.HiveLocks`` materializes every
-    # guard name into a live lock, and the ``locks`` pass certifies the
-    # resolution in both directions.  ``session`` remains the
-    # session-confinement pseudo-guard; ``latch-internal`` marks fields
-    # mutated under the latch's own condition-variable lock.
+    # lock guard name into a live lock, and the ``locks`` pass certifies
+    # the resolution in both directions.  ``gate`` is the one-statement-
+    # at-a-time pseudo-guard: the server's admission gate admits one
+    # statement, so state only a statement touches needs no lock.
+    # ``session`` remains the session-confinement pseudo-guard.
     _shared("Database", "_server", "session", "-",
             "attached HiveServer handle; wired at server construction, "
             "cleared by close() — only the owning thread does either"),
@@ -289,12 +288,13 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("Session", "_last_versions", "session", "-",
             "relation -> (heap uid, version) snapshot-monotonicity pins"),
     _shared("HiveServer", "_seq", "server_lock", "-",
-            "global statement sequence, assigned after latch grant"),
+            "global statement sequence, assigned after admission"),
     _shared("HiveServer", "_waiting", "server_lock", "-"),
-    _shared("HiveServer", "_executing", "server_lock", "-"),
+    _shared("HiveServer", "_busy", "server_lock", "-",
+            "the gate's one slot: a statement is admitted"),
     _shared("HiveServer", "_closed", "server_lock", "-"),
     _shared("HiveServer", "_durable", "server_lock", "-",
-            "flips to False when a group fsync fails (degraded mode)"),
+            "flips to False when a commit fsync fails (degraded mode)"),
     _shared("HiveServer", "_sessions", "server_lock", "-"),
     _shared("HiveServer", "_next_session_id", "server_lock", "-"),
     _shared("HiveServer", "schedule", "server_lock", "-",
@@ -307,39 +307,22 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("ServerStats", "ddl", "server_lock", "-"),
     _shared("ServerStats", "errors", "server_lock", "-"),
     _shared("ServerStats", "timeouts", "server_lock", "-"),
-    _shared("ServerStats", "lock_timeouts", "server_lock", "-"),
     _shared("ServerStats", "snapshot_violations", "server_lock", "-"),
     _shared("ServerStats", "refused", "server_lock", "-"),
     _shared("ServerStats", "sheds", "server_lock", "-"),
     _shared("ServerStats", "disconnects", "server_lock", "-"),
     _shared("ServerStats", "wal_failures", "server_lock", "-"),
     _shared("ServerStats", "queue_high_water", "server_lock", "-"),
-    _shared("GroupCommitter", "_pending", "wal_lock", "-",
-            "the forming group; wal_lock backs the condition variable"),
-    _shared("GroupCommitter", "_ticket", "wal_lock", "-"),
-    _shared("GroupCommitter", "_flushed", "wal_lock", "-",
-            "highest ticket whose group flush was attempted"),
-    _shared("GroupCommitter", "_flushed_ok", "wal_lock", "-",
-            "highest ticket actually durable on disk"),
-    _shared("GroupCommitter", "_leader", "wal_lock", "-"),
     _shared("GroupCommitter", "_broken", "wal_lock", "-",
             "poison: the exception that ended durability"),
-    _shared("GroupCommitter", "batches", "wal_lock", "-"),
     _shared("GroupCommitter", "records_logged", "wal_lock", "-"),
-    _shared("GroupCommitter", "max_batch", "wal_lock", "-"),
-    _shared("DataWAL", "_chaos_fsync_fail", "group-leader", "-",
-            "one-shot chaos hook: fail the next N fsyncs; armed before "
-            "the run, consumed inside the leader's flush"),
-    _shared("DataWAL", "fsyncs", "group-leader", "-",
-            "bumped inside the leader's flush, which runs the file "
-            "write outside wal_lock — leadership is the exclusion"),
-    _shared("RWLatch", "_readers", "latch-internal", "-"),
-    _shared("RWLatch", "_writer", "latch-internal", "-"),
-    _shared("RWLatch", "_writers_waiting", "latch-internal", "-"),
-    _shared("RelationLatches", "_latches", "latch-internal", "-",
-            "name -> RWLatch, populated under the manager's own guard"),
+    _shared("DataWAL", "_chaos_fsync_fail", "gate", "-",
+            "one-shot chaos hook: fail the next N fsyncs; armed between "
+            "statements, consumed inside the admitted statement's commit"),
+    _shared("DataWAL", "fsyncs", "gate", "-",
+            "bumped inside the admitted statement's commit"),
 
-    _shared("*", "epoch", "hive_lock", "GenericBeeModule.query_epoch",
+    _shared("*", "epoch", "gate", "GenericBeeModule.query_epoch",
             "query-epoch stamp written onto routines at memo time"),
 )
 

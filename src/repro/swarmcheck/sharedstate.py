@@ -96,7 +96,7 @@ EXEC_MODULES: tuple[str, ...] = (
     "storage/layout.py",
     "storage/index.py",
     "storage/page.py",
-    # Hive Gate server core: admission, latching, sequencing, data WAL.
+    # Hive Gate server core: admission, sequencing, data WAL.
     # protocol.py stays out deliberately — the socket shell does no
     # engine writes (its one counter goes through
     # HiveServer.note_disconnect) and its conn/reader state is

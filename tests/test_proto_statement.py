@@ -663,18 +663,25 @@ def test_two_sessions_hammering_one_shape_never_see_each_others_literal():
     stats = server.stats_snapshot()
     assert stats["errors"] == 0
     assert stats["query_bees"] == db.stats()["statements"]
-    # Both threads run the same two shapes; a collision builds a second
-    # bee instead of waiting, so nearly everything is still a hit.
-    assert stats["query_bees"]["hits"] >= 700
+    # Both threads run the same two shapes, one statement at a time:
+    # only each shape's first statement builds a bee, every later one
+    # is a hit, and nothing is evicted.
+    statements = 2 * (400 + 400 // 50)    # per thread: SELECTs, UPDATEs
+    shapes = 2                            # one SELECT, one UPDATE shape
+    assert stats["statements"] == statements
+    assert stats["query_bees"]["hits"] == statements - shapes
+    assert stats["query_bees"]["misses"] == shapes
+    assert stats["query_bees"]["evicted"] == 0
     db.close()
 
 
 def test_two_sessions_cycling_more_shapes_than_the_budget_never_fail():
-    """Check-in and the budget trim run from every statement under
-    shared latches only: two trims may pick the same oldest shape, or
-    one a concurrent check-out just took.  Eviction tolerates both — no
-    statement fails (a write that raised after it was applied would be
-    applied but never logged)."""
+    """Check-in and the budget trim run from every statement: through
+    the server one statement at a time, but the raw check-out/check-in
+    loop below runs them from two threads at once, so two trims may
+    pick the same oldest shape, or one a concurrent check-out just
+    took.  Eviction tolerates both — no statement fails (a write that
+    raised after it was applied would be applied but never logged)."""
     db = Database(BeeSettings.all_bees())
     db.sql("CREATE TABLE kv (k int NOT NULL, v int NOT NULL)")
     db.copy_from("kv", [[k, k * 10] for k in range(16)])
@@ -760,7 +767,7 @@ def test_no_new_knob():
 def test_parse_has_no_caller_outside_the_front_end_and_the_checkers():
     """One front door: the SQL package parses; the oracle parses for its
     ad hoc reference; nothing else in ``src/repro`` does — the server
-    asks the front door for a statement's latch class."""
+    asks the front door for a statement's class."""
     root = Path(repro.__file__).parent
     checkers = {
         "oracle", "beecheck", "swarmcheck", "wagglecheck", "hiveaudit",

@@ -307,7 +307,7 @@ class TestServerLane:
     def test_server_sites_are_catalogued(self):
         server_sites = {name for name, s in SITES.items() if s.server}
         assert server_sites == {
-            "server-client-disconnect", "server-lock-timeout",
+            "server-client-disconnect", "server-gate-held",
             "server-fsync-fail", "server-kill-mid-commit",
         }
 
@@ -325,13 +325,13 @@ class TestServerLane:
         assert lane["ok"], lane["failures"]
         assert lane["wal_failures"] == 1
 
-    def test_unlatched_selftest_sees_torn_reads(self):
-        from repro.resilience.serverlane import run_unlatched_selftest
+    def test_unserialized_selftest_sees_torn_reads(self):
+        from repro.resilience.serverlane import run_unserialized_selftest
 
-        verdict = run_unlatched_selftest()
+        verdict = run_unserialized_selftest()
         assert verdict["caught"], verdict
         assert verdict["mismatches"]
-        assert verdict["latched_detections"] == []
+        assert verdict["gated_detections"] == []
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,10 @@
 The concurrency contract under test: an 8-ish-client mixed workload
 must (a) never error, (b) never observe a torn write, and (c) leave a
 schedule whose single-threaded replay reproduces every statement's
-fingerprint — the serialized-oracle equivalence the server's latches
-and sequencing exist to provide.  Around that core: latch semantics,
-admission control, durability degradation, torn-tail recovery, and the
-socket protocol.
+fingerprint — the serialized-oracle equivalence the server's
+one-statement gate and sequencing exist to provide.  Around that core:
+snapshot tripwires, admission control, durability degradation,
+torn-tail recovery, and the socket protocol.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.server.core import (
     SessionClosedError,
     SnapshotViolation,
 )
-from repro.server.locks import HiveLocks, LockTimeout, RWLatch
+from repro.server.locks import HiveLocks
 from repro.server.oracle import replay_schedule, statement_fingerprint
 from repro.server.protocol import HiveClient, HiveListener, RemoteStatementError
 from repro.server.wal import DataWAL, GroupCommitter, recover_database
@@ -115,7 +115,7 @@ class TestSessions:
         assert db.stats()["server"]["statements"] == 0
 
 
-# -- snapshot isolation and latches ------------------------------------------
+# -- snapshot isolation ------------------------------------------------------
 
 
 class TestIsolation:
@@ -131,44 +131,6 @@ class TestIsolation:
                 session.sql("SELECT SUM(qty) FROM gate_ledger")
             assert exc.value.kind == "monotonicity"
         assert server.stats.snapshot_violations == 1
-
-    def test_lock_timeout_is_a_clean_statement_error(self):
-        db = build_gate_db()
-        server = HiveServer(db, lock_timeout=0.05)
-        latch = db.locks.relation_lock.latch("gate_ledger")
-        latch.acquire_write()
-        try:
-            with server.session() as session:
-                with pytest.raises(LockTimeout):
-                    session.sql(_flip_sql(0))
-        finally:
-            latch.release_write()
-        with server.session() as session:
-            assert session.sql(_flip_sql(0)).status == "UPDATE 2"
-        assert server.stats.lock_timeouts == 1
-        db.close()
-
-    def test_rwlatch_writer_preference(self):
-        latch = RWLatch("t")
-        latch.acquire_read()
-        grabbed = []
-
-        def writer():
-            latch.acquire_write()
-            grabbed.append("w")
-            latch.release_write()
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        # A waiting writer blocks NEW readers even while the old one
-        # still holds the latch.
-        while not latch._writers_waiting:
-            pass
-        with pytest.raises(LockTimeout):
-            latch.acquire_read(timeout=0.01)
-        latch.release_read()
-        thread.join(timeout=5.0)
-        assert grabbed == ["w"]
 
     def test_hive_locks_cover_every_registry_guard(self):
         assert HiveLocks().verify() == []
@@ -267,10 +229,8 @@ class TestConcurrentEquivalence:
 class TestAdmission:
     def test_slot_exhaustion_refuses_after_timeout(self):
         db = build_gate_db()
-        server = HiveServer(
-            db, max_concurrent=1, admission_timeout=0.05
-        )
-        server._admit()  # occupy the only slot
+        server = HiveServer(db, admission_timeout=0.05)
+        server._admit()  # hold the gate
         try:
             with server.session() as session:
                 with pytest.raises(ServerOverloadedError):
@@ -299,7 +259,9 @@ class TestAdmission:
 
 
 class TestDurability:
-    def test_group_commit_batches_concurrent_writers(self, tmp_path):
+    def test_concurrent_committers_each_get_one_durable_record(
+        self, tmp_path
+    ):
         wal = DataWAL(tmp_path / "group.wal")
         committer = GroupCommitter(wal)
         start = threading.Barrier(8)
@@ -317,10 +279,11 @@ class TestDurability:
         for t in threads:
             t.join(timeout=10.0)
         stats = committer.stats()
-        assert stats["records"] == 8
-        assert stats["fsyncs"] == stats["batches"]
-        assert stats["fsyncs"] <= 8
-        assert len(wal.committed_statements()) == 8
+        assert stats["fsyncs"] == stats["records"] == 8
+        assert stats["batches"] == 8 and stats["max_batch"] == 1
+        assert [r["sql"] for r in wal.committed_statements()] == [
+            f"s{i}" for i in range(8)
+        ]
 
     def test_wal_round_trip_and_recovery(self, tmp_path):
         wal_path = tmp_path / "gate.wal"

@@ -243,8 +243,8 @@ class TestLocks:
     def test_locks_pass_is_clean(self, source):
         findings, stats = locks_mod.run_locks(source)
         assert findings == []
-        # One latched execute_statement site per statement class.
-        assert stats["latched_run_sites"] == 3
+        # One statement.run site, reached only through the gate.
+        assert stats["gated_run_sites"] == 1
         assert stats["guarded_writes_checked"] > 0
 
     def test_every_declared_guard_is_materialized(self, source):
@@ -273,18 +273,22 @@ class TestLocks:
             f.subject == "ServerStats.disconnects" for f in findings
         )
 
-    def test_unlatched_run_statement_is_a_finding(self, source):
-        text = source.text("server/core.py").replace(
-            "        with self.locks.catalog_lock.write(self.lock_timeout):\n"
-            "            seq = self._next_seq()",
-            "        if True:\n"
-            "            seq = self._next_seq()",
-            1,
-        )
-        assert text != source.text("server/core.py")
-        patched = type(source)(overrides={"server/core.py": text})
-        findings, _stats = locks_mod.run_locks(patched)
-        assert any("catalog latch" in f.message for f in findings)
+    def test_ungated_run_statement_is_a_finding(self, source):
+        original = source.text("server/core.py")
+        for old, new in (
+            # execute runs the statement without admission ...
+            ("        shed = self._admit()\n", "        shed = False\n"),
+            # ... or a second caller reaches _run past the gate.
+            ("    def note_disconnect(self) -> None:\n",
+             "    def rerun(self, session, statement) -> None:\n"
+             "        self._run(session, statement, None)\n\n"
+             "    def note_disconnect(self) -> None:\n"),
+        ):
+            text = original.replace(old, new, 1)
+            assert text != original
+            patched = type(source)(overrides={"server/core.py": text})
+            findings, _stats = locks_mod.run_locks(patched)
+            assert any("outside the gate" in f.message for f in findings)
 
 
 class TestSelftest:
