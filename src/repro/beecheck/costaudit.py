@@ -484,6 +484,49 @@ _RE_VEC_PROBE = re.compile(
     r"(?:_idx|None)(, _PAD)?\)"
 )
 
+_RE_VEC_OBJECT = re.compile(
+    r"(_E\d+)\.evaluate\(_r\)(?: is True)? for _r in "
+    r"_materialize\(cols, nulls, (\w+), \(([\d, ]*)\)\)"
+)
+
+
+def _audit_split(routine, spec) -> list[str]:
+    """The split qualification: ``_C1`` prices one interpreter pass of
+    the whole qual per input row, so each of its object conjuncts must
+    be evaluated exactly once — the ones that may raise first, in source
+    order, then the ones that cannot, over the survivors (``_idx``) —
+    each over rows that carry exactly the columns it reads."""
+    from repro.bees.emit import referenced
+    from repro.bees.vector.codegen import _split_kinds
+
+    namespace = routine.namespace or {}
+    kinds = _split_kinds(spec.qual, spec.layout.schema)
+    expected = [c for kind, c in kinds if kind == "raising"]
+    expected += [c for kind, c in kinds if kind == "late"]
+    calls = _RE_VEC_OBJECT.findall(routine.source)
+    got = [namespace.get(name) for name, _at, _used in calls]
+    if len(got) != len(expected) or any(
+        g is not e for g, e in zip(got, expected)
+    ):
+        return [
+            f"object lane evaluates {got!r}, the split qual has object "
+            f"conjuncts {expected!r} (raising first, then the rest)"
+        ]
+    findings = []
+    for (name, at, used), conjunct in zip(calls, expected):
+        acc: set = set()
+        referenced(conjunct, acc)
+        cols = tuple(int(i) for i in used.replace(",", " ").split())
+        if cols != tuple(sorted(acc)):
+            findings.append(
+                f"{name} rows carry columns {cols}, it reads "
+                f"{tuple(sorted(acc))}"
+            )
+        late = any(c is conjunct for kind, c in kinds if kind == "late")
+        if late and at not in ("_idx", "None"):
+            findings.append(f"{name} cannot raise but runs over {at}")
+    return findings
+
 
 def audit_vector(routine, spec) -> list[str]:
     """Recompute the vector kernel's charge constants and cross-check.
@@ -528,6 +571,7 @@ def audit_vector(routine, spec) -> list[str]:
         qual_cost = C.VEC_KERNEL_PER_VALUE * _expr_nodes(spec.qual)
     else:
         qual_cost = spec.qual.generic_cost
+        findings += _audit_split(routine, spec)
     recomputed = C.VEC_SELECT_PER_ROW + qual_cost
     if recomputed != routine.cost:
         findings.append(

@@ -577,11 +577,17 @@ _EVP_NAMES = re.compile(
     r"row|t\d+|_K\d+|re\d+|in\d+|fn\d+|_charge|_COST|_NAME"
 )
 _EVP_TEMP = re.compile(r"t\d+")
-_EVP_CASE_TEST = re.compile(r"t\d+ is True")
+#: Branch tests of the guarded variant: CASE arm selection, an AND/OR
+#: still undecided, and a strict node's arguments so far not NULL.
+_EVP_BRANCH_TEST = re.compile(
+    r"t\d+ is True|t\d+ is not (?:False|True)"
+    r"|t\d+ is not None(?: and t\d+ is not None)*"
+)
 
 
 def _lint_evp_stmt(stmt: ast.stmt, findings: list[str]) -> None:
-    """EVP bodies are assignments to temps plus CASE arm selection."""
+    """EVP bodies are assignments to temps plus the guarded variant's
+    branches (CASE arms, short-circuits), which only assign temps."""
     if isinstance(stmt, ast.Assign):
         if len(stmt.targets) != 1 or not (
             isinstance(stmt.targets[0], ast.Name)
@@ -592,11 +598,9 @@ def _lint_evp_stmt(stmt: ast.stmt, findings: list[str]) -> None:
             )
         return
     if isinstance(stmt, ast.If):
-        # CASE arm selection: `if tK is True: ... elif ... else ...` where
-        # every branch only assigns the result temp.
-        if not _EVP_CASE_TEST.fullmatch(ast.unparse(stmt.test)):
+        if not _EVP_BRANCH_TEST.fullmatch(ast.unparse(stmt.test)):
             findings.append(
-                f"EVP branch must test a CASE arm temp, got "
+                f"EVP branch must test a temp, got "
                 f"{ast.unparse(stmt.test)!r}"
             )
         for branch_stmt in stmt.body + stmt.orelse:
@@ -897,9 +901,11 @@ _PIPE_STMT_SHAPES = [
 ]
 
 #: If-tests allowed inside the loop beyond reject-and-continue: CASE arm
-#: selection, NULL guards, new-group detection, and candidate presence.
+#: selection, an AND/OR still undecided, NULL guards, new-group
+#: detection, and candidate presence.
 _PIPE_IF_TEST = re.compile(
-    r"t\d+ is True|.+ is not None|_st is None|_cands|not _cands"
+    r"t\d+ is True|t\d+ is not (?:False|True)|.+ is not None|_st is None"
+    r"|_cands|not _cands"
 )
 
 
@@ -1076,12 +1082,15 @@ _VEC_CHARGE = "_charge(_NAME, _C0 + _C1 * n + _C2 * _m)"
 
 _VEC_NAMES = re.compile(
     r"t\d+|_K\d+|_E\d+|_C[0-2]|cols|nulls|n|table|out|_np|_obj|_zip_rows"
-    r"|_materialize|_probe|_div|_idx|_m|_r|_b|_k|_ix|_i|_vals|_row|_buckets"
+    r"|_materialize|_probe|_div|_idx|_m|_r|_v|_b|_k|_ix|_i|_vals|_row|_buckets"
     r"|_charge|_NAME|_PAD|_NOSEL|len|range|sum|min|max|list|v"
 )
 
 _VEC_METHODS = frozenset(
-    {"nonzero", "fromiter", "bool_", "items", "append", "get", "evaluate"}
+    {
+        "nonzero", "fromiter", "zeros", "bool_", "items", "append", "get",
+        "evaluate",
+    }
 )
 
 #: The only loops a kernel may contain, as (target, iterable) texts.

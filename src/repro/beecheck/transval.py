@@ -406,10 +406,10 @@ def _evp_domains(expr, guarded: bool) -> dict[int, list]:
 def validate_evp(routine, expr) -> list[str]:
     """Cross-check the compiled EVP against ``Expr.evaluate``.
 
-    Inputs where either side raises are discarded rather than compared:
-    the specialized variants evaluate eagerly where the interpreter
-    short-circuits, so error behavior on ill-typed rows is not part of
-    the contract (statement-level errors are the oracle's lane).
+    Inputs where the interpreter raises are discarded rather than
+    compared (statement-level errors are the oracle's lane); a routine
+    that raises where the interpreter returns a value is a finding, since
+    both variants evaluate only what the interpreter evaluates.
     """
     guarded = re.search(r"\n    t\d+ = ", routine.source) is not None
     domains_by_col = _evp_domains(expr, guarded)
@@ -901,6 +901,58 @@ def _hash_join(spec, rows: list, build_idx: list, build: list):
     return join.build_table(ctx, build_node), list(join.rows(ctx))
 
 
+def _in_contract(conjuncts: list, row) -> bool:
+    """False when one of *conjuncts* raises on *row* evaluated alone.  A
+    vector kernel evaluates a conjunct over rows the interpreter never
+    reaches it on (the whole-column mask; an object conjunct that cannot
+    raise runs last), so it may raise on such a row where the
+    interpreter does not: the shield degrades the statement there, and
+    the row is out of contract."""
+    try:
+        for conjunct in conjuncts:
+            conjunct.evaluate(row)
+    except Exception:  # noqa: BLE001 — out of contract
+        return False
+    return True
+
+
+def _split_runs(spec, rows: list) -> list:
+    """Extra chunks for a kernel whose qual is split at its ``AND``
+    (``[(rows, label)]``): **NULL-heavy** lanes (every nullable column
+    NULL in two rows of three, staggered per column), and an **empty
+    survivor** set — the rows on which the conjuncts that run over the
+    whole chunk select nothing (the first object conjunct that runs
+    last stands in for them in an all-late ``AND``), so each later
+    conjunct runs over no survivors at all.  Rows out of contract
+    (:func:`_in_contract`) are dropped."""
+    from repro.bees.vector.codegen import _split_kinds
+
+    schema = spec.layout.schema
+    kinds = _split_kinds(spec.qual, schema)
+    conjuncts = [c for _kind, c in kinds]
+    early = [c for kind, c in kinds if kind != "late"] or conjuncts[:1]
+    nullable = [
+        i for i, attr in enumerate(schema.attributes) if attr.nullable
+    ]
+    heavy = [
+        [None if i in nullable and (n + i) % 3 else v
+         for i, v in enumerate(row)]
+        for n, row in enumerate(rows)
+    ]
+    empty = [
+        row for row in rows
+        if _in_contract(conjuncts, row)
+        and not all(c.evaluate(row) is True for c in early)
+    ]
+    return [
+        (
+            [row for row in heavy if _in_contract(conjuncts, row)],
+            "NULL-heavy chunk",
+        ),
+        (empty, "chunk with no survivors"),
+    ]
+
+
 def validate_vector(routine, spec) -> list[str]:
     """Cross-check the columnar kernel against the interpreted plan.
 
@@ -918,14 +970,25 @@ def validate_vector(routine, spec) -> list[str]:
     table ``HashJoin`` hashed, with an entry added under every
     NULL-bearing probe key, so a kernel that leans on the table holding
     no NULL keys instead of guarding them matches rows ``HashJoin``
-    never does.
+    never does.  A kernel whose qual is split at its ``AND`` also runs
+    :func:`_split_runs`' chunks against the same references.  Rows out
+    of contract for the kernel's conjuncts (:func:`_in_contract`) are
+    dropped from every chunk.
     """
     from repro.bees.vector.chunks import chunk_from_rows
+    from repro.bees.vector.codegen import _split_kinds, _vectorizable
 
     findings: list[str] = []
     schema = spec.layout.schema
     _raws, decoded, _sections = _fused_candidates(spec)
+    if spec.qual is not None:
+        conjuncts = [c for _kind, c in _split_kinds(spec.qual, schema)]
+        decoded = [row for row in decoded if _in_contract(conjuncts, row)]
     runs: list = [([], "empty chunk", None), (decoded, "enumerated chunk", None)]
+    if spec.qual is not None and not _vectorizable(spec.qual, schema):
+        runs += [
+            (rows, label, None) for rows, label in _split_runs(spec, decoded)
+        ]
     if spec.sink == "probe":
         build_idx, builds = _probe_builds(spec, decoded)
         runs = [

@@ -14,7 +14,12 @@ only its namespace is per statement.  Two variants are generated:
   which the planner knows from the schema) is a single return expression
   with native short-circuiting;
 * the *guarded* variant preserves SQL three-valued logic for nullable
-  inputs, propagating ``None`` explicitly.
+  inputs, propagating ``None`` explicitly.  It also evaluates exactly
+  what the interpreter evaluates: an ``AND`` stops at its first
+  ``False``, an ``OR`` at its first ``True``, a ``CASE`` at its first
+  true arm, and a strict node (comparison, arithmetic, function) at its
+  first NULL argument, so a sub-expression that may raise (``a / b``)
+  runs only on rows the interpreter runs it on.
 
 Both agree with the generic interpreter on every input (property-tested).
 """
@@ -42,6 +47,7 @@ class _Emitter:
         self.holes = Holes({})
         self.col_ref = col_ref
         self._temp = 0
+        self.depth = 0      # nesting inside guarded branches
 
     def col(self, index: int) -> str:
         return self.col_ref.format(index)
@@ -51,7 +57,7 @@ class _Emitter:
         return f"t{self._temp}"
 
     def add(self, line: str) -> None:
-        self.lines.append("    " + line)
+        self.lines.append("    " * (1 + self.depth) + line)
 
 
 def _emit_direct(expr: E.Expr, em: _Emitter) -> str:
@@ -103,6 +109,51 @@ def _emit_direct(expr: E.Expr, em: _Emitter) -> str:
     raise TypeError(f"cannot specialize expression node {type(expr).__name__}")
 
 
+def _emit_strict(args, em: _Emitter, out: str, render) -> None:
+    """A strict node (NULL when any argument is): arguments are emitted
+    left to right, and one that may raise (anything but a column or a
+    literal) sits under a test that every argument before it is not
+    NULL, since the interpreter stops at the first NULL.  *render*
+    builds the value from the argument temps and the ``is None`` test
+    of those not yet tested."""
+    depth = em.depth
+    temps: list[str] = []
+    untested: list[str] = []
+    for arg in args:
+        if untested and not isinstance(arg, (E.Col, E.Const)):
+            if em.depth == depth:
+                em.add(f"{out} = None")
+            tests = " and ".join(f"{t} is not None" for t in untested)
+            em.add(f"if {tests}:")
+            em.depth += 1
+            untested = []
+        temp = _emit_guarded(arg, em)
+        temps.append(temp)
+        untested.append(temp)
+    nully = " or ".join(f"{t} is None" for t in untested)
+    em.add(f"{out} = {render(temps, nully)}")
+    em.depth = depth
+
+
+def _emit_connective(args, em: _Emitter, out: str, stop: bool) -> None:
+    """``AND`` (*stop* ``False``) or ``OR`` (*stop* ``True``) in Kleene
+    logic: each argument after the first runs only while the value so
+    far is not *stop*, as the interpreter stops at the first one."""
+    other = not stop
+    for n, arg in enumerate(args):
+        if n:
+            em.add(f"if {out} is not {stop}:")
+            em.depth += 1
+        temp = _emit_guarded(arg, em)
+        nully = f"{temp} is None" + (f" or {out} is None" if n else "")
+        em.add(
+            f"{out} = {stop} if {temp} is {stop} else "
+            f"(None if {nully} else {other})"
+        )
+        if n:
+            em.depth -= 1
+
+
 def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
     """Nullable variant: emit statements, return the temp holding the value."""
     out = em.temp()
@@ -111,23 +162,15 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
     elif isinstance(expr, E.Col):
         em.add(f"{out} = {em.col(expr.index)}")
     elif isinstance(expr, (E.Cmp, E.Arith)):
-        left = _emit_guarded(expr.left, em)
-        right = _emit_guarded(expr.right, em)
         op = E._CMP_PY[expr.op] if isinstance(expr, E.Cmp) else expr.op
-        em.add(
-            f"{out} = None if {left} is None or {right} is None "
-            f"else ({left} {op} {right})"
+        _emit_strict(
+            (expr.left, expr.right), em, out,
+            lambda t, nully: f"None if {nully} else ({t[0]} {op} {t[1]})",
         )
     elif isinstance(expr, E.And):
-        args = [_emit_guarded(a, em) for a in expr.args]
-        falsy = " or ".join(f"{a} is False" for a in args)
-        nully = " or ".join(f"{a} is None" for a in args)
-        em.add(f"{out} = False if ({falsy}) else (None if ({nully}) else True)")
+        _emit_connective(expr.args, em, out, False)
     elif isinstance(expr, E.Or):
-        args = [_emit_guarded(a, em) for a in expr.args]
-        truthy = " or ".join(f"{a} is True" for a in args)
-        nully = " or ".join(f"{a} is None" for a in args)
-        em.add(f"{out} = True if ({truthy}) else (None if ({nully}) else False)")
+        _emit_connective(expr.args, em, out, True)
     elif isinstance(expr, E.Not):
         arg = _emit_guarded(expr.arg, em)
         em.add(f"{out} = None if {arg} is None else (not {arg})")
@@ -150,21 +193,19 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
             f"{out} = None if {arg} is None else ({low} <= {arg} <= {high})"
         )
     elif isinstance(expr, E.Case):
-        # Pre-evaluate every arm (expressions are pure), then select; all
-        # sub-results carry None through, matching the interpreter.
-        arms = [
-            (_emit_guarded(cond, em), _emit_guarded(value, em))
-            for cond, value in expr.whens
-        ]
-        default = _emit_guarded(expr.default, em)
-        first = True
-        for cond, value in arms:
-            keyword = "if" if first else "elif"
-            em.add(f"{keyword} {cond} is True:")
-            em.add(f"    {out} = {value}")
-            first = False
-        em.add("else:")
-        em.add(f"    {out} = {default}")
+        # Arm by arm: a value, or the next arm's condition, is emitted
+        # only in the branch the interpreter reaches it from.
+        depth = em.depth
+        for cond, value in expr.whens:
+            test = _emit_guarded(cond, em)
+            em.add(f"if {test} is True:")
+            em.depth += 1
+            em.add(f"{out} = {_emit_guarded(value, em)}")
+            em.depth -= 1
+            em.add("else:")
+            em.depth += 1
+        em.add(f"{out} = {_emit_guarded(expr.default, em)}")
+        em.depth = depth
     elif isinstance(expr, E.IsNull):
         arg = _emit_guarded(expr.arg, em)
         test = f"{arg} is None"
@@ -172,11 +213,11 @@ def _emit_guarded(expr: E.Expr, em: _Emitter) -> str:
             test = f"{arg} is not None"
         em.add(f"{out} = {test}")
     elif isinstance(expr, E.Func):
-        args = [_emit_guarded(a, em) for a in expr.args]
         name = em.holes.bind("fn", expr._fn)
-        nully = " or ".join(f"{a} is None" for a in args)
-        call = f"{name}({', '.join(args)})"
-        em.add(f"{out} = None if ({nully}) else {call}")
+        _emit_strict(
+            expr.args, em, out,
+            lambda t, nully: f"None if ({nully}) else {name}({', '.join(t)})",
+        )
     else:
         raise TypeError(
             f"cannot specialize expression node {type(expr).__name__}"

@@ -16,7 +16,21 @@ set — LIKE, functions, CASE, IN-lists, and any arithmetic touching
 integer/boolean columns (NumPy would wrap or round where Python is
 exact) — fall back to an *object lane*: the bound interpreter expression
 itself, evaluated over rows materialized from the chunk, so the kernel
-never trades correctness for vectorization.
+never trades correctness for vectorization.  A qualification is split
+at its ``AND``: the vectorizable conjuncts become one whole-column mask,
+and each object conjunct is evaluated only over the rows it must see,
+materialized with only the columns it reads (``None`` in every other
+cell).  Strict-true selection of an ``AND`` is the ``AND`` of its
+conjuncts' strict-true masks, so the selected rows are the
+interpreter's.  Its error contract is kept too: the interpreter's
+``AND`` runs left to right and stops at the first ``False``, so a
+conjunct that may raise runs in source order over every row on which
+no earlier vector or raising conjunct is definitely ``False``; only an
+``IN`` list over a bare column or a ``LIKE`` over a bare string column
+(under any ``NOT``s), which cannot raise, runs last, over the
+survivors of all the others.  A conjunct evaluated on a row the
+interpreter never reaches may raise where it would not; the shield
+then degrades the statement, as for a vector division.
 
 Emitted rows are converted back to plain Python values (``tolist`` +
 NULL re-materialization): downstream operators, the oracle's typed row
@@ -71,6 +85,52 @@ _CMP_NUMPY = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _EXACT_ARITH_FMTS = ("i", "q", "B")
 
 
+def _conjuncts(expr: E.Expr) -> list:
+    """*expr*'s ``AND`` arguments, nested ``AND``s flattened in source
+    order (the interpreter reaches them in that order), else ``[expr]``."""
+    if isinstance(expr, E.And):
+        return [c for arg in expr.args for c in _conjuncts(arg)]
+    return [expr]
+
+
+def _never_raises(expr: E.Expr, schema) -> bool:
+    """True for the object conjuncts that cannot raise on any row: an
+    ``IN`` list over a bare column, or a ``LIKE`` over a bare string
+    column, under any number of ``NOT``s."""
+    while isinstance(expr, E.Not):
+        expr = expr.arg
+    if not isinstance(expr, (E.InList, E.Like)):
+        return False
+    col = expr.arg
+    if not isinstance(col, E.Col):
+        return False
+    if isinstance(expr, E.InList):
+        return True
+    return (
+        col.index < schema.natts
+        and not schema.attributes[col.index].sql_type.struct_fmt
+    )
+
+
+def _split_kinds(qual: E.Expr, schema) -> list:
+    """*qual*'s conjuncts, each with the lane it runs in: ``"vector"``
+    (part of the whole-column mask), ``"late"`` (cannot raise: runs
+    last, over the survivors) or ``"raising"`` (any other object
+    conjunct).  A vectorizable conjunct that reads no column stays an
+    object one: its emission is a scalar, not a mask."""
+    out = []
+    for conjunct in _conjuncts(qual):
+        acc: set = set()
+        referenced(conjunct, acc)
+        if acc and _vectorizable(conjunct, schema):
+            out.append(("vector", conjunct))
+        elif _never_raises(conjunct, schema):
+            out.append(("late", conjunct))
+        else:
+            out.append(("raising", conjunct))
+    return out
+
+
 def _expr_nodes(expr: E.Expr) -> int:
     """Node count of *expr* (the per-lane work unit the charge prices)."""
     return 1 + sum(_expr_nodes(child) for child in expr.children())
@@ -113,11 +173,17 @@ def _zip_rows(columns: list) -> list:
     return [list(row) for row in zip(*columns)]
 
 
-def _materialize(cols, nulls, idx) -> list:
+def _materialize(cols, nulls, idx, used=None) -> list:
     """Chunk → Python rows at chunk positions *idx* (``None``: all rows):
-    the object-lane evaluation domain and the probe's survivors."""
-    columns = []
-    for arr, mask in zip(cols, nulls):
+    the object-lane evaluation domain and the probe's survivors.  With
+    *used* (a tuple of column indexes) only those columns are read;
+    every other cell of a row is ``None``."""
+    m = len(cols[0]) if idx is None else len(idx)
+    columns: list = []
+    for j, (arr, mask) in enumerate(zip(cols, nulls)):
+        if used is not None and j not in used:
+            columns.append(repeat(None, m))
+            continue
         if idx is not None:
             arr = arr[idx]
             if mask is not None:
@@ -346,14 +412,74 @@ class _KernelEmitter:
             self._rows[key] = self.temp(f"_materialize(cols, nulls, {idx})")
         return self._rows[key]
 
-    def object_mask(self, expr: E.Expr) -> str:
-        """Strict-true qualification mask via the interpreter itself."""
+    def object_rows(self, expr: E.Expr, at: str, test: str = "") -> str:
+        """Comprehension text evaluating *expr* (an ``_E{n}``), then
+        *test*, per row at chunk positions *at* (``None``: every row);
+        the rows carry only the columns *expr* reads."""
+        acc: set = set()
+        referenced(expr, acc)
         name = self.holes.expr(expr)
-        rows = self.rows_domain()
-        return self.temp(
-            f"_np.fromiter(({name}.evaluate(_r) is True for _r in {rows}), "
-            f"_np.bool_, n)"
+        used = tuple(sorted(acc))
+        return (
+            f"{name}.evaluate(_r){test} "
+            f"for _r in _materialize(cols, nulls, {at}, {used!r})"
         )
+
+    def split(self, qual: E.Expr) -> tuple[str, list]:
+        """Emit *qual*'s conjuncts over the whole chunk but those that
+        run last: ``(mask, late)``.
+
+        *mask* is the strict-true mask of the vector conjuncts and of
+        the object conjuncts that may raise; each of the latter runs in
+        source order over the rows on which no earlier one of either
+        kind is definitely ``False`` (what the interpreter's ``AND``
+        reaches, plus the rows only a late conjunct rejects).  *late*
+        are the object conjuncts that cannot raise, for the caller to
+        run over *mask*'s survivors.
+        """
+        kinds = _split_kinds(qual, self.schema)
+        mask = reach = "True"
+        pending = sum(kind == "raising" for kind, _c in kinds)
+        for kind, conjunct in kinds:
+            if kind == "vector":
+                v, u = self.emit(conjunct)
+                mask = self.and_(mask, v)
+                if pending:
+                    reach = self.and_(reach, self.or_(v, u))
+                continue
+            if kind == "late":
+                continue
+            pending -= 1
+            if reach == "False":    # no row reaches it
+                mask = "False"
+                continue
+            if reach == "True":
+                values = self.temp(f"[{self.object_rows(conjunct, 'None')}]")
+                strict = self.temp(
+                    f"_np.fromiter((_v is True for _v in {values}), "
+                    f"_np.bool_, n)"
+                )
+                if pending:
+                    reach = self.temp(
+                        f"_np.fromiter((_v is not False for _v in "
+                        f"{values}), _np.bool_, n)"
+                    )
+            else:
+                at = self.temp(f"_np.nonzero({reach})[0]")
+                values = self.temp(f"[{self.object_rows(conjunct, at)}]")
+                strict = self.temp("_np.zeros(n, _np.bool_)")
+                self.lines.append(
+                    f"    {strict}[{at}] = [_v is True for _v in {values}]"
+                )
+                if pending:
+                    alive = self.temp("_np.zeros(n, _np.bool_)")
+                    self.lines.append(
+                        f"    {alive}[{at}] = "
+                        f"[_v is not False for _v in {values}]"
+                    )
+                    reach = self.and_(reach, alive)
+            mask = self.and_(mask, strict)
+        return mask, [c for kind, c in kinds if kind == "late"]
 
     def object_values(self, expr: E.Expr) -> str:
         """Value list via the interpreter over the current domain."""
@@ -436,16 +562,19 @@ def generate_vector(
     ]
 
     # -- selection: one mask, one compaction --------------------------------
+    # A qual outside the vector set is split at its AND (``split``);
+    # it is still priced as one interpreter evaluation per input row.
     qual_cost = 0
+    late: list = []
     if spec.qual is None:
         mask = "True"
     elif _vectorizable(spec.qual, schema):
         mask, _u = em.emit(spec.qual)
         qual_cost = C.VEC_KERNEL_PER_VALUE * _expr_nodes(spec.qual)
     else:
-        mask = em.object_mask(spec.qual)
+        mask, late = em.split(spec.qual)
         qual_cost = spec.qual.generic_cost
-    if mask == "True":
+    if mask == "True" and not late:
         em.lines.append("    _m = n")
     elif mask == "False":
         nosel = np.array([], dtype=np.intp)
@@ -455,7 +584,14 @@ def generate_vector(
         em.lines.append("    _m = 0")
         em.gather = "[_idx]"
     else:
+        if mask == "True":      # a late conjunct first sees every row
+            rows = em.object_rows(late.pop(0), "None", " is True")
+            mask = em.temp(f"_np.fromiter(({rows}), _np.bool_, n)")
         em.lines.append(f"    _idx = _np.nonzero({mask})[0]")
+        for conjunct in late:   # each over the survivors so far
+            rows = em.object_rows(conjunct, "_idx", " is True")
+            keep = em.temp(f"_np.fromiter(({rows}), _np.bool_, len(_idx))")
+            em.lines.append(f"    _idx = _idx[{keep}]")
         em.lines.append("    _m = len(_idx)")
         em.gather = "[_idx]"
 

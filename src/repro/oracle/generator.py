@@ -31,6 +31,15 @@ Design notes that keep the stream *comparable* across engines:
   serve shapes from their query bees — and bind them — under the
   oracle's eyes.  Siblings draw from their own random stream, so the
   statements between them are the ones the seed always produced.
+* A share of the traffic is also followed by a *split case*
+  (:meth:`StatementGenerator._split_select`): a SELECT whose ``AND``
+  the vector kernel splits across its lanes, in one of three orders —
+  an object conjunct that may raise (an integer division) before a
+  vector one, after it, or an object conjunct that cannot raise before
+  a division.  These are the only statements that divide, by a column
+  or a literal in every order: the error contract they probe is that
+  every tier raises where the interpreter raises, and returns its rows
+  where it does not.  They too draw from a stream of their own.
 """
 
 from __future__ import annotations
@@ -52,6 +61,9 @@ _MAX_TABLES = 4
 #: literal sibling, and of those followed by a second one.
 _SIBLING_SHARE = 0.3
 _SECOND_SIBLING_SHARE = 0.3
+
+#: Share of statements followed by a split case.
+_SPLIT_SHARE = 0.1
 
 #: Column-boundary integers a sibling literal may become (INT and
 #: BIGINT extremes and their neighbours).
@@ -208,6 +220,7 @@ class StatementGenerator:
         # Siblings have a stream of their own: the statements between
         # them stay the ones *seed* produced before siblings existed.
         self._sibling_rng = random.Random(seed ^ 0x51B1)
+        self._split_rng = random.Random(seed ^ 0x5B17)
         self._siblings: list[GenStatement] = []
         self.tables: dict[str, GenTable] = {}
         self._table_counter = 0
@@ -256,6 +269,8 @@ class StatementGenerator:
                             ordered=stmt.ordered, columnar=stmt.columnar,
                         )
                     )
+        if self.tables and self._split_rng.random() < _SPLIT_SHARE:
+            self._siblings.append(self._split_select())
         return stmt
 
     def _fresh_statement(self) -> GenStatement:
@@ -584,8 +599,8 @@ class StatementGenerator:
             value = self._value_for(col)
         return value
 
-    def _like_pattern(self, sample: str) -> str:
-        rng = self.rng
+    def _like_pattern(self, sample: str, rng=None) -> str:
+        rng = rng or self.rng
         if not sample:
             return "%"
         k = rng.randint(1, len(sample))
@@ -714,6 +729,68 @@ class StatementGenerator:
             sql += f" GROUP BY {group_col.name}"
             if rng.random() < 0.25:
                 sql += f" HAVING COUNT(*) >= {rng.randint(1, 3)}"
+        return GenStatement(sql=sql, kind="select", table=table.name)
+
+    # -- split quals -----------------------------------------------------------
+
+    def _split_select(self) -> GenStatement:
+        """A SELECT whose ``AND`` splits across the vector kernel's
+        lanes, in one of three orders (its own random stream):
+
+        * ``a / b > 0 AND <vector>`` — the integer division is an object
+          conjunct that may raise, reached on every row: every tier
+          raises where a row divides by zero, or none does;
+        * ``<vector> AND a / b > 0`` — an object conjunct that may
+          raise, reached only where the vector conjunct is not
+          ``False``: a tier raises only where the interpreter does;
+        * ``<IN or LIKE> AND <division>`` — an object conjunct that
+          cannot raise, run last; the division (a float one, vector,
+          where the table has floats) runs over every row, so one by a
+          zero the interpreter never reaches degrades the statement
+          through the shield, to the interpreter's rows.
+
+        Each divisor is a column or a literal from 2 to 9.
+        """
+        rng = self._split_rng
+        table = self.tables[rng.choice(sorted(self.tables))]
+        ints = table.cols("int")
+
+        def division(cols: list, bound: str) -> str:
+            divisor = rng.choice([rng.choice(cols).name, str(rng.randint(2, 9))])
+            cmp = rng.choice([">", "<"])
+            return f"{rng.choice(cols).name} / {divisor} {cmp} {bound}"
+
+        probe = rng.choice(ints)
+        op = rng.choice(["<>", "<", "<=", ">", ">="])
+        value = rng.choice(probe.pool) if probe.pool else 0
+        vector = f"{probe.name} {op} {self._literal(probe, value)}"
+        order = rng.choice(("raising-first", "raising-last", "late-first"))
+        if order == "raising-first":
+            conjuncts = [division(ints, "0"), vector]
+        elif order == "raising-last":
+            conjuncts = [vector, division(ints, "0")]
+        else:
+            candidates = [
+                c for c in table.columns
+                if c.pool and c.kind in ("int", "string")
+            ]
+            col = rng.choice(candidates)
+            if col.kind == "string" and rng.random() < 0.5:
+                pattern = self._like_pattern(rng.choice(col.pool), rng)
+                late = f"{col.name} LIKE {_quote(pattern)}"
+            else:
+                picks = rng.sample(col.pool, k=min(len(col.pool), 3))
+                items = ", ".join(self._literal(col, p) for p in picks)
+                late = f"{col.name} IN ({items})"
+            floats = table.cols("float")
+            conjuncts = [
+                late,
+                division(floats, "0.5") if floats else division(ints, "0"),
+            ]
+        sql = (
+            f"SELECT * FROM {table.name} WHERE "
+            + " AND ".join(f"({c})" for c in conjuncts)
+        )
         return GenStatement(sql=sql, kind="select", table=table.name)
 
     # -- columnar probe --------------------------------------------------------

@@ -13,8 +13,8 @@ tier row resolves its generator through its codegen module per call
 workers alike.  There is one kind per routine family the oracle guards,
 one per tier row of :data:`repro.bees.drivers.TIERS`, and one for the
 chunk cache's tuple identifiers (what a vectorized write trusts), one
-for the vector probe's survivor gather and one for the statement front
-door's hole patching.
+for the vector probe's survivor gather, one for the object lane of a
+split vector qual and one for the statement front door's hole patching.
 """
 
 from __future__ import annotations
@@ -125,6 +125,19 @@ def _domain_gather(original: Callable) -> Callable:
     return patched
 
 
+def _chunk_positions(original: Callable) -> Callable:
+    def patched(cols, nulls, idx, used=None):
+        # An object conjunct's rows are read at chunk rows ``0..m-1``,
+        # not at the survivors' positions ``idx``.
+        if used is not None and idx is not None:
+            import numpy as np
+
+            idx = np.arange(len(idx))
+        return original(cols, nulls, idx, used)
+
+    return patched
+
+
 #: kind -> (module, dotted attribute to patch, wrapper of the original).
 _BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
     "gcl": ("repro.bees.maker", "generate_gcl", _off_by_one_gcl),
@@ -141,6 +154,9 @@ _BUGS: dict[str, tuple[str, str, Callable[[Callable], Callable]]] = {
     ),
     "tids": ("repro.bees.vector.chunks", "_decode", _shifted_tids),
     "probe": ("repro.bees.vector.codegen", "_probe", _domain_gather),
+    "split": (
+        "repro.bees.vector.codegen", "_materialize", _chunk_positions
+    ),
     "proto": (
         "repro.bees.routines.base", "BeeRoutine.repatch", _stale_first_hole
     ),
@@ -181,6 +197,12 @@ def inject_bug(kind: str) -> Iterator[None]:
       means ``idx[hits]``): the index-space mix-up late materialisation
       invites.  Every probe behind a filter emits the wrong rows; a
       probe over a whole chunk stays right.
+    * ``'split'`` — the object lane of a split vector qual evaluates a
+      conjunct over the rows at chunk positions ``0..m-1`` instead of
+      the *m* rows it was handed (``arange(m)`` where it means
+      ``idx``), and indexes the survivors with that mask: every object
+      conjunct behind a vector one selects the wrong rows; one that sees
+      the whole chunk stays right.
     * ``'proto'`` — a statement served from its shape's query bee
       re-patches every literal hole of the routines its plan reaches
       *but the first*: the plan's constants are this statement's, one

@@ -19,8 +19,10 @@ in FIFO order:
   Compiled proto-bees stay: their key is the source text, and a
   re-prepared statement rebuilds its data section from the new spec.
 * ``("prepare", stmt_id, spec_bytes, tier, table)`` — compile (or fetch
-  by fingerprint) the routine for a statement; replies
-  ``("ready", stmt_id)``.
+  by fingerprint) the routine for a statement and release the one
+  prepared before it (the coordinator runs one statement at a time, so
+  a worker holds one prepared statement, and one probe build table);
+  replies ``("ready", stmt_id)``.
 * ``("task", stmt_id, morsel_idx, relation, token, lo, hi)`` — run the
   prepared routine over heap pages ``[lo, hi)``; replies
   ``("result", stmt_id, morsel_idx, payload, delta)`` where *delta* is
@@ -68,7 +70,7 @@ class _WorkerState:
         self.code_cache = CodeCache(CODE_CACHE_CAP)
         # (relation, token, lo, hi) -> Chunk
         self.chunks: dict = {}
-        # stmt_id -> (spec, tier, fn, table)
+        # stmt_id -> (spec, tier, fn, table), for the statement in flight
         self.prepared: dict = {}
         self._seq = 0
 
@@ -98,7 +100,7 @@ class _WorkerState:
                 spec, self.ledger, name, self.code_cache, mergeable=True
             ).fn
             self.bees[fingerprint] = fn
-        self.prepared[stmt_id] = (spec, tier, fn, table)
+        self.prepared = {stmt_id: (spec, tier, fn, table)}
 
     # -- task execution ----------------------------------------------------
 

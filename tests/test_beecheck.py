@@ -417,3 +417,98 @@ def test_vector_probe_lane_catches_domain_positions():
         broken = [_vector_probe(filtered), _vector_probe(whole)]
     assert validate_vector(broken[0], filtered)
     assert validate_vector(broken[1], whole) == []
+
+
+# -- a vector qual split at its AND ------------------------------------------
+
+
+_SPLIT_LAYOUT = TupleLayout(make_schema("sp", [
+    ("a", INT4), ("k", INT4, True), ("s", varchar(6), True),
+    ("f", NUMERIC, True),
+]))
+
+
+def _split_spec(qual: str):
+    from repro.bees.pipeline.codegen import PipelineSpec
+
+    cols = [attr.name for attr in _SPLIT_LAYOUT.schema.attributes]
+    predicate = {
+        # late LIKE first, a vector conjunct, an exact-int one, a vector
+        # one over a nullable float
+        "mixed": E.And(
+            E.Like(E.Col("s"), "a%"),
+            E.Cmp(">", E.Col("k"), E.Const(0)),
+            E.Cmp("<", E.Arith("*", E.Col("k"), E.Const(2)), E.Const(9)),
+            E.Cmp("<", E.Col("f"), E.Const(2.5)),
+        ),
+        # no vector conjunct at all
+        "objects": E.And(
+            E.InList(E.Col("k"), [0, 1, 2]),
+            E.Cmp("=", E.Arith("+", E.Col("a"), E.Const(1)), E.Const(2)),
+            E.Not(E.Like(E.Col("s"), "%z")),
+        ),
+        "like": E.Like(E.Col("s"), "%a%"),
+    }[qual]
+    return PipelineSpec(
+        "sp", _SPLIT_LAYOUT, qual=E.bind(predicate, cols),
+        output=[E.bind(E.Col("a"), cols), E.bind(E.Col("s"), cols)],
+    )
+
+
+def _vector_rows(spec):
+    from repro.bees.vector.codegen import generate_vector
+
+    return generate_vector(spec, Ledger(), "VEC_split")
+
+
+@pytest.mark.parametrize("qual", ["mixed", "objects", "like"])
+def test_split_kernel_matches_filter(qual):
+    """A mixed ``AND``, an all-object one and a lone ``LIKE`` pass every
+    pass, the transval lane running them against the unfused reference
+    (``Filter``'s strict-``True`` admission) over NULL-heavy lanes and a
+    chunk with no survivors as well."""
+    from repro.beecheck.checker import check_vector
+    from repro.beecheck.transval import _fused_candidates, _split_runs
+
+    spec = _split_spec(qual)
+    routine = _vector_rows(spec)
+    report = check_vector(routine, spec)
+    assert report.ok, [str(f) for f in report.findings]
+    _raws, rows, _sections = _fused_candidates(spec)
+    heavy, empty = _split_runs(spec, rows)
+    assert heavy[0] and empty[0]
+    assert all(
+        sum(v is None for v in row[1:]) >= 2 for row in heavy[0][1::3]
+    )
+
+
+def test_split_lane_catches_survivor_positions():
+    """``inject_bug("split")``: an object conjunct read at chunk rows
+    ``0..m-1`` instead of its survivors — wrong behind a vector
+    conjunct, right over a whole chunk."""
+    from repro.beecheck.transval import validate_vector
+    from repro.oracle import inject_bug
+
+    with inject_bug("split"):
+        broken = [_vector_rows(_split_spec(q)) for q in ("mixed", "like")]
+    assert validate_vector(broken[0], _split_spec("mixed"))
+    assert validate_vector(broken[1], _split_spec("like")) == []
+
+
+def test_costaudit_pins_the_split():
+    """Each object conjunct is evaluated once, over rows that carry
+    exactly the columns it reads; a kernel that widens a conjunct's
+    rows or drops a conjunct is a finding."""
+    from repro.beecheck.costaudit import audit_vector
+
+    spec = _split_spec("mixed")
+    routine = _vector_rows(spec)
+    assert audit_vector(routine, spec) == []
+    wide = dataclasses.replace(
+        routine, source=routine.source.replace("(2,)", "(1, 2)")
+    )
+    assert any("carry columns" in f for f in audit_vector(wide, spec))
+    dropped = dataclasses.replace(
+        routine, source=routine.source.replace("_E1.evaluate", "_E0.evaluate")
+    )
+    assert any("object lane" in f for f in audit_vector(dropped, spec))

@@ -6,8 +6,10 @@ variants, all four EVJ templates, an AGG transition pair, an IDX
 extractor, five fused pipeline bees (filtered rows, tuple-bee
 rows, inner/anti probe, grouped agg), the vector-tier kernels
 generated from the same five pipeline specs plus a left probe (nullable
-key, no qualification) and a semi probe (two keys), and the morsel
-workers' partial-agg kernel — is pinned byte-for-byte
+key, no qualification) and a semi probe (two keys), three kernels whose
+qual splits at its ``AND`` (a mixed one, an all-object one, a lone
+``LIKE``), and the morsel workers' partial-agg kernel — is pinned
+byte-for-byte
 under ``tests/golden/``.  A codegen change shows
 up as a reviewable diff instead of a silent behavior shift; regenerate
 deliberately with::
@@ -191,6 +193,37 @@ def _pipeline_spec(name: str):
     raise KeyError(name)
 
 
+def _split_spec(name: str):
+    """A rows kernel over the varlena layout whose qual splits: *mixed*
+    has a late LIKE first, a vector conjunct, an exact-int (raising)
+    one and a second vector one; *objects* has no vector conjunct at
+    all (a raising one between two late ones); *like* is a lone LIKE."""
+    from repro.bees.pipeline.codegen import PipelineSpec
+
+    layout = LAYOUTS["varlena"]
+    cols = [attr.name for attr in layout.schema.attributes]
+    qual = {
+        "vec_split_mixed": E.And(
+            E.Like(E.Col("v2"), "x%"),
+            E.Cmp(">", E.Col("n1"), E.Const(3)),
+            E.Cmp("<", E.Arith("*", E.Col("n1"), E.Const(2)), E.Const(50)),
+            E.Cmp("<", E.Col("q1"), E.Const(2.5)),
+        ),
+        "vec_split_objects": E.And(
+            E.InList(E.Col("c1"), ["ab", "cd"]),
+            E.Cmp("=", E.Arith("+", E.Col("n1"), E.Const(1)), E.Const(5)),
+            E.Not(E.Like(E.Col("v1"), "%z")),
+        ),
+        "vec_split_like": E.Like(E.Col("v1"), "ab%"),
+    }[name]
+    return PipelineSpec(
+        "varlena",
+        layout,
+        qual=E.bind(qual, cols),
+        output=[E.bind(E.Col("v1"), cols), E.bind(E.Col("q1"), cols)],
+    )
+
+
 def _generate(name: str) -> str:
     ledger = Ledger()
     if name.startswith("gcl_"):
@@ -222,6 +255,10 @@ def _generate(name: str) -> str:
         return generate_pipeline(
             _pipeline_spec(name), ledger, name.upper()
         ).source
+    if name.startswith("vec_split_"):
+        from repro.bees.vector.codegen import generate_vector
+
+        return generate_vector(_split_spec(name), ledger, "VEC").source
     if name.startswith("vec_"):
         # The vector generator consumes the same fused-pipeline specs,
         # so each vec_* golden is the columnar twin of a pipe_* one.
@@ -264,6 +301,9 @@ SNAPSHOTS = (
         "vec_probe_left",
         "vec_probe_semi",
         "vec_agg",
+        "vec_split_mixed",
+        "vec_split_objects",
+        "vec_split_like",
     ]
     + ["par_agg"]
 )

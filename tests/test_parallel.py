@@ -235,3 +235,43 @@ def test_registry_declares_parallel_coordinator_state():
         == "GenericBeeModule.query_epoch"
     )
     assert lookup("Database", "_parallel") is not None
+
+
+# -- worker lifetime ---------------------------------------------------------
+
+
+def test_worker_holds_only_the_statement_in_flight():
+    """Each ``prepare`` releases the statement before it (and its probe
+    build table), so a worker holds one prepared entry however many
+    statements it served, and a stale retry within the statement in
+    flight still runs once the snapshot is re-shipped."""
+    from repro.bees.pipeline.codegen import PipelineSpec
+    from repro.db import Database
+    from repro.parallel.worker import _WorkerState
+
+    db = Database(BeeSettings.vectorized())
+    db.sql("CREATE TABLE w (a int NOT NULL, b varchar(4))")
+    db.sql(
+        "INSERT INTO w VALUES "
+        + ", ".join(f"({i}, 'b{i}')" for i in range(12))
+    )
+    rel = db.relation("w")
+    pages = [[raw for _slot, raw in page.live_tuples()] for page in rel.heap.pages]
+    args = (pages, rel.sections_list(), rel.layout)
+    state = _WorkerState()
+    state.install_snapshot("w", ("w", 1), *args)
+    for stmt_id in range(1, 6):
+        spec = PipelineSpec(
+            "w", rel.layout,
+            qual=E.bind(E.Cmp(">", E.Col("a"), E.Const(stmt_id)), ["a", "b"]),
+            sink="probe", join_type="inner", probe_idx=(0,), build_width=1,
+        )
+        table = {(k,): [[f"t{k}"]] for k in range(stmt_id, 12, 2)}
+        state.prepare(stmt_id, pickle.dumps(spec), "vector", table)
+        assert list(state.prepared) == [stmt_id]
+    # The statement in flight meets a newer snapshot token: stale, then
+    # re-shipped and retried.
+    assert state.run_task(5, "w", ("w", 2), 0, len(pages)) == ("stale", None)
+    state.install_snapshot("w", ("w", 2), *args)
+    payload, _delta = state.run_task(5, "w", ("w", 2), 0, len(pages))
+    assert payload == [[k, f"b{k}", f"t{k}"] for k in (7, 9, 11)]

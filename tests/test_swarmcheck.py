@@ -30,9 +30,10 @@ def source():
 def corpus():
     with Corpus(seed=0, statements=60) as built:
         # TPC-H + TPC-C batteries, then one fuzz database per local
-        # tier, 60 statements each and the 25 literal siblings behind
-        # them (uncounted riders, see StatementGenerator.stream)
-        assert built.executed == 22 + 15 + 2 * (60 + 25)
+        # tier, 60 statements each and the 25 literal siblings and 4
+        # split cases behind them (uncounted riders, see
+        # StatementGenerator.stream)
+        assert built.executed == 22 + 15 + 2 * (60 + 25 + 4)
         return [(entry.kind, entry.routine) for entry in built.routines]
 
 

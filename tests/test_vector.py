@@ -363,3 +363,153 @@ class TestProbeSink:
                 assert sum(
                     rows for width, rows in built if width == natts
                 ) == survivors, number
+
+
+# -- a qual split at its AND: object conjuncts over survivors --------------
+
+
+_TIERS = {
+    "stock": BeeSettings.stock(),
+    "bees": BeeSettings.all_bees(),
+    "pipelined": BeeSettings.pipelined(),
+    "vectorized": BeeSettings.vectorized(),
+    # Every bee gated on beecheck, as the oracle runs them: a routine
+    # that raises on a row the interpreter never reaches with it is a
+    # translation-validation finding for EVP, and out of contract for a
+    # vector kernel (the shield degrades instead).
+    "bees-verified": BeeSettings.all_bees().verified(),
+    "vectorized-verified": BeeSettings.vectorized().verified(),
+}
+
+
+@pytest.fixture
+def contract():
+    """One database per tier over the same rows: a NULL divisor, a zero
+    divisor on a row where ``x <= 5``, a zero float divisor on a row
+    whose ``s`` no IN list below names."""
+    dbs = {}
+    for name, settings in _TIERS.items():
+        db = Database(settings)
+        db.sql(
+            "CREATE TABLE t (a int NOT NULL, b int, x int NOT NULL, "
+            "f float, g float, s varchar(8))"
+        )
+        db.sql(
+            "INSERT INTO t VALUES (4, 2, 9, 1.0, 2.0, 'aa'), "
+            "(3, 0, 1, 2.0, 0.0, 'bb'), (6, 3, 7, 4.0, 2.0, 'aa'), "
+            "(5, NULL, 8, NULL, 1.0, NULL), (2, 2, 6, 3.0, 3.0, 'cc')"
+        )
+        dbs[name] = db
+    return dbs
+
+
+def _outcomes(dbs, sql: str) -> dict:
+    out = {}
+    for name, db in dbs.items():
+        try:
+            out[name] = sorted(db.sql(sql).rows)
+        except Exception as exc:  # noqa: BLE001 — the error IS the outcome
+            out[name] = type(exc).__name__
+    return out
+
+
+class TestSplitQual:
+    def test_raising_conjunct_first_raises_on_every_tier(self, contract):
+        """The interpreter divides on every row before it looks at
+        ``x``, so the row with ``b = 0`` raises whatever ``x`` is."""
+        out = _outcomes(contract, "SELECT a FROM t WHERE a / b = 2 AND x > 5")
+        assert set(out.values()) == {"ZeroDivisionError"}, out
+
+    def test_raising_conjunct_last_raises_on_the_rows_stock_does(
+        self, contract
+    ):
+        """Behind ``x > 5`` the division never meets ``b = 0`` — until a
+        row with ``b = 0`` passes it; then every tier raises."""
+        sql = "SELECT a FROM t WHERE x > 5 AND a / b = 2"
+        out = _outcomes(contract, sql)
+        assert all(rows == [(4,), (6,)] for rows in out.values()), out
+        for db in contract.values():
+            db.sql("INSERT INTO t VALUES (7, 0, 8, 1.0, 1.0, 'dd')")
+        out = _outcomes(contract, sql)
+        assert set(out.values()) == {"ZeroDivisionError"}, out
+
+    def test_vector_division_on_an_unreached_row_degrades(self, contract):
+        """``f / g`` runs over the whole chunk and meets ``g = 0`` on a
+        row the interpreter rejects at its IN list: the kernel raises,
+        the shield degrades the statement, and the rows are stock's."""
+        vec = contract["vectorized"]
+        faults = vec.stats()["resilience"]["faults"]
+        out = _outcomes(
+            contract, "SELECT a FROM t WHERE s IN ('aa', 'cc') AND f / g > 0.4"
+        )
+        assert all(rows == [(2,), (4,), (6,)] for rows in out.values()), out
+        assert vec.stats()["resilience"]["faults"] > faults
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t WHERE s LIKE 'a%' AND x > 5",
+        "SELECT a FROM t WHERE NOT (s LIKE 'a%') AND x > 1 AND a * 2 > 3",
+        "SELECT a, s FROM t WHERE s IN ('aa', 'bb') AND b IN (0, 2) "
+        "AND x + 1 > 2",
+        "SELECT a FROM t WHERE b IS NULL AND a - 1 > 0",
+        "SELECT a FROM t WHERE s NOT LIKE '%a'",
+        "SELECT count(*) FROM t WHERE x > 100 AND s IN ('aa')",
+        "SELECT a FROM t WHERE 1 = 1 AND s LIKE 'a%'",
+    ])
+    def test_rows_equal_stock(self, contract, sql):
+        """Mixed, all-object, lone, empty-survivor and constant quals,
+        over a nullable string, a nullable int and a NULL divisor, all
+        on the vector tier: no kernel raises."""
+        vec = contract["vectorized"]
+        executed = vec.stats()["bees"].get("vector_executed", 0)
+        faults = vec.stats()["resilience"]["faults"]
+        out = _outcomes(contract, sql)
+        assert len({repr(rows) for rows in out.values()}) == 1, out
+        assert vec.stats()["bees"]["vector_executed"] > executed
+        assert vec.stats()["resilience"]["faults"] == faults
+
+    def test_a_literal_sibling_rebinds_the_object_conjunct(self, contract):
+        """The object lane evaluates the plan's own conjunct: a cached
+        shape re-bound to new literals evaluates the new ones."""
+        for k in (2, 1, 3):
+            sql = f"SELECT a FROM t WHERE x > 5 AND a / b = {k}"
+            out = _outcomes(contract, sql)
+            assert len({repr(rows) for rows in out.values()}) == 1, out
+
+    def test_object_lane_sees_survivors_and_only_their_columns(
+        self, monkeypatch
+    ):
+        """TPC-H q12's and q19's ``l_shipmode IN (…)`` is evaluated over
+        the rows their vector conjuncts keep — 564 and 7,453 of 29,675
+        lineitem rows — each carrying ``l_shipmode`` alone."""
+        from repro.bees.vector import codegen
+        from repro.workloads.tpch.loader import build_tpch_database
+        from repro.workloads.tpch.queries import QUERIES
+
+        lanes: list = []
+        materialize = codegen._materialize
+
+        def counting(cols, nulls, idx, used=None):
+            rows = materialize(cols, nulls, idx, used)
+            if used is not None:
+                lanes.append((used, rows))
+            return rows
+
+        monkeypatch.setattr(codegen, "_materialize", counting)
+        with build_tpch_database(
+            BeeSettings.vectorized(), 0.005, parallel_workers=0
+        ) as db:
+            schema = db.relation("lineitem").schema
+            shipmode = schema.attnum("l_shipmode")
+            for number, survivors in ((12, 564), (19, 7453)):
+                lanes.clear()
+                QUERIES[number](db)
+                assert [
+                    (used, len(rows)) for used, rows in lanes
+                ] == [((shipmode,), survivors)], number
+                assert all(
+                    len(row) == schema.natts
+                    and all(v is None for i, v in enumerate(row)
+                            if i != shipmode)
+                    and row[shipmode] is not None
+                    for _used, rows in lanes for row in rows
+                )
