@@ -46,7 +46,7 @@ def main() -> None:
             ),
             db.relation("lineitem").schema.column_names(),
         )
-        evp = db.bee_module.get_evp(predicate, assume_not_null=True)
+        evp = db.bee_module.maker.make_evp(predicate, assume_not_null=True)
         print(f"--- generated EVP source ({evp.cost} instr/eval vs "
               f"{predicate.generic_cost} generic) ---")
         print(evp.source)

@@ -43,8 +43,8 @@ class BeeCache:
 
     def all_routines(self) -> list:
         """Every relation-bee routine in the cache (placement optimizer
-        input; a query bee holds plans, its routines live in the
-        module's memos)."""
+        input; a query bee holds plans, and its plans' nodes hold its
+        routines)."""
         routines: list = []
         for bee in self.relation_bees.values():
             routines.extend(bee.routines)

@@ -3,9 +3,10 @@
 A *fused driver* replaces one fusable plan segment.  It carries the
 segment's :class:`~repro.bees.pipeline.codegen.PipelineSpec`, the
 *anchor* — the subtree (or lower-tier driver) it replaced, kept for
-EXPLAIN, as the routine memo key and as the degradation target — and,
-for the ``probe`` sink, the join's build child.  There is exactly one
-driver class; ``(tier.name, spec.sink)`` names what it runs.
+EXPLAIN and as the degradation target — and, for the ``probe`` sink,
+the join's build child; it holds its tier's routine once acquired.
+There is exactly one driver class; ``(tier.name, spec.sink)`` names
+what it runs.
 
 What a tier genuinely changes is its :class:`Tier` row in :data:`TIERS`
 (pipeline → vector → parallel): its settings/shield family and
@@ -340,11 +341,11 @@ class FusedDriver(PlanNode):
         # Resolve the routine; not admitted (quarantined bee, or the
         # generator faulted under the shield) drains the anchor.
         if shield is not None:
-            admitted, fn, key = shield.fused(ctx, tier, spec, self.anchor)
+            admitted, fn, key = shield.fused(ctx, self, tier, spec)
         else:
             admitted, key = True, None
             fn = None if tier.remote else ctx.bees.get_fused(
-                tier, spec, self.anchor
+                self, tier, spec
             ).fn
         units = None
         if admitted:

@@ -11,12 +11,15 @@ The maker owns code generation; the cache and manager own the lifecycle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.bees.datasection import DataSectionStore
+from repro.bees.routines.agg import generate_agg
 from repro.bees.routines.base import BeeRoutine
 from repro.bees.routines.evj import EVJRoutine, instantiate_evj
 from repro.bees.routines.evp import generate_evp
+from repro.bees.routines.idx import generate_idx
 from repro.bees.routines.gcl import generate_gcl, generate_gcl_columns
 from repro.bees.routines.scl import generate_scl
 from repro.engine.expr import Expr
@@ -65,10 +68,10 @@ class QueryBee:
     :class:`BeeSettings` the plan was stacked under — and *bound* on
     every later one: each ``(setter, slot, negate)`` of ``binds`` puts
     that statement's literal into the plan constant it stands for.  The
-    routines the plan reaches re-patch their ``_K{n}`` holes from those
-    constants when they are next acquired
-    (:meth:`GenericBeeModule.get_evp` and friends), so the bee holds
-    plans, not routines.
+    bee holds plans, and its plans' nodes hold the routines
+    (:meth:`GenericBeeModule.held`): each re-patches its ``_K{n}`` holes
+    from those constants when it is next acquired, and goes when the
+    collector trims the bee.
     """
 
     key: tuple | None
@@ -110,9 +113,15 @@ class BeeMaker:
         self.ledger = ledger
         self.verify = verify
         self.code_cache = code_cache
-        self._evp_counter = 0
-        self._evj_counter = 0
-        self._fused_counter: dict[str, int] = {}   # tier prefix -> count
+        #: Routines named so far, per name prefix (``EVP``, ``EVJ``,
+        #: ``AGG`` or a tier's): the ``n`` of the next ``EVP_n``, and
+        #: what :meth:`GenericBeeModule.statistics` counts.
+        self.made: Counter = Counter()
+
+    def _name(self, prefix: str) -> str:
+        """The next routine name of *prefix*: ``EVP_1``, ``EVP_2``, ..."""
+        self.made[prefix] += 1
+        return f"{prefix}_{self.made[prefix]}"
 
     def make_relation_bee(self, layout: TupleLayout) -> RelationBee:
         """Create the relation bee for *layout* (schema-definition time)."""
@@ -134,10 +143,9 @@ class BeeMaker:
 
     def make_evp(self, expr: Expr, assume_not_null: bool = False) -> BeeRoutine:
         """Specialize a bound predicate into an EVP routine."""
-        self._evp_counter += 1
-        fn_name = f"EVP_{self._evp_counter}"
         routine = generate_evp(
-            expr, self.ledger, fn_name, assume_not_null, self.code_cache
+            expr, self.ledger, self._name("EVP"), assume_not_null,
+            self.code_cache,
         )
         self.check_evp(routine, expr)
         return routine
@@ -150,14 +158,31 @@ class BeeMaker:
 
             verify_evp(routine, expr)
 
+    def make_agg(self, specs: tuple, assume_not_null: bool = False) -> BeeRoutine:
+        """Specialize a HashAgg node's aggregate list into an AGG
+        transition routine (experimental: Section VIII future work)."""
+        routine = generate_agg(
+            list(specs), self.ledger, self._name("AGG"), assume_not_null,
+            self.code_cache,
+        )
+        self.check_agg(routine, specs, assume_not_null)
+        return routine
+
+    def check_agg(
+        self, routine: BeeRoutine, specs: tuple, assume_not_null: bool
+    ) -> None:
+        """The ``verify_on_generate`` gate of an AGG routine."""
+        if self.verify:
+            from repro.beecheck import verify_agg
+
+            verify_agg(routine, list(specs), assume_not_null)
+
     def make_fused(self, tier, spec) -> BeeRoutine:
         """Compile *tier*'s routine (a fused pipeline bee, a columnar
         vector kernel) for one fusable plan segment; *tier* is a row of
         :data:`repro.bees.drivers.TIERS`."""
-        count = self._fused_counter.get(tier.prefix, 0) + 1
-        self._fused_counter[tier.prefix] = count
         routine = tier.generate(
-            spec, self.ledger, f"{tier.prefix}_{count}", self.code_cache
+            spec, self.ledger, self._name(tier.prefix), self.code_cache
         )
         self.check_fused(routine, tier, spec)
         return routine
@@ -169,10 +194,19 @@ class BeeMaker:
 
             getattr(beecheck, f"verify_{tier.name}")(routine, spec)
 
+    def make_idx(self, key_indexes: list[int], fn_name: str) -> BeeRoutine:
+        """Specialize one index's key extraction into an IDX routine
+        (experimental: Section VIII future work)."""
+        routine = generate_idx(key_indexes, self.ledger, fn_name)
+        if self.verify:
+            from repro.beecheck import verify_idx
+
+            verify_idx(routine, key_indexes)
+        return routine
+
     def make_evj(self, join_type: str, n_keys: int) -> EVJRoutine:
         """Clone the pre-compiled EVJ template for a join node."""
-        self._evj_counter += 1
-        fn_name = f"EVJ_{self._evj_counter}_{join_type}"
+        fn_name = f"{self._name('EVJ')}_{join_type}"
         routine = instantiate_evj(join_type, n_keys, fn_name)
         if self.verify:
             from repro.beecheck import verify_evj

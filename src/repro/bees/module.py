@@ -11,7 +11,7 @@ The paper stresses that wiring this module into PostgreSQL took only
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from pathlib import Path
 
 from repro.bees.cache import BeeCache
@@ -24,52 +24,10 @@ from repro.bees.settings import BeeSettings
 from repro.engine.expr import Expr
 from repro.storage.layout import TupleLayout
 
-#: Bound of each identity-keyed query-routine memo (EVP, AGG, fused).
-#: Plans are rebuilt per statement and the memos key on (and pin) their
-#: nodes and expressions, so without a bound a long-running session
-#: leaks one plan subtree per statement.  Far above what one prepared
-#: workload or checker corpus holds live (a full TPC-H pass memoizes
-#: ~100 routines), so only ad-hoc statement streams ever evict.
-FUSED_MEMO_CAP = 256
-
 #: Proto-bee code-cache bound: distinct generated sources whose code
 #: objects are kept.  A warm TPC-H pass holds ~100 shapes and the short
 #: statement mix a dozen, so only a stream of ever-new shapes evicts.
 CODE_CACHE_CAP = 512
-
-
-def _remember(memo: OrderedDict, key, entry: tuple) -> None:
-    """Insert *entry* into an identity-keyed query-routine memo.
-
-    Every entry starts with the object whose ``id()`` is in its key
-    (holding the reference pins the id, which would otherwise be
-    recycled after GC) and ends with its routine.  The memos are
-    insertion ordered and bounded by :data:`FUSED_MEMO_CAP`, oldest
-    evicted first: a running plan holds its own reference to its
-    routine, so eviction only costs a re-instantiation if that plan is
-    ever executed again.
-    """
-    memo.pop(key, None)   # a recycled id re-enters as the newest
-    memo[key] = entry
-    if len(memo) > FUSED_MEMO_CAP:
-        # One call, so atomic under the GIL: server reads of different
-        # sessions insert concurrently.
-        memo.popitem(last=False)
-
-
-def _sweep(memo: OrderedDict) -> list:
-    """``(key, entry)`` pairs of *memo*, for the checker corpus sweeps.
-
-    A sweep must see every routine its statements generated, so a memo
-    that has filled to the cap (and may have evicted) is an error here,
-    not a silently shorter corpus.
-    """
-    if len(memo) >= FUSED_MEMO_CAP:
-        raise RuntimeError(
-            f"query-routine memo reached its cap ({FUSED_MEMO_CAP}): "
-            "the sweep would certify a truncated corpus"
-        )
-    return list(memo.items())
 
 
 class GenericBeeModule:
@@ -99,27 +57,17 @@ class GenericBeeModule:
         self.disk_dir = Path(disk_dir) if disk_dir else None
         # Beeshield integration: the resilience registry (quarantine and
         # fault accounting) shares invalidation edges with the bee
-        # memos, and every memoized query routine is stamped with the
-        # invalidation epoch it was generated under so the guard can
-        # detect a memo that survived a DDL event it should not have.
+        # caches, and every query routine is stamped with the
+        # invalidation epoch it was generated under, so the plan node
+        # that holds it can tell it from one that outlived a DDL event
+        # (:meth:`held`).
         self.registry = registry
         self.query_epoch = 0
-        # Query-bee routine memoization.  EVP and AGG routines are keyed
-        # by (id of the expression / spec tuple, nullability variant),
-        # entries (expr | specs, routine); fused-driver routines of every
-        # tier by (tier name, id of the anchor plan node the driver
-        # replaced), entries (anchor, spec, routine) — the spec is kept
-        # so beecheck can re-verify cached routines post hoc.
-        self._evp_by_expr: OrderedDict[
-            tuple[int, bool], tuple[Expr, BeeRoutine]
-        ] = OrderedDict()
+        # The content-keyed routine maps: an EVJ template clone per join
+        # shape, an IDX routine per index.  Every other query routine is
+        # held by the plan node that runs it.
         self._evj_by_shape: dict[tuple[str, int], EVJRoutine] = {}
-        self._agg_by_specs: OrderedDict[tuple[int, bool], tuple] = OrderedDict()
-        self._agg_counter = 0
-        self._idx_by_index: dict[tuple[str, str], tuple[list[int], BeeRoutine]] = {}
-        self._fused_by_node: OrderedDict[
-            tuple[str, int], tuple[object, object, BeeRoutine]
-        ] = OrderedDict()
+        self._idx_by_index: dict[tuple[str, str], BeeRoutine] = {}
         #: Fused drivers that ran their tier's routine (rather than
         #: draining their anchor), per tier name.
         self.executed: Counter = Counter()
@@ -175,12 +123,6 @@ class GenericBeeModule:
             self.collector.collected_query_bees += 1
         for key in [k for k in self._idx_by_index if k[0] == relation]:
             del self._idx_by_index[key]
-        for key in [
-            k
-            for k, (_anchor, spec, _routine) in self._fused_by_node.items()
-            if spec.relation == relation
-        ]:
-            del self._fused_by_node[key]
         if self.registry is not None:
             # Quarantine state describes bees that no longer exist.
             self.registry.clear_prefix(
@@ -194,27 +136,21 @@ class GenericBeeModule:
             )
 
     def invalidate_query_bees(self) -> int:
-        """Evict every query bee and memoized query routine (ALTER path).
+        """Evict every query bee and IDX routine, and start a new query
+        epoch (ALTER path).
 
-        Plans — and the EVP/AGG/IDX/pipeline routines memoized off them —
-        may bind column positions and constants from the old schema.  EVJ
-        templates survive: they embed only the join type and key arity,
-        which no schema change affects.  Returns the number of entries
-        evicted.
+        Plans — and the routines their nodes hold — may bind column
+        positions and constants from the old schema: the cached plans
+        go, and a routine a surviving plan still holds is older than
+        the epoch, so its next acquisition regenerates it
+        (:meth:`held`).  EVJ templates survive: they embed only the
+        join type and key arity, which no schema change affects.
+        Returns the number of entries evicted.
         """
         n_query_bees = len(self.cache.query_bees)
-        evicted = (
-            n_query_bees
-            + len(self._evp_by_expr)
-            + len(self._agg_by_specs)
-            + len(self._idx_by_index)
-            + len(self._fused_by_node)
-        )
+        evicted = n_query_bees + len(self._idx_by_index)
         self.cache.query_bees.clear()
-        self._evp_by_expr.clear()
-        self._agg_by_specs.clear()
         self._idx_by_index.clear()
-        self._fused_by_node.clear()
         self.collector.collected_query_bees += n_query_bees
         self.query_epoch += 1
         if self.registry is not None:
@@ -229,136 +165,90 @@ class GenericBeeModule:
 
     # -- query bees (query preparation time) ------------------------------------
 
-    def get_evp(self, expr: Expr, assume_not_null: bool = False) -> BeeRoutine:
-        """EVP routine for a bound predicate (memoized by expression
-        identity and nullability variant; a hit re-patches the holes
-        from the expression's current constants, as for
-        :meth:`get_fused`)."""
-        key = (id(expr), assume_not_null)
-        entry = self._evp_by_expr.get(key)
-        if entry is not None and entry[0] is expr:
-            routine = entry[1]
-            if routine.repatch():
-                self.maker.check_evp(routine, expr)
-            return routine
-        routine = self.maker.make_evp(expr, assume_not_null)
+    def held(self, node, make, check) -> BeeRoutine:
+        """The query routine plan node *node* runs: the one it holds.
+
+        A routine made under the current invalidation epoch is reused —
+        a statement may have re-bound the plan's constants since, so its
+        holes are re-patched and, when one moved, *check* re-verifies
+        it (the ``verify_on_generate`` gate).  Otherwise ``make()``
+        instantiates one (from the proto-bee code cache when the shape
+        was compiled before) and the node holds it from then on: a
+        routine lives exactly as long as its plan.  A held routine of
+        an older epoch outlived an invalidation edge; it is replaced,
+        and the registry logs a ``routine_regenerated`` event.
+        """
+        routine = node.routine
+        if routine is not None:
+            if routine.epoch == self.query_epoch:
+                if routine.repatch():
+                    check(routine)
+                return routine
+            if self.registry is not None:
+                self.registry.record_event(
+                    "routine_regenerated", bee=routine.name,
+                    epoch=routine.epoch, query_epoch=self.query_epoch,
+                )
+        routine = make()
         routine.epoch = self.query_epoch
-        _remember(self._evp_by_expr, key, (expr, routine))
+        node.routine = routine
         return routine
 
-    def get_agg(self, specs: tuple, assume_not_null: bool = False) -> BeeRoutine:
-        """AGG routine for a HashAgg node's aggregate list (memoized).
+    def get_evp(
+        self, node, expr: Expr, assume_not_null: bool = False
+    ) -> BeeRoutine:
+        """EVP routine for predicate *expr*, held by *node* (a Filter,
+        or a join for its qualification)."""
+        maker = self.maker
+        return self.held(
+            node,
+            lambda: maker.make_evp(expr, assume_not_null),
+            lambda routine: maker.check_evp(routine, expr),
+        )
+
+    def get_agg(
+        self, node, specs: tuple, assume_not_null: bool = False
+    ) -> BeeRoutine:
+        """AGG routine for a HashAgg *node*'s aggregate list.
 
         Experimental (the paper's Section VIII future work); only used
         when :attr:`BeeSettings.agg` is enabled.
         """
-        key = (id(specs), assume_not_null)
-        entry = self._agg_by_specs.get(key)
-        if entry is not None and entry[0] is specs:
-            routine = entry[1]
-            if routine.repatch():
-                self._check_agg(routine, specs, assume_not_null)
-            return routine
-        from repro.bees.routines.agg import generate_agg
-
-        self._agg_counter += 1
-        routine = generate_agg(
-            list(specs), self.ledger, f"AGG_{self._agg_counter}",
-            assume_not_null, self.code_cache,
+        maker = self.maker
+        return self.held(
+            node,
+            lambda: maker.make_agg(specs, assume_not_null),
+            lambda routine: maker.check_agg(routine, specs, assume_not_null),
         )
-        self._check_agg(routine, specs, assume_not_null)
-        routine.epoch = self.query_epoch
-        _remember(self._agg_by_specs, key, (specs, routine))
-        return routine
 
-    def _check_agg(self, routine, specs: tuple, assume_not_null: bool) -> None:
-        """The ``verify_on_generate`` gate of an AGG routine."""
-        if self.maker.verify:
-            from repro.beecheck import verify_agg
-
-            verify_agg(routine, list(specs), assume_not_null)
+    def get_fused(self, node, tier, spec) -> BeeRoutine:
+        """*tier*'s routine for fused driver *node*'s plan segment
+        *spec*; *tier* is the driver's :class:`repro.bees.drivers.Tier`
+        row (it owns the generator)."""
+        maker = self.maker
+        return self.held(
+            node,
+            lambda: maker.make_fused(tier, spec),
+            lambda routine: maker.check_fused(routine, tier, spec),
+        )
 
     def get_idx(
         self, relation: str, index_name: str, key_indexes: list[int]
     ) -> BeeRoutine:
-        """IDX routine for one index's key extraction (memoized).
+        """IDX routine for one index's key extraction (one per index).
 
         Experimental (Section VIII future work: "indexing"); only used
         when :attr:`BeeSettings.idx` is enabled.
         """
         key = (relation, index_name)
-        entry = self._idx_by_index.get(key)
-        if entry is None:
-            from repro.bees.routines.idx import generate_idx
-
-            routine = generate_idx(
-                key_indexes, self.ledger, f"IDX_{relation}_{index_name}"
+        routine = self._idx_by_index.get(key)
+        if routine is None:
+            routine = self.maker.make_idx(
+                key_indexes, f"IDX_{relation}_{index_name}"
             )
-            if self.maker.verify:
-                from repro.beecheck import verify_idx
-
-                verify_idx(routine, key_indexes)
             routine.epoch = self.query_epoch
-            entry = (list(key_indexes), routine)
-            self._idx_by_index[key] = entry
-        return entry[1]
-
-    def get_fused(self, tier, spec, anchor) -> BeeRoutine:
-        """Fused-driver routine for one plan segment (memoized by anchor).
-
-        *tier* is the driver's :class:`repro.bees.drivers.Tier` row (it
-        owns the generator) and *anchor* the node the driver
-        replaced.  The memo keys routine reuse to repeated executions of
-        one plan — a query bee's, whose constants a statement may have
-        re-bound since, so a hit re-patches the routine's holes (and
-        re-verifies it under ``verify_on_generate``); a fresh plan of a
-        shape seen before re-instantiates its proto-bee from the code
-        cache instead.  Evicted with the other query bees on DDL.
-        """
-        key = (tier.name, id(anchor))
-        entry = self._fused_by_node.get(key)
-        if entry is not None and entry[0] is anchor:
-            routine = entry[2]
-            if routine.repatch():
-                self.maker.check_fused(routine, tier, spec)
-            return routine
-        routine = self.maker.make_fused(tier, spec)
-        routine.epoch = self.query_epoch
-        _remember(self._fused_by_node, key, (anchor, spec, routine))
+            self._idx_by_index[key] = routine
         return routine
-
-    def evp_entries(self) -> list[tuple[Expr, BeeRoutine]]:
-        """Memoized EVP routines as ``(expr, routine)``, for checker
-        sweeps (raises once the memo may have evicted)."""
-        return [entry for _key, entry in _sweep(self._evp_by_expr)]
-
-    def agg_entries(self) -> list[tuple[tuple, BeeRoutine]]:
-        """Memoized AGG routines as ``(specs, routine)``, for checker
-        sweeps (raises once the memo may have evicted)."""
-        return [entry for _key, entry in _sweep(self._agg_by_specs)]
-
-    def evj_entries(self) -> list[EVJRoutine]:
-        """Cloned EVJ templates, for checker sweeps (one per join
-        shape, never evicted)."""
-        return list(self._evj_by_shape.values())
-
-    def idx_entries(self) -> list[tuple[list[int], BeeRoutine]]:
-        """Memoized IDX routines as ``(key_indexes, routine)``, for
-        checker sweeps (one per live index, never evicted)."""
-        return list(self._idx_by_index.values())
-
-    def fused_entries(
-        self, tier: str
-    ) -> list[tuple[int, object, object, BeeRoutine]]:
-        """Memoized *tier* routines as ``(anchor id, anchor, spec,
-        routine)`` — the checker corpus sweeps' view of the memo
-        (raises once the memo may have evicted).
-        """
-        return [
-            (node, *entry)
-            for (name, node), entry in _sweep(self._fused_by_node)
-            if name == tier
-        ]
 
     def get_evj(self, join_type: str, n_keys: int) -> EVJRoutine:
         """EVJ routine for a join shape (clone of a pre-compiled template)."""
@@ -368,50 +258,6 @@ class GenericBeeModule:
             routine = self.maker.make_evj(join_type, n_keys)
             self._evj_by_shape[shape] = routine
         return routine
-
-    def evict_routine(self, routine) -> bool:
-        """Evict one memoized query routine (beeshield staleness repair).
-
-        Returns True when the routine was found in a memo.  The next
-        acquisition regenerates it under the current epoch.
-        """
-        for memo in (
-            self._evp_by_expr, self._agg_by_specs, self._idx_by_index,
-            self._fused_by_node,
-        ):
-            # Every memo entry ends with its routine.
-            for key, entry in list(memo.items()):
-                if entry[-1] is routine:
-                    del memo[key]
-                    return True
-        return False
-
-    def stable_key(self, routine_name: str) -> str | None:
-        """Map a generated routine name to its stable health key.
-
-        Relation-scoped names (``GCL_orders``, ``IDX_rel_idx``) are
-        already stable; counter-suffixed query routines (``EVP_17``,
-        ``AGG_3``, ``PIPE_2``) are looked up in the memos so the
-        resilience registry can track them across statements.  The
-        name is per instantiation (the ``_NAME`` hole of the faulting
-        frame's namespace), never the shared code object's.  Cold
-        path: only called while attributing a fault.
-        """
-        if routine_name.startswith(("GCL_", "SCL_", "IDX_", "EVJ_")):
-            return routine_name
-        from repro.resilience.guard import agg_key, evp_key, fused_key
-
-        for expr, routine in self._evp_by_expr.values():
-            if routine.name == routine_name:
-                return evp_key(expr)
-        for specs, routine in self._agg_by_specs.values():
-            if routine.name == routine_name:
-                return agg_key(specs)
-        for _anchor, spec, routine in self._fused_by_node.values():
-            if routine.name == routine_name:
-                # PIPE_7 / VEC_3: the name's prefix is the tier's.
-                return fused_key(routine_name.split("_", 1)[0], spec)
-        return None
 
     def check_out(self, key: tuple) -> QueryBee | None:
         """Take the query bee of shape *key* out of the cache — a
@@ -516,16 +362,20 @@ class GenericBeeModule:
             for bee in self.cache.relation_bees.values()
             if bee.data_sections is not None
         )
-        fused = Counter(tier for tier, _node in self._fused_by_node)
+        from repro.bees import drivers
+
+        made = self.maker.made
         return {
             "relation_bees": len(self.cache.relation_bees),
             "query_bees": len(self.cache.query_bees),
-            "evp_routines": len(self._evp_by_expr),
+            # Query routines instantiated so far (a plan holds its own,
+            # so none of these is a cache size).
+            "evp_routines": made["EVP"],
             "evj_routines": len(self._evj_by_shape),
-            "pipeline_routines": fused["pipeline"],
-            "vector_routines": fused["vector"],
-            # ...and whatever other local tier has memoized routines.
-            **{f"{tier}_routines": n for tier, n in fused.items()},
+            **{
+                f"{tier.name}_routines": made[tier.prefix]
+                for tier in drivers.TIERS if not tier.remote
+            },
             **{f"{tier}_executed": n for tier, n in self.executed.items()},
             "tuple_bees": tuple_bees,
             "collected_relation_bees": self.collector.collected_relation_bees,

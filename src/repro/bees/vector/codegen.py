@@ -112,17 +112,23 @@ def _never_raises(expr: E.Expr, schema) -> bool:
     )
 
 
+def _masks(expr: E.Expr, schema) -> bool:
+    """True when *expr*'s emission is a whole-column mask: it is
+    vectorizable and reads a column.  One that reads none stays an
+    object expression — its emission would be a scalar, not a mask."""
+    acc: set = set()
+    referenced(expr, acc)
+    return bool(acc) and _vectorizable(expr, schema)
+
+
 def _split_kinds(qual: E.Expr, schema) -> list:
     """*qual*'s conjuncts, each with the lane it runs in: ``"vector"``
-    (part of the whole-column mask), ``"late"`` (cannot raise: runs
-    last, over the survivors) or ``"raising"`` (any other object
-    conjunct).  A vectorizable conjunct that reads no column stays an
-    object one: its emission is a scalar, not a mask."""
+    (part of the whole-column mask, :func:`_masks`), ``"late"`` (cannot
+    raise: runs last, over the survivors) or ``"raising"`` (any other
+    object conjunct)."""
     out = []
     for conjunct in _conjuncts(qual):
-        acc: set = set()
-        referenced(conjunct, acc)
-        if acc and _vectorizable(conjunct, schema):
+        if _masks(conjunct, schema):
             out.append(("vector", conjunct))
         elif _never_raises(conjunct, schema):
             out.append(("late", conjunct))
@@ -568,7 +574,7 @@ def generate_vector(
     late: list = []
     if spec.qual is None:
         mask = "True"
-    elif _vectorizable(spec.qual, schema):
+    elif _masks(spec.qual, schema):
         mask, _u = em.emit(spec.qual)
         qual_cost = C.VEC_KERNEL_PER_VALUE * _expr_nodes(spec.qual)
     else:

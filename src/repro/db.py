@@ -293,9 +293,9 @@ class Database:
 
     def _on_alter(self, name: str, _schema) -> None:
         """Bee reconstruction on ALTER: the relation bee is regenerated
-        for the relation's current layout, and every query-bee routine is
-        evicted — plans bind column positions and constants against the
-        old schema, so memoized EVP/AGG/IDX routines may be stale."""
+        for the relation's current layout, and every query bee is evicted
+        — plans bind column positions and constants against the old
+        schema, so their routines (and IDX routines) may be stale."""
         rel = self._relations.get(name)
         if rel is not None and rel.bee is not None:
             rel.bee = self.bee_module.reconstruct_relation_bee(rel.layout)
@@ -504,9 +504,6 @@ class Database:
         self,
         statement: str,
         bees: bool | BeeSettings | None = None,
-        pipelines: bool | None = None,
-        vectors: bool | None = None,
-        parallel: bool | None = None,
         timeout: float | None = None,
     ):
         """Execute one SQL statement: SELECT, EXPLAIN, CREATE TABLE,
@@ -522,15 +519,10 @@ class Database:
         ``stats()["statements"]`` counts it).  ``bees=False`` runs this one
         statement through the generic code paths (see
         :meth:`resolve_settings`); results must be identical either way —
-        the invariant the differential oracle checks.  *pipelines*
-        overrides the :attr:`BeeSettings.pipelines` flag for this one
-        statement (``db.sql(q, pipelines=False)`` disables plan fusion
-        without touching the other bee families); *vectors* does the
-        same for the columnar vector tier (``db.sql(q, vectors=True)``
-        compiles fusable segments into NumPy kernels for this one
-        statement); *parallel* does the same for the morsel-parallel
-        tier (``db.sql(q, parallel=True)`` fans fused segments across
-        the worker pool — see ``docs/PARALLEL.md``).
+        the invariant the differential oracle checks.  An explicit
+        :class:`BeeSettings` runs the statement under that point, e.g.
+        ``bees=db.settings.enabling(vectors=True)`` compiles its fusable
+        segments into NumPy kernels.
 
         *timeout* is a per-statement wall-clock budget in seconds,
         checked at batch boundaries in the executor; exceeding it raises
@@ -540,12 +532,6 @@ class Database:
         from repro.sql.session import execute_sql
 
         settings = self.resolve_settings(bees)
-        if pipelines is not None:
-            settings = settings.enabling(pipelines=bool(pipelines))
-        if vectors is not None:
-            settings = settings.enabling(vectors=bool(vectors))
-        if parallel is not None:
-            settings = settings.enabling(parallel=bool(parallel))
         if timeout is not None:
             from time import perf_counter
 

@@ -32,8 +32,8 @@ class HashAgg(PlanNode):
         self.group_exprs = [bind(expr, child.columns) for expr, _n in group_by]
         self.group_names = [name for _e, name in group_by]
         self.aggs = aggs
-        # One object per node: the AGG routine memo keys on its identity,
-        # so a re-executed plan finds the routine it generated.
+        # The aggregate list the AGG routine specializes (and beeshield
+        # keys its health on).
         self._agg_key = tuple(aggs)
         for spec in aggs:
             if spec.arg is not None:
@@ -75,10 +75,10 @@ class HashAgg(PlanNode):
         if getattr(ctx.settings, "agg", False) and aggs:
             shield = ctx.shield
             if shield is None:
-                agg_routine = ctx.bees.get_agg(self._agg_key)
+                agg_routine = ctx.bees.get_agg(self, self._agg_key)
                 agg_fn = agg_routine.fn
             else:
-                entry = shield.agg(ctx, self._agg_key)
+                entry = shield.agg(ctx, self, self._agg_key)
                 if entry is not None:
                     agg_routine, agg_bee_key = entry
                     agg_fn = shield.maybe_timed(

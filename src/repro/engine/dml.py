@@ -14,6 +14,7 @@ generically.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable, Sequence
 
 from repro.cost import constants as C
@@ -71,16 +72,40 @@ class RowWriter:
                     )
         return values
 
+    def _refused(self, rows: list, error: struct.error) -> ValueError:
+        """The caller's error for *rows* holding a value its column's
+        type cannot (a fraction, or an out-of-range number, for an
+        integer column), naming the first such column and the value.
+        Built on the failure path only: the encoders raise
+        ``struct.error``."""
+        for values in rows:
+            for attr in self._layout.schema.attributes:
+                fmt = attr.sql_type.struct_fmt
+                value = values[attr.attnum]
+                if fmt and value is not None:
+                    try:
+                        struct.pack("<" + fmt, value)
+                    except struct.error:
+                        return ValueError(
+                            f"column {attr.name!r} of relation "
+                            f"{self.rel.schema.name!r} "
+                            f"({attr.sql_type.name}) cannot hold {value!r}"
+                        )
+        return ValueError(str(error))
+
     def encode(self, values: Sequence) -> bytes:
         """Check the row against the schema, resolve the tuple bee (if
         any) and encode it."""
         values = self._checked(values)
-        bee_id = 0
-        if self._needs_bee_id:
-            bee_id = self.db.bee_module.tuple_bee_id(
-                self.rel.schema.name, self._bee_key(values)
-            )
-        return self._fill(values, bee_id)
+        try:
+            bee_id = 0
+            if self._needs_bee_id:
+                bee_id = self.db.bee_module.tuple_bee_id(
+                    self.rel.schema.name, self._bee_key(values)
+                )
+            return self._fill(values, bee_id)
+        except struct.error as error:
+            raise self._refused([values], error) from error
 
     def encode_all(self, rows: Sequence[Sequence]) -> list[bytes]:
         """:meth:`encode` every row of a statement, or none: a row the
@@ -93,12 +118,12 @@ class RowWriter:
         checked = [self._checked(values) for values in rows]
         keys: list = []
         sections = None
-        if self._needs_bee_id:
-            keys = [self._bee_key(values) for values in checked]
-            sections = self.rel.bee.data_sections
         created: dict = {}
         charged = self.ledger.total
         try:
+            if self._needs_bee_id:
+                keys = [self._bee_key(values) for values in checked]
+                sections = self.rel.bee.data_sections
             raws = []
             for i, values in enumerate(checked):
                 bee_id = 0
@@ -109,6 +134,9 @@ class RowWriter:
                             keys[i], len(sections) + len(created)
                         )
                 raws.append(self._fill(values, bee_id))
+        except struct.error as error:
+            self.ledger.total = charged
+            raise self._refused(checked, error) from error
         except Exception:
             self.ledger.total = charged
             raise

@@ -83,7 +83,7 @@ def execute(
         deadline = getattr(db, "_deadline", None)
     shield = resolve_shield(db, settings)
     if shield is None and deadline is None:
-        return _run(db, plan, emit, settings, None, None)
+        return _run(_context(db, settings, None), plan, emit, None)
 
     # Ledger snapshot/rollback are compound multi-counter operations;
     # under the concurrent server they run inside the materialized
@@ -95,8 +95,9 @@ def execute(
     current = settings
     last_error: BaseException | None = None
     for _attempt in range(_MAX_ATTEMPTS):
+        ctx = _context(db, current, shield)
         try:
-            return _run(db, plan, emit, current, deadline, shield)
+            return _run(ctx, plan, emit, deadline)
         except QueryTimeout:
             with ledger_lock:
                 db.ledger.rollback_to(snapshot)
@@ -122,7 +123,7 @@ def execute(
             with ledger_lock:
                 db.ledger.rollback_to(snapshot)
             _reset_plan_state(plan)
-            family, key = shield.attribute(exc, db.bee_module)
+            family, key = shield.attribute(exc, ctx)
             shield.registry.record_failure(
                 key, site=family or "statement", kind="exception", error=exc
             )
@@ -151,19 +152,21 @@ def _reset_plan_state(plan: PlanNode) -> None:
         stack.extend(node.children())
 
 
-def _run(
-    db,
-    plan: PlanNode,
-    emit: bool,
-    settings,
-    deadline: float | None,
-    shield,
-) -> list[tuple]:
-    """One execution attempt under fixed settings."""
+def _context(db, settings, shield) -> ExecContext:
+    """A new execution attempt's context: *settings* fixed, beeshield
+    as :func:`resolve_shield` decided."""
     ctx = ExecContext(db, settings)
     if shield is None:
         ctx.shield = None
-    plan = stack(db, plan, settings, shield)
+    return ctx
+
+
+def _run(
+    ctx: ExecContext, plan: PlanNode, emit: bool, deadline: float | None
+) -> list[tuple]:
+    """One execution attempt under fixed settings."""
+    shield = ctx.shield
+    plan = stack(ctx.db, plan, ctx.settings, shield)
     charge = ctx.ledger.charge
     results: list[tuple] = []
     per_row = 0

@@ -163,9 +163,11 @@ class HashJoin(PlanNode):
         extra_cost = 0
         if extra is not None and ctx.settings.evj:
             if shield is None:
-                extra_fn = ctx.bees.get_evp(extra, self.not_null).fn
+                extra_fn = ctx.bees.get_evp(self, extra, self.not_null).fn
             else:
-                entry = shield.predicate(ctx, extra, self.not_null, checked=True)
+                entry = shield.predicate(
+                    ctx, self, extra, self.not_null, checked=True
+                )
                 if entry is not None:
                     extra_fn = entry[0]
             # extra_cost stays 0: the routine charges itself.
@@ -277,9 +279,11 @@ class NestLoop(PlanNode):
         qual_cost = 0
         if qual is not None and ctx.settings.evp:
             if shield is None:
-                qual_fn = ctx.bees.get_evp(qual, self.not_null).fn
+                qual_fn = ctx.bees.get_evp(self, qual, self.not_null).fn
             else:
-                entry = shield.predicate(ctx, qual, self.not_null, checked=True)
+                entry = shield.predicate(
+                    ctx, self, qual, self.not_null, checked=True
+                )
                 if entry is not None:
                     qual_fn = entry[0]
         if qual is not None and qual_fn is None:

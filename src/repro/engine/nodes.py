@@ -53,12 +53,15 @@ class ExecContext:
         # Beeshield: the database's guard, active unless the settings
         # disable it.  ``shield_used`` collects the health keys of bees
         # served this execution so the executor can close re-admission
-        # probes when the statement finishes cleanly.
+        # probes when the statement finishes cleanly; ``routine_keys``
+        # maps each query routine acquired to its health key, so a
+        # fault inside one is booked under that key.
         shield = getattr(db, "shield", None)
         if shield is not None and not getattr(self.settings, "shield", True):
             shield = None
         self.shield = shield
         self.shield_used: list[str] = []
+        self.routine_keys: dict[str, str] = {}
 
 
 class PlanNode:
@@ -76,6 +79,11 @@ class PlanNode:
     #: tier stack rewrote it under them)`` — see
     #: :func:`repro.engine.executor.stack`.
     stacked: tuple | None = None
+    #: The query routine this node runs — a Filter's or a join's EVP, a
+    #: HashAgg's AGG, a fused driver's tier routine — held by the node
+    #: from its first acquisition (:meth:`GenericBeeModule.held`), so it
+    #: lives exactly as long as the plan.
+    routine: object | None = None
 
     def rows(self, ctx: ExecContext) -> Iterator[Row]:
         raise NotImplementedError
@@ -266,14 +274,14 @@ class Filter(PlanNode):
         if ctx.settings.evp and not isinstance(self.qual, Opaque):
             shield = ctx.shield
             if shield is None:
-                routine = ctx.bees.get_evp(self.qual, self.not_null)
+                routine = ctx.bees.get_evp(self, self.qual, self.not_null)
                 predicate = routine.fn   # charges its own (specialized) cost
                 for row in self.child.rows(ctx):
                     charge(overhead)
                     if predicate(row) is True:
                         yield row
                 return
-            entry = shield.predicate(ctx, self.qual, self.not_null)
+            entry = shield.predicate(ctx, self, self.qual, self.not_null)
             if entry is not None:
                 predicate, key = entry
                 for row in self.child.rows(ctx):

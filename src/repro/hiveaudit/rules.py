@@ -6,7 +6,8 @@ embedding that class.  The audit requires every matching mutation site
 to reach at least one target along the call graph; a site with no
 witness path is a finding — the exact shape of bug the bee-cache
 lifecycle cannot tolerate (a DROP that leaves the relation bee cached, an
-ALTER that keeps memoized EVP routines bound to old column positions).
+ALTER that keeps cached plans, and the EVP routines their nodes hold,
+bound to old column positions).
 
 Rules with *empty* target sets are prohibitions: any matching site is a
 violation by existence (the data-section store is append-only because
@@ -68,9 +69,11 @@ RULES = (
         "catalog.schema",
         {"replace"},
         {"GenericBeeModule.invalidate_query_bees"},
-        "Memoized EVP/AGG/IDX/pipeline/vector routines bind column "
-        "positions and constants against the old schema and must be "
-        "evicted on ALTER.",
+        "Cached plans — and the EVP/AGG/pipeline/vector routines their "
+        "nodes hold — and IDX routines bind column positions and "
+        "constants against the old schema: ALTER must evict the query "
+        "bees and start a new query epoch, so a routine a surviving "
+        "plan holds is regenerated at its next acquisition.",
     ),
     _rule(
         "drop-evicts-query-bees",

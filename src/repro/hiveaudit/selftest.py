@@ -153,10 +153,10 @@ CASES = (
         "sever-tuple-resolve",
         "engine/dml.py",
         "inserted rows get a constant beeID, bypassing the section store",
-        "            bee_id = self.db.bee_module.tuple_bee_id(\n"
-        "                self.rel.schema.name, self._bee_key(values)\n"
-        "            )\n",
-        "            bee_id = 1\n",
+        "                bee_id = self.db.bee_module.tuple_bee_id(\n"
+        "                    self.rel.schema.name, self._bee_key(values)\n"
+        "                )\n",
+        "                bee_id = 1\n",
         (
             ("row-insert-resolves-tuple-bee", "RowWriter.write"),
             ("row-insert-resolves-tuple-bee", "insert_row"),

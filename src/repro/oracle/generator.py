@@ -20,7 +20,7 @@ Design notes that keep the stream *comparable* across engines:
 * Generated arithmetic never divides (no ZeroDivisionError asymmetry)
   and int arithmetic sticks to literal assignment or same-kind column
   copies, so overflow errors — when they happen — happen identically in
-  both engines (same ``struct.error``).
+  both engines (the same ``ValueError``, naming the column and value).
 * CHAR(n) value pools always include a trailing-space value and the
   generator occasionally emits a deliberately over-width CHAR insert:
   both are regression probes for the padding/width bugs this oracle

@@ -4,7 +4,8 @@ For each named chaos site (:mod:`repro.resilience.chaos`) the campaign
 builds a fully bee-enabled, shielded database over a tiny TPC-H dataset,
 arms the site, and runs a fixed scenario — four TPC-H queries, a scratch
 table's DML life cycle (create with annotations, bulk load, index build,
-selects), and a repeated-plan pair that exercises routine memo reuse.
+selects), and a repeated-plan pair that re-acquires the routines its
+nodes hold.
 Every outcome is compared against a stock database running the same
 scenario; three things must hold per site:
 
@@ -65,8 +66,8 @@ def _build_scenario(db) -> list[tuple[str, object]]:
 
     Thunks return an outcome payload; building the repeated plan once
     (outside its two thunks) is deliberate — the second execution reuses
-    the same plan object, so memoized query routines are re-acquired and
-    the staleness guard has something to catch.
+    the same plan object, so the routines its nodes hold are re-acquired
+    and the staleness check has something to catch.
     """
     from repro.engine.expr import Cmp, Col, Const
     from repro.engine.nodes import Filter, SeqScan
@@ -131,8 +132,8 @@ def _build_scenario(db) -> list[tuple[str, object]]:
     )
     # The scratch table does not exist yet when the steps are built, so
     # the repeated plan is constructed lazily on first use and reused by
-    # the second step — plan-object reuse is what re-acquires memoized
-    # routines (the staleness guard's trigger).
+    # the second step — plan-object reuse is what re-acquires held
+    # routines (the staleness check's trigger).
     holder: dict[str, object] = {}
 
     def repeat():

@@ -303,19 +303,23 @@ def _arm_stale_epoch(chaos, _db):
 
 
 def _kick_stale_epoch(chaos, db) -> None:
-    """Simulate a missed invalidation: bump the epoch, keep the memos.
+    """Simulate a missed invalidation: bump the epoch behind the
+    engine's back, leaving every plan holding its routines.
 
-    The guard's staleness check must notice the mismatch at the next
-    acquisition, evict the stale routine, and regenerate it under the
-    current epoch (recorded as a ``stale`` fault).
+    The epoch test of the plan node that holds a routine must notice
+    the mismatch at the next acquisition and regenerate the routine
+    under the current epoch (logged as a ``routine_regenerated``
+    event).
     """
     db.bee_module.query_epoch += 1
     chaos.fired["stale-epoch"] += 1
 
 
 def _stale_evidence(chaos, db) -> bool:
-    report = db.resilience.report()
-    return any(key.endswith("/stale") for key in report["by_site"])
+    return any(
+        event["event"] == "routine_regenerated"
+        for event in db.resilience.report()["events"]
+    )
 
 
 @contextmanager
@@ -452,18 +456,6 @@ def _maker_module():
     return maker
 
 
-def _agg_module():
-    import repro.bees.routines.agg as agg
-
-    return agg
-
-
-def _idx_module():
-    import repro.bees.routines.idx as idx
-
-    return idx
-
-
 def _pipeline_package():
     import repro.bees.pipeline as pipeline
 
@@ -525,16 +517,12 @@ def _build_sites() -> dict[str, ChaosSite]:
         ChaosSite(
             "agg-raise",
             "aggregate transition routine raises",
-            _patched_generator(
-                _agg_module(), "generate_agg", _gen_raise("agg-raise")
-            ),
+            _patched_generator(maker, "generate_agg", _gen_raise("agg-raise")),
         ),
         ChaosSite(
             "idx-raise",
             "index key extractor raises during maintenance",
-            _patched_generator(
-                _idx_module(), "generate_idx", _gen_raise("idx-raise")
-            ),
+            _patched_generator(maker, "generate_idx", _gen_raise("idx-raise")),
         ),
         ChaosSite(
             "pipeline-raise",
@@ -618,7 +606,7 @@ def _build_sites() -> dict[str, ChaosSite]:
         ),
         ChaosSite(
             "stale-epoch",
-            "invalidation epoch bumped without clearing memos",
+            "invalidation epoch bumped behind the plans' held routines",
             _arm_stale_epoch,
             arm_with_db=True,
             kick=_kick_stale_epoch,

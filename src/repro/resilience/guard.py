@@ -4,8 +4,10 @@ Design: three tiers, chosen so the healthy fast path stays within the
 zero-overhead guardrail (``benchmarks/gates.py``: shield overhead < 1.05).
 
 * **Acquisition guards** (once per statement per call site): quarantine
-  admission, guarded generation (a raising generator falls back to the
-  generic path for that site), and invalidation-epoch staleness checks.
+  admission and guarded generation (a raising generator falls back to
+  the generic path for that site).  The plan node holding a query
+  routine is the staleness check: one older than the invalidation epoch
+  is regenerated (:meth:`repro.bees.module.GenericBeeModule.held`).
 * **Inline result checks** (one comparison per row/batch, no wrapper
   call): wrong-arity deform results, non-boolean predicate results,
   wrong-width fused-driver batches.  A failed check raises
@@ -14,7 +16,9 @@ zero-overhead guardrail (``benchmarks/gates.py``: shield overhead < 1.05).
   any exception escaping a specialized execution rolls the ledger back
   and re-runs the plan with the faulting family disabled — attributed to
   the generated routine via its ``<bee:...>`` code filename and the
-  ``_NAME`` hole of the faulting frame's globals.
+  ``_NAME`` hole of the faulting frame's globals, which the statement's
+  :class:`~repro.engine.nodes.ExecContext` maps to the health key the
+  routine was acquired under.
 
 Stateless write-path routines (SCL fill, IDX key extraction) are instead
 wrapped per call: they run before any mutation for their row, so the
@@ -87,7 +91,7 @@ class BeeGuard:
         """Raise the statement-retry signal for a detected bee fault."""
         raise BeeDegradeError(family, bee, site or family or "statement", kind, error)
 
-    def attribute(self, exc: BaseException, bee_module) -> tuple[str | None, str]:
+    def attribute(self, exc: BaseException, ctx) -> tuple[str | None, str]:
         """Attribute a raw exception to (family, health key).
 
         Generated routines are compiled with ``<bee:...>`` filenames
@@ -95,10 +99,13 @@ class BeeGuard:
         object may be shared by every routine of its shape, so the
         routine's own name is the ``_NAME`` entry of the frame's
         globals — its private data section.  The deepest bee frame in
-        the traceback names the faulting routine; the bee module maps
-        that name back to its stable health key.  Unattributable
-        exceptions degrade the whole statement to generic execution
-        under a key no admission check ever consults.
+        the traceback names the faulting routine.  Relation-scoped
+        names (``GCL_orders``, ``IDX_rel_idx``) are stable keys already;
+        a counter-suffixed query routine (``EVP_17``, ``PIPE_2``) is
+        mapped to the key it was acquired under, which the acquisition
+        recorded on the statement's *ctx*.  Unattributable exceptions
+        degrade the whole statement to generic execution under a key no
+        admission check ever consults.
         """
         tb = exc.__traceback__
         name = None
@@ -110,8 +117,7 @@ class BeeGuard:
         if name is None:
             return None, "STMT:unattributed"
         family = FAMILY_BY_PREFIX.get(name.split("_", 1)[0])
-        key = bee_module.stable_key(name) or name
-        return family, key
+        return family, ctx.routine_keys.get(name, name)
 
     # ------------------------------------------------------------------
     # per-call budget (off unless registry.call_budget_s is set)
@@ -209,8 +215,11 @@ class BeeGuard:
                 bee_ids=repaired,
             )
 
-    def predicate(self, ctx, qual, not_null: bool, checked: bool = False):
-        """Guarded EVP acquisition: ``(fn, key)`` or None for generic.
+    def predicate(
+        self, ctx, node, qual, not_null: bool, checked: bool = False
+    ):
+        """Guarded EVP acquisition for *node*'s predicate *qual*:
+        ``(fn, key)`` or None for generic.
 
         With ``checked=True`` the returned fn validates its own result
         type per call (used at join call sites where the caller has no
@@ -219,9 +228,8 @@ class BeeGuard:
         key = evp_key(qual)
         if not self.registry.admit(key):
             return None
-        bees = ctx.bees
-        routine = self._acquire_query_routine(
-            key, "evp", lambda: bees.get_evp(qual, not_null), bees
+        routine = self._acquire(
+            ctx, key, "evp", ctx.bees.get_evp, node, qual, not_null
         )
         if routine is None:
             return None
@@ -259,22 +267,20 @@ class BeeGuard:
         ctx.shield_used.append(key)
         return routine
 
-    def agg(self, ctx, specs):
-        """Guarded AGG acquisition: ``(routine, key)`` or None."""
+    def agg(self, ctx, node, specs):
+        """Guarded AGG acquisition for HashAgg *node*: ``(routine, key)``
+        or None."""
         key = agg_key(specs)
         if not self.registry.admit(key):
             return None
-        bees = ctx.bees
-        routine = self._acquire_query_routine(
-            key, "agg", lambda: bees.get_agg(specs), bees
-        )
+        routine = self._acquire(ctx, key, "agg", ctx.bees.get_agg, node, specs)
         if routine is None:
             return None
         ctx.shield_used.append(key)
         return routine, key
 
-    def fused(self, ctx, tier, spec, anchor):
-        """Guarded fused-driver acquisition, any tier:
+    def fused(self, ctx, node, tier, spec):
+        """Guarded acquisition for fused driver *node*, any tier:
         ``(admitted, fn, key)``; not admitted means the driver should
         drain its anchor (the tier below, or the generic subtree)
         instead.  A remote tier compiles its routines in the pool
@@ -285,9 +291,8 @@ class BeeGuard:
             return False, None, key
         if tier.remote:
             return True, None, key
-        bees = ctx.bees
-        routine = self._acquire_query_routine(
-            key, tier.family, lambda: bees.get_fused(tier, spec, anchor), bees
+        routine = self._acquire(
+            ctx, key, tier.family, ctx.bees.get_fused, node, tier, spec
         )
         if routine is None:
             return False, None, key
@@ -305,10 +310,14 @@ class BeeGuard:
             )
             return plan
 
-    def _acquire_query_routine(self, key: str, site: str, make, bees):
-        """Generate (or fetch memoized) with fault + staleness handling."""
+    def _acquire(self, ctx, key: str, site: str, get, *args):
+        """``get(*args)`` — the routine a plan node holds, or a new one
+        (:meth:`repro.bees.module.GenericBeeModule.held`) — with
+        generation faults contained: None falls back to generic.  The
+        routine's name is mapped to *key* on *ctx*, for
+        :meth:`attribute`."""
         try:
-            routine = make()
+            routine = get(*args)
         except Exception as exc:  # noqa: BLE001 — the guard is the handler
             if is_verification_refusal(exc):
                 # verify_on_generate is a deliberate loud gate, not a
@@ -316,23 +325,7 @@ class BeeGuard:
                 raise
             self.registry.record_failure(key, site=site, kind="generate", error=exc)
             return None
-        epoch = getattr(bees, "query_epoch", None)
-        if epoch is not None and getattr(routine, "epoch", epoch) != epoch:
-            # Stale invalidation epoch: the memo survived a DDL event it
-            # should not have.  Evict and regenerate once.
-            self.registry.record_failure(key, site=site, kind="stale")
-            bees.evict_routine(routine)
-            try:
-                routine = make()
-            except Exception as exc:  # noqa: BLE001 — the guard is the handler
-                if is_verification_refusal(exc):
-                    raise
-                self.registry.record_failure(
-                    key, site=site, kind="generate", error=exc
-                )
-                return None
-            if getattr(routine, "epoch", epoch) != epoch:
-                return None
+        ctx.routine_keys[routine.name] = key
         return routine
 
     # ------------------------------------------------------------------
@@ -359,10 +352,17 @@ class BeeGuard:
                 raw = fn(values, bee_id)
             except Exception as exc:  # noqa: BLE001 — the guard is the handler
                 ledger.total = before
+                try:
+                    raw = generic(values, bee_id)
+                except Exception:
+                    # The generic fill refuses the row too: the caller's
+                    # error (a value its column cannot hold), not the bee's.
+                    ledger.total = before
+                    raise
                 health = registry.record_failure(
                     key, site="scl", kind="exception", error=exc
                 )
-                return generic(values, bee_id)
+                return raw
             if not isinstance(raw, bytes):
                 ledger.total = before
                 health = registry.record_failure(key, site="scl", kind="shape")

@@ -84,24 +84,18 @@ REGISTRY: tuple[SharedState, ...] = (
     _shared("ChunkCache", "tuples_decoded", "chunk_lock", "-"),
     _shared("ChunkCache", "rows_reused", "chunk_lock", "-"),
 
-    # -- bee module memo caches ---------------------------------------------
-    _shared("GenericBeeModule", "_evp_by_expr", "gate",
-            "GenericBeeModule.query_epoch"),
+    # -- bee module caches --------------------------------------------------
     _shared("GenericBeeModule", "_evj_by_shape", "gate",
             "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_agg_by_specs", "gate",
-            "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_agg_counter", "gate", "-",
-            "name counter for generated AGG routines"),
     _shared("GenericBeeModule", "_idx_by_index", "gate",
             "GenericBeeModule.query_epoch"),
-    _shared("GenericBeeModule", "_fused_by_node", "gate",
-            "GenericBeeModule.query_epoch",
-            "fused-driver routines of every tier; bounded, oldest-first"),
-    _shared("*", "memo", "gate", "GenericBeeModule.query_epoch",
-            "parameter view of the EVP/AGG/fused memos above inside the "
-            "one bounded-insert helper (_remember); same lock as the "
-            "memo it was handed"),
+    _shared("*", "routine", "check-out", "GenericBeeModule.query_epoch",
+            "PlanNode.routine: the query routine (EVP, AGG, a fused "
+            "driver's) a plan node holds.  Written only by the statement "
+            "running the plan — an ad hoc statement's own, or a query "
+            "bee's between its check-out and its check-in — so no other "
+            "statement reaches it; a routine older than the epoch is "
+            "replaced at its next acquisition"),
     _shared("CodeCache", "_code", "gate", "-",
             "proto-bee code objects keyed by generated source text; the "
             "key is the artifact, so no epoch invalidates it; bounded, "
@@ -210,15 +204,14 @@ REGISTRY: tuple[SharedState, ...] = (
             "its check-in, on a plan no other statement can reach"),
     _shared("BeeRoutine", "namespace", "check-out",
             "GenericBeeModule.query_epoch",
-            "repatch re-reads a memoized routine's literal holes from "
+            "repatch re-reads a held routine's literal holes from "
             "the plan constants its owner just re-bound"),
     _shared("BeeCollector", "collected_relation_bees", "gate", "-",
             "uninstalled-routine graveyard (HSR reuse)"),
     _shared("BeeCollector", "collected_query_bees", "gate", "-"),
-    _shared("BeeMaker", "_evp_counter", "gate", "-"),
-    _shared("BeeMaker", "_evj_counter", "gate", "-"),
-    _shared("BeeMaker", "_fused_counter", "gate", "-",
-            "tier prefix -> fused routines named so far"),
+    _shared("BeeMaker", "made", "gate", "-",
+            "routine name prefix -> routines named so far (EVP_n, "
+            "VEC_n, ...; statistics() counts them)"),
     _shared("DataSectionStore", "_slabs", "gate", "-",
             "data-section slab allocator"),
     _shared("*", "slab", "gate", "-",
@@ -323,7 +316,7 @@ REGISTRY: tuple[SharedState, ...] = (
             "bumped inside the admitted statement's commit"),
 
     _shared("*", "epoch", "gate", "GenericBeeModule.query_epoch",
-            "query-epoch stamp written onto routines at memo time"),
+            "query-epoch stamp written onto a routine when it is made"),
 )
 
 

@@ -19,7 +19,7 @@ Each site is classified:
   aggregate accumulators: rebuilt from scratch for every statement), or
   the write happens in a *construction module* (bee generators and the
   planner, which build the routine/plan that is only later published
-  through a registry-guarded memo insert);
+  through a registry-guarded write);
 * **shared-mutable** — matches a
   :data:`repro.swarmcheck.registry.REGISTRY` entry naming its guard and
   invalidation epoch;
@@ -151,10 +151,10 @@ STATEMENT_MODULES = frozenset({
 #: Modules that *construct* a routine or plan: the object under
 #: construction (source lines, namespace dict, emitter state, plan tree)
 #: is exclusively owned until published, and every publication point is
-#: a registry-matched memo insert in ``bees/module.py`` /
-#: ``bees/cache.py``.  Unresolved-receiver writes here are
-#: construction-local; writes to a known shared class still require a
-#: registry entry.
+#: a registry-matched write in ``bees/module.py`` (a plan node's routine
+#: slot, the content-keyed maps) / ``bees/cache.py``.  Unresolved-
+#: receiver writes here are construction-local; writes to a known shared
+#: class still require a registry entry.
 CONSTRUCTION_MODULES = frozenset({
     "sql/planner.py",
     "engine/agg.py",

@@ -12,8 +12,8 @@ Built once per ``python -m repro.verify`` run, from one seed:
 * **Routines** — a deterministic per-family spec corpus
   (:func:`spec_corpus`: every TPC-H/TPC-C layout, every EVJ template,
   representative AGG/IDX shapes, one fused spec per sink compiled
-  through every local tier) plus what :func:`harvest` finds in each
-  fuzz database's bee module.  beecheck verifies and swarmcheck proves
+  through every local tier) plus what :func:`harvest` records while
+  each fuzz database runs the stream.  beecheck verifies and swarmcheck proves
   pure exactly this list.
 
 Plans are handed to *on_plan* the moment they finish executing: that is
@@ -25,6 +25,7 @@ manufacture unknown-relation and stale-layout findings).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -97,16 +98,12 @@ class RoutineEntry:
 
     *kind* is the bee family (``gcl`` … ``idx``, or a local tier's
     name); ``check_<kind>(routine, *args)`` is beecheck's entry point
-    for it.  Harvested fused routines also carry the *anchor* they were
-    memoized under and the *label* of the database that built them, so
-    the rewrite pass can replay the cached spec.
+    for it.
     """
 
     kind: str
     routine: Any
     args: tuple[Any, ...] = ()
-    anchor: Any = None
-    label: str = ""
 
 
 def local_tiers() -> list[drivers.Tier]:
@@ -158,27 +155,61 @@ def drive(db: Database, seed: int, n: int, on_plan: OnPlan | None = None) -> int
     return count
 
 
-def harvest(module: Any, label: str = "") -> list[RoutineEntry]:
-    """Every routine *module* holds, through its public accessors."""
+@contextmanager
+def harvest(db: Database) -> Iterator[list[RoutineEntry]]:
+    """Yield the list of routines *db*'s bee maker makes while the block
+    runs, each with what checking it needs.
+
+    The maker is hooked for the block, as :func:`capture` hooks
+    ``db.execute``.  A query routine is held by the plan node that runs
+    it and may be gone with its plan by the end, so it is recorded as
+    it is made; relation bees, EVJ clones and IDX routines alike.
+    """
+    maker = db.bee_module.maker
     entries: list[RoutineEntry] = []
-    for bee in module.cache.relation_bees.values():
-        entries.append(RoutineEntry("gcl", bee.gcl, (bee.layout,)))
-        entries.append(RoutineEntry("gcl_cols", bee.gcl_cols, (bee.layout,)))
-        entries.append(RoutineEntry("scl", bee.scl, (bee.layout,)))
-    for expr, routine in module.evp_entries():
-        entries.append(RoutineEntry("evp", routine, (expr,)))
-    for routine in module.evj_entries():
-        entries.append(RoutineEntry("evj", routine))
-    for specs, routine in module.agg_entries():
-        entries.append(RoutineEntry("agg", routine, (list(specs),)))
-    for key_indexes, routine in module.idx_entries():
-        entries.append(RoutineEntry("idx", routine, (key_indexes,)))
-    for tier in local_tiers():
-        for _key, anchor, spec, routine in module.fused_entries(tier.name):
-            entries.append(
-                RoutineEntry(tier.name, routine, (spec,), anchor, label)
+
+    def relation_bee(bee: Any, _layout: Any) -> list[RoutineEntry]:
+        return [
+            RoutineEntry(kind, routine, (bee.layout,))
+            for kind, routine in (
+                ("gcl", bee.gcl), ("gcl_cols", bee.gcl_cols), ("scl", bee.scl)
             )
-    return entries
+        ]
+
+    hooks: dict[str, Callable[..., list[RoutineEntry]]] = {
+        "make_relation_bee": relation_bee,
+        "make_evp": lambda routine, expr, *_: [
+            RoutineEntry("evp", routine, (expr,))
+        ],
+        "make_agg": lambda routine, specs, not_null=False: [
+            RoutineEntry("agg", routine, (list(specs), not_null))
+        ],
+        "make_fused": lambda routine, tier, spec: [
+            RoutineEntry(tier.name, routine, (spec,))
+        ],
+        "make_evj": lambda routine, *_: [RoutineEntry("evj", routine)],
+        "make_idx": lambda routine, key_indexes, _name: [
+            RoutineEntry("idx", routine, (list(key_indexes),))
+        ],
+    }
+
+    def hook(name: str, record: Callable[..., list[RoutineEntry]]) -> None:
+        real = getattr(maker, name)
+
+        def hooked(*args: Any) -> Any:
+            made = real(*args)
+            entries.extend(record(made, *args))
+            return made
+
+        setattr(maker, name, hooked)
+
+    for name, record in hooks.items():
+        hook(name, record)
+    try:
+        yield entries
+    finally:
+        for name in hooks:
+            delattr(maker, name)    # restore the bound methods
 
 
 # -- the deterministic per-family spec corpus ---------------------------------
@@ -388,11 +419,11 @@ class Corpus:
         # the drivers below it become fallback anchors and stop
         # generating routines of their own.
         for tier, settings in points:
-            label = f"fuzz/{tier.name}"
             db = Database(settings)
-            self.databases[label] = db
-            self.executed += drive(db, seed, statements, on_plan)
-            self.routines.extend(harvest(db.bee_module, label))
+            self.databases[f"fuzz/{tier.name}"] = db
+            with harvest(db) as routines:
+                self.executed += drive(db, seed, statements, on_plan)
+            self.routines.extend(routines)
 
     def tpch_db(self, settings: BeeSettings) -> Database:
         """A fresh database loaded with the corpus's TPC-H rows (the

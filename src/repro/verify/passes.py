@@ -116,7 +116,7 @@ def _swarmcheck_selftest(corpus: Corpus) -> dict[str, bool]:
 
 class _WaggleSweep:
     """Typeflow + rewrite per executed plan (as the corpus is built),
-    then cached specs, relation layouts and data sections."""
+    then relation layouts and data sections."""
 
     def __init__(self) -> None:
         self.findings: list[Finding] = []
@@ -135,15 +135,6 @@ class _WaggleSweep:
         self.stats["rewrites_checked"] += rewrites
 
     def run(self, corpus: Corpus) -> PassResult:
-        for index, entry in enumerate(corpus.routines):
-            if entry.anchor is None:
-                continue
-            findings, rewrites = rewrite.check_cached_spec(
-                entry.args[0], entry.anchor, corpus.databases[entry.label],
-                f"cache/{entry.label}/{entry.kind}/{index}",
-            )
-            self.findings.extend(findings)
-            self.stats["rewrites_checked"] += rewrites
         for label, db in corpus.databases.items():
             for name in sorted(db.table_names()):
                 self.findings.extend(typeflow.check_relation(

@@ -254,17 +254,6 @@ class RewriteChecker:
 
     def check_spec(self, spec, replaced: PlanNode) -> None:
         """Replay *spec* against the subtree it claims to have replaced."""
-        if _is_driver(replaced):
-            # Cached vector spec anchored on a pipeline driver: the two
-            # tiers share the spec; replay against the inner anchor.
-            if spec is not replaced.spec and not self._spec_quiet_eq(
-                spec, replaced.spec
-            ):
-                self.fail(
-                    "vector spec differs from the pipeline spec it shadows"
-                )
-            self.check_spec(replaced.spec, replaced.anchor)
-            return
         if spec.sink == "rows":
             chain = self._match_chain(replaced, allow_projection=True)
             if chain is None:
@@ -467,14 +456,4 @@ def check_fusion(
             )
             break
         checker.compare(rewritten, plan)
-    return checker.findings, checker.rewrites_checked
-
-
-def check_cached_spec(
-    spec, anchor: PlanNode, db, subject: str
-) -> tuple[list[Finding], int]:
-    """Replay one memoized driver spec against its cached anchor."""
-    checker = RewriteChecker(subject, db)
-    checker.rewrites_checked += 1
-    checker.check_spec(spec, anchor)
     return checker.findings, checker.rewrites_checked

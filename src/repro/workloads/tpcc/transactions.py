@@ -38,7 +38,6 @@ class TransactionContext:
         self._range_pred = bind(
             Between(Col("ol_o_id"), 0, 0), ["ol_o_id"]
         )
-        self._evp_warm: set[int] = set()
 
     # -- primitive charged operations ------------------------------------------
 
@@ -52,9 +51,6 @@ class TransactionContext:
         if evaluations <= 0:
             return
         if self.db.settings.evp:
-            if id(expr) not in self._evp_warm:
-                # Query preparation: the EVP routine is cloned once.
-                self._evp_warm.add(id(expr))
             self.ledger.charge_fn(
                 "EVP_tpcc", (C.EVP_PROLOGUE + expr.evp_cost) * evaluations
             )

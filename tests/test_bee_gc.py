@@ -127,15 +127,18 @@ class TestInvalidationEdges:
         bee_before = db.relation("t").bee
         db.sql("SELECT a FROM t WHERE b > 1")
         module = db.bee_module
-        assert module.evp_entries()
-        assert module.cache.query_bees      # the SELECT's shape
+        made = module.statistics()["evp_routines"]
+        assert made and module.cache.query_bees      # the SELECT's shape
 
         db.catalog.alter_relation(db.relation("t").schema)
 
         assert db.relation("t").bee is not bee_before
-        assert not module.evp_entries()
         assert not module.cache.query_bees
         assert module.collector.collected_query_bees >= 1
+        # The shape's next statement plans afresh, and its Filter makes
+        # its own EVP routine.
+        assert db.sql("SELECT a FROM t WHERE b > 1").rows == [(1,)]
+        assert module.statistics()["evp_routines"] == made + 1
 
     def test_load_from_unlinks_stale_bee_file(self, tmp_path):
         db = Database(BeeSettings.all_bees(), bee_cache_dir=str(tmp_path))
@@ -162,6 +165,12 @@ class TestInvalidationEdges:
         db.sql("CREATE TABLE t (a int NOT NULL, b int NOT NULL)")
         db.create_index("t", "t_a", ["a"])
         module = db.bee_module
-        assert [keys for keys, _routine in module.idx_entries()] == [[0]]
+        first = module.get_idx("t", "t_a", [0])
+        assert first.fn([7, 8]) == (7,)
         db.sql("DROP TABLE t")
-        assert module.idx_entries() == []
+        # The same names over another layout: a routine kept past the
+        # DROP would extract the old key column.
+        db.sql("CREATE TABLE t (b int NOT NULL, a int NOT NULL)")
+        db.create_index("t", "t_a", ["a"])
+        second = module.get_idx("t", "t_a", [1])
+        assert second is not first and second.fn([7, 8]) == (8,)

@@ -18,6 +18,7 @@ from repro.bees import (
 from repro.cost import Ledger
 from repro.cost import constants as C
 from repro.engine import expr as E
+from repro.engine.nodes import PlanNode
 from repro.storage import TupleLayout
 
 
@@ -108,11 +109,18 @@ class TestBeeModule:
         assert module.relation_bee("orders") is None
 
     def test_evp_memoized_per_expression(self, orders_schema):
+        # Held per plan node: the node that runs a predicate memoizes it.
         module = GenericBeeModule(Ledger(), BeeSettings.all_bees())
         expression = E.bind(E.Cmp("=", E.Col("x"), E.Const(1)), ["x"])
-        first = module.get_evp(expression)
-        second = module.get_evp(expression)
-        assert first is second
+        node, other = PlanNode(), PlanNode()
+        first = module.get_evp(node, expression)
+        assert node.routine is first
+        assert module.get_evp(node, expression) is first
+        assert module.get_evp(other, expression) is not first
+        module.invalidate_query_bees()
+        regenerated = module.get_evp(node, expression)
+        assert regenerated is not first and node.routine is regenerated
+        assert regenerated.epoch == module.query_epoch
 
     def test_evj_memoized_by_shape(self):
         module = GenericBeeModule(Ledger(), BeeSettings.all_bees())

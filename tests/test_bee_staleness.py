@@ -4,12 +4,17 @@ Hiveaudit proves the invalidation edges exist statically; these tests
 drive the same edges dynamically — DDL, re-annotation, and DML between
 queries on one live database — and require (a) the bee-enabled answer to
 equal the generic answer on every query, and (b) the bee machinery to
-actually have been refreshed (new relation-bee object, emptied query-bee
-memos), not just to have gotten lucky.
+actually have been refreshed (new relation-bee object, the shape's next
+statement instantiating its query routines afresh), not just to have
+gotten lucky.
 """
 
 from repro.bees.settings import BeeSettings
 from repro.db import Database
+
+#: ``_fresh_db``'s point, with plan fusion on or off for a statement.
+PIPES = BeeSettings.all_bees().enabling(pipelines=True)
+PLAIN = BeeSettings.all_bees().enabling(pipelines=False)
 
 
 def _fresh_db():
@@ -23,6 +28,11 @@ def _fresh_db():
         "(3, 'aaa', 30.0)"
     )
     return db
+
+
+def _made(db, family: str) -> int:
+    """Query routines of *family* instantiated so far."""
+    return db.bee_module.statistics()[f"{family}_routines"]
 
 
 def _both_ways(db, query):
@@ -51,8 +61,8 @@ class TestDDLThenQuery:
         rel_before = db.relation("items")
         bee_before = rel_before.bee
         _both_ways(db, "SELECT id FROM items WHERE kind = 'aaa'")
-        evp_memo = db.bee_module._evp_by_expr
-        assert evp_memo, "SELECT with a predicate must memoize an EVP bee"
+        made = _made(db, "evp")
+        assert made, "SELECT with a predicate must instantiate an EVP bee"
 
         db.reannotate("items", [])  # drop the tuple-bee annotation
 
@@ -61,22 +71,44 @@ class TestDDLThenQuery:
             "reannotation must rebuild the relation bee"
         )
         assert not rel_after.layout.bee_attrs
-        assert not db.bee_module._evp_by_expr, (
-            "ALTER must evict memoized query bees"
-        )
         rows = _both_ways(db, "SELECT id FROM items WHERE kind = 'aaa'")
         assert rows == [(1,), (3,)]
+        assert _made(db, "evp") == made + 1, (
+            "ALTER must evict the shape's query bee and its EVP routine"
+        )
 
     def test_alter_via_catalog_event(self):
         db = _fresh_db()
         bee_before = db.relation("items").bee
         db.sql("SELECT id FROM items WHERE price > 15.0")
-        assert db.bee_module._evp_by_expr
+        made = _made(db, "evp")
+        assert made
         db.catalog.alter_relation(db.relation("items").schema)
         assert db.relation("items").bee is not bee_before
-        assert not db.bee_module._evp_by_expr
         rows = _both_ways(db, "SELECT id FROM items WHERE price > 15.0")
         assert rows == [(2,), (3,)]
+        assert _made(db, "evp") == made + 1
+
+    def test_reexecuted_hand_built_plan_regenerates_once(self):
+        from repro.engine.expr import Cmp, Col, Const
+        from repro.engine.nodes import Filter, SeqScan
+
+        db = _fresh_db()
+        scan = SeqScan("items")
+        scan.bind_schema(db.relation("items").schema)
+        plan = Filter(scan, Cmp(">", Col("price"), Const(15.0)))
+        first = db.execute(plan)
+        routine = plan.routine
+        assert db.execute(plan) == first and plan.routine is routine
+        db.catalog.alter_relation(db.relation("items").schema)
+        made = _made(db, "evp")
+        assert db.execute(plan) == first
+        assert plan.routine is not routine and _made(db, "evp") == made + 1
+        assert db.execute(plan) == first
+        assert _made(db, "evp") == made + 1
+        assert sorted(first) == sorted(
+            db.sql("SELECT * FROM items WHERE price > 15.0", bees=False).rows
+        )
 
 
 class TestDMLThenQuery:
@@ -128,32 +160,36 @@ class TestDMLThenQuery:
 class TestPipelineStaleness:
     """Fused pipeline bees inline layout offsets AND plan constants, so
     they are stale after every edge the relation and query bees are —
-    these drive the pipeline memo through the same DDL transitions."""
+    these drive the pipeline routines through the same DDL
+    transitions."""
 
     def test_drop_recreate_then_fused_query(self):
         db = _fresh_db()
-        db.sql("SELECT id FROM items WHERE price > 15.0", pipelines=True)
-        assert db.bee_module.fused_entries("pipeline")
+        query = "SELECT id FROM items WHERE price > 15.0"
+        db.sql(query, bees=PIPES)
+        made = _made(db, "pipeline")
+        assert made
         db.sql("DROP TABLE items")
-        assert not any(
-            spec.relation == "items"
-            for _key, _anchor, spec, _routine in
-            db.bee_module.fused_entries("pipeline")
-        ), "DROP must evict the dropped relation's pipeline bees"
-        db.sql("CREATE TABLE items (name char(4) NOT NULL, n int NOT NULL)")
-        db.sql("INSERT INTO items VALUES ('wxyz', 7), ('qrst', 8)")
-        query = "SELECT name, n FROM items WHERE n > 7"
-        fused = db.sql(query, pipelines=True).rows
-        plain = db.sql(query, pipelines=False).rows
-        assert fused == plain == [("qrst", 8)]
+        # Same name, same column names, another layout: the shape's
+        # query bee went with the DROP, so its routine is made afresh.
+        db.sql("CREATE TABLE items (price int NOT NULL, id int NOT NULL)")
+        db.sql("INSERT INTO items VALUES (10, 7), (20, 8)")
+        fused = db.sql(query, bees=PIPES).rows
+        plain = db.sql(query, bees=PLAIN).rows
+        assert fused == plain == [(8,)]
+        assert _made(db, "pipeline") == made + 1, (
+            "DROP must evict the dropped relation's pipeline bees"
+        )
 
     def test_reannotate_evicts_pipeline_memo(self):
         db = _fresh_db()
         query = "SELECT id FROM items WHERE kind = 'aaa'"
-        db.sql(query, pipelines=True)
-        assert db.bee_module.fused_entries("pipeline")
+        db.sql(query, bees=PIPES)
+        made = _made(db, "pipeline")
+        db.sql(query, bees=PIPES)          # the shape's query bee
+        assert _made(db, "pipeline") == made
         db.reannotate("items", [])
-        assert not db.bee_module.fused_entries("pipeline"), (
-            "ALTER must evict memoized pipeline bees"
+        assert db.sql(query, bees=PIPES).rows == [(1,), (3,)]
+        assert _made(db, "pipeline") == made + 1, (
+            "ALTER must evict the shape's query bee and its pipeline bee"
         )
-        assert db.sql(query, pipelines=True).rows == [(1,), (3,)]

@@ -28,7 +28,6 @@ statement on every tier:
 
 from __future__ import annotations
 
-import struct
 
 import pytest
 
@@ -164,7 +163,10 @@ def test_match_plan_runs_where_the_settings_say():
     assert any(n.startswith("VEC_") for n in names)
     assert "GCL_t" not in names and not any(n.startswith("EVP_") for n in names)
     db.ledger.by_function.clear()
-    db.sql("UPDATE t SET qty = 2 WHERE k = 5", vectors=False)
+    db.sql(
+        "UPDATE t SET qty = 2 WHERE k = 5",
+        bees=db.settings.enabling(vectors=False),
+    )
     assert any(n.startswith("PIPE_") for n in db.ledger.by_function)
     db.ledger.by_function.clear()
     db.sql("UPDATE t SET qty = 3 WHERE k = 5", bees=False)
@@ -199,7 +201,10 @@ def test_explain_write_prints_the_stacked_match_plan():
     assert explain(db, "EXPLAIN DELETE FROM t") == [
         "-> VectorScan[SeqScan(t+ctid)]"
     ]
-    assert explain(db, "EXPLAIN DELETE FROM t WHERE k = 5", vectors=False) == [
+    assert explain(
+        db, "EXPLAIN DELETE FROM t WHERE k = 5",
+        bees=db.settings.enabling(vectors=False),
+    ) == [
         "-> PipelineScan[Filter <- SeqScan(t+ctid)]"
     ]
     assert explain(db, "EXPLAIN DELETE FROM t WHERE k = 5", bees=False) == [
@@ -494,7 +499,8 @@ def test_annotated_attribute_refuses_what_its_type_cannot_hold(name, bees):
     """Annotated values live in the data section and never meet the
     encoder's ``struct.pack``: a float or an out-of-range int for an
     annotated INT used to be *stored* under every bee-enabled point
-    (stock raised), and ``vectorized()`` then read the 7.5 back as 7."""
+    (stock raised), and ``vectorized()`` then read the 7.5 back as 7.
+    Every point refuses it with the same error, naming the column."""
     db = Database(bees)
     db.sql(
         "CREATE TABLE t (k INT NOT NULL, b INT NOT NULL, c CHAR(3) NOT NULL, "
@@ -518,14 +524,15 @@ def test_annotated_attribute_refuses_what_its_type_cannot_hold(name, bees):
         lambda: db.sql("UPDATE t SET b = 7.5 WHERE k = 1"),
         lambda: db.update_by_tid("t", tid, [7, 7.5, "y", 1.0]),
     )
+    refused = r"column 'b' of relation 't' \(int4\) cannot hold"
     for write in writes:
-        with pytest.raises(struct.error):
+        with pytest.raises(ValueError, match=refused):
             write()
         assert _state(db) == before
         assert db.bee_module.statistics()["tuple_bees"] == tuple_bees
     # b is k % 3: the second matched row (k = 2) overflows int32, after
     # the first resolved its (new) tuple bee — and before the first delete.
-    with pytest.raises(struct.error):
+    with pytest.raises(ValueError, match=refused):
         db.sql("UPDATE t SET b = b * 1073741824 WHERE k >= 1 AND k < 4")
     assert _state(db) == before
     db.sql("SELECT count(*) FROM t WHERE d > 3")
@@ -533,6 +540,27 @@ def test_annotated_attribute_refuses_what_its_type_cannot_hold(name, bees):
     assert db.sql("UPDATE t SET b = 7 WHERE k = 1").status == "UPDATE 1"
     assert db.sql("SELECT b FROM t WHERE k = 1").rows == [(7,)]
     assert charged < db.ledger.total
+    db.close()
+
+
+@pytest.mark.parametrize("name,bees", POINTS, ids=IDS)
+def test_a_value_an_int_column_cannot_hold_is_the_callers_error(name, bees):
+    """A fraction or an out-of-range number for a stored INT: every
+    point refuses it with one message naming the column and the value,
+    and no shield fault is booked against the SCL bee."""
+    db = Database(bees)
+    db.sql("CREATE TABLE t (a INT NOT NULL, b INT)")
+    db.sql("INSERT INTO t VALUES (0, 0)")
+    faults = db.resilience.total_faults()
+    for value in (2.5, 3000000000):
+        refused = rf"column 'b' of relation 't' \(int4\) cannot hold {value}$"
+        for _ in range(2):                 # a miss, then its shape's bee
+            with pytest.raises(ValueError, match=refused):
+                db.sql(f"INSERT INTO t VALUES (1, {value})")
+        with pytest.raises(ValueError, match=refused):
+            db.copy_from("t", [[1, value]])
+    assert db.resilience.total_faults() == faults
+    assert db.read_all("t") == [[0, 0]]
     db.close()
 
 
@@ -561,7 +589,7 @@ def test_rejected_multi_row_insert_inserts_none(name, bees, reject):
     charged = db.ledger.total
     statement = f"INSERT INTO t VALUES {REJECTED_INSERTS[reject]}"
     for _ in range(2):                   # as a miss, then (if cached) again
-        with pytest.raises((ValueError, struct.error)):
+        with pytest.raises(ValueError):
             db.sql(statement)
     assert _state(db) == before
     assert db.bee_module.statistics()["tuple_bees"] == tuple_bees

@@ -5,20 +5,20 @@ one, quarantining the cell's health key drains the next tier down, and
 the ledger charge equals the literal pinned before the nine driver
 classes were collapsed (and, with one TPC-H q3/q5 total, before the
 hash-join build was charged once per build).  Around the grid: the output width check fires
-on every tier (it used to skip the pipeline agg sink), the fused-routine
-memo stays bounded, and the forked driver modules stay deleted.
+on every tier (it used to skip the pipeline agg sink), and the forked
+driver modules stay deleted.
 """
 
 from __future__ import annotations
 
 import importlib
+from collections import Counter
 
 import pytest
 
 import repro.bees.pipeline.codegen as pipeline_codegen
 import repro.bees.vector.codegen as vector_codegen
-from repro.bees.drivers import TIER_BY_NAME, FusedDriver, stack_tiers
-from repro.bees.module import FUSED_MEMO_CAP
+from repro.bees.drivers import TIER_BY_NAME, TIERS, FusedDriver, stack_tiers
 from repro.bees.settings import BeeSettings
 from repro.db import Database
 from repro.engine.nodes import PlanNode
@@ -93,23 +93,30 @@ def _walk(node):
         yield from _walk(child)
 
 
-def _ran(db, tier: str, sink: str) -> int:
-    """How often has *tier* run the ``big`` cell for *sink* so far?"""
-    if tier == "parallel":
-        return db.parallel_coordinator().stats.statements
-    return sum(
-        spec.relation == "big" and spec.sink == sink
-        for _key, _anchor, spec, _routine in db.bee_module.fused_entries(tier)
-    )
+@pytest.fixture
+def ran(monkeypatch) -> Counter:
+    """``(tier, relation, sink)`` -> fused drivers that ran their tier's
+    routine (opened units rather than draining their anchor) so far."""
+    opened: Counter = Counter()
+    for row in TIERS:
+
+        def counting(ctx, driver, rel, build_table, row=row, real=row.open):
+            units = real(ctx, driver, rel, build_table)
+            if units is not None:
+                spec = driver.spec
+                opened[row.name, spec.relation, spec.sink] += 1
+            return units
+
+        monkeypatch.setattr(row, "open", counting)
+    return opened
 
 
 @pytest.mark.parametrize("tier,sink", CELLS)
 class TestCell:
-    def test_result_equals_stock(self, dbs, tier, sink):
+    def test_result_equals_stock(self, dbs, ran, tier, sink):
         db = dbs[tier]
-        before = _ran(db, tier, sink)
         rows = db.sql(STATEMENTS[sink]).rows
-        assert _ran(db, tier, sink) > before, "the cell's tier never ran"
+        assert ran[tier, "big", sink] == 1, "the cell's tier never ran"
         assert rows and rows_equivalent(
             rows, db.sql(STATEMENTS[sink], bees=False).rows
         )
@@ -127,15 +134,13 @@ class TestCell:
         assert drivers[0].node_label().startswith(label)
         assert label in stacked.explain()
 
-    def test_quarantine_drains_next_tier_down(self, dbs, tier, sink):
+    def test_quarantine_drains_next_tier_down(self, dbs, ran, tier, sink):
         db = dbs[tier]
         key = f"{TIER_BY_NAME[tier].prefix}:big:{sink}"
         below = {"parallel": "vector", "vector": "pipeline"}.get(tier)
         for _ in range(3):
             db.resilience.record_failure(key, site="test", kind="test")
         assert key in db.resilience.quarantined()
-        ran_here = _ran(db, tier, sink)
-        ran_below = _ran(db, below, sink) if below else 0
         db.ledger.profiling = True
         db.ledger.by_function.clear()
         try:
@@ -144,9 +149,9 @@ class TestCell:
         finally:
             db.ledger.profiling = False
             db.resilience.clear_prefix(key)
-        assert _ran(db, tier, sink) == ran_here
+        assert ran[tier, "big", sink] == 0
         if below:
-            assert _ran(db, below, sink) == ran_below + 1
+            assert ran[below, "big", sink] == 1
         else:
             # Below the pipeline tier sit the routine bees: the generic
             # scan deforms through the relation bee's GCL.
@@ -231,60 +236,6 @@ def test_wrong_width_agg_row_retries_on_every_tier(monkeypatch, tier):
         by_site = db.resilience.report()["by_site"]
         assert by_site.get(f"{family}/arity") == 1, by_site
         assert rows_equivalent(rows, db.sql(STATEMENTS["agg"], bees=False).rows)
-
-
-# -- the fused-routine memo is bounded ----------------------------------------
-
-
-def _statement(i: int) -> str:
-    # A shape of its own per statement (the alias is text, not a
-    # literal): each one builds a plan and memoizes its routines.
-    return f"SELECT id AS id{i} FROM t WHERE price > {i}.5"
-
-
-def _small_db(settings) -> Database:
-    db = Database(settings)
-    db.sql("CREATE TABLE t (id int NOT NULL, price float NOT NULL)")
-    db.copy_from("t", [[i, float(i)] for i in range(50)])
-    return db
-
-
-def test_fused_memo_is_capped():
-    db = _small_db(BeeSettings.vectorized())
-    for i in range(2 * FUSED_MEMO_CAP):
-        assert len(db.sql(_statement(i)).rows) == max(49 - i, 0)
-    stats = db.bee_module.statistics()
-    assert 0 < stats["pipeline_routines"] + stats["vector_routines"] <= FUSED_MEMO_CAP
-    assert len(db.sql(_statement(0)).rows) == 49
-
-
-def test_evicted_prepared_plan_regenerates_cleanly():
-    # The pipeline tier anchors on the caller's own plan nodes, so a
-    # prepared plan hits the memo until eviction drops its routine.
-    db = _small_db(BeeSettings.pipelined())
-    maker = db.bee_module.maker
-    prepared = plan_select(db, parse(_statement(0)))
-    first = db.execute(prepared)
-    assert len(first) == 49
-    generated = maker._fused_counter["PIPE"]
-    assert db.execute(prepared) == first
-    assert maker._fused_counter["PIPE"] == generated, "memo hit expected"
-    for i in range(1, FUSED_MEMO_CAP + 1):
-        db.sql(_statement(i))
-    generated = maker._fused_counter["PIPE"]
-    assert db.execute(prepared) == first
-    assert maker._fused_counter["PIPE"] == generated + 1, "evicted: regenerate"
-    assert db.execute(prepared) == first
-    assert maker._fused_counter["PIPE"] == generated + 1, "and memoized again"
-    assert len(db.bee_module._fused_by_node) <= FUSED_MEMO_CAP
-
-
-def test_sweep_view_refuses_a_memo_that_may_have_evicted():
-    db = _small_db(BeeSettings.pipelined())
-    for i in range(FUSED_MEMO_CAP):
-        db.sql(_statement(i))
-    with pytest.raises(RuntimeError, match="cap"):
-        db.bee_module.fused_entries("pipeline")
 
 
 # -- the fork stays collapsed -------------------------------------------------

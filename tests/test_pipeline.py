@@ -17,6 +17,10 @@ from repro.engine.nodes import Limit, SeqScan, Sort
 from repro.sql.parser import parse
 from repro.sql.planner import plan_select
 
+#: The fixture's point, with plan fusion on or off for a statement.
+PIPES = BeeSettings.all_bees().enabling(pipelines=True)
+PLAIN = BeeSettings.all_bees().enabling(pipelines=False)
+
 
 def _plan(db, sql: str):
     return plan_select(db, parse(sql))
@@ -159,57 +163,67 @@ class TestExecutionEquality:
     @pytest.mark.parametrize("query", QUERIES)
     def test_pipelines_match_interpreter(self, db, query):
         ordered = "ORDER BY" in query
-        fused = db.sql(query, pipelines=True).rows
-        plain = db.sql(query, pipelines=False).rows
+        fused = db.sql(query, bees=PIPES).rows
+        plain = db.sql(query, bees=PLAIN).rows
         if not ordered:
             fused, plain = sorted(map(repr, fused)), sorted(map(repr, plain))
         assert fused == plain, f"fusion divergence on {query!r}"
 
     def test_dml_between_fused_queries(self, db):
         query = "SELECT id FROM items WHERE price > 15.0"
-        assert db.sql(query, pipelines=True).rows == [(2,), (3,), (4,), (5,)]
+        assert db.sql(query, bees=PIPES).rows == [(2,), (3,), (4,), (5,)]
         db.sql("DELETE FROM items WHERE id = 3")
         db.sql("INSERT INTO items VALUES (9, 'zzz', 1, 90.0, 'ninth')")
         db.sql("UPDATE items SET price = 5.0 WHERE id = 4")
-        fused = db.sql(query, pipelines=True).rows
-        plain = db.sql(query, pipelines=False).rows
+        fused = db.sql(query, bees=PIPES).rows
+        plain = db.sql(query, bees=PLAIN).rows
         assert sorted(fused) == sorted(plain) == [(2,), (5,), (9,)]
 
 
+def _made(db) -> int:
+    """Pipeline routines instantiated so far."""
+    return db.bee_module.statistics()["pipeline_routines"]
+
+
 class TestMemoAndInvalidation:
+    """The memo is the shape's query bee: its plan's driver holds the
+    pipeline routine, so a statement served from the bee instantiates
+    nothing, and one after an invalidation edge (whose bee was evicted)
+    regenerates it and returns stock rows."""
+
     def test_routines_are_memoized_and_counted(self, db):
-        db.sql("SELECT id FROM items WHERE price > 15.0", pipelines=True)
-        stats = db.bee_module.statistics()
-        assert stats["pipeline_routines"] >= 1
+        db.sql("SELECT id FROM items WHERE price > 15.0", bees=PIPES)
+        assert _made(db) >= 1
 
     def test_alter_evicts_pipeline_memo(self, db):
-        db.sql("SELECT id FROM items WHERE price > 15.0", pipelines=True)
-        assert db.bee_module.fused_entries("pipeline")
+        query = "SELECT id FROM items WHERE price > 15.0"
+        db.sql(query, bees=PIPES)
+        made = _made(db)
+        db.sql(query, bees=PIPES)             # the shape's query bee
+        assert _made(db) == made
         db.catalog.alter_relation(db.relation("items").schema)
-        assert not db.bee_module.fused_entries("pipeline")
-        rows = db.sql(
-            "SELECT id FROM items WHERE price > 15.0", pipelines=True
-        ).rows
-        assert rows == [(2,), (3,), (4,), (5,)]
+        rows = db.sql(query, bees=PIPES).rows
+        assert _made(db) == made + 1
+        assert rows == db.sql(query, bees=False).rows == [(2,), (3,), (4,), (5,)]
 
     def test_drop_evicts_only_that_relations_pipelines(self, db):
-        db.sql("SELECT id FROM items", pipelines=True)
-        db.sql("SELECT kind FROM kinds", pipelines=True)
-        def relations():
-            return {
-                spec.relation for _k, _a, spec, _r
-                in db.bee_module.fused_entries("pipeline")
-            }
-
-        assert relations() == {"items", "kinds"}
+        items, kinds = "SELECT id FROM items", "SELECT kind FROM kinds"
+        db.sql(items, bees=PIPES)
+        db.sql(kinds, bees=PIPES)
+        made = _made(db)
         db.sql("DROP TABLE kinds")
-        assert relations() == {"items"}
+        assert db.sql(items, bees=PIPES).rows == db.sql(items, bees=False).rows
+        assert _made(db) == made, "DROP kinds kept the items shape's bee"
+        db.sql("CREATE TABLE kinds (kind char(3) NOT NULL)")
+        db.sql("INSERT INTO kinds VALUES ('zzz')")
+        assert db.sql(kinds, bees=PIPES).rows == [("zzz",)]
+        assert _made(db) == made + 1
 
     def test_reannotate_then_fused_query(self, db):
         query = "SELECT id, kind FROM items WHERE kind = 'aaa'"
-        before = db.sql(query, pipelines=True).rows
+        before = db.sql(query, bees=PIPES).rows
         db.reannotate("items", [])
-        after = db.sql(query, pipelines=True).rows
+        after = db.sql(query, bees=PIPES).rows
         assert sorted(before) == sorted(after) == [(1, "aaa"), (3, "aaa")]
 
 
@@ -227,6 +241,6 @@ class TestBatchesProtocol:
 
     def test_fused_batches_charge_less_than_interpreter(self, db):
         query = "SELECT id, price FROM items WHERE price > 15.0"
-        fused = db.measure(lambda: db.sql(query, pipelines=True))
-        plain = db.measure(lambda: db.sql(query, pipelines=False))
+        fused = db.measure(lambda: db.sql(query, bees=PIPES))
+        plain = db.measure(lambda: db.sql(query, bees=PLAIN))
         assert fused.instructions < plain.instructions

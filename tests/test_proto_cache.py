@@ -6,8 +6,10 @@ every one plans, and instantiates its routines from the code cache.
 
 Sharing (same shape, different literals -> one ``__code__``, stock
 results), hit rate and bounds, soundness across layout changes, fault
-attribution when code objects are shared, the bounded EVP/AGG memos and
-their nullability-variant keys, and the observability counters.
+attribution when code objects are shared, the EVP/AGG nullability
+variants, and the observability counters.  The routines a statement
+instantiated are read off :func:`repro.verify.corpus.harvest`, which
+records what the bee maker makes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 
 import pytest
 
-from repro.bees.module import CODE_CACHE_CAP, FUSED_MEMO_CAP
+from repro.bees.module import CODE_CACHE_CAP
 from repro.bees.routines.base import BEE_DUMP_ENV, CodeCache
 from repro.bees.settings import BeeSettings
 from repro.db import Database
@@ -26,6 +28,7 @@ from repro.engine.aggregates import AggSpec
 from repro.resilience.chaos import ChaosInjector
 from repro.resilience.guard import evp_key
 from repro.resilience.registry import CONSECUTIVE_FAILURES
+from repro.verify.corpus import harvest
 
 SETTINGS = {
     "routine": BeeSettings.all_bees,
@@ -72,10 +75,11 @@ def both_ways(db: Database, sql: str) -> list[tuple]:
     return rows
 
 
-def routines_of(db: Database, tier: str) -> list:
-    if tier == "routine":
-        return [routine for _expr, routine in db.bee_module.evp_entries()]
-    return [entry[-1] for entry in db.bee_module.fused_entries(tier)]
+def routines_of(made: list, tier: str) -> list:
+    """The routines in the harvest *made* that do *tier*'s work: the
+    fused drivers', or on the routine tier the Filters' EVP."""
+    kind = "evp" if tier == "routine" else tier
+    return [entry.routine for entry in made if entry.kind == kind]
 
 
 # -- one code object per shape -------------------------------------------------
@@ -90,14 +94,14 @@ SHAPES = {
 @pytest.mark.parametrize("tier", list(SETTINGS))
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_same_shape_shares_one_code_object(tier, shape):
-    with make_db(tier) as db:
+    with make_db(tier) as db, harvest(db) as made:
         template = SHAPES[shape]
         first = both_ways(db, template.format(7))
         second = both_ways(db, template.format(31))
         assert first != second
         # The routine that does the shape's work: the fused driver's, or
         # on the routine tier the Filter's EVP.
-        routines = routines_of(db, tier)
+        routines = routines_of(made, tier)
         codes = {routine.fn.__code__ for routine in routines}
         assert len(routines) >= 2
         assert len(codes) < len(routines), "no code object was shared"
@@ -114,20 +118,20 @@ def test_same_shape_shares_one_code_object(tier, shape):
 def test_literal_type_does_not_change_the_proto():
     # 7 and 7.5 are one shape: the hole carries the value, the source no
     # repr of it.
-    with make_db("routine") as db:
+    with make_db("routine") as db, harvest(db) as made:
         both_ways(db, "SELECT id FROM t WHERE price > 7")
         both_ways(db, "SELECT id FROM t WHERE price > 7.5")
-        one, two = (r for _e, r in db.bee_module.evp_entries())
+        one, two = routines_of(made, "routine")
         assert one.fn.__code__ is two.fn.__code__
         assert (one.namespace["_K0"], two.namespace["_K0"]) == (7, 7.5)
 
 
 def test_charges_stay_attributed_per_routine():
-    with make_db("vector") as db:
+    with make_db("vector") as db, harvest(db) as made:
         db.ledger.profiling = True
         both_ways(db, SHAPES["filter"].format(3))
         both_ways(db, SHAPES["filter"].format(40))
-        first, second = routines_of(db, "vector")
+        first, second = routines_of(made, "vector")
         assert first.fn.__code__ is second.fn.__code__
         profile = db.ledger.by_function
         assert profile[first.name] > 0 and profile[second.name] > 0
@@ -154,11 +158,6 @@ def test_templated_stream_hits_the_cache():
         hits, compiles = stats["code_cache_hits"], stats["compiles"]
         assert hits / (hits + compiles) >= 0.95, stats
         assert stats["code_cache_entries"] <= len(TEMPLATES) * len(SETTINGS)
-        assert stats["evp_routines"] <= FUSED_MEMO_CAP
-        assert (
-            stats["pipeline_routines"] + stats["vector_routines"]
-            <= FUSED_MEMO_CAP
-        )
 
 
 def test_code_cache_respects_its_bound():
@@ -238,9 +237,11 @@ def test_alter_and_reannotate_rebuild_from_the_current_layout(tier):
         db.reannotate("items", ["kind"])
         assert both_ways(db, sql) == before
         db.catalog.alter_relation(db.relation("items").schema)
-        assert both_ways(db, sql) == before
+        with harvest(db) as made:
+            assert both_ways(db, sql) == before
         # Every routine handed out since is stamped with the live epoch.
-        for routine in routines_of(db, tier):
+        assert routines_of(made, tier)
+        for routine in routines_of(made, tier):
             assert routine.epoch == db.bee_module.query_epoch
 
 
@@ -268,12 +269,15 @@ FAULTY = "SELECT id FROM t WHERE 100 / (id - {}) > 1 AND id > 50"
 def test_shared_evp_code_fault_is_attributed_per_instantiation():
     # id - 70 never reaches zero over ids 0..59: healthy.  id - 55 does:
     # the same code object, another data section, a ZeroDivisionError.
-    with make_db("routine") as db:
+    with make_db("routine") as db, harvest(db) as made:
         both_ways(db, FAULTY.format(70))
         for _ in range(CONSECUTIVE_FAILURES):
             with pytest.raises(ZeroDivisionError):
                 db.sql(FAULTY.format(55))
-        healthy, *faulty = (e for e in db.bee_module.evp_entries())
+        healthy, *faulty = (
+            (entry.args[0], entry.routine)
+            for entry in made if entry.kind == "evp"
+        )
         assert {r.fn.__code__ for _e, r in faulty} == {healthy[1].fn.__code__}
         assert healthy[1].fn.__code__.co_filename == "<bee:EVP>"
         faulty_key = evp_key(faulty[0][0])
@@ -340,7 +344,7 @@ def test_chaos_sites_still_reach_the_stable_health_key(site):
             assert not [k for k in report["bees"] if k.startswith("PIPE_")]
 
 
-# -- the EVP / AGG memos: variant keys and bounds ------------------------------
+# -- the EVP / AGG nullability variants -----------------------------------------
 
 
 def _nullable_predicate() -> E.Expr:
@@ -348,14 +352,12 @@ def _nullable_predicate() -> E.Expr:
 
 
 def test_evp_memo_keys_on_the_nullability_variant():
+    # Each nullability variant is a routine of its own.
     with make_db("routine") as db:
         expr = _nullable_predicate()
-        module = db.bee_module
-        direct = module.get_evp(expr, True)
-        guarded = module.get_evp(expr, False)
-        assert direct is not guarded
-        assert module.get_evp(expr, True) is direct
-        assert module.get_evp(expr, False) is guarded
+        maker = db.bee_module.maker
+        direct = maker.make_evp(expr, True)
+        guarded = maker.make_evp(expr, False)
         # Over a NULL input only the three-valued variant is defined.
         assert guarded.fn([None]) is None
         assert guarded.fn([9]) is True and direct.fn([9]) is True
@@ -364,47 +366,20 @@ def test_evp_memo_keys_on_the_nullability_variant():
 
 
 def test_agg_memo_keys_on_the_nullability_variant():
+    # Each nullability variant is a routine of its own.
     with make_db("routine") as db:
         specs = (
             AggSpec("count", E.bind(E.Col("x"), ["x"]), name="n"),
             AggSpec("sum", E.bind(E.Col("x"), ["x"]), name="s"),
         )
-        module = db.bee_module
-        direct = module.get_agg(specs, True)
-        guarded = module.get_agg(specs, False)
-        assert direct is not guarded
-        assert module.get_agg(specs, False) is guarded
+        maker = db.bee_module.maker
+        direct = maker.make_agg(specs, True)
+        guarded = maker.make_agg(specs, False)
+        assert direct.fn.__code__ is not guarded.fn.__code__
         states = [spec.make_state() for spec in specs]
         guarded.fn([None], states)
         guarded.fn([4], states)
         assert [state.result() for state in states] == [1, 4]
-
-
-def test_evp_and_agg_memos_are_capped_and_sweeps_refuse_a_full_memo():
-    with make_db("routine") as db:
-        module = db.bee_module
-        specs = [
-            (AggSpec("sum", E.bind(E.Col("x"), ["x"]), name=f"s{i}"),)
-            for i in range(FUSED_MEMO_CAP + 20)
-        ]
-        exprs = [_nullable_predicate() for _ in range(FUSED_MEMO_CAP + 20)]
-        for expr, spec in zip(exprs, specs):
-            module.get_evp(expr)
-            module.get_agg(spec)
-        assert len(module._evp_by_expr) == FUSED_MEMO_CAP
-        assert len(module._agg_by_specs) == FUSED_MEMO_CAP
-        # Oldest first: the newest entry is still memoized.
-        generated = module.maker._evp_counter
-        module.get_evp(exprs[-1])
-        assert module.maker._evp_counter == generated
-        module.get_evp(exprs[0])
-        assert module.maker._evp_counter == generated + 1
-        with pytest.raises(RuntimeError, match="cap"):
-            module.evp_entries()
-        with pytest.raises(RuntimeError, match="cap"):
-            module.agg_entries()
-        # One shape each: the code cache did not grow with the memos.
-        assert module.statistics()["code_cache_entries"] == 2
 
 
 # -- observability -------------------------------------------------------------
@@ -433,7 +408,7 @@ def test_bee_dump_writes_once_per_distinct_source(tmp_path, monkeypatch):
     with make_db("vector") as db:
         for key in (1, 2, 3, 4):
             both_ways(db, SHAPES["lookup"].format(key))
-        generated = db.bee_module.maker._fused_counter["VEC"]
+        generated = db.bee_module.maker.made["VEC"]
         assert generated >= 4
         dumped = sorted(p.name for p in tmp_path.glob("VEC_*.py"))
         assert len(dumped) == 1, dumped

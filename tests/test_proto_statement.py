@@ -10,6 +10,7 @@ The reference everywhere is the ad hoc path,
 from __future__ import annotations
 
 import copy
+import gc
 import importlib.util
 import inspect
 import random
@@ -17,6 +18,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 import repro
 from repro.bees.collector import DEFAULT_QUERY_BEE_BUDGET
+from repro.bees.drivers import FusedDriver
 from repro.bees.maker import BeeMaker
 from repro.bees.settings import BeeSettings
 from repro.db import Database
@@ -201,6 +204,61 @@ def test_warm_stream_of_known_shapes_is_all_hits(monkeypatch, small_rows):
     assert ran >= 950
     assert calls == {}
     assert db.bee_module.statistics()["compiles"] == compiles
+
+
+# -- a routine lives as long as its plan ----------------------------------------
+
+
+def _instantiated(monkeypatch) -> list:
+    """Weak references to every query routine the bee maker makes from
+    now on."""
+    made: list = []
+    for name in ("make_evp", "make_agg", "make_fused"):
+        real = getattr(BeeMaker, name)
+
+        def making(maker, *args, real=real):
+            routine = real(maker, *args)
+            made.append(weakref.ref(routine))
+            return routine
+
+        monkeypatch.setattr(BeeMaker, name, making)
+    return made
+
+
+def _alive(refs: list) -> int:
+    gc.collect()
+    return sum(ref() is not None for ref in refs)
+
+
+@pytest.mark.parametrize("name", ["all_bees+agg", "pipelined", "vectorized"])
+def test_routine_lifetime_of_an_adhoc_statement_is_the_statement(
+    monkeypatch, name
+):
+    db = _tiny(POINTS[name])
+    made = _instantiated(monkeypatch)
+    sql = "SELECT b, count(*) FROM t WHERE a > 1 GROUP BY b"
+    expected = outcome(lambda: adhoc(db, sql, settings=BeeSettings.stock()))
+    assert outcome(lambda: adhoc(db, sql)) == expected
+    assert made, "the statement made no routine"
+    assert _alive(made) == 0
+
+
+@pytest.mark.parametrize("name", ["all_bees+agg", "vectorized"])
+def test_routine_lifetime_of_a_query_bee_ends_when_the_collector_trims_it(
+    monkeypatch, name
+):
+    db = _tiny(POINTS[name])
+    db.bee_module.collector.query_bee_budget = 2
+    made = _instantiated(monkeypatch)
+    db.sql("SELECT b, count(*) FROM t WHERE a > 1 GROUP BY b")
+    first = list(made)
+    assert first and _alive(first) == len(first)     # the bee holds them
+    db.sql("SELECT b, count(*) FROM t WHERE a > 2 GROUP BY b")   # a hit
+    assert len(made) == len(first)
+    for i in range(2):              # two more shapes: the first is trimmed
+        db.sql(f"SELECT a AS x{i} FROM t WHERE b > 10")
+    assert _alive(first) == 0
+    assert _alive(made) == len(made) - len(first)
 
 
 # -- the lifter ----------------------------------------------------------------
@@ -548,16 +606,18 @@ def test_a_fault_mid_statement_on_a_cached_shape_retries_and_heals(site, tier):
     assert len(db.sql(sql.format(10)).rows) == 39
     key = Statement(db, sql.format(0)).key
     stacked = db.bee_module.cache.get_query_bee(key).plan.stacked
+    driver = stacked[1]
+    assert isinstance(driver, FusedDriver) and driver.tier.name == tier
     chaos = ChaosInjector(seed=0)
     with chaos.armed(site):
-        # The armed generator only bites a routine generated now: evict
-        # this one's, as a memo at its cap would.
-        db.bee_module._fused_by_node.clear()
+        # The armed generator only bites a routine generated now: drop
+        # the one the bee's driver holds.
+        driver.routine = None
         assert len(db.sql(sql.format(20)).rows) == 29    # a hit that faults
     assert chaos.fired[site] >= 1
     assert db.resilience.total_faults() >= 1
     assert db.bee_module.cache.get_query_bee(key).plan.stacked is stacked
-    db.bee_module._fused_by_node.clear()
+    driver.routine = None
     executed = db.stats()["bees"][f"{tier}_executed"]
     assert len(db.sql(sql.format(30)).rows) == 19
     assert db.stats()["bees"][f"{tier}_executed"] == executed + 1
@@ -746,8 +806,7 @@ def test_no_new_knob():
         "parallel_workers",
     ]
     assert list(inspect.signature(Database.sql).parameters) == [
-        "self", "statement", "bees", "pipelines", "vectors", "parallel",
-        "timeout",
+        "self", "statement", "bees", "timeout",
     ]
     assert list(inspect.signature(HiveServer.execute).parameters) == [
         "self", "session", "sql", "timeout",

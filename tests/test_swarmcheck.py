@@ -147,7 +147,8 @@ class TestSharedState:
         sites, _findings, _stats = shared_result
         matched = {s.entry_key for s in sites if s.entry_key}
         for key in (
-            "GenericBeeModule._evp_by_expr",
+            "*.routine",                    # a plan node's query routine
+            "GenericBeeModule._evj_by_shape",
             "ChunkCache._entries",
             "Ledger.total",
             "ResilienceRegistry._health",

@@ -18,6 +18,11 @@ from repro.engine.nodes import Limit, Sort
 from repro.sql.parser import parse
 from repro.sql.planner import plan_select
 
+#: The fixture's point, with one tier on or off for a statement.
+VECTORS = BeeSettings.vectorized().enabling(vectors=True)
+PIPES = BeeSettings.vectorized().enabling(pipelines=True, vectors=False)
+PLAIN = BeeSettings.vectorized().enabling(vectors=False, pipelines=False)
+
 
 def _plan(db, sql: str):
     return plan_select(db, parse(sql))
@@ -156,8 +161,8 @@ class TestExecutionEquality:
     @pytest.mark.parametrize("query", QUERIES)
     def test_vectors_match_interpreter(self, db, query):
         ordered = "ORDER BY" in query
-        vectored = db.sql(query, vectors=True).rows
-        plain = db.sql(query, vectors=False, pipelines=False).rows
+        vectored = db.sql(query, bees=VECTORS).rows
+        plain = db.sql(query, bees=PLAIN).rows
         if not ordered:
             vectored = sorted(map(repr, vectored))
             plain = sorted(map(repr, plain))
@@ -165,68 +170,78 @@ class TestExecutionEquality:
 
     def test_dml_between_vectorized_queries(self, db):
         query = "SELECT id FROM items WHERE price > 15.0"
-        assert db.sql(query, vectors=True).rows == [(2,), (3,), (4,), (5,)]
+        assert db.sql(query, bees=VECTORS).rows == [(2,), (3,), (4,), (5,)]
         db.sql("DELETE FROM items WHERE id = 3")
         db.sql("INSERT INTO items VALUES (9, 'zzz', 1, 90.0, 'ninth')")
         db.sql("UPDATE items SET price = 5.0 WHERE id = 4")
-        vectored = db.sql(query, vectors=True).rows
-        plain = db.sql(query, vectors=False, pipelines=False).rows
+        vectored = db.sql(query, bees=VECTORS).rows
+        plain = db.sql(query, bees=PLAIN).rows
         assert sorted(vectored) == sorted(plain) == [(2,), (5,), (9,)]
 
 
 class TestChunkCache:
     def test_repeat_query_hits_chunk_cache(self, db):
         query = "SELECT id, price FROM items WHERE price > 15.0"
-        db.sql(query, vectors=True)
+        db.sql(query, bees=VECTORS)
         misses = db.chunk_cache.misses
-        db.sql(query, vectors=True)
+        db.sql(query, bees=VECTORS)
         assert db.chunk_cache.hits >= 1
         assert db.chunk_cache.misses == misses
 
     def test_dml_invalidates_cached_chunk(self, db):
         query = "SELECT id FROM items WHERE price > 15.0"
-        db.sql(query, vectors=True)
+        db.sql(query, bees=VECTORS)
         misses = db.chunk_cache.misses
         db.sql("INSERT INTO items VALUES (7, 'ddd', 3, 70.0, NULL)")
-        rows = db.sql(query, vectors=True).rows
+        rows = db.sql(query, bees=VECTORS).rows
         assert db.chunk_cache.misses > misses  # version bump re-decodes
         assert sorted(rows) == [(2,), (3,), (4,), (5,), (7,)]
 
 
+def _made(db) -> int:
+    """Vector routines instantiated so far."""
+    return db.bee_module.statistics()["vector_routines"]
+
+
 class TestMemoAndInvalidation:
+    """The memo is the shape's query bee: its plan's driver holds the
+    vector kernel, so a statement served from the bee instantiates
+    nothing, and one after an invalidation edge (whose bee was evicted)
+    regenerates it and returns stock rows."""
+
     def test_kernels_are_memoized_and_counted(self, db):
-        db.sql("SELECT id FROM items WHERE price > 15.0", vectors=True)
-        stats = db.bee_module.statistics()
-        assert stats["vector_routines"] >= 1
+        db.sql("SELECT id FROM items WHERE price > 15.0", bees=VECTORS)
+        assert _made(db) >= 1
 
     def test_alter_evicts_vector_memo(self, db):
-        db.sql("SELECT id FROM items WHERE price > 15.0", vectors=True)
-        assert db.bee_module.fused_entries("vector")
+        query = "SELECT id FROM items WHERE price > 15.0"
+        db.sql(query, bees=VECTORS)
+        made = _made(db)
+        db.sql(query, bees=VECTORS)             # the shape's query bee
+        assert _made(db) == made
         db.catalog.alter_relation(db.relation("items").schema)
-        assert not db.bee_module.fused_entries("vector")
-        rows = db.sql(
-            "SELECT id FROM items WHERE price > 15.0", vectors=True
-        ).rows
-        assert rows == [(2,), (3,), (4,), (5,)]
+        rows = db.sql(query, bees=VECTORS).rows
+        assert _made(db) == made + 1
+        assert rows == db.sql(query, bees=False).rows == [(2,), (3,), (4,), (5,)]
 
     def test_drop_evicts_only_that_relations_kernels(self, db):
-        db.sql("SELECT id FROM items", vectors=True)
-        db.sql("SELECT kind FROM kinds", vectors=True)
-        def relations():
-            return {
-                spec.relation for _k, _a, spec, _r
-                in db.bee_module.fused_entries("vector")
-            }
-
-        assert relations() == {"items", "kinds"}
+        items, kinds = "SELECT id FROM items", "SELECT kind FROM kinds"
+        db.sql(items, bees=VECTORS)
+        db.sql(kinds, bees=VECTORS)
+        made = _made(db)
         db.sql("DROP TABLE kinds")
-        assert relations() == {"items"}
+        assert db.sql(items, bees=VECTORS).rows == db.sql(items, bees=False).rows
+        assert _made(db) == made, "DROP kinds kept the items shape's bee"
+        db.sql("CREATE TABLE kinds (kind char(3) NOT NULL)")
+        db.sql("INSERT INTO kinds VALUES ('zzz')")
+        assert db.sql(kinds, bees=VECTORS).rows == [("zzz",)]
+        assert _made(db) == made + 1
 
     def test_reannotate_then_vectorized_query(self, db):
         query = "SELECT id, kind FROM items WHERE kind = 'aaa'"
-        before = db.sql(query, vectors=True).rows
+        before = db.sql(query, bees=VECTORS).rows
         db.reannotate("items", [])
-        after = db.sql(query, vectors=True).rows
+        after = db.sql(query, bees=VECTORS).rows
         assert sorted(before) == sorted(after) == [(1, "aaa"), (3, "aaa")]
 
 
@@ -240,11 +255,11 @@ class TestCostModel:
                 f"{float(i)}, NULL)"
             )
         query = "SELECT id, price FROM items WHERE price > 15.0"
-        db.sql(query, vectors=True)  # warm chunk + kernel memo
-        db.sql(query, pipelines=True, vectors=False)
-        vectored = db.measure(lambda: db.sql(query, vectors=True))
+        db.sql(query, bees=VECTORS)  # warm chunk + kernel memo
+        db.sql(query, bees=PIPES)
+        vectored = db.measure(lambda: db.sql(query, bees=VECTORS))
         piped = db.measure(
-            lambda: db.sql(query, pipelines=True, vectors=False)
+            lambda: db.sql(query, bees=PIPES)
         )
         assert vectored.result.rows == piped.result.rows
         assert vectored.instructions < piped.instructions
@@ -513,3 +528,28 @@ class TestSplitQual:
                     and row[shipmode] is not None
                     for _used, rows in lanes for row in rows
                 )
+
+
+CONSTANT_QUALS = (
+    "SELECT id FROM items WHERE 1 = 1",
+    "SELECT id FROM items WHERE 1 = 0",
+    "SELECT count(*) FROM items WHERE 2 > 1",
+    "SELECT id FROM items WHERE 1 = 1 AND price > 15.0",
+)
+
+
+@pytest.mark.parametrize("point", [
+    BeeSettings.all_bees(), BeeSettings.pipelined(), BeeSettings.vectorized(),
+], ids=["all_bees", "pipelined", "vectorized"])
+@pytest.mark.parametrize("sql", CONSTANT_QUALS)
+def test_a_qual_that_reads_no_column_is_an_object_one(db, point, sql):
+    """A wholly constant qual takes the split's object lane, as a
+    column-free conjunct does: no fault, stock rows, and the shape's
+    second statement is served from its query bee."""
+    faults = db.resilience.total_faults()
+    expected = sorted(db.sql(sql, bees=False).rows)
+    hits = db.stats()["statements"]["hits"]
+    for _ in range(2):
+        assert sorted(db.sql(sql, bees=point).rows) == expected
+    assert db.resilience.total_faults() == faults
+    assert db.stats()["statements"]["hits"] == hits + 1

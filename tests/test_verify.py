@@ -95,7 +95,7 @@ class TestFullRun:
         assert all(n > 0 for n in stats["executed_on_tier"].values()), stats
         pool = stats["worker_pools"]["parallel"]
         assert pool["statements"] > 0 and pool["morsels_dispatched"] > 0
-        assert stats["fingerprint"] == "3306fba7ed856f0c"
+        assert stats["fingerprint"] == "19d9b69c5e143375"
 
     def test_summary_is_deterministic(self, full_run):
         """Same seed, same bytes.  The second run skips the self-tests
@@ -123,7 +123,7 @@ class TestCommittedBaselines:
         golden = json.loads(
             (REPO / "results" / "oracle" / "seed0.json").read_text()
         )
-        assert golden["fingerprint"] == "3306fba7ed856f0c"
+        assert golden["fingerprint"] == "19d9b69c5e143375"
         assert golden["executed_on_tier"]["parallel"] > 0
 
 
@@ -207,8 +207,9 @@ class TestTierTable:
         with Database(BeeSettings.all_bees()) as db:
             db.sql("CREATE TABLE t (a INT NOT NULL, b INT NOT NULL)")
             db.sql("INSERT INTO t VALUES (1, 2)")
-            db.sql("SELECT a FROM t WHERE b > 1", bees=points[-1].settings)
-            kinds = {entry.kind for entry in harvest(db.bee_module)}
+            with harvest(db) as made:
+                db.sql("SELECT a FROM t WHERE b > 1", bees=points[-1].settings)
+            kinds = {entry.kind for entry in made}
             counted = db.stats()["bees"]["dummy_routines"]
         assert "dummy" in kinds and counted > 0   # the lane's evidence
         from repro import beecheck
